@@ -387,7 +387,10 @@ _DEFAULT_TRIALS = {
 def run(argv=None):
     """Execute a subcommand; returns (exit code, report dict)."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    return _run_parsed(parser, parser.parse_args(argv))
+
+
+def _run_parsed(parser, args):
     if args.dim < 2:
         parser.error("--dim must be at least 2")
     if args.seed < 0:
@@ -459,9 +462,10 @@ def render(report, fmt):
 
 
 def main(argv=None):
-    code, report = run(argv)
-    text = render(report, report["config"]["format"])
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    code, report = _run_parsed(parser, args)
+    text = render(report, args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import linalg
 from .effects import Povm, born
@@ -91,11 +90,6 @@ def bloch_grid(
                 )
             )
     return states
-
-
-def random_state_grid(dim: int, n_points: int, seed=None) -> list[np.ndarray]:
-    g = linalg.rng_from(seed)
-    return [linalg.random_state(dim, g) for _ in range(n_points)]
 
 
 def center_skewed_weights(grid: Sequence[np.ndarray], strength: float = 4.0) -> np.ndarray:
@@ -198,7 +192,7 @@ def posterior_update(
     """
     if prior.dim != povm.dim:
         raise DimensionMismatch("prior and POVM dims differ")
-    likelihood_table = np.array([born(s, povm) for s in prior.states])
+    likelihood_table = born(np.stack(prior.states), povm)
     weights = prior.weights.copy()
     for d in outcomes:
         weights = weights * likelihood_table[:, d]
@@ -257,25 +251,20 @@ def merging_experiment(
     p_true = born(true_state, povm)
     p_true = p_true / p_true.sum()
     outcomes = g.choice(len(povm), size=n_outcomes, p=p_true)
-    like_a = np.array([born(s, povm) for s in prior_a.states])
-    like_b = np.array([born(s, povm) for s in prior_b.states])
     states_a = np.stack(prior_a.states)
     states_b = np.stack(prior_b.states)
+    like_a = born(states_a, povm)
+    like_b = born(states_b, povm)
+    flat_a = states_a.reshape(len(states_a), -1)
+    flat_b = states_b.reshape(len(states_b), -1)
     wa = prior_a.weights.copy()
     wb = prior_b.weights.copy()
-    inter = np.empty(n_outcomes + 1)
-    da = np.empty(n_outcomes + 1)
-    db = np.empty(n_outcomes + 1)
-
-    def record(step):
-        pred_a = np.einsum("k,kij->ij", wa, states_a)
-        pred_b = np.einsum("k,kij->ij", wb, states_b)
-        inter[step] = linalg.trace_distance(pred_a, pred_b)
-        da[step] = linalg.trace_distance(pred_a, true_state)
-        db[step] = linalg.trace_distance(pred_b, true_state)
-
-    record(0)
-    for t, d in enumerate(outcomes):
+    # Flattened predictive states before any data (row 0) and after each
+    # outcome.
+    pred_a = np.empty((n_outcomes + 1, flat_a.shape[1]), dtype=complex)
+    pred_b = np.empty_like(pred_a)
+    pred_a[0], pred_b[0] = wa @ flat_a, wb @ flat_b
+    for t, d in enumerate(outcomes, start=1):
         wa = wa * like_a[:, d]
         wb = wb * like_b[:, d]
         sa, sb = wa.sum(), wb.sum()
@@ -283,8 +272,15 @@ def merging_experiment(
             raise ZeroLikelihoodEverywhere("posterior collapsed to zero mass")
         wa /= sa
         wb /= sb
-        record(t + 1)
-    return MergingTrace(np.asarray(outcomes), inter, da, db)
+        pred_a[t], pred_b[t] = wa @ flat_a, wb @ flat_b
+    pred_a = pred_a.reshape((n_outcomes + 1,) + true_state.shape)
+    pred_b = pred_b.reshape(pred_a.shape)
+    return MergingTrace(
+        np.asarray(outcomes),
+        linalg.trace_distance(pred_a, pred_b),
+        linalg.trace_distance(pred_a, true_state),
+        linalg.trace_distance(pred_b, true_state),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -360,6 +356,10 @@ def _disk_grid(n_points: int) -> list[np.ndarray]:
 
 def _nnls_residual(target: np.ndarray, powers: Sequence[np.ndarray]) -> float:
     """min_w>=0 || target - sum_k w_k powers_k ||_F via nonnegative lsq."""
+    # Imported here: scipy.optimize costs more to import than the rest of
+    # the package, and this is its only use.
+    from scipy.optimize import nnls
+
     cols = [np.concatenate([p.real.ravel(), p.imag.ravel()]) for p in powers]
     a = np.stack(cols, axis=1)
     b = np.concatenate([target.real.ravel(), target.imag.ravel()])

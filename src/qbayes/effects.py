@@ -36,17 +36,6 @@ INDEPENDENCE_TOL = 1e-8
 RECONSTRUCTION_RESIDUAL_TOL = 1e-6
 
 
-def assert_effect(op: np.ndarray, tol: float = EFFECT_PSD_TOL) -> np.ndarray:
-    """Validate 0 <= op <= I within tolerance and return it as complex."""
-    op = linalg.as_operator(op)
-    vals = np.linalg.eigvalsh((op + linalg.dagger(op)) / 2.0)
-    if vals[0] < -tol:
-        raise NotPsd(f"effect has eigenvalue {vals[0]:.3e} < 0")
-    if vals[-1] > 1.0 + tol:
-        raise NotPsd(f"effect has eigenvalue {vals[-1]:.6f} > 1")
-    return op
-
-
 def effect_key(op: np.ndarray, decimals: int = 12) -> bytes:
     """Canonical by-value key for an effect (entrywise, rounded)."""
     a = np.ascontiguousarray(np.round(np.asarray(op, dtype=complex), decimals))
@@ -73,6 +62,15 @@ class Povm:
 
     def __getitem__(self, idx) -> np.ndarray:
         return self.elements[idx]
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Stacked (K, D^2) matrix M whose row k is vec(E_k^T).
+
+        ``vec`` flattens row by row, so ``M @ vec(rho)`` is the vector of
+        traces tr(rho E_k): the Born rule as one linear map.
+        """
+        return np.stack([e.T.ravel() for e in self.elements])
 
 
 def validate_povm(
@@ -107,15 +105,17 @@ def validate_povm(
 def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
     """Outcome probabilities tr(rho E_d) for each effect of ``povm``.
 
-    Entries within -1e-12 of zero are clamped to exactly zero.
+    ``state`` is one D x D operator or a stack of shape (..., D, D); the
+    result has shape (..., len(povm)).  Entries within -1e-12 of zero are
+    clamped to exactly zero.
     """
-    state = linalg.as_operator(state)
-    elements = povm.elements if isinstance(povm, Povm) else tuple(povm)
-    if elements[0].shape[0] != state.shape[0]:
-        raise DimensionMismatch(
-            f"state dim {state.shape[0]} vs POVM dim {elements[0].shape[0]}"
-        )
-    p = np.array([np.trace(state @ e).real for e in elements])
+    if not isinstance(povm, Povm):
+        povm = Povm(tuple(linalg.as_operator(e) for e in povm))
+    state = np.asarray(state, dtype=complex)
+    dim = povm.dim
+    if state.shape[-2:] != (dim, dim):
+        raise DimensionMismatch(f"state shape {state.shape} vs POVM dim {dim}")
+    p = (state.reshape(state.shape[:-2] + (dim * dim,)) @ povm.matrix.T).real
     if p.min() < -1e-12:
         raise NotPsd(f"negative outcome probability {p.min():.3e}")
     return np.clip(p, 0.0, None)
@@ -155,7 +155,9 @@ class MinimalIcPovm:
 
     ``base`` holds the dim^2 renormalized effects, ``gram`` the positive
     definite sum of the seed projectors, ``projectors`` the seeds
-    themselves.
+    themselves.  The square element matrix ``base.matrix`` is invertible;
+    the ``dual`` frame read off its inverse and the per-element
+    ``max_probability`` are computed once, on first use.
     """
 
     base: Povm
@@ -168,6 +170,21 @@ class MinimalIcPovm:
 
     def __len__(self) -> int:
         return len(self.base)
+
+    @functools.cached_property
+    def dual(self) -> np.ndarray:
+        """Dual frame as a (dim^2, dim, dim) stack: ``dual[d]`` is R_d.
+
+        vec(R_d) is column d of the inverse of ``base.matrix``, so
+        tr(E_c R_d) = delta_cd and every state is rho = sum_d p(d) R_d.
+        """
+        inverse = np.linalg.inv(self.base.matrix)
+        return inverse.T.reshape(len(self), self.dim, self.dim)
+
+    @functools.cached_property
+    def max_probability(self) -> np.ndarray:
+        """Largest eigenvalue of each element; see :func:`max_probability`."""
+        return max_probability(self.base)
 
 
 def gram_renormalize(projectors: Sequence[np.ndarray]) -> MinimalIcPovm:
@@ -193,10 +210,8 @@ def gram_renormalize(projectors: Sequence[np.ndarray]) -> MinimalIcPovm:
 
 def element_gram_min_singular_value(povm: Povm) -> float:
     """Smallest singular value of the Hilbert-Schmidt Gram of the elements."""
-    g = np.array(
-        [[linalg.hs_inner(a, b) for b in povm.elements] for a in povm.elements]
-    )
-    return float(np.linalg.svd(g, compute_uv=False)[-1])
+    m = povm.matrix
+    return float(np.linalg.svd(m @ m.conj().T, compute_uv=False)[-1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -267,9 +282,10 @@ class FrameFunction:
     def from_state(cls, state: np.ndarray, effects: Iterable[np.ndarray]) -> "FrameFunction":
         """Record tr(rho E) for each effect."""
         f = cls()
-        state = linalg.as_operator(state)
-        for e in effects:
-            f.record(e, float(np.trace(state @ e).real))
+        effects = tuple(effects)
+        if effects:
+            for e, p in zip(effects, born(state, effects)):
+                f.record(e, p)
         return f
 
     def record(self, effect: np.ndarray, value: float) -> None:
@@ -294,23 +310,16 @@ class FrameFunction:
         return sum(self.value(e) for e in povm.elements)
 
 
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Orthonormal (Hilbert-Schmidt) basis of Hermitian dim x dim matrices."""
-    basis = []
-    for j in range(dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[j, j] = 1.0
-        basis.append(m)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
-            basis.append(m)
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2.0)
-            m[k, j] = 1j / np.sqrt(2.0)
-            basis.append(m)
-    return basis
+def real_design_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Real (K, 2 D^2) matrix with row k equal to [Re vec E_k | Im vec E_k].
+
+    For Hermitian E_k and rho, row k dotted with [Re vec rho | Im vec rho]
+    is tr(rho E_k), so tr(rho E_k) = y_k is a real linear system in rho.
+    Every row is the coordinate vector of a Hermitian operator, hence so is
+    the minimum-norm least-squares solution.
+    """
+    flat = np.stack([np.asarray(e, dtype=complex).ravel() for e in ops])
+    return np.hstack([flat.real, flat.imag])
 
 
 def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
@@ -332,18 +341,15 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
         raise DegenerateSpan(
             f"{len(pairs)} effects cannot span the {dim * dim}-dim operator space"
         )
-    basis = hermitian_basis(dim)
-    a = np.array(
-        [[linalg.hs_inner(b, e).real for b in basis] for e, _ in pairs]
-    )
+    a = real_design_matrix([e for e, _ in pairs])
     y = np.array([v for _, v in pairs])
-    coeffs, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+    x, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank < dim * dim:
         raise DegenerateSpan(f"sampled effects span only {rank} of {dim * dim} dims")
-    residual = float(np.linalg.norm(a @ coeffs - y))
+    residual = float(np.linalg.norm(a @ x - y))
     if residual > RECONSTRUCTION_RESIDUAL_TOL:
         raise DegenerateSpan(f"least-squares residual {residual:.3e} too large")
-    rho = sum(c * b for c, b in zip(coeffs, basis))
+    rho = (x[: dim * dim] + 1j * x[dim * dim :]).reshape(dim, dim)
     vals = np.linalg.eigvalsh(rho)
     if vals[0] < -1e-8 or abs(np.trace(rho).real - 1.0) > 1e-8:
         warnings.warn(

@@ -146,14 +146,6 @@ def mat_invsqrt(m: np.ndarray, pseudo: bool = False) -> np.ndarray:
     return (eig.eigenvectors * inv) @ dagger(eig.eigenvectors)
 
 
-def support_projector(m: np.ndarray) -> np.ndarray:
-    """Projector onto the support (non-null eigenspaces) of a PSD matrix."""
-    eig = _psd_eigs(m)
-    cutoff = PINV_TOL * max(eig.eigenvalues[0], 0.0)
-    keep = (eig.eigenvalues > cutoff).astype(float)
-    return (eig.eigenvectors * keep) @ dagger(eig.eigenvectors)
-
-
 def polar_unitary(a: np.ndarray) -> np.ndarray:
     """Unitary factor W of the polar decomposition ``a = W (a^dag a)^{1/2}``.
 
@@ -218,11 +210,19 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance (1/2)||a - b||_1 between two Hermitian operators."""
-    diff = as_operator(a) - as_operator(b)
-    vals = np.linalg.eigvalsh((diff + dagger(diff)) / 2.0)
-    return 0.5 * float(np.abs(vals).sum())
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Trace distance (1/2)||a - b||_1 between Hermitian operators.
+
+    Either operand may be a stack of shape (..., D, D); the stacks broadcast
+    as in numpy and the result is an array of distances over the stack.
+    Two single operators give a float.
+    """
+    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    if diff.ndim < 2 or diff.shape[-1] != diff.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {diff.shape}")
+    vals = np.linalg.eigvalsh((diff + np.swapaxes(diff.conj(), -1, -2)) / 2.0)
+    dist = 0.5 * np.abs(vals).sum(axis=-1)
+    return float(dist) if diff.ndim == 2 else dist
 
 
 def fidelity_with_pure(psi: np.ndarray, rho: np.ndarray) -> float:

@@ -17,10 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Povm, hermitian_basis, standard_sqm, validate_povm
+from .effects import Povm, real_design_matrix, standard_sqm, validate_povm
 from .errors import DegenerateSpan, DimensionMismatch
-
-RECONSTRUCTION_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -151,28 +149,19 @@ def reconstruct_joint_operator(
 ) -> np.ndarray:
     """Solve tr(L (E x F)) = f(E, F) over a spanning set of product effects.
 
-    Samples the frame on products of the two standard SQMs and solves the
-    (dim_a dim_b)^2 real linear system over Hermitian operator space.  For
-    complex factors the solution is unique; DegenerateSpan is raised when
-    the sampled system is rank deficient or inconsistent.
+    Samples the frame on all pairs (E_i, F_j) of the two standard SQMs.
+    Their products form the product SQM, whose dual frame is {R_i x S_j}
+    for the SQM duals {R_i} and {S_j}, so the unique solution is
+    L = sum_ij f(E_i, F_j) R_i x S_j.  The system is square and always
+    solvable: each standard SQM is certified linearly independent when it
+    is built (see :func:`qbayes.effects.gram_renormalize`).
     """
     da = frame.dim_a if dim_a is None else dim_a
     db = frame.dim_b if dim_b is None else dim_b
-    pairs = product_effect_basis(da, db)
-    basis = hermitian_basis(da * db)
-    a = np.empty((len(pairs), len(basis)))
-    y = np.empty(len(pairs))
-    for row, (e, f) in enumerate(pairs):
-        prod = linalg.tensor(e, f)
-        a[row] = [linalg.hs_inner(b, prod).real for b in basis]
-        y[row] = frame(e, f)
-    coeffs, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
-    if rank < len(basis):
-        raise DegenerateSpan(f"product effects span only {rank} of {len(basis)} dims")
-    residual = float(np.linalg.norm(a @ coeffs - y))
-    if residual > RECONSTRUCTION_RESIDUAL_TOL:
-        raise DegenerateSpan(f"sampling residual {residual:.3e} too large")
-    return sum(c * b for c, b in zip(coeffs, basis))
+    sqm_a, sqm_b = standard_sqm(da), standard_sqm(db)
+    y = np.array([[frame(e, f) for f in sqm_b.base] for e in sqm_a.base])
+    joint = np.einsum("ij,iac,jbd->abcd", y, sqm_a.dual, sqm_b.dual, optimize=True)
+    return joint.reshape(da * db, da * db)
 
 
 @dataclass(frozen=True)
@@ -319,12 +308,9 @@ def real_dimension_count(dim_a: int, dim_b: int, verify: bool = True) -> tuple[i
 
 def complex_product_rank(dim_a: int, dim_b: int) -> int:
     """Rank of {E_i x F_j} over the full Hermitian space (complex field)."""
-    basis = hermitian_basis(dim_a * dim_b)
-    rows = []
-    for e, f in product_effect_basis(dim_a, dim_b):
-        prod = linalg.tensor(e, f)
-        rows.append([linalg.hs_inner(b, prod).real for b in basis])
-    a = np.array(rows)
+    a = real_design_matrix(
+        [linalg.tensor(e, f) for e, f in product_effect_basis(dim_a, dim_b)]
+    )
     svals = np.linalg.svd(a, compute_uv=False)
     return int((svals > 1e-10 * svals[0]).sum())
 

@@ -7,13 +7,12 @@ probability vectors, and provides classical Bayes conditioning for the
 discrete distributions used alongside.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .effects import MinimalIcPovm, born, hermitian_basis, max_probability, standard_sqm
+from .effects import MinimalIcPovm, born, standard_sqm
 from .errors import (
     DimensionMismatch,
     NotAState,
@@ -63,8 +62,7 @@ class SqmVector:
             )
         if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
             raise NotAState("probabilities must be nonnegative and sum to 1")
-        caps = max_probability(self.sqm.base)
-        if (p > caps + 1e-9).any():
+        if (p > self.sqm.max_probability + 1e-9).any():
             raise NotAState(
                 "an entry exceeds the largest achievable probability of its effect"
             )
@@ -80,24 +78,16 @@ def to_sqm(state: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmVector:
     return SqmVector(born(state, sqm.base), sqm)
 
 
-def _solve_from_probs(probs: np.ndarray, sqm: MinimalIcPovm) -> np.ndarray:
-    basis = hermitian_basis(sqm.dim)
-    a = np.array(
-        [[linalg.hs_inner(b, e).real for b in basis] for e in sqm.base.elements]
-    )
-    coeffs = np.linalg.solve(a, probs)
-    return sum(c * b for c, b in zip(coeffs, basis))
-
-
 def from_sqm(
     v: SqmVector | np.ndarray, sqm: MinimalIcPovm | None = None
 ) -> np.ndarray:
     """Unique density operator with the given SQM outcome distribution.
 
     Accepts an SqmVector or a raw probability vector plus the measurement.
-    The linear inversion always has a unique Hermitian solution; it is a
-    state only when the vector lies in the achievable region.  Eigenvalues
-    in [-1e-8, 0) are treated as numerical noise (clamped, renormalized);
+    The linear inversion rho = sum_d p(d) R_d over the dual frame of the
+    measurement always has a unique Hermitian solution; it is a state only
+    when the vector lies in the achievable region.  Eigenvalues in
+    [-1e-8, 0) are treated as numerical noise (clamped, renormalized);
     anything lower raises NotAState.
     """
     if isinstance(v, SqmVector):
@@ -109,7 +99,11 @@ def from_sqm(
             sqm = standard_sqm(dim)
     if probs.shape != (len(sqm),):
         raise DimensionMismatch(f"expected {len(sqm)} probabilities")
-    rho = _solve_from_probs(probs, sqm)
+    return _clamp_to_state(np.tensordot(probs, sqm.dual, axes=1))
+
+
+def _clamp_to_state(rho: np.ndarray) -> np.ndarray:
+    """Clamp the noise eigenvalues of a linear inversion and renormalize."""
     vals, vecs = np.linalg.eigh(rho)
     if vals[0] < STATE_EIG_FLOOR:
         raise NotAState(
@@ -144,12 +138,10 @@ def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership
         raise ValueError("input must be a probability vector")
     if sqm is None:
         sqm = standard_sqm(int(round(np.sqrt(probs.size))))
-    raw = _solve_from_probs(probs, sqm)
+    raw = np.tensordot(probs, sqm.dual, axes=1)
     min_eig = float(np.linalg.eigvalsh(raw)[0])
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            state = from_sqm(probs, sqm)
+        state = _clamp_to_state(raw)
     except NotAState:
         return SqmMembership(False, None, min_eig)
     return SqmMembership(True, state, min_eig)

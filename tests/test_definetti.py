@@ -191,6 +191,42 @@ def test_merging_with_non_ic_data_plateaus():
     assert float(np.median(finals)) > 0.05
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_merging_matches_sequential_reference(seed):
+    grid = definetti.bloch_grid(20, (0.5, 1.0))
+    uniform = definetti.make_prior(grid)
+    skewed = definetti.make_prior(grid, definetti.center_skewed_weights(grid))
+    truth = grid[7 + seed]
+    trace = definetti.merging_experiment(uniform, skewed, truth, qubit_sqm(), 60, seed=seed)
+    # Reference: reweight by one outcome at a time, then compare the two
+    # predictive states with each other and with the truth.
+    wa, wb = uniform.weights.copy(), skewed.weights.copy()
+    inter, to_a, to_b = [], [], []
+    for t in range(len(trace.outcomes) + 1):
+        if t > 0:
+            d = trace.outcomes[t - 1]
+            wa = wa * [effects.born(s, qubit_sqm())[d] for s in grid]
+            wb = wb * [effects.born(s, qubit_sqm())[d] for s in grid]
+            wa, wb = wa / wa.sum(), wb / wb.sum()
+        pred_a = sum(w * s for w, s in zip(wa, grid))
+        pred_b = sum(w * s for w, s in zip(wb, grid))
+        inter.append(linalg.trace_distance(pred_a, pred_b))
+        to_a.append(linalg.trace_distance(pred_a, truth))
+        to_b.append(linalg.trace_distance(pred_b, truth))
+    assert np.abs(trace.inter_agent - inter).max() <= 1e-12
+    assert np.abs(trace.to_truth_a - to_a).max() <= 1e-12
+    assert np.abs(trace.to_truth_b - to_b).max() <= 1e-12
+
+
+def test_merging_raises_on_impossible_data():
+    zero, one = (linalg.projector(linalg.ket(i, 2)) for i in range(2))
+    zmeas = effects.validate_povm([zero, one])
+    with pytest.raises(ZeroLikelihoodEverywhere):
+        definetti.merging_experiment(
+            definetti.point_prior(one), definetti.point_prior(zero), zero, zmeas, 5, seed=0
+        )
+
+
 # --------------------------------------------------------------------------
 # Classical mixtures.
 

@@ -242,6 +242,28 @@ def test_max_probability_dominates_born(rng, dim, sqm):
         assert (probs <= caps + 1e-9).all()
 
 
+def test_born_on_a_stack_matches_row_by_row(rng):
+    povm = effects.validate_povm(linalg.random_povm(3, 5, rng))
+    stack = np.stack([linalg.random_state(3, rng) for _ in range(6)]).reshape(2, 3, 3, 3)
+    probs = effects.born(stack, povm)
+    assert probs.shape == (2, 3, 5)
+    for idx in np.ndindex(2, 3):
+        rows = [np.trace(stack[idx] @ e).real for e in povm]
+        assert np.abs(probs[idx] - rows).max() <= 1e-14
+        assert np.abs(probs[idx] - effects.born(stack[idx], povm)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_sqm_dual_frame_is_biorthogonal(d):
+    sqm = effects.standard_sqm(d)
+    overlaps = np.array([[np.trace(e @ r) for r in sqm.dual] for e in sqm.base])
+    assert np.abs(overlaps - np.eye(d * d)).max() <= 1e-12
+    for r in sqm.dual:
+        assert np.abs(r - linalg.dagger(r)).max() <= 1e-12 * np.abs(r).max()
+    caps = [np.linalg.eigvalsh(e)[-1] for e in sqm.base]
+    assert np.array_equal(sqm.max_probability, caps)
+
+
 # --------------------------------------------------------------------------
 # Dilations.
 

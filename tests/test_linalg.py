@@ -185,3 +185,13 @@ def test_trace_distance_pure_orthogonal():
     a = linalg.projector(linalg.ket(0, 2))
     b = linalg.projector(linalg.ket(1, 2))
     assert linalg.trace_distance(a, b) == pytest.approx(1.0)
+
+
+def test_trace_distance_on_stacks_matches_pairwise(rng):
+    a = np.stack([linalg.random_state(3, rng) for _ in range(5)])
+    b = np.stack([linalg.random_state(3, rng) for _ in range(5)])
+    pairwise = [linalg.trace_distance(x, y) for x, y in zip(a, b)]
+    assert isinstance(pairwise[0], float)
+    assert np.abs(linalg.trace_distance(a, b) - pairwise).max() <= 1e-15
+    against_one = [linalg.trace_distance(x, b[0]) for x in a]
+    assert np.abs(linalg.trace_distance(a, b[0]) - against_one).max() <= 1e-15

@@ -62,6 +62,19 @@ def test_joint_reconstruction_round_trip(dims, rng):
         assert linalg.trace_distance(rec, rho) <= 1e-8
 
 
+def test_joint_reconstruction_3x3_round_trip(rng):
+    for _ in range(5):
+        rho = linalg.random_state(9, rng)
+        rec = locality.reconstruct_joint_operator(locality.BilinearFrame.from_state(rho, (3, 3)))
+        assert linalg.trace_distance(rec, rho) <= 1e-8
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_swap_frame_reconstructs_the_swap_operator(dim):
+    rec = locality.reconstruct_joint_operator(locality.BilinearFrame.from_swap(dim))
+    assert np.abs(rec - locality.swap_operator(dim) / dim).max() <= 1e-10
+
+
 def test_joint_reconstruction_heldout_pairs(rng):
     rho = linalg.random_state(6, rng)
     frame = locality.BilinearFrame.from_state(rho, (2, 3))

@@ -31,6 +31,19 @@ def test_round_trip_both_directions(rng, dim, sqm):
         assert np.abs(again.probs - v.probs).max() <= ROUND_TRIP_TOL
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_round_trip_through_dual_frame_all_dims(d, rng):
+    duals = effects.standard_sqm(d).dual
+    for _ in range(10):
+        rho = linalg.random_state(d, rng)
+        v = states.to_sqm(rho)
+        assert np.abs(sum(p * r for p, r in zip(v.probs, duals)) - rho).max() <= 1e-12
+        assert linalg.trace_distance(states.from_sqm(v), rho) <= ROUND_TRIP_TOL
+        member = states.in_sqm_set(v.probs)
+        assert member.member
+        assert linalg.trace_distance(member.state, rho) <= ROUND_TRIP_TOL
+
+
 def test_sqm_vector_rejects_entries_above_element_cap():
     sqm = effects.standard_sqm(2)
     # 0.7 exceeds the largest achievable probability (4/7) of element 0.
