@@ -325,19 +325,19 @@ _COMMANDS = {
     "real-counterexample": _real_counterexample,
 }
 
-# Bounded trial counts for the composite suite, chosen to keep the whole
-# run comfortably inside a few minutes.
-_ALL_TRIALS = {
-    "sqm-build": 1,
-    "gleason-roundtrip": 50,
-    "certainty-bound": 200,
-    "teleport": 25,
-    "update-factor": 100,
-    "entropy-sweep": 100,
-    "locality-reconstruct": 20,
-    "swap-counterexample": 50,
-    "definetti-merge": 10,
-    "real-counterexample": 1,
+# Trial counts per section: (under ``all``, when run alone).  The ``all``
+# counts are bounded to keep the whole run comfortably inside a few minutes.
+_TRIALS = {
+    "sqm-build": (1, 1),
+    "gleason-roundtrip": (50, 100),
+    "certainty-bound": (200, 1000),
+    "teleport": (25, 100),
+    "update-factor": (100, 500),
+    "entropy-sweep": (100, 300),
+    "locality-reconstruct": (20, 50),
+    "swap-counterexample": (50, 100),
+    "definetti-merge": (10, 20),
+    "real-counterexample": (1, 1),
 }
 
 
@@ -370,20 +370,6 @@ def _build_parser():
     return parser
 
 
-_DEFAULT_TRIALS = {
-    "sqm-build": 1,
-    "gleason-roundtrip": 100,
-    "certainty-bound": 1000,
-    "teleport": 100,
-    "update-factor": 500,
-    "entropy-sweep": 300,
-    "locality-reconstruct": 50,
-    "swap-counterexample": 100,
-    "definetti-merge": 20,
-    "real-counterexample": 1,
-}
-
-
 def run(argv=None):
     """Execute a subcommand; returns (exit code, report dict)."""
     parser = _build_parser()
@@ -406,17 +392,13 @@ def _run_parsed(parser, args):
     notes = []
     if args.command == "all":
         for name, fn in _COMMANDS.items():
-            trials = args.trials if args.trials is not None else _ALL_TRIALS[name]
+            trials = args.trials if args.trials is not None else _TRIALS[name][0]
             section_checks, section_notes = fn(args.dim, trials, args.seed, overrides)
             checks.extend(section_checks)
             notes.extend(section_notes)
     else:
         fn = _COMMANDS[args.command]
-        trials = (
-            args.trials
-            if args.trials is not None
-            else _DEFAULT_TRIALS[args.command]
-        )
+        trials = args.trials if args.trials is not None else _TRIALS[args.command][1]
         checks, notes = fn(args.dim, trials, args.seed, overrides)
     overall = all(c["pass"] for c in checks)
     report = {

@@ -15,16 +15,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Povm, born
+from .effects import Povm, born, real_design_matrix
 from .errors import (
     DimensionBudgetExceeded,
     DimensionMismatch,
+    NnlsNotConverged,
     ZeroLikelihoodEverywhere,
 )
 from .states import assert_density_operator, assert_distribution
 
-# Largest multi-copy Hilbert-space dimension we are willing to build.
-DIMENSION_BUDGET = 2 ** 14
+# Largest array, in bytes, that a multi-copy build may allocate (256 MiB).
+MEMORY_BUDGET_BYTES = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -119,22 +120,36 @@ class ExchangeableState:
     op: np.ndarray
 
 
-def _check_budget(dim: int, n: int) -> None:
-    if dim**n > DIMENSION_BUDGET:
+def _check_budget(nbytes: int, what: str) -> None:
+    """Raise before allocating ``nbytes`` beyond ``MEMORY_BUDGET_BYTES``."""
+    if nbytes > MEMORY_BUDGET_BYTES:
         raise DimensionBudgetExceeded(
-            f"{dim}^{n} exceeds the configured budget of {DIMENSION_BUDGET}"
+            f"{what} needs {nbytes} bytes, over the budget of "
+            f"{MEMORY_BUDGET_BYTES} bytes"
         )
+
+
+def _tensor_powers(states: np.ndarray, n: int) -> np.ndarray:
+    """Stack (K, d^n, d^n) of the n-fold Kronecker powers of a (K, d, d) stack.
+
+    Entry-for-entry the same products as ``linalg.tensor_all([s] * n)``.
+    """
+    states = np.asarray(states, dtype=complex)
+    k, d = states.shape[0], states.shape[1]
+    _check_budget(k * 16 * d ** (2 * n), f"{k} complex {d}^{n}-dimensional powers")
+    out = states
+    for _ in range(n - 1):
+        m = out.shape[1] * d
+        out = (out[:, :, None, :, None] * states[:, None, :, None, :]).reshape(k, m, m)
+    return out
 
 
 def definetti_mix(prior: PriorOverStates, n: int) -> ExchangeableState:
     """Mixture of n-fold tensor powers weighted by the prior."""
     if n < 1:
         raise ValueError("need n >= 1")
-    _check_budget(prior.dim, n)
-    op = np.zeros((prior.dim**n, prior.dim**n), dtype=complex)
-    for w, s in zip(prior.weights, prior.states):
-        op += w * linalg.tensor_all([s] * n)
-    return ExchangeableState(n, prior.dim, op)
+    powers = _tensor_powers(np.stack(prior.states), n)
+    return ExchangeableState(n, prior.dim, np.tensordot(prior.weights, powers, axes=1))
 
 
 def _transpose_factors(op: np.ndarray, dim: int, n: int, i: int) -> np.ndarray:
@@ -294,14 +309,14 @@ def classical_definetti_mix(
     weights = assert_distribution(weights)
     dists = [assert_distribution(p) for p in distributions]
     k = dists[0].size
-    if k**n > DIMENSION_BUDGET:
-        raise DimensionBudgetExceeded(f"{k}^{n} exceeds the configured budget")
+    # The output and one block, both float64 arrays of k^n entries.
+    _check_budget(2 * 8 * k**n, f"a {k}^{n} joint distribution")
     out = np.zeros((k,) * n)
     for w, p in zip(weights, dists):
-        block = np.array(1.0)
+        block = np.array(w)
         for _ in range(n):
             block = np.multiply.outer(block, p)
-        out += w * block
+        out += block
     return out
 
 
@@ -332,39 +347,85 @@ class RealCounterexampleReport:
     real_grid_size: int
 
 
+def _y_axis_states() -> np.ndarray:
+    """(I + sigma_y)/2 and (I - sigma_y)/2 as a (2, 2, 2) stack."""
+    signs = np.array([1.0, -1.0])[:, None, None]
+    return 0.5 * (np.eye(2, dtype=complex) + signs * linalg.sigma_y)
+
+
 def real_y_mixture(n: int) -> ExchangeableState:
     """Equal mixture of the n-fold powers of (I +- sigma_y)/2."""
-    rho_plus = 0.5 * (np.eye(2, dtype=complex) + linalg.sigma_y)
-    rho_minus = 0.5 * (np.eye(2, dtype=complex) - linalg.sigma_y)
-    prior = make_prior([rho_plus, rho_minus])
-    return definetti_mix(prior, n)
+    return definetti_mix(make_prior(_y_axis_states()), n)
 
 
-def _disk_grid(n_points: int) -> list[np.ndarray]:
-    """Sunflower grid over the Bloch x-z disk (real-symmetric qubit states)."""
+def _disk_grid(n_points: int) -> np.ndarray:
+    """Sunflower grid over the Bloch x-z disk: a (K, 2, 2) stack of
+    real-symmetric qubit states."""
     golden = (1.0 + np.sqrt(5.0)) / 2.0
-    states = []
-    for i in range(n_points):
-        r = np.sqrt((i + 0.5) / n_points)
-        theta = 2.0 * np.pi * i / golden**2
-        x, z = r * np.cos(theta), r * np.sin(theta)
-        states.append(
-            0.5 * (np.eye(2, dtype=complex) + x * linalg.sigma_x + z * linalg.sigma_z)
-        )
-    return states
+    i = np.arange(n_points)
+    r = np.sqrt((i + 0.5) / n_points)
+    theta = 2.0 * np.pi * i / golden**2
+    x, z = (r * np.cos(theta))[:, None, None], (r * np.sin(theta))[:, None, None]
+    return 0.5 * (np.eye(2, dtype=complex) + x * linalg.sigma_x + z * linalg.sigma_z)
 
 
-def _nnls_residual(target: np.ndarray, powers: Sequence[np.ndarray]) -> float:
-    """min_w>=0 || target - sum_k w_k powers_k ||_F via nonnegative lsq."""
-    # Imported here: scipy.optimize costs more to import than the rest of
-    # the package, and this is its only use.
-    from scipy.optimize import nnls
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lawson-Hanson active-set solution of min_{x >= 0} ||a x - b||_2.
 
-    cols = [np.concatenate([p.real.ravel(), p.imag.ravel()]) for p in powers]
-    a = np.stack(cols, axis=1)
-    b = np.concatenate([target.real.ravel(), target.imag.ravel()])
-    _, residual = nnls(a, b)
-    return float(residual)
+    Returns (x, residual norm).  The variable with the largest entry of the
+    dual w = a^T (b - a x) joins the passive set, which is solved by
+    unconstrained least squares; whenever that solution leaves the orthant
+    the iterate steps back to the boundary and the variables that reach
+    zero leave the set.  The solve stops once no dual entry outside the
+    passive set exceeds tol = 10 max(m, n) eps ||a||_1 ||b||_2, a bound on
+    the rounding error of w.  A variable whose least-squares value comes out
+    nonpositive on entry (possible only at that rounding level) is skipped.
+    Raises NnlsNotConverged after 3n least-squares solves.
+    """
+    m, n = a.shape
+    tol = 10 * max(m, n) * np.finfo(float).eps * np.linalg.norm(a, 1) * np.linalg.norm(b)
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    solves = 0
+
+    def solve():
+        nonlocal solves
+        solves += 1
+        if solves > 3 * n:
+            raise NnlsNotConverged(f"no KKT point after {3 * n} least-squares solves")
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        return z
+
+    w = a.T @ (b - a @ x)
+    while True:
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            return x, float(np.linalg.norm(b - a @ x))
+        passive[j] = True
+        z = solve()
+        if z[j] <= 0.0:
+            passive[j] = False
+            w[j] = -np.inf
+            continue
+        while (z[passive] <= 0.0).any():
+            neg = passive & (z <= 0.0)
+            ratio = x[neg] / (x[neg] - z[neg])
+            x += ratio.min() * (z - x)
+            passive[np.flatnonzero(neg)[np.argmin(ratio)]] = False
+            passive &= x > 0.0
+            x[~passive] = 0.0
+            z = solve()
+        x = z
+        w = a.T @ (b - a @ x)
+
+
+def _nnls_residual(target: np.ndarray, powers: np.ndarray) -> float:
+    """min_w>=0 || target - sum_k w_k powers_k ||_F over a (K, N, N) stack."""
+    a = real_design_matrix(powers).T
+    b = real_design_matrix(target[None])[0]
+    return _nnls(a, b)[1]
 
 
 def real_counterexample(n: int, real_grid_size: int = 600) -> RealCounterexampleReport:
@@ -384,14 +445,10 @@ def real_counterexample(n: int, real_grid_size: int = 600) -> RealCounterexample
     witness = linalg.tensor_all(factors)
     witness_value = linalg.hs_inner(witness, ex.op).real
     witness_bound = abs(witness_value) / float(np.linalg.norm(witness))
-    real_states = _disk_grid(real_grid_size)
-    real_res = _nnls_residual(ex.op, [linalg.tensor_all([s] * n) for s in real_states])
-    rho_plus = 0.5 * (np.eye(2, dtype=complex) + linalg.sigma_y)
-    rho_minus = 0.5 * (np.eye(2, dtype=complex) - linalg.sigma_y)
-    complex_states = real_states + [rho_plus, rho_minus]
-    complex_res = _nnls_residual(
-        ex.op, [linalg.tensor_all([s] * n) for s in complex_states]
-    )
+    # The real grid, then the two y-axis states that make the fit exact.
+    powers = _tensor_powers(np.concatenate([_disk_grid(real_grid_size), _y_axis_states()]), n)
+    real_res = _nnls_residual(ex.op, powers[:real_grid_size])
+    complex_res = _nnls_residual(ex.op, powers)
     return RealCounterexampleReport(
         copies=n,
         state=ex.op,

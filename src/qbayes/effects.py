@@ -313,12 +313,14 @@ class FrameFunction:
 def real_design_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
     """Real (K, 2 D^2) matrix with row k equal to [Re vec E_k | Im vec E_k].
 
+    ``ops`` is a sequence of K operators or a (K, D, D) stack.
+
     For Hermitian E_k and rho, row k dotted with [Re vec rho | Im vec rho]
     is tr(rho E_k), so tr(rho E_k) = y_k is a real linear system in rho.
     Every row is the coordinate vector of a Hermitian operator, hence so is
     the minimum-norm least-squares solution.
     """
-    flat = np.stack([np.asarray(e, dtype=complex).ravel() for e in ops])
+    flat = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
     return np.hstack([flat.real, flat.imag])
 
 

@@ -146,15 +146,15 @@ def mean_entropy_mc(rho: np.ndarray, samples: int, seed=None) -> tuple[float, fl
 
     Draws Haar-random orthonormal bases in a single batched QR sweep and
     averages the Shannon entropy of the outcome distributions.  Returns
-    (mean, standard error).
+    (mean, standard error).  The usual phase fix that makes the QR factor
+    exactly Haar multiplies each basis vector by a unit phase, which leaves
+    every outcome probability q_i^dag rho q_i unchanged, so it is skipped.
     """
     rho = assert_density_operator(rho)
     d = rho.shape[0]
     g = linalg.rng_from(seed)
     z = g.normal(size=(samples, d, d)) + 1j * g.normal(size=(samples, d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("nii->ni", r)
-    q = q * (diag.conj() / np.abs(diag))[:, None, :]
+    q = np.linalg.qr(z)[0]
     probs = np.einsum("nmi,ml,nli->ni", q.conj(), rho, q).real
     probs = np.clip(probs, 1e-300, None)
     h = -(probs * np.log2(probs)).sum(axis=1)

@@ -83,3 +83,7 @@ class RankDeficientState(QbayesError):
 
 class DimensionBudgetExceeded(QbayesError):
     """Requested tensor power exceeds the configured memory budget."""
+
+
+class NnlsNotConverged(QbayesError):
+    """Nonnegative least squares reached its iteration limit without a KKT point."""

@@ -94,12 +94,18 @@ def from_sqm(
         probs, sqm = np.asarray(v.probs, dtype=float), v.sqm
     else:
         probs = np.asarray(v, dtype=float)
-        if sqm is None:
-            dim = int(round(np.sqrt(probs.size)))
-            sqm = standard_sqm(dim)
+        sqm = _sqm_for(probs, sqm)
+    return _clamp_to_state(np.tensordot(probs, sqm.dual, axes=1))
+
+
+def _sqm_for(probs: np.ndarray, sqm: MinimalIcPovm | None) -> MinimalIcPovm:
+    """The given measurement, or the standard one of dimension sqrt(len);
+    DimensionMismatch unless it has exactly one outcome per probability."""
+    if sqm is None:
+        sqm = standard_sqm(int(round(np.sqrt(probs.size))))
     if probs.shape != (len(sqm),):
         raise DimensionMismatch(f"expected {len(sqm)} probabilities")
-    return _clamp_to_state(np.tensordot(probs, sqm.dual, axes=1))
+    return sqm
 
 
 def _clamp_to_state(rho: np.ndarray) -> np.ndarray:
@@ -136,9 +142,7 @@ def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership
     probs = np.asarray(v, dtype=float)
     if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("input must be a probability vector")
-    if sqm is None:
-        sqm = standard_sqm(int(round(np.sqrt(probs.size))))
-    raw = np.tensordot(probs, sqm.dual, axes=1)
+    raw = np.tensordot(probs, _sqm_for(probs, sqm).dual, axes=1)
     min_eig = float(np.linalg.eigvalsh(raw)[0])
     try:
         state = _clamp_to_state(raw)

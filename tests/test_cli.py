@@ -22,6 +22,16 @@ def strip_timing(payload):
     return json.dumps(report, sort_keys=True)
 
 
+def test_real_counterexample_imports_no_scipy():
+    probe = (
+        "import sys; from qbayes import cli; "
+        "code, _ = cli.run(['real-counterexample']); "
+        "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.stdout.split() == ["0", "[]"], out.stderr
+
+
 def test_every_subcommand_passes_quickly():
     for name in cli._COMMANDS:
         code, report = cli.run([name, "--trials", "3", "--seed", "9"])

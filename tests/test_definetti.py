@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from qbayes import definetti, effects, linalg
-from qbayes.errors import DimensionBudgetExceeded, ZeroLikelihoodEverywhere
+from qbayes.errors import (
+    DimensionBudgetExceeded,
+    NnlsNotConverged,
+    ZeroLikelihoodEverywhere,
+)
 
 
 def qubit_sqm():
@@ -45,6 +49,33 @@ def test_budget_guard():
     prior = definetti.point_prior(np.eye(2) / 2.0)
     with pytest.raises(DimensionBudgetExceeded):
         definetti.definetti_mix(prior, 15)
+
+
+def test_budget_counts_bytes_at_the_boundary():
+    # Each case is refused before anything large is allocated.
+    limit = definetti.MEMORY_BUDGET_BYTES
+    definetti._check_budget(limit, "exactly the budget")
+    with pytest.raises(DimensionBudgetExceeded):
+        definetti._check_budget(limit + 1, "one byte over")
+    # One 2^14-dimensional operator is 4 GiB of complex entries.
+    with pytest.raises(DimensionBudgetExceeded):
+        definetti.definetti_mix(definetti.point_prior(np.eye(2) / 2.0), 14)
+    # 64 KiB per 6-copy qubit power: 4096 of them fit, 4097 do not.
+    assert 4096 * 16 * 2**12 == limit
+    with pytest.raises(DimensionBudgetExceeded):
+        definetti._tensor_powers(np.broadcast_to(np.eye(2) / 2.0, (4097, 2, 2)), 6)
+    # The classical joint and one block are float64 arrays of 2^n entries.
+    assert 2 * 8 * 2**24 == limit
+    with pytest.raises(DimensionBudgetExceeded):
+        definetti.classical_definetti_mix(np.array([1.0]), [np.array([0.5, 0.5])], 25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_powers_match_kron(rng, n):
+    states = np.stack([linalg.random_state(2 + n % 2, rng) for _ in range(5)])
+    stacked = definetti._tensor_powers(states, n)
+    for s, power in zip(states, stacked):
+        assert np.array_equal(power, linalg.tensor_all([s] * n))
 
 
 # --------------------------------------------------------------------------
@@ -277,6 +308,80 @@ def test_real_counterexample_n3():
     assert rep.real_fit_residual >= rep.witness_bound - 1e-9
     assert rep.witness_bound > 0.05
     assert rep.complex_fit_residual <= 1e-9
+
+
+def test_real_fit_residuals_pinned():
+    assert definetti.real_counterexample(2).real_fit_residual == pytest.approx(
+        0.5000006529481507, abs=1e-12
+    )
+    rep3 = definetti.real_counterexample(3, real_grid_size=300)
+    assert rep3.real_fit_residual == pytest.approx(0.6123756287005552, abs=1e-12)
+
+
+def assert_nnls_kkt(a, b, x, residual):
+    """x >= 0, a^T (b - a x) <= 0 everywhere and = 0 on the support of x."""
+    dual = a.T @ (b - a @ x)
+    scale = np.linalg.norm(a, 1) * np.linalg.norm(b)
+    assert x.min() >= 0.0
+    assert dual.max() <= 1e-12 * scale
+    assert np.abs(dual[x > 0]).max(initial=0.0) <= 1e-12 * scale
+    assert residual == pytest.approx(np.linalg.norm(b - a @ x), abs=1e-12 * scale)
+
+
+def test_nnls_kkt_on_random_problems():
+    g = np.random.default_rng(20)
+    shapes = set()
+    for _ in range(200):
+        m, n = (int(k) for k in g.integers(2, 41, size=2))
+        shapes.add(np.sign(m - n))
+        a, b = g.normal(size=(m, n)), g.normal(size=m)
+        assert_nnls_kkt(a, b, *definetti._nnls(a, b))
+    assert shapes == {-1, 0, 1}
+
+
+def test_nnls_exact_inside_the_cone():
+    g = np.random.default_rng(21)
+    for m, n in [(3, 12), (12, 3), (20, 20), (40, 7)]:
+        a = g.normal(size=(m, n))
+        x0 = np.where(g.random(n) < 0.5, g.random(n), 0.0)
+        x, residual = definetti._nnls(a, a @ x0)
+        assert residual <= 1e-12
+
+
+def test_nnls_zero_when_every_dual_entry_is_nonpositive():
+    g = np.random.default_rng(22)
+    a, b = g.random((6, 9)), -g.random(6)
+    assert (a.T @ b <= 0).all()
+    x, residual = definetti._nnls(a, b)
+    assert not x.any()
+    assert residual == np.linalg.norm(b)
+
+
+def test_nnls_duplicate_columns():
+    g = np.random.default_rng(23)
+    a0, b = g.normal(size=(8, 5)), g.normal(size=8)
+    a = np.hstack([a0, a0[:, [0, 2, 2]], a0])
+    x, residual = definetti._nnls(a, b)
+    assert_nnls_kkt(a, b, x, residual)
+    assert residual == pytest.approx(definetti._nnls(a0, b)[1], abs=1e-12)
+
+
+def test_nnls_cycle_raises_typed_error(monkeypatch):
+    # A least-squares oracle that flips the sign of every variable kept
+    # from its previous call makes the active set cycle forever.
+    lstsq, seen = np.linalg.lstsq, []
+
+    def cycling(a, b, rcond=None):
+        z = lstsq(a, b, rcond=rcond)[0]
+        cols = [tuple(c) for c in a.T]
+        if len(cols) >= 2:
+            z = np.where([c in seen for c in cols], -np.abs(z), np.abs(z))
+        seen[:] = cols
+        return z, None, None, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", cycling)
+    with pytest.raises(NnlsNotConverged):
+        definetti._nnls(np.eye(3), np.ones(3))
 
 
 def test_real_states_have_no_yy_component(rng):

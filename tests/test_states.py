@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbayes import effects, linalg, states
-from qbayes.errors import NotAState, ZeroProbabilityData
+from qbayes.errors import DimensionMismatch, NotAState, ZeroProbabilityData
 
 ROUND_TRIP_TOL = 1e-9
 
@@ -145,3 +145,10 @@ def test_bayes_total_probability_refinement(rng):
         pd = joint[:, d].sum()
         mixture += pd * states.bayes_condition(joint, d)
     assert np.abs(mixture - prior).max() <= 1e-12
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_in_sqm_set_wrong_length_is_dimension_mismatch(explicit):
+    sqm = effects.standard_sqm(2) if explicit else None
+    with pytest.raises(DimensionMismatch):
+        states.in_sqm_set(np.full(5, 0.2), sqm)
