@@ -341,6 +341,11 @@ _TRIALS = {
 }
 
 
+# entropy-sweep's 20000-sample Monte-Carlo holds O(D^2) memory per sample
+# (363 MiB at D = 16), so larger dimensions are refused before any work.
+MAX_DIM = 16
+
+
 def _parse_tol(pairs):
     overrides = {}
     for raw in pairs or []:
@@ -359,7 +364,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in list(_COMMANDS) + ["all"]:
         p = sub.add_parser(name)
-        p.add_argument("--dim", type=int, default=2)
+        p.add_argument(
+            "--dim", type=int, default=2, help=f"Hilbert-space dimension, 2 to {MAX_DIM}"
+        )
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument(
@@ -377,8 +384,8 @@ def run(argv=None):
 
 
 def _run_parsed(parser, args):
-    if args.dim < 2:
-        parser.error("--dim must be at least 2")
+    if not 2 <= args.dim <= MAX_DIM:
+        parser.error(f"--dim must be between 2 and {MAX_DIM}")
     if args.seed < 0:
         parser.error("--seed must be a nonnegative integer")
     if args.trials is not None and args.trials < 1:

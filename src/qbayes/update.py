@@ -331,13 +331,8 @@ def instrument_from_dilation(
             lam = anc_vals[a_idx]
             if lam <= PROB_FLOOR:
                 continue
-            vec = anc_vecs[:, a_idx]
-            for b_idx in range(d_anc):
-                basis_b = np.zeros(d_anc, dtype=complex)
-                basis_b[b_idx] = 1.0
-                # <b| (I x Pi_d) u |a> over the ancilla factor
-                op = np.einsum("b,sbta,a->st", basis_b.conj(), tens, vec)
-                ops.append(np.sqrt(lam) * op)
+            # <b| (I x Pi_d) u |a> over the ancilla factor, for every b
+            ops.extend(np.sqrt(lam) * np.einsum("sbta,a->bst", tens, anc_vecs[:, a_idx]))
         outcomes.append(tuple(ops))
     return make_instrument(outcomes)
 

@@ -95,6 +95,17 @@ def test_usage_errors_exit_two():
     assert run_cli([]).returncode == 2
 
 
+def test_dim_above_limit_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["entropy-sweep", "--dim", "17"])
+    assert exc.value.code == 2
+    assert "between 2 and 16" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["entropy-sweep", "--help"])
+    assert exc.value.code == 0
+    assert "2 to 16" in capsys.readouterr().out
+
+
 def test_check_failure_exits_one():
     result = run_cli(
         ["teleport", "--trials", "2", "--tol", "teleport_fidelity_error_max=-1"]

@@ -5,8 +5,7 @@ from qbayes import effects, entropy, linalg, update
 
 # Independent oracle for the maximally-mixed-qubit subentropy: evaluate the
 # raw eigenvalue formula at two perturbation scales and Richardson
-# extrapolate, without going through the library's clustering code.
-Q_HALF_ORACLE = None
+# extrapolate, without going through the library's integral.
 
 
 def _raw_subentropy(vals):
@@ -93,6 +92,42 @@ def test_subentropy_symmetric_and_continuous_across_degeneracy():
         q2 = entropy.subentropy(np.diag([0.5, 0.5]).astype(complex))
         empirical_k = max(empirical_k, abs(q1 - q2) / delta)
     assert empirical_k <= 100.0
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_subentropy_maximally_mixed_closed_form(d):
+    # Q(I/D) = log2 D - (H_D - 1)/ln 2 with H_D the D-th harmonic number,
+    # so the mean entropy of I/D is exactly log2 D.
+    rho = np.eye(d) / d
+    closed = np.log2(d) - sum(1.0 / k for k in range(2, d + 1)) / np.log(2.0)
+    q = entropy.subentropy(rho)
+    assert abs(q - closed) <= 1e-12
+    assert q < entropy.SUBENTROPY_CAP
+    assert abs(entropy.mean_entropy(rho) - np.log2(d)) <= 1e-12
+
+
+def test_subentropy_continuous_across_triple_cluster():
+    q0 = entropy.subentropy(np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex))
+    for g in 10.0 ** -np.arange(3, 13):
+        q = entropy.subentropy(np.diag([0.4, 0.2 + g, 0.2, 0.2 - g]).astype(complex))
+        assert abs(q - q0) <= g
+
+
+def test_subentropy_zero_eigenvalues_drop_out():
+    half = entropy.subentropy(np.eye(2) / 2.0)
+    padded = entropy.subentropy(np.diag([0.5, 0.5, 0.0]).astype(complex))
+    assert abs(padded - half) <= 1e-15
+    q2 = entropy.subentropy(np.diag([0.7, 0.3]).astype(complex))
+    q3 = entropy.subentropy(np.diag([0.7, 0.3 - 1e-13, 1e-13]).astype(complex))
+    assert abs(q3 - q2) <= 1e-12
+
+
+def test_subentropy_matches_raw_formula_on_random_states():
+    g = np.random.default_rng(2024)
+    for _ in range(200):
+        rho = linalg.random_state(int(g.integers(2, 6)), g)
+        raw = _raw_subentropy(np.linalg.eigvalsh(rho))
+        assert abs(entropy.subentropy(rho) - raw) <= 1e-12
 
 
 def test_mean_entropy_matches_monte_carlo(rng):
