@@ -53,7 +53,10 @@ class PriorOverStates:
 
 
 def make_prior(states: Sequence[np.ndarray], weights=None) -> PriorOverStates:
-    states = tuple(assert_density_operator(s) for s in states)
+    """Prior over ``states`` (validated as one stack), uniform by default."""
+    if len({np.shape(s) for s in states}) > 1:
+        raise DimensionMismatch("support states must share a dimension")
+    states = tuple(assert_density_operator(np.stack(states)))
     if weights is None:
         weights = np.full(len(states), 1.0 / len(states))
     return PriorOverStates(states, np.asarray(weights, dtype=float))

@@ -91,10 +91,12 @@ def validate_povm(
     for i, e in enumerate(elements):
         if e.shape[0] != dim:
             raise DimensionMismatch(f"element {i} has dim {e.shape[0]}, expected {dim}")
-        vals = np.linalg.eigvalsh((e + linalg.dagger(e)) / 2.0)
-        if vals[0] < -psd_tol:
-            raise NotPsd(f"element {i} has eigenvalue {vals[0]:.3e} < 0", index=i)
-    deficit = float(np.linalg.norm(sum(elements) - np.eye(dim)))
+    stack = np.stack(elements)
+    lowest = np.linalg.eigvalsh((stack + linalg.dagger(stack)) / 2.0)[:, 0]
+    i = int(np.argmax(lowest < -psd_tol))
+    if lowest[i] < -psd_tol:
+        raise NotPsd(f"element {i} has eigenvalue {lowest[i]:.3e} < 0", index=i)
+    deficit = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
     if deficit > sum_tol:
         raise NotResolution(
             f"elements sum to the identity only within {deficit:.3e}", deficit=deficit
@@ -257,9 +259,7 @@ def max_probability(povm: Povm) -> np.ndarray:
     Returns the largest eigenvalue of each effect; born(rho, povm) is
     dominated entrywise by this vector for every state rho.
     """
-    return np.array(
-        [float(np.linalg.eigvalsh(e)[-1]) for e in povm.elements]
-    )
+    return np.linalg.eigvalsh(np.stack(povm.elements))[:, -1]
 
 
 # --------------------------------------------------------------------------

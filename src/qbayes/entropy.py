@@ -4,6 +4,10 @@ Shannon entropy for classical distributions, von Neumann entropy for
 states, the subentropy (the spectral functional controlling how
 unpredictable a typical orthonormal-basis measurement remains), and the
 mean measurement entropy over Haar-random bases.  All values are in bits.
+
+``von_neumann``, ``subentropy`` and ``mean_entropy`` take one state (giving
+a float) or a (..., D, D) stack (giving an array), validated and
+diagonalized by one batched eigvalsh.
 """
 
 from dataclasses import dataclass
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import assert_density_operator, assert_distribution
+from .states import assert_density_operator, assert_distribution, density_spectrum
 from .update import KrausInstrument, apply_instrument, random_instrument
 
 LN2 = float(np.log(2.0))
@@ -28,17 +32,34 @@ SUBENTROPY_CAP = (1.0 - EULER_GAMMA) / LN2
 
 def shannon(p: np.ndarray) -> float:
     """Shannon entropy -sum p log2 p with 0 log 0 = 0, in bits."""
-    p = assert_distribution(p).ravel()
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(_entropy(assert_distribution(p).ravel()))
 
 
-def von_neumann(rho: np.ndarray) -> float:
+def _spectra(rho: np.ndarray) -> np.ndarray:
+    """Validated spectra of a state or a stack of states, clipped at 0."""
+    return np.clip(density_spectrum(rho)[1], 0.0, None)
+
+
+def _float_if_single(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.ndim == 0 else values
+
+
+def _entropy(vals: np.ndarray) -> np.ndarray:
+    """-sum p log2 p along the last axis; entries <= 0 contribute 0."""
+    return -(vals * np.log2(np.where(vals > 0.0, vals, 1.0))).sum(axis=-1)
+
+
+def _subentropy(vals: np.ndarray) -> np.ndarray:
+    """The subentropy integral of each spectrum along the last axis."""
+    t = _T_NODES
+    one_minus_prod = -np.expm1(-np.log1p(vals[..., None] / t).sum(axis=-2))
+    integrand = vals.sum(axis=-1)[..., None] / (1.0 + t) - one_minus_prod
+    return -_S_STEP * (t * integrand).sum(axis=-1) / LN2
+
+
+def von_neumann(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy: Shannon entropy of the spectrum, in bits."""
-    rho = assert_density_operator(rho)
-    vals = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    nz = vals[vals > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    return _float_if_single(_entropy(_spectra(rho)))
 
 
 def harmonic_tail(dim: int) -> float:
@@ -46,7 +67,7 @@ def harmonic_tail(dim: int) -> float:
     return float(sum(1.0 / k for k in range(2, dim + 1)) / LN2)
 
 
-def subentropy(rho: np.ndarray) -> float:
+def subentropy(rho: np.ndarray) -> float | np.ndarray:
     """Subentropy Q of a state, in bits, for every spectrum.
 
     Q = -f[l_1, ..., l_n] / ln 2 is the divided difference of
@@ -60,21 +81,16 @@ def subentropy(rho: np.ndarray) -> float:
     It is summed by the trapezoid rule in s = ln t, with 1 - prod written
     as -expm1(-sum log1p(l_i/t)) so that nothing cancels.
     """
-    rho = assert_density_operator(rho)
-    vals = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    t = _T_NODES
-    one_minus_prod = -np.expm1(-np.log1p(vals[:, None] / t).sum(axis=0))
-    integrand = vals.sum() / (1.0 + t) - one_minus_prod
-    return float(-_S_STEP * (t * integrand).sum() / LN2)
+    return _float_if_single(_subentropy(_spectra(rho)))
 
 
-def mean_entropy(rho: np.ndarray) -> float:
+def mean_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Average Shannon entropy of Haar-random basis measurements, in bits.
 
     Closed form: the harmonic tail for the dimension plus the subentropy.
     """
-    rho = assert_density_operator(rho)
-    return harmonic_tail(rho.shape[0]) + subentropy(rho)
+    vals = _spectra(rho)
+    return _float_if_single(harmonic_tail(vals.shape[-1]) + _subentropy(vals))
 
 
 @dataclass(frozen=True)
@@ -94,32 +110,44 @@ class EntropyReport:
 
 
 def entropy_report(rho: np.ndarray, distribution: np.ndarray | None = None) -> EntropyReport:
-    rho = assert_density_operator(rho)
-    if distribution is None:
-        h = von_neumann(rho)
-    else:
-        h = shannon(distribution)
-    return EntropyReport(h, von_neumann(rho), subentropy(rho), mean_entropy(rho))
+    vals = _spectra(linalg.as_operator(rho))
+    s, q = float(_entropy(vals)), float(_subentropy(vals))
+    h = s if distribution is None else shannon(distribution)
+    return EntropyReport(h, s, q, harmonic_tail(vals.shape[-1]) + q)
 
 
 def mean_entropy_mc(rho: np.ndarray, samples: int, seed=None) -> tuple[float, float]:
-    """Monte-Carlo estimate of the mean measurement entropy.
-
-    Draws Haar-random orthonormal bases in a single batched QR sweep and
-    averages the Shannon entropy of the outcome distributions.  Returns
-    (mean, standard error).  The usual phase fix that makes the QR factor
-    exactly Haar multiplies each basis vector by a unit phase, which leaves
-    every outcome probability q_i^dag rho q_i unchanged, so it is skipped.
-    """
-    rho = assert_density_operator(rho)
-    d = rho.shape[0]
-    g = linalg.rng_from(seed)
-    z = g.normal(size=(samples, d, d)) + 1j * g.normal(size=(samples, d, d))
-    q = np.linalg.qr(z)[0]
-    probs = np.einsum("nmi,ml,nli->ni", q.conj(), rho, q).real
-    probs = np.clip(probs, 1e-300, None)
-    h = -(probs * np.log2(probs)).sum(axis=1)
+    """Monte-Carlo estimate (mean, standard error) of the mean measurement
+    entropy over ``samples`` >= 2 Haar-random bases."""
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    rho = assert_density_operator(linalg.as_operator(rho))
+    h = _entropy(_random_basis_probabilities(rho, samples, linalg.rng_from(seed)))
     return float(h.mean()), float(h.std(ddof=1) / np.sqrt(samples))
+
+
+def _random_basis_probabilities(rho: np.ndarray, n: int, g: np.random.Generator) -> np.ndarray:
+    """Outcome probabilities (n, D) of ``rho`` in n Haar-random bases.
+
+    The columns of all the Ginibre draws are orthonormalized at once by
+    classical Gram-Schmidt with one re-orthogonalization pass.  Each basis
+    vector then equals the QR one up to a unit phase, which leaves every
+    outcome probability q^dag rho q unchanged, so the bases are Haar.
+    """
+    d = rho.shape[0]
+    # z[j, :, s] is column j of sample s, so each step runs along the samples.
+    z = np.empty((d, d, n), dtype=complex)
+    z.real = g.normal(size=(n, d, d)).transpose(2, 1, 0)
+    z.imag = g.normal(size=(n, d, d)).transpose(2, 1, 0)
+    probs = np.empty((d, n))
+    for j in range(d):
+        v = z[j]
+        for _ in range(2 if j else 0):
+            overlap = np.einsum("kin,in->kn", z[:j], v.conj()).conj()
+            v = v - np.einsum("kin,kn->in", z[:j], overlap)
+        z[j] = v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+        probs[j] = (z[j].conj() * (rho @ z[j])).sum(axis=0).real
+    return probs.T
 
 
 @dataclass(frozen=True)
@@ -146,29 +174,24 @@ class RefinementGaps:
 
 
 def refinement_gap(state: np.ndarray, inst: KrausInstrument) -> tuple[float, float]:
-    """(von Neumann gap, subentropy gap) for one state and instrument."""
-    s0 = von_neumann(state)
-    q0 = subentropy(state)
-    s_avg = 0.0
-    q_avg = 0.0
-    for upd in apply_instrument(state, inst):
-        if upd.posterior is None:
-            continue
-        s_avg += upd.probability * von_neumann(upd.posterior)
-        q_avg += upd.probability * subentropy(upd.posterior)
-    return s0 - s_avg, q0 - q_avg
+    """(von Neumann gap, subentropy gap) for one state and instrument.
+
+    The prior and its posteriors are validated and diagonalized as one stack.
+    """
+    updates = [u for u in apply_instrument(state, inst) if u.posterior is not None]
+    vals = _spectra(np.stack([state] + [u.posterior for u in updates]))
+    weights = np.array([u.probability for u in updates])
+    s, q = _entropy(vals), _subentropy(vals)
+    return float(s[0] - (weights * s[1:]).sum()), float(q[0] - (weights * q[1:]).sum())
 
 
 def classical_refinement_gap(joint: np.ndarray) -> float:
     """Shannon gap S(H) - sum_d P(d) S(H|d) of a joint (h, d) table."""
     joint = assert_distribution(joint)
-    prior = joint.sum(axis=1)
-    gap = shannon(prior)
-    for d in range(joint.shape[1]):
-        pd = joint[:, d].sum()
-        if pd > 0.0:
-            gap -= pd * shannon(joint[:, d] / pd)
-    return float(gap)
+    pd = joint.sum(axis=0)
+    seen = pd > 0.0
+    conditional = _entropy(joint[:, seen].T / pd[seen, None])
+    return float(_entropy(joint.sum(axis=1)) - pd[seen] @ conditional)
 
 
 def check_refinement_inequalities(
@@ -186,6 +209,8 @@ def check_refinement_inequalities(
     Every trial also draws a random classical joint distribution and
     records its Shannon gap.
     """
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
     g = linalg.rng_from(seed)
     s_gaps = np.empty(trials)
     q_gaps = np.empty(trials)

@@ -36,8 +36,17 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
+def as_operators(m) -> np.ndarray:
+    """Coerce ``m`` to a complex (..., D, D) stack of square matrices."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
+    return a
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def ket(index: int, dim: int) -> np.ndarray:
@@ -53,20 +62,20 @@ def projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj()) / np.vdot(v, v).real
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    m = as_operator(m)
-    scale = np.linalg.norm(m)
-    if scale == 0.0:
-        return True
-    return np.linalg.norm(m - dagger(m)) <= tol * scale
+def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool | np.ndarray:
+    """||m - m^dag|| <= tol ||m||; a (..., D, D) stack gives one bool each."""
+    m = as_operators(m)
+    dev = np.linalg.norm(m - dagger(m), axis=(-2, -1))
+    ok = dev <= tol * np.linalg.norm(m, axis=(-2, -1))
+    return bool(ok) if m.ndim == 2 else ok
 
 
 @dataclass(frozen=True)
 class EigDecomposition:
     """Hermitian eigendecomposition with eigenvalues sorted descending.
 
-    ``eigenvectors[:, k]`` is the unit eigenvector paired with
-    ``eigenvalues[k]``; the matrix of eigenvectors is unitary.
+    ``eigenvectors[..., :, k]`` is the unit eigenvector paired with
+    ``eigenvalues[..., k]``; each matrix of eigenvectors is unitary.
     """
 
     eigenvalues: np.ndarray
@@ -74,23 +83,22 @@ class EigDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
+        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> EigDecomposition:
-    """Eigendecompose a Hermitian matrix, eigenvalues descending.
+    """Eigendecompose a Hermitian matrix or (..., D, D) stack, descending.
 
-    Raises NotHermitian when the relative Frobenius deviation from
-    self-adjointness exceeds ``tol``.
+    Raises NotHermitian when the relative Frobenius deviation of any
+    matrix from self-adjointness exceeds ``tol``.
     """
-    m = as_operator(m)
-    if not is_hermitian(m, tol):
+    m = as_operators(m)
+    if not np.all(is_hermitian(m, tol)):
         raise NotHermitian(
             f"matrix deviates from Hermiticity by more than {tol} (relative)"
         )
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)
-    order = np.argsort(vals)[::-1]
-    return EigDecomposition(vals[order], vecs[:, order])
+    return EigDecomposition(vals[..., ::-1], vecs[..., ::-1])
 
 
 def mat_fn(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -107,14 +115,14 @@ def mat_fn(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
 
 def _psd_eigs(m: np.ndarray, tol: float = PSD_TOL) -> EigDecomposition:
     eig = eig_hermitian(m)
-    scale = max(abs(eig.eigenvalues[0]), 1.0)
-    if eig.eigenvalues[-1] < -tol * scale:
-        raise NotPsd(f"smallest eigenvalue {eig.eigenvalues[-1]:.3e} below PSD tolerance")
+    low = eig.eigenvalues[..., -1]
+    if np.any(low < -tol * np.maximum(abs(eig.eigenvalues[..., 0]), 1.0)):
+        raise NotPsd(f"smallest eigenvalue {np.min(low):.3e} below PSD tolerance")
     return eig
 
 
 def mat_sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
+    """Principal square root of a PSD Hermitian matrix or (..., D, D) stack.
 
     Eigenvalues below the rank threshold (relative to the largest) are
     treated as rank noise and mapped to zero; the square root would
@@ -122,8 +130,8 @@ def mat_sqrt(m: np.ndarray) -> np.ndarray:
     """
     eig = _psd_eigs(m)
     vals = np.clip(eig.eigenvalues, 0.0, None)
-    vals[vals <= PINV_TOL * vals[0]] = 0.0
-    return (eig.eigenvectors * np.sqrt(vals)) @ dagger(eig.eigenvectors)
+    vals[vals <= PINV_TOL * vals[..., :1]] = 0.0
+    return (eig.eigenvectors * np.sqrt(vals)[..., None, :]) @ dagger(eig.eigenvectors)
 
 
 def mat_invsqrt(m: np.ndarray, pseudo: bool = False) -> np.ndarray:
@@ -217,10 +225,8 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     as in numpy and the result is an array of distances over the stack.
     Two single operators give a float.
     """
-    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    if diff.ndim < 2 or diff.shape[-1] != diff.shape[-2]:
-        raise DimensionMismatch(f"expected square matrices, got shape {diff.shape}")
-    vals = np.linalg.eigvalsh((diff + np.swapaxes(diff.conj(), -1, -2)) / 2.0)
+    diff = as_operators(a) - as_operators(b)
+    vals = np.linalg.eigvalsh((diff + dagger(diff)) / 2.0)
     dist = 0.5 * np.abs(vals).sum(axis=-1)
     return float(dist) if diff.ndim == 2 else dist
 
@@ -285,10 +291,11 @@ def random_povm(dim: int, n_elements: int, seed=None) -> list[np.ndarray]:
 
     Draws random PSD matrices and conjugates each by the inverse square
     root of their sum, the same renormalization used for the standard
-    informationally complete construction; validity is automatic.
+    informationally complete construction; validity is automatic.  The
+    one (n, 2, D, D) draw is the stream of n ``random_psd`` calls.
     """
-    g = rng_from(seed)
-    parts = [random_psd(dim, g) for _ in range(n_elements)]
-    total = sum(parts)
-    w = mat_invsqrt(total)
-    return [w @ p @ w for p in parts]
+    x = rng_from(seed).normal(size=(n_elements, 2, dim, dim))
+    z = x[:, 0] + 1j * x[:, 1]
+    parts = z @ dagger(z)
+    w = mat_invsqrt(parts.sum(axis=0))
+    return list(w @ parts @ w)

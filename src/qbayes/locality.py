@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Povm, real_design_matrix, standard_sqm, validate_povm
+from .effects import Povm, build_ic_projectors, real_design_matrix, standard_sqm, validate_povm
 from .errors import DegenerateSpan, DimensionMismatch
 
 
@@ -226,24 +226,16 @@ def real_symmetric_effects(dim: int) -> list[np.ndarray]:
     The basis projectors together with the pairwise (+) superposition
     projectors; dim (dim + 1) / 2 operators in total.
     """
-    out = [linalg.projector(linalg.ket(j, dim)) for j in range(dim)]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            out.append(linalg.projector(linalg.ket(j, dim) + linalg.ket(k, dim)))
-    return [op.real.astype(complex) for op in out]
+    return [op.real.astype(complex) for op in build_ic_projectors(dim)[: dim * (dim + 1) // 2]]
 
 
-def _sym_basis(dim: int) -> list[np.ndarray]:
-    basis = []
-    for j in range(dim):
-        m = np.zeros((dim, dim))
-        m[j, j] = 1.0
-        basis.append(m)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim))
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
-            basis.append(m)
+def _sym_basis(dim: int) -> np.ndarray:
+    """Orthonormal real symmetric basis: E_jj, then (E_jk + E_kj)/sqrt 2, j < k."""
+    j, k = np.triu_indices(dim, 1)
+    pairs = dim + np.arange(len(j))
+    basis = np.zeros((dim + len(j), dim, dim))
+    basis[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
+    basis[pairs, j, k] = basis[pairs, k, j] = 1.0 / np.sqrt(2.0)
     return basis
 
 
@@ -262,20 +254,13 @@ def real_span_analysis(dim_a: int, dim_b: int) -> RealSpanAnalysis:
     ea = real_symmetric_effects(dim_a)
     fb = real_symmetric_effects(dim_b)
     basis = _sym_basis(dim_a * dim_b)
-    rows = []
-    for e in ea:
-        for f in fb:
-            prod = linalg.tensor(e, f).real
-            rows.append([float((b * prod).sum()) for b in basis])
-    a = np.array(rows)
+    products = np.stack([linalg.tensor(e, f).real for e in ea for f in fb])
+    a = np.einsum("pij,bij->pb", products, basis)
     svals = np.linalg.svd(a, compute_uv=False)
     rank = int((svals > 1e-10 * svals[0]).sum())
     # Orthonormal basis of the unreachable directions, as matrices.
     _, _, vt = np.linalg.svd(a)
-    nulls = tuple(
-        sum(c * b for c, b in zip(vt[k], basis)).astype(complex)
-        for k in range(rank, len(basis))
-    )
+    nulls = tuple(np.tensordot(vt[rank:], basis, axes=1).astype(complex))
     full = dim_a * dim_b * (dim_a * dim_b + 1) // 2
     return RealSpanAnalysis(
         product_span_dim=dim_a * dim_b * (dim_a + 1) * (dim_b + 1) // 4,

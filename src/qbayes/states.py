@@ -24,19 +24,33 @@ from .errors import (
 STATE_EIG_FLOOR = -1e-8
 
 
-def assert_density_operator(
-    rho: np.ndarray, psd_tol: float = linalg.PSD_TOL, trace_tol: float = 1e-9
-) -> np.ndarray:
-    """Validate Hermitian, PSD and unit trace; return as complex array."""
-    rho = linalg.as_operator(rho)
-    if not linalg.is_hermitian(rho):
-        raise NotAState("operator is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh((rho + linalg.dagger(rho)) / 2.0)
-    if vals[0] < -psd_tol:
-        raise NotAState(f"operator has eigenvalue {vals[0]:.3e} < 0")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        raise NotAState(f"operator has trace {np.trace(rho).real:.9f} != 1")
-    return rho
+def density_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one density operator or a (..., D, D) stack of them.
+
+    Checks Hermiticity, positivity (to ``linalg.PSD_TOL``) and unit trace
+    (to 1e-9) with one batched norm and one batched eigvalsh.  Returns the
+    operators as a complex array and their ascending spectra (..., D).
+    NotAState names the first failing operator of a stack by its flat index.
+    """
+    rho = linalg.as_operators(rho)
+    flat = rho.reshape((-1,) + rho.shape[-2:])
+    hermitian = linalg.is_hermitian(flat)
+    vals = np.linalg.eigvalsh((flat + linalg.dagger(flat)) / 2.0)
+    trace = np.trace(flat, axis1=1, axis2=2).real
+    bad = np.flatnonzero(~hermitian | (vals[:, 0] < -linalg.PSD_TOL) | (abs(trace - 1.0) > 1e-9))
+    if bad.size:
+        i = int(bad[0])
+        raise NotAState(
+            f"{'operator' if rho.ndim == 2 else f'state {i}'} is not a density "
+            f"operator: Hermitian {bool(hermitian[i])}, smallest eigenvalue "
+            f"{vals[i, 0]:.3e}, trace {trace[i]:.9f}"
+        )
+    return rho, vals.reshape(rho.shape[:-1])
+
+
+def assert_density_operator(rho: np.ndarray) -> np.ndarray:
+    """:func:`density_spectrum` without the spectra."""
+    return density_spectrum(rho)[0]
 
 
 def is_density_operator(rho: np.ndarray) -> bool:
@@ -70,7 +84,7 @@ class SqmVector:
 
 def to_sqm(state: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmVector:
     """Outcome distribution of ``state`` for the standard measurement."""
-    state = assert_density_operator(state)
+    state = assert_density_operator(linalg.as_operator(state))
     if sqm is None:
         sqm = standard_sqm(state.shape[0])
     if sqm.dim != state.shape[0]:

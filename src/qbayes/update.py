@@ -54,11 +54,8 @@ class KrausInstrument:
     def __len__(self) -> int:
         return len(self.outcomes)
 
-    def effect(self, d: int) -> np.ndarray:
-        return sum(linalg.dagger(a) @ a for a in self.outcomes[d])
-
     def effects(self) -> list[np.ndarray]:
-        return [self.effect(d) for d in range(len(self))]
+        return [sum(linalg.dagger(a) @ a for a in ops) for ops in self.outcomes]
 
     def povm(self) -> Povm:
         return validate_povm(self.effects())
@@ -73,11 +70,7 @@ def make_instrument(outcomes: Sequence[Sequence[np.ndarray]]) -> KrausInstrument
     packed = tuple(
         tuple(linalg.as_operator(a) for a in ops) for ops in outcomes
     )
-    dim = packed[0][0].shape[0]
-    total = sum(linalg.dagger(a) @ a for ops in packed for a in ops)
-    dev = np.linalg.norm(total - np.eye(dim))
-    if dev > COMPLETENESS_TOL:
-        raise NotTracePreserving(f"sum A^dag A deviates from I by {dev:.3e}")
+    make_channel([a for ops in packed for a in ops])  # completeness of all Kraus ops
     inst = KrausInstrument(packed)
     inst.povm()  # per-outcome effects must individually be effects
     return inst
@@ -155,11 +148,10 @@ def efficient_from_povm(
         if len(unitaries) != len(povm):
             raise DimensionMismatch("need one unitary per POVM element")
         unitaries = [_assert_unitary(u) for u in unitaries]
-    kraus = []
-    for d, e in enumerate(povm.elements):
-        root = linalg.mat_sqrt(e)
-        kraus.append((unitaries[d] @ root,) if unitaries is not None else (root,))
-    return make_instrument(kraus)
+    roots = linalg.mat_sqrt(np.stack(povm.elements))
+    if unitaries is not None:
+        roots = [u @ r for u, r in zip(unitaries, roots)]
+    return make_instrument([(a,) for a in roots])
 
 
 # --------------------------------------------------------------------------
@@ -197,32 +189,21 @@ class UpdateFactorization:
         )
 
 
-def _eig_clusters(vals: np.ndarray, tol: float) -> list[slice]:
-    """Slices grouping (descending) eigenvalues closer than ``tol``."""
-    slices = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or abs(vals[i] - vals[i - 1]) > tol:
-            slices.append(slice(start, i))
-            start = i
-    return slices
-
-
-def _matching_unitary(sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _matching_unitary(vals: np.ndarray, sigma_vecs: np.ndarray, tau_vecs: np.ndarray) -> np.ndarray:
     """Deterministic unitary V with V sigma V^dag = tau for isospectral inputs.
 
-    Eigenvectors are paired by descending eigenvalue; inside degenerate
-    clusters the pairing is fixed by the polar unitary of the cross-overlap
-    block, which makes V independent of the arbitrary basis LAPACK picks
-    within each eigenspace.
+    Takes the common spectrum, descending, and both eigenvector matrices.
+    Eigenvectors are paired by descending eigenvalue; inside clusters of
+    eigenvalues closer than 1e-10 of the largest, the pairing is fixed by
+    the polar unitary of the cross-overlap block, which makes V independent
+    of the arbitrary basis LAPACK picks within each eigenspace.
     """
-    es = linalg.eig_hermitian(sigma)
-    et = linalg.eig_hermitian(tau)
-    scale = max(abs(es.eigenvalues[0]), 1e-30)
-    v = np.zeros_like(sigma)
-    for cluster in _eig_clusters(es.eigenvalues, 1e-10 * scale):
-        x = es.eigenvectors[:, cluster]
-        w = et.eigenvectors[:, cluster]
+    gaps = np.abs(np.diff(vals)) > 1e-10 * max(abs(vals[0]), 1e-30)
+    edges = [0, *(np.flatnonzero(gaps) + 1).tolist(), len(vals)]
+    v = np.zeros_like(sigma_vecs)
+    for start, stop in zip(edges[:-1], edges[1:]):
+        x = sigma_vecs[:, start:stop]
+        w = tau_vecs[:, start:stop]
         align = linalg.polar_unitary(linalg.dagger(w) @ x)
         v += w @ align @ linalg.dagger(x)
     return v
@@ -236,7 +217,8 @@ def factor_update(state: np.ndarray, inst: KrausInstrument) -> UpdateFactorizati
     V_d carrying the refinement to the actual posterior.  Rank-deficient
     states are handled on their support: square roots become pseudo
     inverses and both refinement and posterior live inside the support, so
-    every identity below still holds there.
+    every identity below still holds there.  All refinements and
+    posteriors are formed as stacks and eigendecomposed in one call.
     """
     state = linalg.as_operator(state)
     if not inst.efficient:
@@ -248,17 +230,21 @@ def factor_update(state: np.ndarray, inst: KrausInstrument) -> UpdateFactorizati
     root = linalg.mat_sqrt(state)
     eigvals = np.linalg.eigvalsh(state)
     support_dim = int((eigvals > linalg.PINV_TOL * max(eigvals[-1], 0.0)).sum())
+    kraus = np.stack([a for (a,) in inst.outcomes])
+    effects = linalg.dagger(kraus) @ kraus
+    probs = np.trace(state @ effects, axis1=1, axis2=2).real
+    live = probs > PROB_FLOOR
+    scale = probs[live][:, None, None]
+    refinements = root @ effects[live] @ root / scale
+    posteriors = kraus[live] @ state @ linalg.dagger(kraus[live]) / scale
+    eig = linalg.eig_hermitian(np.stack([refinements, posteriors]))  # (2, live, D, D)
     outcomes = []
-    for (a,) in inst.outcomes:
-        e = linalg.dagger(a) @ a
-        p = float(np.trace(state @ e).real)
+    for p, k in zip(probs.tolist(), np.cumsum(live) - 1):
         if p <= PROB_FLOOR:
             outcomes.append(OutcomeFactorization(max(p, 0.0), None, None, None))
             continue
-        refinement = root @ e @ root / p
-        posterior = a @ state @ linalg.dagger(a) / p
-        v = _matching_unitary(refinement, posterior)
-        outcomes.append(OutcomeFactorization(p, refinement, v, posterior))
+        v = _matching_unitary(eig.eigenvalues[0, k], *eig.eigenvectors[:, k])
+        outcomes.append(OutcomeFactorization(p, refinements[k], v, posteriors[k]))
     return UpdateFactorization(state, tuple(outcomes), support_dim)
 
 
@@ -378,10 +364,7 @@ def dilation_from_instrument(
 
 
 def maximally_entangled_ket(dim: int) -> np.ndarray:
-    v = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        v[i * dim + i] = 1.0
-    return v / np.sqrt(dim)
+    return np.eye(dim, dtype=complex).ravel() / np.sqrt(dim)
 
 
 def channel_choi(ch: QuantumChannel) -> np.ndarray:
@@ -391,12 +374,8 @@ def channel_choi(ch: QuantumChannel) -> np.ndarray:
     ``w = (I x A) |psi_ME>``, whose components are A^T flattened over
     sqrt(D).
     """
-    d = ch.dim
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for a in ch.kraus:
-        w = a.T.reshape(-1) / np.sqrt(d)
-        out += np.outer(w, w.conj())
-    return out
+    w = np.stack([a.T.reshape(-1) for a in ch.kraus]) / np.sqrt(ch.dim)
+    return w.T @ w.conj()
 
 
 def choi_channel(choi: np.ndarray, psd_tol: float = 1e-9) -> QuantumChannel:
@@ -595,17 +574,10 @@ def teleport(psi: np.ndarray, outcome: int | None = None, seed=None) -> Teleport
     bob_before = linalg.partial_trace(
         np.outer(total, total.conj()), (4, 2), side="A"
     )
-    bells = bell_kets()
     # Project Alice's two qubits onto each Bell state.
-    amp = total.reshape(4, 2)
-    conditional = []
-    probs = []
-    for b in bells:
-        sub = b.conj() @ amp
-        p = float(np.vdot(sub, sub).real)
-        probs.append(p)
-        conditional.append(sub / np.sqrt(p) if p > PROB_FLOOR else sub)
-    probs = np.array(probs)
+    subs = np.conj(bell_kets()) @ total.reshape(4, 2)
+    probs = (subs.conj() * subs).real.sum(axis=1)
+    conditional = [s / np.sqrt(p) if p > PROB_FLOOR else s for s, p in zip(subs, probs)]
     bob_unconditional = sum(
         p * np.outer(k, k.conj()) for p, k in zip(probs, conditional)
     )
@@ -650,8 +622,7 @@ def random_instrument(
     g = linalg.rng_from(seed)
     povm = validate_povm(linalg.random_povm(dim, n_outcomes, g))
     outcomes = []
-    for e in povm.elements:
-        root = linalg.mat_sqrt(e)
+    for root in linalg.mat_sqrt(np.stack(povm.elements)):
         if kraus_per_outcome == 1:
             outcomes.append((linalg.random_unitary(dim, g) @ root,))
         else:

@@ -4,7 +4,9 @@ import pytest
 from qbayes import definetti, effects, linalg
 from qbayes.errors import (
     DimensionBudgetExceeded,
+    DimensionMismatch,
     NnlsNotConverged,
+    NotAState,
     ZeroLikelihoodEverywhere,
 )
 
@@ -391,3 +393,12 @@ def test_real_states_have_no_yy_component(rng):
         rho = 0.5 * (np.eye(2) + x * linalg.sigma_x + z * linalg.sigma_z)
         power = linalg.tensor(rho, rho)
         assert abs(linalg.hs_inner(yy, power)) <= 1e-12
+
+
+def test_make_prior_validates_the_grid_as_one_stack(rng):
+    grid = [linalg.random_state(2, rng) for _ in range(5)]
+    grid[3] = np.diag([1.5, -0.5]).astype(complex)
+    with pytest.raises(NotAState, match=r"^state 3 "):
+        definetti.make_prior(grid)
+    with pytest.raises(DimensionMismatch):
+        definetti.make_prior([np.eye(2) / 2.0, np.eye(3) / 3.0])

@@ -302,3 +302,13 @@ def test_dilation_reproduces_joint_probabilities(rng):
         for d, pi in enumerate(_basis_projectors(d_anc).elements):
             dilated = np.trace(joint @ linalg.tensor(np.eye(d_sys), pi)).real
             assert abs(local[d] - dilated) <= 1e-9
+
+
+def test_validate_povm_reports_first_of_two_bad_elements():
+    bad = [np.eye(2), np.diag([0.5, -0.1]), np.eye(2) / 2.0, -0.5 * np.eye(2)]
+    with pytest.raises(NotPsd, match="element 1 ") as err:
+        effects.validate_povm(bad)
+    assert err.value.index == 1
+    with pytest.raises(NotPsd) as err:
+        effects.validate_povm(bad[2:])
+    assert err.value.index == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qbayes import effects, entropy, linalg, update
+from qbayes.errors import NotAState
 
 # Independent oracle for the maximally-mixed-qubit subentropy: evaluate the
 # raw eigenvalue formula at two perturbation scales and Richardson
@@ -212,3 +213,92 @@ def test_classical_refinement_gap_oracle(rng):
         expected -= pd * entropy.shannon(joint[:, d] / pd)
     assert entropy.classical_refinement_gap(joint) == pytest.approx(expected, abs=1e-12)
     assert entropy.classical_refinement_gap(joint) >= -1e-12
+
+
+# --------------------------------------------------------------------------
+# Stacked entropy functions.
+
+
+def _random_stack(d, n, g):
+    return np.stack([linalg.random_state(d, g, rank=int(g.integers(1, d + 1))) for _ in range(n)])
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_stacked_functionals_equal_per_state_loop(d):
+    g = np.random.default_rng(600 + d)
+    states = _random_stack(d, 200, g)
+    for f in (entropy.von_neumann, entropy.subentropy, entropy.mean_entropy):
+        stacked = f(states)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (200,)
+        loop = np.array([f(rho) for rho in states])
+        assert np.abs(stacked - loop).max() <= 1e-15
+        # Leading axes beyond one are kept.
+        assert np.array_equal(f(states.reshape(4, 50, d, d)), stacked.reshape(4, 50))
+
+
+def test_single_operator_gives_float(rng):
+    rho = linalg.random_state(3, rng)
+    for f in (entropy.von_neumann, entropy.subentropy, entropy.mean_entropy):
+        assert type(f(rho)) is float
+        assert type(f(np.eye(2) / 2.0)) is float
+
+
+def test_stack_with_a_non_state_names_its_index(rng):
+    states = _random_stack(3, 6, rng)
+    states[2] = 2.0 * states[2]  # trace 2
+    states[4] = states[4] @ np.diag([1.0, 1.0, 2.0])  # not Hermitian
+    for f in (entropy.von_neumann, entropy.subentropy, entropy.mean_entropy):
+        with pytest.raises(NotAState, match=r"^state 2 "):
+            f(states)
+        with pytest.raises(NotAState, match=r"^state 1 .*Hermitian False"):
+            f(states[3:])  # states[4] is entry 1 of this stack
+    negative = np.diag([1.2, -0.2, 0.0]).astype(complex)
+    with pytest.raises(NotAState, match=r"^state 1 .*eigenvalue -2\.000e-01"):
+        entropy.subentropy(np.stack([states[0], negative]))
+    with pytest.raises(NotAState, match=r"^operator "):
+        entropy.von_neumann(negative)
+
+
+def test_check_refinement_inequalities_needs_a_trial():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            entropy.check_refinement_inequalities(trials=trials, seed=1)
+
+
+# --------------------------------------------------------------------------
+# Monte-Carlo mean entropy.
+
+
+def _qr_reference(rho, samples, g):
+    """Outcome probabilities in the bases of a batched Householder QR."""
+    d = rho.shape[0]
+    z = g.normal(size=(samples, d, d)) + 1j * g.normal(size=(samples, d, d))
+    q = np.linalg.qr(z)[0]
+    return np.einsum("nmi,ml,nli->ni", q.conj(), rho, q).real
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+def test_gram_schmidt_probabilities_match_qr(d):
+    rho = linalg.random_state(d, 70 + d)
+    probs = entropy._random_basis_probabilities(rho, 300, np.random.default_rng(d))
+    reference = _qr_reference(rho, 300, np.random.default_rng(d))
+    assert probs.shape == (300, d)
+    assert np.abs(probs - reference).max() <= 1e-14
+
+
+def test_mean_entropy_mc_matches_qr_mean():
+    rho = linalg.random_state(3, 5)
+    mean, se = entropy.mean_entropy_mc(rho, 4000, 11)
+    p = np.clip(_qr_reference(rho, 4000, np.random.default_rng(11)), 1e-300, None)
+    h = -(p * np.log2(p)).sum(axis=1)
+    assert abs(mean - h.mean()) <= 1e-13
+    assert abs(se - h.std(ddof=1) / np.sqrt(4000)) <= 1e-13
+
+
+def test_mean_entropy_mc_needs_two_samples():
+    g = np.random.default_rng(3)
+    before = g.bit_generator.state
+    for samples in (1, 0, -1):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            entropy.mean_entropy_mc(np.eye(2) / 2.0, samples, g)
+    assert g.bit_generator.state == before

@@ -195,3 +195,18 @@ def test_trace_distance_on_stacks_matches_pairwise(rng):
     assert np.abs(linalg.trace_distance(a, b) - pairwise).max() <= 1e-15
     against_one = [linalg.trace_distance(x, b[0]) for x in a]
     assert np.abs(linalg.trace_distance(a, b[0]) - against_one).max() <= 1e-15
+
+
+def test_eig_hermitian_stack_matches_single_calls(rng):
+    stack = np.stack([linalg.random_hermitian(3, rng) for _ in range(6)])
+    eig = linalg.eig_hermitian(stack)
+    for m, vals, vecs in zip(stack, eig.eigenvalues, eig.eigenvectors):
+        single = linalg.eig_hermitian(m)
+        assert np.array_equal(vals, single.eigenvalues)
+        assert np.array_equal(vecs, single.eigenvectors)
+    assert np.linalg.norm(eig.reconstruct() - stack) <= 1e-12
+    assert list(linalg.is_hermitian(stack)) == [True] * 6
+    stack[4, 0, 1] += 1.0
+    assert list(linalg.is_hermitian(stack)) == [True] * 4 + [False, True]
+    with pytest.raises(NotHermitian):
+        linalg.eig_hermitian(stack)

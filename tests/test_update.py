@@ -449,3 +449,84 @@ def test_teleport_sampled_outcome_reproducible():
 def test_teleport_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         update.teleport(np.array([1.0, 1.0]))
+
+
+# --------------------------------------------------------------------------
+# Batched factorization against the per-outcome algorithm.
+
+
+def _descending_eigh(m):
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    order = np.argsort(vals)[::-1]
+    return vals[order], vecs[:, order]
+
+
+def _reference_factorization(state, inst):
+    """The per-outcome factorization: one eigendecomposition per matrix."""
+    root = linalg.mat_sqrt(state)
+    out = []
+    for (a,) in inst.outcomes:
+        e = a.conj().T @ a
+        p = float(np.trace(state @ e).real)
+        if p <= update.PROB_FLOOR:
+            out.append((max(p, 0.0), None, None, None))
+            continue
+        refinement = root @ e @ root / p
+        posterior = a @ state @ a.conj().T / p
+        (vals, xs), (_, ws) = _descending_eigh(refinement), _descending_eigh(posterior)
+        scale = max(abs(vals[0]), 1e-30)
+        v = np.zeros_like(refinement)
+        start = 0
+        for i in range(1, len(vals) + 1):
+            if i == len(vals) or abs(vals[i] - vals[i - 1]) > 1e-10 * scale:
+                x, w = xs[:, start:i], ws[:, start:i]
+                v += w @ linalg.polar_unitary(w.conj().T @ x) @ x.conj().T
+                start = i
+        out.append((p, refinement, v, posterior))
+    return out
+
+
+def _assert_matches_reference(state, inst, tol=1e-12):
+    fac = update.factor_update(state, inst)
+    reference = _reference_factorization(state, inst)
+    assert len(fac.outcomes) == len(reference)
+    for got, (p, refinement, v, posterior) in zip(fac.outcomes, reference):
+        assert got.probability == p
+        if refinement is None:
+            assert got.refinement is None and got.readjustment is None and got.posterior is None
+            continue
+        assert np.abs(got.refinement - refinement).max() <= tol
+        assert np.abs(got.posterior - posterior).max() <= tol
+        assert np.abs(got.readjustment - v).max() <= tol
+    return fac
+
+
+def test_batched_factorization_matches_per_outcome_reference():
+    g = np.random.default_rng(4242)
+    for _ in range(200):
+        d = int(g.integers(2, 5))
+        state = linalg.random_state(d, g)
+        inst = update.random_instrument(d, int(g.integers(2, 6)), 1, g)
+        _assert_matches_reference(state, inst)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_factorization_edge_cases(d):
+    g = np.random.default_rng(d)
+    # Maximally mixed prior with a rank-two projector: degenerate clusters
+    # in both the prior and the refinements.
+    split = [np.diag([1.0, 1.0] + [0.0] * (d - 2)), np.diag([0.0, 0.0] + [1.0] * (d - 2))]
+    povm = effects.validate_povm(split if d > 2 else [np.eye(2) / 2.0] * 2)
+    unitaries = [linalg.random_unitary(d, g) for _ in povm]
+    for inst in (update.efficient_from_povm(povm), update.efficient_from_povm(povm, unitaries)):
+        _assert_matches_reference(np.eye(d) / d, inst)
+    # Rank-deficient prior.
+    inst = update.random_instrument(d, 3, 1, g)
+    fac = _assert_matches_reference(linalg.random_state(d, g, rank=1), inst)
+    assert fac.support_dim == 1
+    _assert_matches_reference(linalg.random_state(d, g, rank=d - 1), inst)
+    # An outcome below the probability floor has no refinement.
+    projective = update.efficient_from_povm(basis_projectors(d))
+    fac = _assert_matches_reference(linalg.projector(linalg.ket(0, d)), projective)
+    assert [o.refinement is None for o in fac.outcomes] == [False] + [True] * (d - 1)
+    assert [o.probability for o in fac.outcomes[1:]] == [0.0] * (d - 1)
