@@ -20,25 +20,17 @@ from .errors import (
     DegenerateSpan,
     DimensionMismatch,
     NotAStateWarning,
+    NotHermitian,
     NotPsd,
     NotResolution,
     SingularGram,
+    SingularOperator,
 )
 
-# Sum-to-identity tolerance for POVM validation (Frobenius).
-RESOLUTION_TOL = 1e-9
-# Per-element PSD tolerance.
-EFFECT_PSD_TOL = 1e-10
-# Smallest singular value of the element Gram matrix certifying linear
-# independence of an informationally complete POVM.
-INDEPENDENCE_TOL = 1e-8
-# Least-squares residual above which a frame reconstruction is rejected.
-RECONSTRUCTION_RESIDUAL_TOL = 1e-6
 
-
-def effect_key(op: np.ndarray, decimals: int = 12) -> bytes:
+def effect_key(op: np.ndarray) -> bytes:
     """Canonical by-value key for an effect (entrywise, rounded)."""
-    a = np.ascontiguousarray(np.round(np.asarray(op, dtype=complex), decimals))
+    a = np.ascontiguousarray(np.round(np.asarray(op, dtype=complex), linalg.KEY_DECIMALS))
     # -0.0 and 0.0 have different byte patterns; normalize.
     a = a + 0.0
     return a.tobytes()
@@ -73,16 +65,12 @@ class Povm:
         return np.stack([e.T.ravel() for e in self.elements])
 
 
-def validate_povm(
-    candidate: Iterable[np.ndarray],
-    psd_tol: float = EFFECT_PSD_TOL,
-    sum_tol: float = RESOLUTION_TOL,
-) -> Povm:
+def validate_povm(candidate: Iterable[np.ndarray]) -> Povm:
     """Check a sequence of matrices forms a POVM and wrap it.
 
-    Raises NotPsd (with the offending index) when an element is not an
-    effect, NotResolution (with the deficit norm) when the elements do not
-    sum to the identity.
+    Raises NotHermitian or NotPsd (naming the first offending index) when an
+    element is not an effect, NotResolution (with the deficit norm) when the
+    elements do not sum to the identity within ``linalg.IDENTITY_TOL``.
     """
     elements = [linalg.as_operator(e) for e in candidate]
     if not elements:
@@ -92,12 +80,15 @@ def validate_povm(
         if e.shape[0] != dim:
             raise DimensionMismatch(f"element {i} has dim {e.shape[0]}, expected {dim}")
     stack = np.stack(elements)
+    hermitian = linalg.is_hermitian(stack)
+    if not hermitian.all():
+        raise NotHermitian(f"element {int(np.argmin(hermitian))} is not Hermitian")
     lowest = np.linalg.eigvalsh((stack + linalg.dagger(stack)) / 2.0)[:, 0]
-    i = int(np.argmax(lowest < -psd_tol))
-    if lowest[i] < -psd_tol:
+    i = int(np.argmax(lowest < -linalg.PSD_TOL))
+    if lowest[i] < -linalg.PSD_TOL:
         raise NotPsd(f"element {i} has eigenvalue {lowest[i]:.3e} < 0", index=i)
     deficit = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
-    if deficit > sum_tol:
+    if deficit > linalg.IDENTITY_TOL:
         raise NotResolution(
             f"elements sum to the identity only within {deficit:.3e}", deficit=deficit
         )
@@ -108,8 +99,8 @@ def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
     """Outcome probabilities tr(rho E_d) for each effect of ``povm``.
 
     ``state`` is one D x D operator or a stack of shape (..., D, D); the
-    result has shape (..., len(povm)).  Entries within -1e-12 of zero are
-    clamped to exactly zero.
+    result has shape (..., len(povm)).  Entries in [-PROB_NEG_TOL, 0) (see
+    :mod:`qbayes.linalg`) are clamped to exactly zero; lower ones raise NotPsd.
     """
     if not isinstance(povm, Povm):
         povm = Povm(tuple(linalg.as_operator(e) for e in povm))
@@ -118,7 +109,7 @@ def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
     if state.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"state shape {state.shape} vs POVM dim {dim}")
     p = (state.reshape(state.shape[:-2] + (dim * dim,)) @ povm.matrix.T).real
-    if p.min() < -1e-12:
+    if p.min() < -linalg.PROB_NEG_TOL:
         raise NotPsd(f"negative outcome probability {p.min():.3e}")
     return np.clip(p, 0.0, None)
 
@@ -194,18 +185,18 @@ def gram_renormalize(projectors: Sequence[np.ndarray]) -> MinimalIcPovm:
 
     Conjugates each seed by the inverse square root of their sum G, which
     preserves rank and linear independence while forcing the elements to
-    resolve the identity.  Raises SingularGram when G is not positive
-    definite.
+    resolve the identity.  Raises SingularGram when G is singular (NotPsd
+    when it is not PSD).
     """
     projectors = tuple(linalg.as_operator(p) for p in projectors)
     gram = sum(projectors)
-    vals = np.linalg.eigvalsh(gram)
-    if vals[0] < linalg.PINV_TOL * vals[-1]:
-        raise SingularGram(f"sum of projectors has min eigenvalue {vals[0]:.3e}")
-    w = linalg.mat_invsqrt(gram)
+    try:
+        w = linalg.mat_invsqrt(gram)
+    except SingularOperator as exc:
+        raise SingularGram(f"sum of projectors is singular: {exc}") from exc
     elements = validate_povm([w @ p @ w for p in projectors])
     sqm = MinimalIcPovm(elements, gram, projectors)
-    if element_gram_min_singular_value(sqm.base) < INDEPENDENCE_TOL:
+    if element_gram_min_singular_value(sqm.base) < linalg.INDEPENDENCE_TOL:
         raise DegenerateSpan("renormalized elements lost linear independence")
     return sqm
 
@@ -232,9 +223,9 @@ def certainty_bound(dim: int, check: bool = True) -> float:
 
     Closed form ``1 / (dim - (1 + cot(3 pi / 4 dim)) / 2)``.  With
     ``check=True`` the value is compared against the numerically computed
-    largest eigenvalue of G^{-1}; on disagreement beyond 1e-9 the numeric
-    value is returned and a warning attached, since the eigenvalue chain
-    it comes from is the authoritative derivation.
+    largest eigenvalue of G^{-1}; beyond ``linalg.CLOSED_FORM_TOL`` of it the
+    numeric value is returned and a warning attached, since the eigenvalue
+    chain it comes from is the authoritative derivation.
     """
     if dim < 2:
         raise ValueError("need dim >= 2")
@@ -243,7 +234,7 @@ def certainty_bound(dim: int, check: bool = True) -> float:
         return closed
     gram_eigs = np.linalg.eigvalsh(standard_sqm(dim).gram)
     numeric = 1.0 / float(gram_eigs[0])
-    if abs(closed - numeric) > 1e-9:
+    if abs(closed - numeric) > linalg.CLOSED_FORM_TOL:
         warnings.warn(
             f"closed-form certainty bound {closed!r} disagrees with the "
             f"eigenvalue computation {numeric!r} at dim={dim}; using the latter",
@@ -269,9 +260,9 @@ def max_probability(povm: Povm) -> np.ndarray:
 class FrameFunction:
     """Probability assignment to effects, keyed by entrywise value.
 
-    Effects are canonicalized by rounding to 12 decimal digits before
-    keying, so two numerically equal effects share one assignment no
-    matter which POVM they appear in.
+    Effects are canonicalized by rounding to ``linalg.KEY_DECIMALS``
+    decimal digits before keying, so two numerically equal effects share
+    one assignment no matter which POVM they appear in.
     """
 
     def __init__(self):
@@ -349,14 +340,15 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
     if rank < dim * dim:
         raise DegenerateSpan(f"sampled effects span only {rank} of {dim * dim} dims")
     residual = float(np.linalg.norm(a @ x - y))
-    if residual > RECONSTRUCTION_RESIDUAL_TOL:
+    if residual > linalg.RECONSTRUCTION_RESIDUAL_TOL:
         raise DegenerateSpan(f"least-squares residual {residual:.3e} too large")
     rho = (x[: dim * dim] + 1j * x[dim * dim :]).reshape(dim, dim)
     vals = np.linalg.eigvalsh(rho)
-    if vals[0] < -1e-8 or abs(np.trace(rho).real - 1.0) > 1e-8:
+    trace = np.trace(rho).real
+    if vals[0] < linalg.STATE_EIG_FLOOR or abs(trace - 1.0) > linalg.FRAME_TRACE_TOL:
         warnings.warn(
             f"reconstructed operator is not a state (min eigenvalue "
-            f"{vals[0]:.3e}, trace {np.trace(rho).real:.6f})",
+            f"{vals[0]:.3e}, trace {trace:.6f})",
             NotAStateWarning,
             stacklevel=2,
         )

@@ -15,12 +15,48 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotPsd, SingularOperator
 
-# Relative tolerance deciding whether a matrix counts as Hermitian.
+# Tolerances: every numerical decision of the library, one name per invariant
+# and value.  Three invariants carry two values each (positivity, trace, sum
+# of a probability vector); unifying them would change behaviour.
+# Relative Frobenius deviation ||M - M^dag|| / ||M|| allowed for a Hermitian M.
 HERMITIAN_TOL = 1e-10
-# Eigenvalues may undershoot zero by this much and still count as PSD.
+# Eigenvalues may undershoot 0 by this much (times max(|largest|, 1) for roots).
 PSD_TOL = 1e-10
-# Rank threshold for inverse powers, relative to the largest eigenvalue.
-PINV_TOL = 1e-10
+# Relative rank cut: values at most RANK_TOL times the largest count as zero,
+# and eigenvalue gaps that small as degeneracies.
+RANK_TOL = 1e-10
+# Frobenius deviation from I of sum E_d (POVM), sum A^dag A (Kraus set), U^dag U.
+IDENTITY_TOL = 1e-9
+# |tr rho - 1| allowed for a checked state or an inverted SQM vector.
+TRACE_TOL = 1e-9
+# |tr rho - 1| before a frame reconstruction warns; TRACE_TOL's looser twin.
+FRAME_TRACE_TOL = 1e-8
+# Inverted-state eigenvalues in [STATE_EIG_FLOOR, 0) are noise, clamped to 0.
+STATE_EIG_FLOOR = -1e-8
+# Outcome probabilities may undershoot zero by this much (then read as 0).
+PROB_NEG_TOL = 1e-12
+# |sum p - 1| allowed for a probability vector over SQM outcomes.
+PROB_SUM_TOL = 1e-9
+# |sum p - 1| allowed for a classical distribution; PROB_SUM_TOL's tighter twin.
+DISTRIBUTION_SUM_TOL = 1e-12
+# An SQM probability may exceed its element's largest eigenvalue by this much.
+PROB_CAP_TOL = 1e-9
+# Outcomes with probability at most PROB_FLOOR get no posterior (0/0 update).
+PROB_FLOOR = 1e-12
+# Miss from 1 allowed for a ket's norm or for |alpha|^2 + |beta|^2.
+NORM_TOL = 1e-9
+# Smallest singular value of the element Gram certifying an IC-POVM.
+INDEPENDENCE_TOL = 1e-8
+# Least-squares residual above which a frame reconstruction is rejected.
+RECONSTRUCTION_RESIDUAL_TOL = 1e-6
+# Frobenius miss of sum_d P(d) rho_d from rho allowed for a claimed refinement.
+REFINEMENT_TOL = 1e-8
+# Choi eigenvalue cut: below -CHOI_PSD_TOL not CP, up to +CHOI_PSD_TOL no Kraus.
+CHOI_PSD_TOL = 1e-9
+# Agreement of the closed-form certainty bound with its eigenvalue derivation.
+CLOSED_FORM_TOL = 1e-9
+# Decimal digits an effect is rounded to before it keys a frame function.
+KEY_DECIMALS = 12
 
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -62,11 +98,11 @@ def projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj()) / np.vdot(v, v).real
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool | np.ndarray:
-    """||m - m^dag|| <= tol ||m||; a (..., D, D) stack gives one bool each."""
+def is_hermitian(m: np.ndarray) -> bool | np.ndarray:
+    """||m - m^dag|| <= HERMITIAN_TOL ||m||; a (..., D, D) stack gives one bool each."""
     m = as_operators(m)
     dev = np.linalg.norm(m - dagger(m), axis=(-2, -1))
-    ok = dev <= tol * np.linalg.norm(m, axis=(-2, -1))
+    ok = dev <= HERMITIAN_TOL * np.linalg.norm(m, axis=(-2, -1))
     return bool(ok) if m.ndim == 2 else ok
 
 
@@ -86,17 +122,14 @@ class EigDecomposition:
         return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
 
-def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> EigDecomposition:
+def eig_hermitian(m: np.ndarray) -> EigDecomposition:
     """Eigendecompose a Hermitian matrix or (..., D, D) stack, descending.
 
-    Raises NotHermitian when the relative Frobenius deviation of any
-    matrix from self-adjointness exceeds ``tol``.
+    Raises NotHermitian when any matrix fails :func:`is_hermitian`.
     """
     m = as_operators(m)
-    if not np.all(is_hermitian(m, tol)):
-        raise NotHermitian(
-            f"matrix deviates from Hermiticity by more than {tol} (relative)"
-        )
+    if not np.all(is_hermitian(m)):
+        raise NotHermitian(f"relative deviation from Hermiticity exceeds {HERMITIAN_TOL}")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)
     return EigDecomposition(vals[..., ::-1], vecs[..., ::-1])
 
@@ -113,10 +146,10 @@ def mat_fn(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return (eig.eigenvectors * vals) @ dagger(eig.eigenvectors)
 
 
-def _psd_eigs(m: np.ndarray, tol: float = PSD_TOL) -> EigDecomposition:
+def _psd_eigs(m: np.ndarray) -> EigDecomposition:
     eig = eig_hermitian(m)
     low = eig.eigenvalues[..., -1]
-    if np.any(low < -tol * np.maximum(abs(eig.eigenvalues[..., 0]), 1.0)):
+    if np.any(low < -PSD_TOL * np.maximum(abs(eig.eigenvalues[..., 0]), 1.0)):
         raise NotPsd(f"smallest eigenvalue {np.min(low):.3e} below PSD tolerance")
     return eig
 
@@ -130,7 +163,7 @@ def mat_sqrt(m: np.ndarray) -> np.ndarray:
     """
     eig = _psd_eigs(m)
     vals = np.clip(eig.eigenvalues, 0.0, None)
-    vals[vals <= PINV_TOL * vals[..., :1]] = 0.0
+    vals[vals <= RANK_TOL * vals[..., :1]] = 0.0
     return (eig.eigenvectors * np.sqrt(vals)[..., None, :]) @ dagger(eig.eigenvectors)
 
 
@@ -142,7 +175,7 @@ def mat_invsqrt(m: np.ndarray, pseudo: bool = False) -> np.ndarray:
     raising SingularOperator.
     """
     eig = _psd_eigs(m)
-    cutoff = PINV_TOL * max(eig.eigenvalues[0], 0.0)
+    cutoff = RANK_TOL * max(eig.eigenvalues[0], 0.0)
     small = eig.eigenvalues <= cutoff
     if small.any() and not pseudo:
         raise SingularOperator(
@@ -152,6 +185,11 @@ def mat_invsqrt(m: np.ndarray, pseudo: bool = False) -> np.ndarray:
     keep = ~small
     inv[keep] = 1.0 / np.sqrt(eig.eigenvalues[keep])
     return (eig.eigenvectors * inv) @ dagger(eig.eigenvectors)
+
+
+def numeric_rank(values: np.ndarray) -> int:
+    """Number of values above RANK_TOL times the largest (taken as at least 0)."""
+    return int((values > RANK_TOL * max(values.max(), 0.0)).sum())
 
 
 def polar_unitary(a: np.ndarray) -> np.ndarray:

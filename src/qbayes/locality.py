@@ -44,31 +44,19 @@ class PovmTree:
             if b.dim != db:
                 raise DimensionMismatch("branch POVMs must share one dimension")
 
-    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """All ordered (effect on A, effect on B) pairs of the tree."""
-        out = []
-        if self.direction == "AtoB":
-            for i, e in enumerate(self.first.elements):
-                for f in self.branches[i].elements:
-                    out.append((e, f))
-        else:
-            for j, f in enumerate(self.first.elements):
-                for e in self.branches[j].elements:
-                    out.append((e, f))
-        return out
-
 
 def random_tree(
     dim_a: int, dim_b: int, seed=None, direction: str | None = None
 ) -> PovmTree:
-    """Random tree with 2 to 5 outcomes at each stage."""
+    """Random tree with 2 to 5 outcomes at each stage.  Its POVMs come from
+    :func:`qbayes.linalg.random_povm`, valid by construction, unvalidated."""
     g = linalg.rng_from(seed)
     if direction is None:
         direction = "AtoB" if g.integers(2) == 0 else "BtoA"
     d_first, d_branch = (dim_a, dim_b) if direction == "AtoB" else (dim_b, dim_a)
-    first = validate_povm(linalg.random_povm(d_first, int(g.integers(2, 6)), g))
+    first = Povm(tuple(linalg.random_povm(d_first, int(g.integers(2, 6)), g)))
     branches = tuple(
-        validate_povm(linalg.random_povm(d_branch, int(g.integers(2, 6)), g))
+        Povm(tuple(linalg.random_povm(d_branch, int(g.integers(2, 6)), g)))
         for _ in range(len(first))
     )
     return PovmTree(direction, first, branches)
@@ -144,9 +132,7 @@ def product_effect_basis(dim_a: int, dim_b: int) -> list[tuple[np.ndarray, np.nd
     return [(e, f) for e in sa for f in sb]
 
 
-def reconstruct_joint_operator(
-    frame: BilinearFrame, dim_a: int | None = None, dim_b: int | None = None
-) -> np.ndarray:
+def reconstruct_joint_operator(frame: BilinearFrame) -> np.ndarray:
     """Solve tr(L (E x F)) = f(E, F) over a spanning set of product effects.
 
     Samples the frame on all pairs (E_i, F_j) of the two standard SQMs.
@@ -156,8 +142,7 @@ def reconstruct_joint_operator(
     solvable: each standard SQM is certified linearly independent when it
     is built (see :func:`qbayes.effects.gram_renormalize`).
     """
-    da = frame.dim_a if dim_a is None else dim_a
-    db = frame.dim_b if dim_b is None else dim_b
+    da, db = frame.dim_a, frame.dim_b
     sqm_a, sqm_b = standard_sqm(da), standard_sqm(db)
     y = np.array([[frame(e, f) for f in sqm_b.base] for e in sqm_a.base])
     joint = np.einsum("ij,iac,jbd->abcd", y, sqm_a.dual, sqm_b.dual, optimize=True)
@@ -182,14 +167,12 @@ class SwapCounterexample:
     witness_value: float
 
 
-def swap_counterexample(
-    dim: int, n_trees: int = 100, n_pairs: int = 200, seed=0
-) -> SwapCounterexample:
-    """Build and certify the swap frame on two equal factors."""
+def swap_counterexample(dim: int, n_trees: int = 100, seed=0) -> SwapCounterexample:
+    """Build and certify the swap frame on two equal factors (200 effect pairs)."""
     g = linalg.rng_from(seed)
     frame = BilinearFrame.from_swap(dim)
     min_val = np.inf
-    for _ in range(n_pairs):
+    for _ in range(200):
         e = _random_effect(dim, g)
         f = _random_effect(dim, g)
         min_val = min(min_val, frame(e, f))
@@ -256,39 +239,35 @@ def real_span_analysis(dim_a: int, dim_b: int) -> RealSpanAnalysis:
     basis = _sym_basis(dim_a * dim_b)
     products = np.stack([linalg.tensor(e, f).real for e in ea for f in fb])
     a = np.einsum("pij,bij->pb", products, basis)
-    svals = np.linalg.svd(a, compute_uv=False)
-    rank = int((svals > 1e-10 * svals[0]).sum())
+    _, svals, vt = np.linalg.svd(a)
+    rank = linalg.numeric_rank(svals)
     # Orthonormal basis of the unreachable directions, as matrices.
-    _, _, vt = np.linalg.svd(a)
     nulls = tuple(np.tensordot(vt[rank:], basis, axes=1).astype(complex))
-    full = dim_a * dim_b * (dim_a * dim_b + 1) // 2
     return RealSpanAnalysis(
         product_span_dim=dim_a * dim_b * (dim_a + 1) * (dim_b + 1) // 4,
-        full_symmetric_dim=full,
+        full_symmetric_dim=dim_a * dim_b * (dim_a * dim_b + 1) // 2,
         numeric_rank=rank,
         null_directions=nulls,
     )
 
 
-def real_dimension_count(dim_a: int, dim_b: int, verify: bool = True) -> tuple[int, int]:
+def real_dimension_count(dim_a: int, dim_b: int) -> tuple[int, int]:
     """Equations available vs needed for L over real Hilbert spaces.
 
-    Returns (product-span dimension, full symmetric dimension).  With
-    ``verify=True`` the first number is checked against the numeric rank
-    of an explicit product-effect family.
+    Returns (product-span dimension, full symmetric dimension).  The first
+    number is checked against the numeric rank of an explicit product-effect
+    family.
     """
     if dim_a < 2 or dim_b < 2:
         raise ValueError("need dims >= 2")
-    m = dim_a * dim_b * (dim_a + 1) * (dim_b + 1) // 4
-    n = dim_a * dim_b * (dim_a * dim_b + 1) // 2
-    if verify:
-        analysis = real_span_analysis(dim_a, dim_b)
-        if analysis.numeric_rank != m:
-            raise DegenerateSpan(
-                f"numeric rank {analysis.numeric_rank} disagrees with the "
-                f"formula value {m}"
-            )
-    return m, n
+    analysis = real_span_analysis(dim_a, dim_b)
+    m = analysis.product_span_dim
+    if analysis.numeric_rank != m:
+        raise DegenerateSpan(
+            f"numeric rank {analysis.numeric_rank} disagrees with the "
+            f"formula value {m}"
+        )
+    return m, analysis.full_symmetric_dim
 
 
 def complex_product_rank(dim_a: int, dim_b: int) -> int:
@@ -296,8 +275,7 @@ def complex_product_rank(dim_a: int, dim_b: int) -> int:
     a = real_design_matrix(
         [linalg.tensor(e, f) for e, f in product_effect_basis(dim_a, dim_b)]
     )
-    svals = np.linalg.svd(a, compute_uv=False)
-    return int((svals > 1e-10 * svals[0]).sum())
+    return linalg.numeric_rank(np.linalg.svd(a, compute_uv=False))
 
 
 # --------------------------------------------------------------------------
@@ -328,4 +306,4 @@ def domino_fixture() -> Povm:
         np.kron(plus01, k2),
         np.kron(minus01, k2),
     ]
-    return validate_povm([np.outer(k, k.conj()) for k in kets], sum_tol=1e-10)
+    return validate_povm([np.outer(k, k.conj()) for k in kets])

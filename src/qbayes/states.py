@@ -19,17 +19,14 @@ from .errors import (
     ZeroProbabilityData,
 )
 
-# Reconstructed operators with eigenvalues above this floor are treated as
-# states (clamped and renormalized); anything lower is rejected.
-STATE_EIG_FLOOR = -1e-8
-
 
 def density_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate one density operator or a (..., D, D) stack of them.
 
     Checks Hermiticity, positivity (to ``linalg.PSD_TOL``) and unit trace
-    (to 1e-9) with one batched norm and one batched eigvalsh.  Returns the
-    operators as a complex array and their ascending spectra (..., D).
+    (to ``linalg.TRACE_TOL``) with one batched norm and one batched eigvalsh.
+    Returns the operators as a complex array and their ascending spectra
+    (..., D).
     NotAState names the first failing operator of a stack by its flat index.
     """
     rho = linalg.as_operators(rho)
@@ -37,7 +34,9 @@ def density_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hermitian = linalg.is_hermitian(flat)
     vals = np.linalg.eigvalsh((flat + linalg.dagger(flat)) / 2.0)
     trace = np.trace(flat, axis1=1, axis2=2).real
-    bad = np.flatnonzero(~hermitian | (vals[:, 0] < -linalg.PSD_TOL) | (abs(trace - 1.0) > 1e-9))
+    bad = np.flatnonzero(
+        ~hermitian | (vals[:, 0] < -linalg.PSD_TOL) | (abs(trace - 1.0) > linalg.TRACE_TOL)
+    )
     if bad.size:
         i = int(bad[0])
         raise NotAState(
@@ -74,9 +73,9 @@ class SqmVector:
             raise DimensionMismatch(
                 f"expected {len(self.sqm)} probabilities, got {p.shape}"
             )
-        if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
+        if _off_simplex(p):
             raise NotAState("probabilities must be nonnegative and sum to 1")
-        if (p > self.sqm.max_probability + 1e-9).any():
+        if (p > self.sqm.max_probability + linalg.PROB_CAP_TOL).any():
             raise NotAState(
                 "an entry exceeds the largest achievable probability of its effect"
             )
@@ -101,8 +100,8 @@ def from_sqm(
     The linear inversion rho = sum_d p(d) R_d over the dual frame of the
     measurement always has a unique Hermitian solution; it is a state only
     when the vector lies in the achievable region.  Eigenvalues in
-    [-1e-8, 0) are treated as numerical noise (clamped, renormalized);
-    anything lower raises NotAState.
+    [linalg.STATE_EIG_FLOOR, 0) are treated as numerical noise (clamped,
+    renormalized); anything lower raises NotAState.
     """
     if isinstance(v, SqmVector):
         probs, sqm = np.asarray(v.probs, dtype=float), v.sqm
@@ -122,15 +121,20 @@ def _sqm_for(probs: np.ndarray, sqm: MinimalIcPovm | None) -> MinimalIcPovm:
     return sqm
 
 
+def _off_simplex(p: np.ndarray) -> bool:
+    """Entry below -PROB_NEG_TOL or sum off 1 by more than PROB_SUM_TOL."""
+    return p.min() < -linalg.PROB_NEG_TOL or abs(p.sum() - 1.0) > linalg.PROB_SUM_TOL
+
+
 def _clamp_to_state(rho: np.ndarray) -> np.ndarray:
     """Clamp the noise eigenvalues of a linear inversion and renormalize."""
     vals, vecs = np.linalg.eigh(rho)
-    if vals[0] < STATE_EIG_FLOOR:
+    if vals[0] < linalg.STATE_EIG_FLOOR:
         raise NotAState(
             f"reconstruction has eigenvalue {vals[0]:.3e}; the vector lies "
             "outside the achievable region"
         )
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
+    if abs(np.trace(rho).real - 1.0) > linalg.TRACE_TOL:
         raise NotAState(f"reconstruction has trace {np.trace(rho).real:.9f}")
     clipped = np.clip(vals, 0.0, None)
     rho = (vecs * clipped) @ linalg.dagger(vecs)
@@ -154,7 +158,7 @@ class SqmMembership:
 def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership:
     """Decide whether a probability vector is achievable by some state."""
     probs = np.asarray(v, dtype=float)
-    if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-9:
+    if _off_simplex(probs):
         raise ValueError("input must be a probability vector")
     raw = np.tensordot(probs, _sqm_for(probs, sqm).dual, axes=1)
     min_eig = float(np.linalg.eigvalsh(raw)[0])
@@ -169,11 +173,11 @@ def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership
 # Classical distributions and Bayes conditioning.
 
 
-def assert_distribution(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def assert_distribution(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if p.min() < -tol:
+    if p.min() < -linalg.PROB_NEG_TOL:
         raise ValueError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > linalg.DISTRIBUTION_SUM_TOL:
         raise ValueError(f"probabilities sum to {p.sum():.15f}")
     return np.clip(p, 0.0, None)
 

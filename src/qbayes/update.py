@@ -20,23 +20,20 @@ from .errors import (
     DimensionMismatch,
     InconsistentRefinement,
     NotCp,
+    NotHermitian,
     NotNormalized,
     NotTracePreserving,
     NotUnitary,
     RankDeficientState,
+    SingularOperator,
 )
-
-# Outcomes below this probability yield no posterior (0/0 in the update rule).
-PROB_FLOOR = 1e-12
-# Completeness tolerance for Kraus sets.
-COMPLETENESS_TOL = 1e-9
-UNITARY_TOL = 1e-9
+from .linalg import PROB_FLOOR
 
 
-def _assert_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def _assert_unitary(u: np.ndarray) -> np.ndarray:
     u = linalg.as_operator(u)
     dev = np.linalg.norm(linalg.dagger(u) @ u - np.eye(u.shape[0]))
-    if dev > tol:
+    if dev > linalg.IDENTITY_TOL:
         raise NotUnitary(f"U^dag U deviates from I by {dev:.3e}")
     return u
 
@@ -57,9 +54,6 @@ class KrausInstrument:
     def effects(self) -> list[np.ndarray]:
         return [sum(linalg.dagger(a) @ a for a in ops) for ops in self.outcomes]
 
-    def povm(self) -> Povm:
-        return validate_povm(self.effects())
-
     @property
     def efficient(self) -> bool:
         return all(len(ops) == 1 for ops in self.outcomes)
@@ -70,10 +64,9 @@ def make_instrument(outcomes: Sequence[Sequence[np.ndarray]]) -> KrausInstrument
     packed = tuple(
         tuple(linalg.as_operator(a) for a in ops) for ops in outcomes
     )
-    make_channel([a for ops in packed for a in ops])  # completeness of all Kraus ops
-    inst = KrausInstrument(packed)
-    inst.povm()  # per-outcome effects must individually be effects
-    return inst
+    # The only check: each sum_i A^dag A is PSD by form, and at most I once all sum to I.
+    make_channel([a for ops in packed for a in ops])
+    return KrausInstrument(packed)
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,7 @@ def make_channel(kraus: Sequence[np.ndarray]) -> QuantumChannel:
     ops = tuple(linalg.as_operator(a) for a in kraus)
     dim = ops[0].shape[0]
     dev = np.linalg.norm(sum(linalg.dagger(a) @ a for a in ops) - np.eye(dim))
-    if dev > COMPLETENESS_TOL:
+    if dev > linalg.IDENTITY_TOL:
         raise NotTracePreserving(f"sum A^dag A deviates from I by {dev:.3e}")
     return QuantumChannel(ops)
 
@@ -194,11 +187,12 @@ def _matching_unitary(vals: np.ndarray, sigma_vecs: np.ndarray, tau_vecs: np.nda
 
     Takes the common spectrum, descending, and both eigenvector matrices.
     Eigenvectors are paired by descending eigenvalue; inside clusters of
-    eigenvalues closer than 1e-10 of the largest, the pairing is fixed by
-    the polar unitary of the cross-overlap block, which makes V independent
-    of the arbitrary basis LAPACK picks within each eigenspace.
+    eigenvalues closer than ``linalg.RANK_TOL`` times the largest (at least
+    1/D, as the inputs have unit trace), the pairing is fixed by the polar
+    unitary of the cross-overlap block, which makes V independent of the
+    arbitrary basis LAPACK picks within each eigenspace.
     """
-    gaps = np.abs(np.diff(vals)) > 1e-10 * max(abs(vals[0]), 1e-30)
+    gaps = np.abs(np.diff(vals)) > linalg.RANK_TOL * vals[0]
     edges = [0, *(np.flatnonzero(gaps) + 1).tolist(), len(vals)]
     v = np.zeros_like(sigma_vecs)
     for start, stop in zip(edges[:-1], edges[1:]):
@@ -228,8 +222,7 @@ def factor_update(state: np.ndarray, inst: KrausInstrument) -> UpdateFactorizati
     if state.shape[0] != inst.dim:
         raise DimensionMismatch("state and instrument dims differ")
     root = linalg.mat_sqrt(state)
-    eigvals = np.linalg.eigvalsh(state)
-    support_dim = int((eigvals > linalg.PINV_TOL * max(eigvals[-1], 0.0)).sum())
+    support_dim = linalg.numeric_rank(np.linalg.eigvalsh(state))
     kraus = np.stack([a for (a,) in inst.outcomes])
     effects = linalg.dagger(kraus) @ kraus
     probs = np.trace(state @ effects, axis1=1, axis2=2).real
@@ -249,9 +242,7 @@ def factor_update(state: np.ndarray, inst: KrausInstrument) -> UpdateFactorizati
 
 
 def identify_measurement(
-    state: np.ndarray,
-    refinement: Sequence[tuple[float, np.ndarray]],
-    tol: float = 1e-8,
+    state: np.ndarray, refinement: Sequence[tuple[float, np.ndarray]]
 ) -> Povm:
     """Recover the POVM two agents must share to agree on a measurement.
 
@@ -260,18 +251,16 @@ def identify_measurement(
     identity E_d = P(d) rho^{-1/2} rho_d rho^{-1/2}.
     """
     state = linalg.as_operator(state)
-    eigvals = np.linalg.eigvalsh(state)
-    if eigvals[0] < linalg.PINV_TOL * eigvals[-1]:
-        raise RankDeficientState(
-            "measurement identification needs a full-rank prior state"
-        )
+    try:
+        invroot = linalg.mat_invsqrt(state)
+    except SingularOperator as exc:
+        raise RankDeficientState("measurement identification needs a full-rank prior") from exc
     mixture = sum(p * linalg.as_operator(r) for p, r in refinement)
     dev = float(np.linalg.norm(mixture - state))
-    if dev > tol:
+    if dev > linalg.REFINEMENT_TOL:
         raise InconsistentRefinement(
             f"claimed refinement misses the prior state by {dev:.3e}"
         )
-    invroot = linalg.mat_invsqrt(state)
     return validate_povm(
         [p * (invroot @ linalg.as_operator(r) @ invroot) for p, r in refinement]
     )
@@ -378,24 +367,27 @@ def channel_choi(ch: QuantumChannel) -> np.ndarray:
     return w.T @ w.conj()
 
 
-def choi_channel(choi: np.ndarray, psd_tol: float = 1e-9) -> QuantumChannel:
+def choi_channel(choi: np.ndarray) -> QuantumChannel:
     """Recover a Kraus representation from a Choi operator.
 
-    Raises NotCp when the Choi operator has an eigenvalue below -psd_tol,
-    and NotTracePreserving when the recovered Kraus set is not complete
-    (equivalently, the partial trace over the output factor is not I/D).
+    Raises NotHermitian for a non-Hermitian input, NotCp for an eigenvalue
+    below ``-linalg.CHOI_PSD_TOL``, and NotTracePreserving when the
+    recovered Kraus set is not complete (equivalently, the partial trace
+    over the output factor is not I/D).
     """
     choi = linalg.as_operator(choi)
     d2 = choi.shape[0]
     d = int(round(np.sqrt(d2)))
     if d * d != d2:
         raise DimensionMismatch("Choi operator dimension is not a perfect square")
+    if not linalg.is_hermitian(choi):
+        raise NotHermitian("Choi operator is not Hermitian")
     vals, vecs = np.linalg.eigh((choi + linalg.dagger(choi)) / 2.0)
-    if vals[0] < -psd_tol:
+    if vals[0] < -linalg.CHOI_PSD_TOL:
         raise NotCp(f"Choi operator has eigenvalue {vals[0]:.3e} < 0")
     kraus = []
     for k in range(d2):
-        if vals[k] <= psd_tol:
+        if vals[k] <= linalg.CHOI_PSD_TOL:
             continue
         kraus.append(np.sqrt(d * vals[k]) * vecs[:, k].reshape(d, d).T)
     return make_channel(kraus)
@@ -409,7 +401,7 @@ def controlled_unitary_channel(
     With the control prepared in alpha|0> + beta|1>, the target evolves by
     ``|alpha|^2 U_0 rho U_0^dag + |beta|^2 U_1 rho U_1^dag``.
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > linalg.NORM_TOL:
         raise NotNormalized("control amplitudes must satisfy |a|^2 + |b|^2 = 1")
     u0 = _assert_unitary(u0)
     u1 = _assert_unitary(u1)
@@ -455,7 +447,8 @@ def remote_steering_experiment(
     ``far_povm`` leaves the control in an outcome-dependent state, so each
     far outcome assigns the target a different mixture of U_0 and U_1.
     Circuit parameters default to seeded Haar unitaries and a seeded
-    random superposition, making runs reproducible.
+    random superposition, making runs reproducible.  The amplitudes and
+    unitaries are checked once, by the unmeasured channel built first.
     """
     if far_povm.dim != 2:
         raise DimensionMismatch("the far system is a qubit")
@@ -467,10 +460,8 @@ def remote_steering_experiment(
     if alpha is None or beta is None:
         amp = linalg.random_ket(2, g)
         alpha, beta = complex(amp[0]), complex(amp[1])
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise NotNormalized("entangled-pair amplitudes must be normalized")
-    u0 = _assert_unitary(u0)
-    u1 = _assert_unitary(u1)
+    unconditional = channel_choi(controlled_unitary_channel(u0, u1, alpha, beta))
+    u0, u1 = linalg.as_operator(u0), linalg.as_operator(u1)
     # |chi> = alpha |0>_far |0>_ctrl + beta |1>_far |1>_ctrl
     chi = np.zeros(4, dtype=complex)
     chi[0] = alpha
@@ -496,9 +487,6 @@ def remote_steering_experiment(
         )
         chois.append(channel_choi(ch))
     averaged = sum(p * c for p, c in zip(probs, chois))
-    unconditional = channel_choi(
-        controlled_unitary_channel(u0, u1, alpha, beta)
-    )
     return SteeringReport(
         far_probs=np.array(probs),
         conditional_chois=tuple(chois),
@@ -566,7 +554,7 @@ def teleport(psi: np.ndarray, outcome: int | None = None, seed=None) -> Teleport
     if psi.shape != (2,):
         raise DimensionMismatch("teleportation input is a single-qubit ket")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > linalg.NORM_TOL:
         raise NotNormalized(f"input ket has norm {norm:.9f}")
     pair = np.zeros(4, dtype=complex)
     pair[0] = pair[3] = 1.0 / np.sqrt(2.0)
@@ -620,9 +608,8 @@ def random_instrument(
     exact by construction.
     """
     g = linalg.rng_from(seed)
-    povm = validate_povm(linalg.random_povm(dim, n_outcomes, g))
     outcomes = []
-    for root in linalg.mat_sqrt(np.stack(povm.elements)):
+    for root in linalg.mat_sqrt(np.stack(linalg.random_povm(dim, n_outcomes, g))):
         if kraus_per_outcome == 1:
             outcomes.append((linalg.random_unitary(dim, g) @ root,))
         else:

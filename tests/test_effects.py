@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbayes import effects, linalg
-from qbayes.errors import DegenerateSpan, NotAStateWarning, NotPsd, NotResolution
+from qbayes.errors import (
+    DegenerateSpan,
+    NotAStateWarning,
+    NotHermitian,
+    NotPsd,
+    NotResolution,
+    SingularGram,
+)
 
 # Frozen from the explicit 2x2 construction: G = [[2, .5-.5i], [.5+.5i, 2]].
 G_2 = np.array([[2.0, 0.5 - 0.5j], [0.5 + 0.5j, 2.0]])
@@ -312,3 +319,19 @@ def test_validate_povm_reports_first_of_two_bad_elements():
     with pytest.raises(NotPsd) as err:
         effects.validate_povm(bad[2:])
     assert err.value.index == 1
+
+
+def test_validate_povm_rejects_non_hermitian_elements():
+    # Both elements have Hermitian part I/2, so a check on the Hermitian part
+    # alone accepts them, and born would drop the imaginary part of tr(rho E).
+    skew = [[[0.5, 0.3], [0.0, 0.5]], [[0.5, -0.3], [0.0, 0.5]]]
+    with pytest.raises(NotHermitian, match="element 0 "):
+        effects.validate_povm(skew)
+    with pytest.raises(NotHermitian, match="element 1 "):
+        effects.validate_povm([np.eye(2) / 2.0, skew[0], skew[1]])
+
+
+def test_gram_renormalize_rejects_singular_sum():
+    p0 = linalg.projector(linalg.ket(0, 2))
+    with pytest.raises(SingularGram):
+        effects.gram_renormalize([p0, p0, p0, p0])

@@ -5,8 +5,10 @@ from qbayes import effects, linalg, update
 from qbayes.errors import (
     InconsistentRefinement,
     NotCp,
+    NotHermitian,
     NotNormalized,
     NotTracePreserving,
+    NotUnitary,
     RankDeficientState,
 )
 
@@ -72,6 +74,24 @@ def test_efficient_from_povm_rejects_non_unitary():
         update.efficient_from_povm(
             basis_projectors(2), unitaries=[np.eye(2), 2.0 * np.eye(2)]
         )
+
+
+def test_make_instrument_rejects_incomplete_kraus_sets():
+    with pytest.raises(NotTracePreserving):
+        update.make_instrument([(np.sqrt(0.3) * np.eye(2),), (np.sqrt(0.3) * np.eye(2),)])
+    # Each outcome alone is a valid effect (0.6 I), but together they give 1.2 I.
+    with pytest.raises(NotTracePreserving):
+        update.make_instrument([(np.sqrt(0.6) * np.eye(2),), (np.sqrt(0.6) * np.eye(2),)])
+
+
+def test_make_instrument_accepts_complete_non_efficient_set():
+    inst = update.make_instrument(
+        [(0.5 * np.eye(2), 0.5 * linalg.sigma_x), (np.sqrt(0.5) * linalg.sigma_z,)]
+    )
+    assert not inst.efficient
+    effects_ = inst.effects()
+    assert np.linalg.norm(effects_[0] - np.eye(2) / 2.0) <= 1e-15
+    assert np.linalg.norm(sum(effects_) - np.eye(2)) <= 1e-15
 
 
 def test_sqm_measurement_is_valid_instrument():
@@ -331,6 +351,18 @@ def test_choi_channel_rejects_non_psd():
         update.choi_channel(bad)
 
 
+def test_choi_channel_rejects_non_hermitian():
+    # The Hermitian part is the identity channel's Choi operator, so a check
+    # on it alone accepts the input and recovers a channel 0.05 away.
+    phi = np.zeros(4, dtype=complex)
+    phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
+    bad = np.outer(phi, phi.conj())
+    bad[0, 3] += 0.05
+    bad[3, 0] -= 0.05
+    with pytest.raises(NotHermitian):
+        update.choi_channel(bad)
+
+
 def test_choi_channel_rejects_non_trace_preserving():
     # PSD with unit trace is not enough: the output marginal must be I/d.
     bad = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
@@ -384,6 +416,18 @@ def test_steering_schmidt_basis_gives_pure_unitaries():
     assert np.linalg.norm(rep.conditional_chois[0] - c0) <= 1e-12
     assert np.linalg.norm(rep.conditional_chois[1] - c1) <= 1e-12
     assert rep.far_probs[0] == pytest.approx(0.36)
+
+
+def test_steering_rejects_bad_circuit_parameters():
+    far = effects.validate_povm([np.eye(2)])
+    with pytest.raises(NotNormalized):
+        update.remote_steering_experiment(far, seed=1, alpha=1.0, beta=1.0)
+    with pytest.raises(NotNormalized):
+        update.remote_steering_experiment(far, seed=1, alpha=0.6, beta=0.6)
+    with pytest.raises(NotUnitary):
+        update.remote_steering_experiment(
+            far, u0=2.0 * np.eye(2), u1=np.eye(2), alpha=0.6, beta=0.8
+        )
 
 
 def test_steering_trivial_povm_recovers_unconditional():
