@@ -78,9 +78,7 @@ def _gleason_roundtrip(dim, trials, seed, tol):
         rec = effects.reconstruct_from_frame(frame)
         worst_rt = max(worst_rt, linalg.trace_distance(rec, rho))
         for _ in range(5):
-            held = effects.validate_povm(
-                linalg.random_povm(dim, int(g.integers(2, 6)), g)
-            )
+            held = effects.Povm(tuple(linalg.random_povm(dim, int(g.integers(2, 6)), g)))
             dev = np.abs(effects.born(rec, held) - effects.born(rho, held)).max()
             worst_held = max(worst_held, float(dev))
     checks = [

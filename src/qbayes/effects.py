@@ -62,7 +62,7 @@ class Povm:
         ``vec`` flattens row by row, so ``M @ vec(rho)`` is the vector of
         traces tr(rho E_k): the Born rule as one linear map.
         """
-        return np.stack([e.T.ravel() for e in self.elements])
+        return np.stack(self.elements).swapaxes(-1, -2).reshape(len(self), -1)
 
 
 def validate_povm(candidate: Iterable[np.ndarray]) -> Povm:
@@ -271,12 +271,13 @@ class FrameFunction:
 
     @classmethod
     def from_state(cls, state: np.ndarray, effects: Iterable[np.ndarray]) -> "FrameFunction":
-        """Record tr(rho E) for each effect."""
+        """Record tr(rho E) per effect, via one born call and one effect_key rounding pass."""
         f = cls()
-        effects = tuple(effects)
+        effects = tuple(linalg.as_operator(e) for e in effects)
         if effects:
-            for e, p in zip(effects, born(state, effects)):
-                f.record(e, p)
+            keys = [k.tobytes() for k in np.round(np.stack(effects), linalg.KEY_DECIMALS) + 0.0]
+            f._values.update(zip(keys, born(state, effects).tolist()))
+            f._effects.update(zip(keys, effects))
         return f
 
     def record(self, effect: np.ndarray, value: float) -> None:

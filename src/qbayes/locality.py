@@ -62,16 +62,37 @@ def random_tree(
     return PovmTree(direction, first, branches)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearFrame:
-    """Probability assignment f(E on A, F on B) for local effect pairs."""
+    """Probability assignment f(E on A, F on B) for local effect pairs.
+
+    Either a callable ``evaluator``, sampled pair by pair, or a joint
+    ``operator`` L with f(E, F) = tr(L (E x F)), whose :meth:`table` is one
+    contraction; :meth:`from_state` and :meth:`from_swap` build the latter.
+    """
 
     dim_a: int
     dim_b: int
-    evaluator: Callable[[np.ndarray, np.ndarray], float]
+    evaluator: Callable[[np.ndarray, np.ndarray], float] | None
+    operator: np.ndarray | None = None
 
     def __call__(self, e: np.ndarray, f: np.ndarray) -> float:
-        return float(self.evaluator(e, f))
+        return float(self.evaluator(e, f) if self.operator is None else self.table([e], [f])[0, 0])
+
+    def table(self, es: Sequence[np.ndarray], fs: Sequence[np.ndarray]) -> np.ndarray:
+        """The (len(es), len(fs)) table f(E_i, F_j) over two effect sequences.
+
+        For an operator frame it is M_a R M_b^T, where row i of M_a is
+        vec(E_i^T) as in :attr:`qbayes.effects.Povm.matrix` (likewise M_b)
+        and R is L reshuffled to rows (a, c), columns (b, d).
+        """
+        if self.operator is None:
+            return np.array([[self(e, f) for f in fs] for e in es])
+        da, db = self.dim_a, self.dim_b
+        m_a = np.asarray(es, dtype=complex).swapaxes(-1, -2).reshape(len(es), da * da)
+        m_b = np.asarray(fs, dtype=complex).swapaxes(-1, -2).reshape(len(fs), db * db)
+        r = self.operator.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+        return (m_a @ r @ m_b.T).real
 
     @classmethod
     def from_state(cls, rho_ab: np.ndarray, dims: tuple[int, int]) -> "BilinearFrame":
@@ -80,25 +101,17 @@ class BilinearFrame:
         da, db = dims
         if rho_ab.shape[0] != da * db:
             raise DimensionMismatch("joint state dim does not factor as given")
-
-        def evaluator(e, f):
-            return np.trace(rho_ab @ linalg.tensor(e, f)).real
-
-        return cls(da, db, evaluator)
+        return cls(da, db, None, rho_ab)
 
     @classmethod
     def from_swap(cls, dim: int) -> "BilinearFrame":
-        """The swap frame f(E, F) = tr(E F) / dim on equal factors.
+        """The swap frame f(E, F) = tr(E F) / dim = tr((S / dim) (E x F)).
 
         The normalization constant is fixed by requiring the trivial tree
         {I} x {I} to carry total probability one, which gives tr(S)/c = 1
         and hence c = dim.
         """
-
-        def evaluator(e, f):
-            return np.trace(np.asarray(e) @ np.asarray(f)).real / dim
-
-        return cls(dim, dim, evaluator)
+        return cls(dim, dim, None, swap_operator(dim) / dim)
 
 
 def swap_operator(dim: int) -> np.ndarray:
@@ -111,14 +124,9 @@ def swap_operator(dim: int) -> np.ndarray:
 
 def tree_probabilities(frame: BilinearFrame, tree: PovmTree) -> list[np.ndarray]:
     """Joint outcome table of a frame over a tree, one row per first outcome."""
-    rows = []
     if tree.direction == "AtoB":
-        for i, e in enumerate(tree.first.elements):
-            rows.append(np.array([frame(e, f) for f in tree.branches[i].elements]))
-    else:
-        for j, f in enumerate(tree.first.elements):
-            rows.append(np.array([frame(e, f) for e in tree.branches[j].elements]))
-    return rows
+        return [frame.table([e], b.elements)[0] for e, b in zip(tree.first, tree.branches)]
+    return [frame.table(b.elements, [f])[:, 0] for f, b in zip(tree.first, tree.branches)]
 
 
 def tree_total(frame: BilinearFrame, tree: PovmTree) -> float:
@@ -135,18 +143,19 @@ def product_effect_basis(dim_a: int, dim_b: int) -> list[tuple[np.ndarray, np.nd
 def reconstruct_joint_operator(frame: BilinearFrame) -> np.ndarray:
     """Solve tr(L (E x F)) = f(E, F) over a spanning set of product effects.
 
-    Samples the frame on all pairs (E_i, F_j) of the two standard SQMs.
-    Their products form the product SQM, whose dual frame is {R_i x S_j}
-    for the SQM duals {R_i} and {S_j}, so the unique solution is
-    L = sum_ij f(E_i, F_j) R_i x S_j.  The system is square and always
-    solvable: each standard SQM is certified linearly independent when it
-    is built (see :func:`qbayes.effects.gram_renormalize`).
+    Takes the table y of the frame on all pairs (E_i, F_j) of the two
+    standard SQMs.  Their products form the product SQM, whose dual frame is
+    {R_i x S_j} for the SQM duals {R_i} and {S_j}, so the unique solution
+    is L = sum_ij y_ij R_i x S_j, one matrix product of the flattened duals
+    reshuffled as in :meth:`BilinearFrame.table`.  The system is square and
+    always solvable: each standard SQM is certified linearly independent
+    when it is built (see :func:`qbayes.effects.gram_renormalize`).
     """
     da, db = frame.dim_a, frame.dim_b
     sqm_a, sqm_b = standard_sqm(da), standard_sqm(db)
-    y = np.array([[frame(e, f) for f in sqm_b.base] for e in sqm_a.base])
-    joint = np.einsum("ij,iac,jbd->abcd", y, sqm_a.dual, sqm_b.dual, optimize=True)
-    return joint.reshape(da * db, da * db)
+    y = frame.table(sqm_a.base.elements, sqm_b.base.elements)
+    joint = sqm_a.dual.reshape(da * da, -1).T @ y @ sqm_b.dual.reshape(db * db, -1)
+    return joint.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,8 @@ def from_sqm(
     else:
         probs = np.asarray(v, dtype=float)
         sqm = _sqm_for(probs, sqm)
-    return _clamp_to_state(np.tensordot(probs, sqm.dual, axes=1))
+    raw = np.tensordot(probs, sqm.dual, axes=1)
+    return _clamp_to_state(raw, *np.linalg.eigh(raw))
 
 
 def _sqm_for(probs: np.ndarray, sqm: MinimalIcPovm | None) -> MinimalIcPovm:
@@ -126,9 +127,8 @@ def _off_simplex(p: np.ndarray) -> bool:
     return p.min() < -linalg.PROB_NEG_TOL or abs(p.sum() - 1.0) > linalg.PROB_SUM_TOL
 
 
-def _clamp_to_state(rho: np.ndarray) -> np.ndarray:
-    """Clamp the noise eigenvalues of a linear inversion and renormalize."""
-    vals, vecs = np.linalg.eigh(rho)
+def _clamp_to_state(rho: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Clamp the noise eigenvalues of an inversion, eigh(rho) = (vals, vecs); renormalize."""
     if vals[0] < linalg.STATE_EIG_FLOOR:
         raise NotAState(
             f"reconstruction has eigenvalue {vals[0]:.3e}; the vector lies "
@@ -161,12 +161,12 @@ def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership
     if _off_simplex(probs):
         raise ValueError("input must be a probability vector")
     raw = np.tensordot(probs, _sqm_for(probs, sqm).dual, axes=1)
-    min_eig = float(np.linalg.eigvalsh(raw)[0])
+    vals, vecs = np.linalg.eigh(raw)
     try:
-        state = _clamp_to_state(raw)
+        state = _clamp_to_state(raw, vals, vecs)
     except NotAState:
-        return SqmMembership(False, None, min_eig)
-    return SqmMembership(True, state, min_eig)
+        return SqmMembership(False, None, float(vals[0]))
+    return SqmMembership(True, state, float(vals[0]))
 
 
 # --------------------------------------------------------------------------

@@ -190,16 +190,17 @@ def _matching_unitary(vals: np.ndarray, sigma_vecs: np.ndarray, tau_vecs: np.nda
     eigenvalues closer than ``linalg.RANK_TOL`` times the largest (at least
     1/D, as the inputs have unit trace), the pairing is fixed by the polar
     unitary of the cross-overlap block, which makes V independent of the
-    arbitrary basis LAPACK picks within each eigenspace.
+    arbitrary basis LAPACK picks within each eigenspace.  For all 1 x 1
+    blocks z at once that unitary is the phase of z, as the SVD gives it.
     """
     gaps = np.abs(np.diff(vals)) > linalg.RANK_TOL * vals[0]
-    edges = [0, *(np.flatnonzero(gaps) + 1).tolist(), len(vals)]
-    v = np.zeros_like(sigma_vecs)
-    for start, stop in zip(edges[:-1], edges[1:]):
-        x = sigma_vecs[:, start:stop]
-        w = tau_vecs[:, start:stop]
-        align = linalg.polar_unitary(linalg.dagger(w) @ x)
-        v += w @ align @ linalg.dagger(x)
+    starts = np.flatnonzero(np.r_[True, gaps])
+    sizes = np.diff(np.r_[starts, len(vals)])
+    x, w = sigma_vecs[:, starts[sizes == 1]], tau_vecs[:, starts[sizes == 1]]
+    v = (w * np.exp(1j * np.angle((w.conj() * x).sum(axis=0)))) @ linalg.dagger(x)
+    for start, stop in zip(starts[sizes > 1], (starts + sizes)[sizes > 1]):
+        x, w = sigma_vecs[:, start:stop], tau_vecs[:, start:stop]
+        v += w @ linalg.polar_unitary(linalg.dagger(w) @ x) @ linalg.dagger(x)
     return v
 
 

@@ -146,6 +146,16 @@ def test_frame_povm_sums_to_one(sqm, rng, dim):
     assert f.povm_sum(sqm.base) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_frame_from_state_keys_are_effect_keys(d, rng):
+    sqm = effects.standard_sqm(d)
+    rho = linalg.random_state(d, rng)
+    f = effects.FrameFunction.from_state(rho, sqm.base.elements)
+    assert list(f._values) == [effects.effect_key(e) for e in sqm.base.elements]
+    probs = effects.born(rho, sqm.base)
+    assert [f.value(e) for e in sqm.base.elements] == probs.tolist()
+
+
 def test_reconstruct_round_trip_basis_state():
     sqm = effects.standard_sqm(2)
     rho = linalg.projector(linalg.ket(0, 2))

@@ -75,6 +75,50 @@ def test_swap_frame_reconstructs_the_swap_operator(dim):
     assert np.abs(rec - locality.swap_operator(dim) / dim).max() <= 1e-10
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 2)])
+def test_state_frame_table_matches_per_pair_trace(dims, rng):
+    da, db = dims
+    rho = linalg.random_state(da * db, rng)
+    es = [locality._random_effect(da, rng) for _ in range(5)] + list(effects.standard_sqm(da).base)
+    fs = [locality._random_effect(db, rng) for _ in range(4)] + list(effects.standard_sqm(db).base)
+    table = locality.BilinearFrame.from_state(rho, dims).table(es, fs)
+    expected = np.array([[np.trace(rho @ np.kron(e, f)).real for f in fs] for e in es])
+    assert table.shape == (len(es), len(fs))
+    assert np.abs(table - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_swap_frame_table_is_trace_of_product(dim, rng):
+    es = np.stack([locality._random_effect(dim, rng) for _ in range(6)])
+    fs = np.stack([locality._random_effect(dim, rng) for _ in range(3)])
+    table = locality.BilinearFrame.from_swap(dim).table(es, fs)
+    expected = np.array([[np.trace(e @ f).real / dim for f in fs] for e in es])
+    assert np.abs(table - expected).max() <= 1e-14
+
+
+def test_callable_frame_table_is_per_pair(rng):
+    frame = locality.BilinearFrame(2, 3, lambda e, f: np.trace(e).real * np.trace(f).real)
+    es = [locality._random_effect(2, rng) for _ in range(3)]
+    fs = [locality._random_effect(3, rng) for _ in range(2)]
+    expected = [[frame(e, f) for f in fs] for e in es]
+    assert np.array_equal(frame.table(es, fs), expected)
+
+
+def test_operator_frames_reconstruct_without_kronecker_products(monkeypatch, rng):
+    rho = linalg.random_state(6, rng)
+    swap = locality.swap_operator(3) / 3.0
+
+    def forbidden(*args):
+        raise AssertionError("per-pair Kronecker product")
+
+    monkeypatch.setattr(linalg, "tensor", forbidden)
+    monkeypatch.setattr(np, "kron", forbidden)
+    rec = locality.reconstruct_joint_operator(locality.BilinearFrame.from_state(rho, (2, 3)))
+    assert np.abs(rec - rho).max() <= 1e-12
+    rec = locality.reconstruct_joint_operator(locality.BilinearFrame.from_swap(3))
+    assert np.abs(rec - swap).max() <= 1e-12
+
+
 def test_joint_reconstruction_heldout_pairs(rng):
     rho = linalg.random_state(6, rng)
     frame = locality.BilinearFrame.from_state(rho, (2, 3))

@@ -574,3 +574,41 @@ def test_batched_factorization_edge_cases(d):
     fac = _assert_matches_reference(linalg.projector(linalg.ket(0, d)), projective)
     assert [o.refinement is None for o in fac.outcomes] == [False] + [True] * (d - 1)
     assert [o.probability for o in fac.outcomes[1:]] == [0.0] * (d - 1)
+
+
+def _per_cluster_polar(vals, xs, ws):
+    """One polar_unitary per eigenvalue cluster, singletons included."""
+    v = np.zeros_like(xs)
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or abs(vals[i] - vals[i - 1]) > linalg.RANK_TOL * vals[0]:
+            x, w = xs[:, start:i], ws[:, start:i]
+            v += w @ linalg.polar_unitary(w.conj().T @ x) @ x.conj().T
+            start = i
+    return v
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        [0.6, 0.4],
+        [0.5, 0.3, 0.2],
+        [0.5, 0.5, 0.0, 0.0],
+        [0.4, 0.2, 0.2, 0.2],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.7, 0.3, 0.0, 0.0, 0.0],
+        [0.3, 0.2, 0.2, 0.15, 0.1, 0.05],
+    ],
+)
+def test_matching_unitary_singleton_phases_match_polar(vals):
+    vals = np.array(vals)
+    d = len(vals)
+    g = np.random.default_rng(d)
+    perm = np.eye(d)[:, ::-1].astype(complex)
+    pairs = [(linalg.random_unitary(d, g), linalg.random_unitary(d, g)) for _ in range(20)]
+    # Exact zero overlaps, with both signs of zero, in every 1 x 1 block.
+    pairs += [(np.eye(d, dtype=complex), perm), (np.eye(d, dtype=complex), -perm)]
+    for xs, ws in pairs:
+        v = update._matching_unitary(vals, xs, ws)
+        assert np.abs(v - _per_cluster_polar(vals, xs, ws)).max() <= 1e-15
+        assert np.abs(v @ v.conj().T - np.eye(d)).max() <= 1e-14
