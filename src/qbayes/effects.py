@@ -9,6 +9,7 @@ function takes on a spanning set of effects.
 """
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -30,10 +31,24 @@ from .errors import (
 
 def effect_key(op: np.ndarray) -> bytes:
     """Canonical by-value key for an effect (entrywise, rounded)."""
-    a = np.ascontiguousarray(np.round(np.asarray(op, dtype=complex), linalg.KEY_DECIMALS))
-    # -0.0 and 0.0 have different byte patterns; normalize.
-    a = a + 0.0
-    return a.tobytes()
+    # + 0.0 maps -0.0 to 0.0, whose byte pattern differs.
+    return (np.round(np.asarray(op, dtype=complex), linalg.KEY_DECIMALS) + 0.0).tobytes()
+
+
+def _effect_stack(effects) -> np.ndarray:
+    """Coerce a nonempty sequence of D x D effects to one complex (K, D, D) stack."""
+    try:
+        stack = linalg.as_operators(effects)
+    except ValueError as exc:  # numpy's error for effects of different shapes
+        raise DimensionMismatch(f"effects do not stack to one shape: {exc}") from exc
+    if stack.ndim != 3 or not len(stack):
+        raise DimensionMismatch(f"expected a nonempty (K, D, D) effect stack, got {stack.shape}")
+    return stack
+
+
+def _born_matrix(stack: np.ndarray) -> np.ndarray:
+    """``Povm.matrix`` of a (K, D, D) stack of effects."""
+    return stack.swapaxes(-1, -2).reshape(len(stack), -1)
 
 
 @dataclass(frozen=True)
@@ -62,7 +77,7 @@ class Povm:
         ``vec`` flattens row by row, so ``M @ vec(rho)`` is the vector of
         traces tr(rho E_k): the Born rule as one linear map.
         """
-        return np.stack(self.elements).swapaxes(-1, -2).reshape(len(self), -1)
+        return _born_matrix(np.stack(self.elements))
 
 
 def validate_povm(candidate: Iterable[np.ndarray]) -> Povm:
@@ -99,16 +114,17 @@ def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
     """Outcome probabilities tr(rho E_d) for each effect of ``povm``.
 
     ``state`` is one D x D operator or a stack of shape (..., D, D); the
-    result has shape (..., len(povm)).  Entries in [-PROB_NEG_TOL, 0) (see
-    :mod:`qbayes.linalg`) are clamped to exactly zero; lower ones raise NotPsd.
+    result has shape (..., len(povm)).  Plain effects are stacked once, not
+    validated, into a matrix bitwise equal to ``Povm.matrix``; missing or
+    mixed-shape effects raise DimensionMismatch.  Entries in
+    [-PROB_NEG_TOL, 0) are clamped to exactly zero; lower ones raise NotPsd.
     """
-    if not isinstance(povm, Povm):
-        povm = Povm(tuple(linalg.as_operator(e) for e in povm))
+    matrix = povm.matrix if isinstance(povm, Povm) else _born_matrix(_effect_stack(povm))
     state = np.asarray(state, dtype=complex)
-    dim = povm.dim
+    dim = math.isqrt(matrix.shape[1])
     if state.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"state shape {state.shape} vs POVM dim {dim}")
-    p = (state.reshape(state.shape[:-2] + (dim * dim,)) @ povm.matrix.T).real
+    p = (state.reshape(state.shape[:-2] + (dim * dim,)) @ matrix.T).real
     if p.min() < -linalg.PROB_NEG_TOL:
         raise NotPsd(f"negative outcome probability {p.min():.3e}")
     return np.clip(p, 0.0, None)
@@ -128,18 +144,11 @@ def build_ic_projectors(dim: int) -> list[np.ndarray]:
     """
     if dim < 2:
         raise ValueError("need dim >= 2")
-    projectors = [linalg.projector(linalg.ket(j, dim)) for j in range(dim)]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            projectors.append(
-                linalg.projector(linalg.ket(j, dim) + linalg.ket(k, dim))
-            )
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            projectors.append(
-                linalg.projector(linalg.ket(j, dim) + 1j * linalg.ket(k, dim))
-            )
-    return projectors
+    kets = np.eye(dim, dtype=complex)
+    pairs = [(j, k) for j in range(dim) for k in range(j + 1, dim)]
+    return [linalg.projector(v) for v in kets] + [
+        linalg.projector(kets[j] + phase * kets[k]) for phase in (1, 1j) for j, k in pairs
+    ]
 
 
 @dataclass(frozen=True)
@@ -149,8 +158,8 @@ class MinimalIcPovm:
     ``base`` holds the dim^2 renormalized effects, ``gram`` the positive
     definite sum of the seed projectors, ``projectors`` the seeds
     themselves.  The square element matrix ``base.matrix`` is invertible;
-    the ``dual`` frame read off its inverse and the per-element
-    ``max_probability`` are computed once, on first use.
+    the ``dual`` frame read off its inverse, the effect ``keys`` and the
+    per-element ``max_probability`` are computed once, on first use.
     """
 
     base: Povm
@@ -173,6 +182,12 @@ class MinimalIcPovm:
         """
         inverse = np.linalg.inv(self.base.matrix)
         return inverse.T.reshape(len(self), self.dim, self.dim)
+
+    @functools.cached_property
+    def keys(self) -> list[bytes]:
+        """``effect_key`` of each element of ``base``; a frame with exactly
+        these keys is inverted through ``dual`` by reconstruct_from_frame."""
+        return [effect_key(e) for e in self.base.elements]
 
     @functools.cached_property
     def max_probability(self) -> np.ndarray:
@@ -271,13 +286,16 @@ class FrameFunction:
 
     @classmethod
     def from_state(cls, state: np.ndarray, effects: Iterable[np.ndarray]) -> "FrameFunction":
-        """Record tr(rho E) per effect, via one born call and one effect_key rounding pass."""
+        """Record tr(rho E) per effect: one complex stack of the effects, keyed
+        in one rounding pass and evaluated with one born call.  Effects of
+        mixed shapes raise DimensionMismatch."""
         f = cls()
-        effects = tuple(linalg.as_operator(e) for e in effects)
+        effects = list(effects)
         if effects:
-            keys = [k.tobytes() for k in np.round(np.stack(effects), linalg.KEY_DECIMALS) + 0.0]
-            f._values.update(zip(keys, born(state, effects).tolist()))
-            f._effects.update(zip(keys, effects))
+            stack = _effect_stack(effects)
+            keys = [k.tobytes() for k in np.round(stack, linalg.KEY_DECIMALS) + 0.0]
+            f._values.update(zip(keys, born(state, stack).tolist()))
+            f._effects.update(zip(keys, stack))
         return f
 
     def record(self, effect: np.ndarray, value: float) -> None:
@@ -319,31 +337,34 @@ def real_design_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
 def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
     """Solve tr(rho E_i) = f(E_i) over the recorded effects.
 
-    The system is solved by least squares over the real vector space of
-    Hermitian operators; at least dim^2 linearly independent effects must
-    have been recorded, otherwise DegenerateSpan is raised.  The unique
-    Hermitian solution is returned as-is.  If it fails the density-operator
-    checks (which signals that the frame values did not come from a state)
-    a NotAStateWarning is emitted rather than an exception, so callers can
-    inspect the operator.
+    A frame on exactly the effects of ``standard_sqm(dim)`` in SQM order
+    (its keys equal ``MinimalIcPovm.keys``) is inverted through the cached
+    dual frame, rho = sum_d f(E_d) R_d.  Any other frame is solved by least
+    squares over the real vector space of Hermitian operators; fewer than
+    dim^2 linearly independent effects, or a residual above
+    ``linalg.RECONSTRUCTION_RESIDUAL_TOL`` on either path, raise
+    DegenerateSpan, and effects of mixed shapes DimensionMismatch.  The
+    solution is returned as-is.  If it fails the density-operator checks
+    (the frame values did not come from a state) a NotAStateWarning is
+    emitted rather than an exception, so callers can inspect the operator.
     """
-    pairs = frame.items()
-    if not pairs:
+    if not len(frame):
         raise DegenerateSpan("empty frame function")
-    dim = pairs[0][0].shape[0]
-    if len(pairs) < dim * dim:
-        raise DegenerateSpan(
-            f"{len(pairs)} effects cannot span the {dim * dim}-dim operator space"
-        )
-    a = real_design_matrix([e for e, _ in pairs])
-    y = np.array([v for _, v in pairs])
-    x, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
-    if rank < dim * dim:
-        raise DegenerateSpan(f"sampled effects span only {rank} of {dim * dim} dims")
-    residual = float(np.linalg.norm(a @ x - y))
+    stack = _effect_stack(list(frame._effects.values()))
+    y = np.fromiter(frame._values.values(), float, len(frame))
+    k, dim = stack.shape[:2]
+    if k < dim * dim:
+        raise DegenerateSpan(f"{k} effects cannot span the {dim * dim}-dim operator space")
+    if k == dim * dim > 1 and list(frame._values) == standard_sqm(dim).keys:
+        rho = (y @ standard_sqm(dim).dual.reshape(k, k)).reshape(dim, dim)
+    else:
+        x, _, rank, _ = np.linalg.lstsq(real_design_matrix(stack), y, rcond=None)
+        if rank < dim * dim:
+            raise DegenerateSpan(f"sampled effects span only {rank} of {dim * dim} dims")
+        rho = (x[: dim * dim] + 1j * x[dim * dim :]).reshape(dim, dim)
+    residual = float(np.linalg.norm((_born_matrix(stack) @ rho.reshape(-1)).real - y))
     if residual > linalg.RECONSTRUCTION_RESIDUAL_TOL:
         raise DegenerateSpan(f"least-squares residual {residual:.3e} too large")
-    rho = (x[: dim * dim] + 1j * x[dim * dim :]).reshape(dim, dim)
     vals = np.linalg.eigvalsh(rho)
     trace = np.trace(rho).real
     if vals[0] < linalg.STATE_EIG_FLOOR or abs(trace - 1.0) > linalg.FRAME_TRACE_TOL:
@@ -375,11 +396,7 @@ def povm_from_dilation(
     """
     rho_ancilla = linalg.as_operator(rho_ancilla)
     u = linalg.as_operator(u)
-    projs = (
-        ancilla_projectors.elements
-        if isinstance(ancilla_projectors, Povm)
-        else tuple(ancilla_projectors)
-    )
+    projs = tuple(ancilla_projectors)
     d_anc = rho_ancilla.shape[0]
     if projs[0].shape[0] != d_anc:
         raise DimensionMismatch("ancilla projectors vs ancilla state dims differ")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qbayes import effects, linalg
 from qbayes.errors import (
     DegenerateSpan,
+    DimensionMismatch,
     NotAStateWarning,
     NotHermitian,
     NotPsd,
@@ -279,6 +280,103 @@ def test_sqm_dual_frame_is_biorthogonal(d):
         assert np.abs(r - linalg.dagger(r)).max() <= 1e-12 * np.abs(r).max()
     caps = [np.linalg.eigvalsh(e)[-1] for e in sqm.base]
     assert np.array_equal(sqm.max_probability, caps)
+
+
+# --------------------------------------------------------------------------
+# The two reconstruction paths and malformed effect input.
+
+
+def _lstsq_reference(frame):
+    effs, values = zip(*frame.items())
+    d = effs[0].shape[0]
+    x = np.linalg.lstsq(effects.real_design_matrix(effs), values, rcond=None)[0]
+    return (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_sqm_frame_dual_path_matches_lstsq_reference(d):
+    sqm = effects.standard_sqm(d)
+    g = np.random.default_rng(9000 + d)
+    for _ in range(200):
+        frame = effects.FrameFunction.from_state(linalg.random_state(d, g), sqm.base.elements)
+        rec = effects.reconstruct_from_frame(frame)
+        assert np.abs(rec - _lstsq_reference(frame)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_sqm_frame_reconstructs_without_lstsq(d, rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("least squares run on a frame on the SQM")
+
+    sqm = effects.standard_sqm(d)
+    rho = linalg.random_state(d, rng)
+    from_state = effects.FrameFunction.from_state(rho, sqm.base.elements)
+    recorded = effects.FrameFunction()
+    for e, p in zip(sqm.base, effects.born(rho, sqm.base)):
+        recorded.record(e, p)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for frame in (from_state, recorded):
+        assert linalg.trace_distance(effects.reconstruct_from_frame(frame), rho) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_other_spanning_frames_take_the_general_path(d, rng, monkeypatch):
+    sqm = effects.standard_sqm(d)
+    kets = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
+    other = effects.gram_renormalize([linalg.projector(k) for k in kets])
+    frames = {
+        "permuted": [sqm.base[i] for i in np.roll(np.arange(d * d), 1)],
+        "overcomplete": [*sqm.base, np.eye(d) / 2.0],
+        "other seeds": other.base.elements,
+    }
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+    for name, effs in frames.items():
+        rho = linalg.random_state(d, rng)
+        rec = effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho, effs))
+        assert np.abs(rec - rho).max() <= 1e-12, name
+    assert len(calls) == len(frames)
+
+
+def test_inconsistent_overcomplete_frame_raises(rng):
+    sqm = effects.standard_sqm(3)
+    frame = effects.FrameFunction.from_state(linalg.random_state(3, rng), sqm.base.elements)
+    frame.record(np.eye(3) / 2.0, 0.9)  # every state gives 0.5
+    with pytest.raises(DegenerateSpan, match="residual"):
+        effects.reconstruct_from_frame(frame)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_born_on_plain_effects_equals_born_on_povm(d, rng):
+    states = np.stack([linalg.random_state(d, rng) for _ in range(5)])
+    random_povm = effects.validate_povm(linalg.random_povm(d, 6, rng))
+    for povm in (effects.standard_sqm(d).base, random_povm):
+        for plain in (povm.elements, list(povm), np.stack(povm.elements)):
+            assert np.array_equal(effects.born(states, plain), effects.born(states, povm))
+            assert np.array_equal(effects.born(states[0], plain), effects.born(states[0], povm))
+
+
+def test_born_rejects_effects_of_mixed_dimension():
+    with pytest.raises(DimensionMismatch):
+        effects.born(np.eye(2) / 2.0, [np.eye(2) / 2.0, np.eye(3) / 3.0])
+
+
+def test_born_rejects_no_effects():
+    with pytest.raises(DimensionMismatch):
+        effects.born(np.eye(2) / 2.0, [])
+
+
+def test_frame_from_state_rejects_effects_of_mixed_dimension():
+    with pytest.raises(DimensionMismatch):
+        effects.FrameFunction.from_state(np.eye(2) / 2.0, [np.eye(2) / 2.0, np.eye(3) / 3.0])
+
+
+def test_reconstruct_rejects_frame_of_mixed_dimension():
+    frame = effects.FrameFunction.from_state(np.eye(2) / 2.0, effects.standard_sqm(2).base)
+    frame.record(np.eye(3) / 3.0, 1.0 / 3.0)
+    with pytest.raises(DimensionMismatch):
+        effects.reconstruct_from_frame(frame)
 
 
 # --------------------------------------------------------------------------
