@@ -10,6 +10,7 @@ trial-parallel in spirit).
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -348,6 +349,7 @@ def _parse_tol(pairs):
     return overrides
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qbayes",

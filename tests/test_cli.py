@@ -133,3 +133,22 @@ def test_out_file(tmp_path):
     assert result.stdout == ""
     report = json.loads(target.read_text())
     assert report["command"] == "sqm-build"
+
+
+def test_cached_parser_keeps_no_state_between_runs(capsys):
+    name = "teleport_fidelity_error_max"
+    args = ["teleport", "--trials", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["teleport", "--dim", "1"])
+    assert exc.value.code == 2
+    code, report = cli.run(args + ["--tol", f"{name}=-1"])
+    assert code == 1
+    assert report["config"]["tolerance_overrides"] == {name: -1.0}
+    code, report = cli.run(args)
+    assert code == 0
+    assert report["config"]["tolerance_overrides"] == {}
+    assert {c["name"]: c["threshold"] for c in report["checks"]}[name] == 1e-9
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["teleport", "--dim", "1"])
+    assert exc.value.code == 2
+    assert "between 2 and" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbayes import definetti, effects, linalg
+from qbayes import cli, definetti, effects, linalg
 from qbayes.errors import (
     DimensionBudgetExceeded,
     DimensionMismatch,
@@ -402,3 +402,190 @@ def test_make_prior_validates_the_grid_as_one_stack(rng):
         definetti.make_prior(grid)
     with pytest.raises(DimensionMismatch):
         definetti.make_prior([np.eye(2) / 2.0, np.eye(3) / 3.0])
+
+
+# --------------------------------------------------------------------------
+# Count-based updates, stacked priors and grids.
+
+
+def sequential_posteriors(weights, likelihood, outcomes):
+    """Posterior weights before any data and after each outcome, one at a time."""
+    rows = [np.asarray(weights, dtype=float)]
+    for d in outcomes:
+        w = rows[-1] * likelihood[:, d]
+        rows.append(w / w.sum())
+    return np.array(rows)
+
+
+def cumulative_counts(outcomes, m):
+    return np.vstack([np.zeros(m), np.cumsum(np.eye(m)[outcomes], axis=0)])
+
+
+def test_count_posterior_matches_sequential_reference():
+    for seed in range(200):
+        g = np.random.default_rng(4000 + seed)
+        dim = 2 + seed % 3
+        k, m = int(g.integers(2, 9)), int(g.integers(2, dim * dim + 3))
+        states = np.stack([linalg.random_state(dim, g) for _ in range(k)])
+        weights = g.random(k)
+        weights[g.permutation(k)[: int(g.integers(1, k))]] = 0.0
+        weights /= weights.sum()
+        povm = effects.validate_povm(linalg.random_povm(dim, m, g))
+        likelihood = effects.born(states, povm)
+        outcomes = g.integers(m, size=40)
+        reference = sequential_posteriors(weights, likelihood, outcomes)
+        got = definetti._count_posterior(weights, likelihood, cumulative_counts(outcomes, m))
+        assert np.abs(got - reference).max() <= 1e-12
+        assert not got[:, weights == 0.0].any()
+        prior = definetti.make_prior(states, weights)
+        post = definetti.posterior_update(prior, povm, outcomes)
+        assert np.abs(post.weights - reference[-1]).max() <= 1e-12
+
+
+def cli_merging_config(name):
+    """The two merging set-ups of the definetti-merge section."""
+    grid = definetti.bloch_grid(50, (0.25, 0.5, 0.75, 1.0))
+    if name == "sqm":
+        weights_a = None
+        weights_b = definetti.center_skewed_weights(grid)
+        povm = qubit_sqm()
+    else:
+        weights_a = definetti.axis_skewed_weights(grid, linalg.sigma_x, +2.0)
+        weights_b = definetti.axis_skewed_weights(grid, linalg.sigma_x, -2.0)
+        povm = effects.validate_povm([linalg.projector(linalg.ket(i, 2)) for i in range(2)])
+    return grid, definetti.make_prior(grid, weights_a), definetti.make_prior(grid, weights_b), povm
+
+
+@pytest.mark.parametrize("name", ["sqm", "z"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cli_trajectories_match_sequential_reference(name, seed):
+    grid, prior_a, prior_b, povm = cli_merging_config(name)
+    truth = grid[int(np.random.default_rng(700 + seed).integers(len(grid)))]
+    trace = definetti.merging_experiment(prior_a, prior_b, truth, povm, 500, seed=seed)
+    preds = [
+        sequential_posteriors(p.weights, effects.born(p.states, povm), trace.outcomes)
+        @ p.states.reshape(len(p), -1)
+        for p in (prior_a, prior_b)
+    ]
+    pred_a, pred_b = (p.reshape(-1, 2, 2) for p in preds)
+    reference = [
+        [linalg.trace_distance(x, y) for x, y in zip(pred_a, pred_b)],
+        [linalg.trace_distance(x, truth) for x in pred_a],
+        [linalg.trace_distance(x, truth) for x in pred_b],
+    ]
+    got = [trace.inter_agent, trace.to_truth_a, trace.to_truth_b]
+    for g, r in zip(got, reference):
+        assert g.shape == (501,)
+        assert np.abs(g - r).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["sqm", "z"])
+def test_final_values_equal_last_trajectory_entry(name):
+    grid, prior_a, prior_b, povm = cli_merging_config(name)
+    for seed in range(10):
+        truth = grid[(37 * seed) % len(grid)]
+        trace = definetti.merging_experiment(prior_a, prior_b, truth, povm, 500, seed=seed)
+        final_a, final_b = trace.final_to_truth
+        assert abs(trace.final_inter_agent - trace.inter_agent[-1]) <= 1e-14
+        assert abs(final_a - trace.to_truth_a[-1]) <= 1e-14
+        assert abs(final_b - trace.to_truth_b[-1]) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["sqm", "z"])
+def test_outcomes_are_one_direct_draw(name):
+    grid, prior_a, prior_b, povm = cli_merging_config(name)
+    truth = grid[57]
+    trace = definetti.merging_experiment(prior_a, prior_b, truth, povm, 500, seed=9)
+    p = effects.born(truth, povm)
+    expected = np.random.default_rng(9).choice(len(povm), size=500, p=p / p.sum())
+    assert trace.outcomes.dtype == expected.dtype
+    assert trace.outcomes.tobytes() == expected.tobytes()
+
+
+def test_late_impossible_outcome_raises():
+    # Every support state lies in span{|0>, |1>}: outcomes 0 and 1 are
+    # possible under all of them, outcome 2 under none.
+    states = [np.diag([0.5, 0.5, 0.0]), np.diag([0.8, 0.2, 0.0]), np.diag([0.1, 0.9, 0.0])]
+    prior = definetti.make_prior(states)
+    povm = effects.validate_povm([linalg.projector(linalg.ket(i, 3)) for i in range(3)])
+    early = [0, 1, 1, 0, 1]
+    assert (definetti.posterior_update(prior, povm, early).weights > 0.0).all()
+    with pytest.raises(ZeroLikelihoodEverywhere):
+        definetti.posterior_update(prior, povm, early + [2, 0])
+    likelihood = effects.born(prior.states, povm)
+    with pytest.raises(ZeroLikelihoodEverywhere):
+        definetti._count_posterior(prior.weights, likelihood, cumulative_counts(early + [2], 3))
+
+
+def test_merge_section_builds_no_trajectory(monkeypatch):
+    shapes = []
+    trace_distance = linalg.trace_distance
+
+    def recording(a, b):
+        shapes.extend([np.shape(a), np.shape(b)])
+        return trace_distance(a, b)
+
+    monkeypatch.setattr(linalg, "trace_distance", recording)
+    code, _ = cli.run(["definetti-merge", "--trials", "2"])
+    assert code == 0
+    assert shapes
+    assert not any(501 in shape[:-2] for shape in shapes)
+
+
+@pytest.mark.parametrize("outcome", [-1, 2, 1.0])
+def test_bad_outcome_index_raises_typed_error(outcome):
+    zeros, ones = (linalg.projector(linalg.ket(i, 2)) for i in range(2))
+    prior = definetti.make_prior([np.eye(2) / 2.0, zeros])
+    zmeas = effects.validate_povm([zeros, ones])
+    with pytest.raises(DimensionMismatch, match=rf"^outcome {outcome} at position 2 "):
+        definetti.posterior_update(prior, zmeas, [0, 1, outcome, 0])
+
+
+def test_prior_states_are_one_stack(rng):
+    states = [linalg.random_state(3, rng) for _ in range(4)]
+    direct = definetti.PriorOverStates(states, np.full(4, 0.25))
+    assert isinstance(direct.states, np.ndarray)
+    assert direct.states.shape == (4, 3, 3)
+    assert np.array_equal(direct.states, np.stack(states))
+    assert direct.dim == 3 and len(direct) == 4
+    assert definetti.make_prior(states).states.shape == (4, 3, 3)
+    with pytest.raises(DimensionMismatch):
+        definetti.PriorOverStates([np.eye(2) / 2.0, np.eye(3) / 3.0], np.full(2, 0.5))
+
+
+def loop_bloch_grid(n_directions, radii):
+    golden = (1.0 + np.sqrt(5.0)) / 2.0
+    states = []
+    for r in radii:
+        for i in range(n_directions):
+            z = 1.0 - (2.0 * i + 1.0) / n_directions
+            phi = 2.0 * np.pi * i / golden**2
+            s = np.sqrt(max(1.0 - z * z, 0.0))
+            vec = r * np.array([s * np.cos(phi), s * np.sin(phi), z])
+            states.append(
+                0.5
+                * (
+                    np.eye(2, dtype=complex)
+                    + vec[0] * linalg.sigma_x
+                    + vec[1] * linalg.sigma_y
+                    + vec[2] * linalg.sigma_z
+                )
+            )
+    return states
+
+
+@pytest.mark.parametrize(
+    "n_directions, radii",
+    [(50, (0.25, 0.5, 0.75, 1.0)), (10, (0.5, 1.0)), (20, (0.5, 1.0)), (1, (1.0,)), (73, (0.3,))],
+)
+def test_grid_and_weights_bitwise_equal_to_loops(n_directions, radii):
+    grid = definetti.bloch_grid(n_directions, radii)
+    loops = loop_bloch_grid(n_directions, radii)
+    assert grid.shape == (len(loops), 2, 2)
+    assert grid.tobytes() == np.stack(loops).tobytes()
+    center = np.array([np.exp(-4.0 * np.trace(s @ s).real) for s in loops])
+    assert definetti.center_skewed_weights(grid).tobytes() == (center / center.sum()).tobytes()
+    for axis, strength in ((linalg.sigma_x, 2.0), (linalg.sigma_x, -2.0), (linalg.sigma_z, 1.5)):
+        w = np.array([np.exp(strength * np.trace(s @ axis).real) for s in loops])
+        got = definetti.axis_skewed_weights(grid, axis, strength)
+        assert got.tobytes() == (w / w.sum()).tobytes()
