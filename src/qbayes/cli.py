@@ -3,9 +3,12 @@
 Every subcommand runs a set of named numeric checks, each with an explicit
 threshold, and emits a report in JSON, CSV or text form.  Reports are
 deterministic for a fixed seed and configuration up to the two timing
-fields; randomness comes exclusively from PCG64 generators derived from
-the seed (per-run seeds are ``seed XOR index`` where sweeps are
-trial-parallel in spirit).
+fields.  Randomness comes only from PCG64 generators: each section seeds
+one generator with ``seed XOR salt`` (a fixed per-section salt; the
+de Finetti runs each get their own, ``seed XOR (salt + run)``) and draws
+every trial's inputs from it in a fixed order.  ``update-factor`` and
+``entropy-sweep`` draw all their trials first, as raw normals, and then
+evaluate them as stacks; the other sections evaluate trial by trial.
 """
 
 import argparse
@@ -144,28 +147,24 @@ def _teleport(dim, trials, seed, tol):
 
 def _update_factor(dim, trials, seed, tol):
     g = _rng(seed, 0x64)
-    mix_dev = 0.0
-    spec_dev = 0.0
-    readj_dev = 0.0
-    pure_dev = 0.0
-    for _ in range(trials):
-        rho = linalg.random_state(dim, g)
-        inst = update.random_instrument(dim, int(g.integers(2, 5)), 1, g)
-        fac = update.factor_update(rho, inst)
-        mix_dev = max(mix_dev, float(np.linalg.norm(fac.mixture_of_refinements() - rho)))
-        live = [out for out in fac.outcomes if out.refinement is not None]
-        ref = np.stack([out.refinement for out in live])
-        post = np.stack([out.posterior for out in live])
-        v = np.stack([out.readjustment for out in live])
-        spec_dev = max(spec_dev, np.abs(np.linalg.eigvalsh(ref) - np.linalg.eigvalsh(post)).max())
-        moved = v @ ref @ linalg.dagger(v)
-        readj_dev = max(readj_dev, np.linalg.norm(moved - post, axis=(-2, -1)).max())
-        psi = linalg.random_ket(dim, g)
-        pure = np.outer(psi, psi.conj())
-        fac = update.factor_update(pure, inst)
-        for out in fac.outcomes:
-            if out.refinement is not None:
-                pure_dev = max(pure_dev, float(np.linalg.norm(out.refinement - pure)))
+    x_state, x_ket = np.empty((trials, 2, dim, dim)), np.empty((trials, 2, dim))
+    x_inst = np.zeros((trials, 2, 4, 2, dim, dim))  # up to 4 outcomes, zero-padded
+    for t in range(trials):
+        x_state[t] = g.normal(size=(2, dim, dim))
+        k = int(g.integers(2, 5))
+        x_inst[t, :, :k] = g.normal(size=(2, k, 2, dim, dim))
+        x_ket[t] = g.normal(size=(2, dim))
+    rho = linalg.state_from_normals(x_state)
+    kraus = update.kraus_from_normals(x_inst)
+    probs, live, ref, v, post = update.factor_updates(rho, kraus)
+    mix_dev = np.linalg.norm((probs[..., None, None] * ref).sum(axis=1) - rho, axis=(-2, -1)).max()
+    ref, v, post = ref[live], v[live], post[live]
+    spec_dev = np.abs(np.linalg.eigvalsh(ref) - np.linalg.eigvalsh(post)).max()
+    readj_dev = np.linalg.norm(v @ ref @ linalg.dagger(v) - post, axis=(-2, -1)).max()
+    psi = linalg.ket_from_normals(x_ket)
+    pure = psi[:, :, None] * psi.conj()[:, None, :]
+    _, live, ref, _, _ = update.factor_updates(pure, kraus)
+    pure_dev = np.linalg.norm(ref - pure[:, None], axis=(-2, -1))[live].max()
     checks = [
         _check("update_refinement_mixture_dev_max", mix_dev, "<=", 1e-9, tol),
         _check("update_spectrum_match_dev_max", spec_dev, "<=", 1e-8, tol),
@@ -179,8 +178,12 @@ def _entropy_sweep(dim, trials, seed, tol):
     g = _rng(seed, 0x65)
     q_half = entropy.subentropy(np.eye(2) / 2.0)
     mean_half = entropy.mean_entropy(np.eye(2) / 2.0)
-    draws = [linalg.random_state(int(g.integers(2, 6)), g) for _ in range(trials)]
-    cap_excess = max(entropy.subentropy(s) for s in draws) - entropy.SUBENTROPY_CAP
+    draws = {}
+    for _ in range(trials):
+        d = int(g.integers(2, 6))
+        draws.setdefault(d, []).append(g.normal(size=(2, d, d)))
+    cap = max(entropy.subentropy(linalg.state_from_normals(np.array(x))).max() for x in draws.values())
+    cap_excess = cap - entropy.SUBENTROPY_CAP
     z_max = 0.0
     for _ in range(5):
         rho = linalg.random_state(dim, g)

@@ -200,8 +200,9 @@ def _count_posterior(weights: np.ndarray, likelihood: np.ndarray, counts: np.nda
     of ``counts`` (..., m) under the (K, m) likelihood table p(d | state k).
 
     One product in logs, log w + counts @ log L^T, shifted by its row maximum
-    before exp.  A seen outcome of zero likelihood, or a zero prior weight,
-    gives weight exactly 0; a row with no mass raises ZeroLikelihoodEverywhere.
+    before exp.  A seen outcome of zero likelihood, a zero prior weight, or a
+    shifted log weight below log(tiny) (a subnormal weight, slow in exp) gives
+    weight exactly 0; a row with no mass raises ZeroLikelihoodEverywhere.
     """
     possible = likelihood > 0.0
     with np.errstate(divide="ignore"):
@@ -210,7 +211,9 @@ def _count_posterior(weights: np.ndarray, likelihood: np.ndarray, counts: np.nda
     top = log_post.max(axis=-1, keepdims=True)
     if np.isneginf(top).any():
         raise ZeroLikelihoodEverywhere("observed data is impossible under every support state")
-    post = np.exp(log_post - top)
+    log_post -= top
+    normal = log_post >= np.log(np.finfo(float).tiny)
+    post = np.exp(log_post, out=np.zeros_like(log_post), where=normal)
     return post / post.sum(axis=-1, keepdims=True)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .states import assert_density_operator, assert_distribution, density_spectrum
-from .update import KrausInstrument, apply_instrument, random_instrument
+from .update import KrausInstrument, kraus_from_normals, unnormalized_posteriors
 
 LN2 = float(np.log(2.0))
 EULER_GAMMA = float(np.euler_gamma)
@@ -174,15 +174,23 @@ class RefinementGaps:
 
 
 def refinement_gap(state: np.ndarray, inst: KrausInstrument) -> tuple[float, float]:
-    """(von Neumann gap, subentropy gap) for one state and instrument.
+    """(von Neumann gap, subentropy gap) for one state and instrument."""
+    raw = unnormalized_posteriors(state, inst)
+    s, q = _refinement_gaps(linalg.as_operator(state)[None], raw[None])
+    return float(s[0]), float(q[0])
 
-    The prior and its posteriors are validated and diagonalized as one stack.
-    """
-    updates = [u for u in apply_instrument(state, inst) if u.posterior is not None]
-    vals = _spectra(np.stack([state] + [u.posterior for u in updates]))
-    weights = np.array([u.probability for u in updates])
-    s, q = _entropy(vals), _subentropy(vals)
-    return float(s[0] - (weights * s[1:]).sum()), float(q[0] - (weights * q[1:]).sum())
+
+def _refinement_gaps(states: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """(von Neumann, subentropy) gaps (2, N) of N states (N, D, D) whose outcome
+    d leaves the unnormalized posterior raw[:, d] (N, K, D, D); outcomes of
+    probability at most PROB_FLOOR drop out.  One validated eigvalsh covers
+    the priors and the posteriors."""
+    probs = np.trace(raw, axis1=-2, axis2=-1).real
+    live = probs > linalg.PROB_FLOOR
+    vals = _spectra(np.concatenate([states, raw[live] / probs[live][:, None, None]]))
+    h, post = np.stack([_entropy(vals), _subentropy(vals)]), np.zeros((2,) + probs.shape)
+    post[:, live] = h[:, len(states):]
+    return h[:, : len(states)] - (np.where(live, probs, 0.0) * post).sum(axis=-1)
 
 
 def classical_refinement_gap(joint: np.ndarray) -> float:
@@ -203,25 +211,33 @@ def check_refinement_inequalities(
 ) -> RefinementGaps:
     """Sweep the quantum and classical refinement inequalities.
 
-    With an explicit (state, instrument) pair the quantum gaps are
-    evaluated once per trial on that pair; otherwise each trial draws a
-    random state and random efficient instrument of dimension ``dim``.
-    Every trial also draws a random classical joint distribution and
-    records its Shannon gap.
+    With an explicit (state, instrument) pair the quantum gaps are those of
+    that pair in every trial; passing only one of the two raises ValueError.
+    Otherwise each trial draws a random state, then a random efficient
+    instrument with 2 to 5 outcomes, of dimension ``dim``.  Every trial then
+    draws a random classical joint distribution and records its Shannon gap.
+    The drawn trials' quantum gaps are evaluated afterwards as one stack.
     """
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
+    if (state is None) != (inst is None):
+        missing = "inst" if inst is None else "state"
+        raise ValueError(f"{missing} is missing: pass both state and inst, or neither")
     g = linalg.rng_from(seed)
-    s_gaps = np.empty(trials)
-    q_gaps = np.empty(trials)
+    x_state = np.empty((trials, 2, dim, dim))
+    x_inst = np.zeros((trials, 2, 5, 2, dim, dim))  # up to 5 outcomes, zero-padded
     c_gaps = np.empty(trials)
     for t in range(trials):
-        if state is None or inst is None:
-            rho = linalg.random_state(dim, g)
-            instrument = random_instrument(dim, int(g.integers(2, 6)), 1, g)
-        else:
-            rho, instrument = state, inst
-        s_gaps[t], q_gaps[t] = refinement_gap(rho, instrument)
+        if state is None:
+            x_state[t] = g.normal(size=(2, dim, dim))
+            k = int(g.integers(2, 6))
+            x_inst[t, :, :k] = g.normal(size=(2, k, 2, dim, dim))
         joint = g.random((int(g.integers(2, 6)), int(g.integers(2, 6))))
         c_gaps[t] = classical_refinement_gap(joint / joint.sum())
+    if state is not None:
+        s, q = refinement_gap(state, inst)
+        return RefinementGaps(np.full(trials, s), np.full(trials, q), c_gaps)
+    rho = linalg.state_from_normals(x_state)
+    kraus = kraus_from_normals(x_inst)
+    s_gaps, q_gaps = _refinement_gaps(rho, kraus @ rho[:, None] @ linalg.dagger(kraus))
     return RefinementGaps(s_gaps, q_gaps, c_gaps)

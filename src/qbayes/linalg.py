@@ -168,23 +168,22 @@ def mat_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def mat_invsqrt(m: np.ndarray, pseudo: bool = False) -> np.ndarray:
-    """Inverse square root of a positive definite Hermitian matrix.
+    """Inverse square root of a positive definite Hermitian matrix or stack.
 
     With ``pseudo=True`` the inverse is taken on the support only
     (eigenvalues below the rank threshold are mapped to zero) instead of
     raising SingularOperator.
     """
     eig = _psd_eigs(m)
-    cutoff = RANK_TOL * max(eig.eigenvalues[0], 0.0)
-    small = eig.eigenvalues <= cutoff
+    small = eig.eigenvalues <= RANK_TOL * np.maximum(eig.eigenvalues[..., :1], 0.0)
     if small.any() and not pseudo:
         raise SingularOperator(
-            f"eigenvalue {eig.eigenvalues[-1]:.3e} below the invertibility threshold"
+            f"eigenvalue {eig.eigenvalues[..., -1].min():.3e} below the invertibility threshold"
         )
     inv = np.zeros_like(eig.eigenvalues)
     keep = ~small
     inv[keep] = 1.0 / np.sqrt(eig.eigenvalues[keep])
-    return (eig.eigenvectors * inv) @ dagger(eig.eigenvectors)
+    return (eig.eigenvectors * inv[..., None, :]) @ dagger(eig.eigenvectors)
 
 
 def numeric_rank(values: np.ndarray) -> int:
@@ -193,13 +192,13 @@ def numeric_rank(values: np.ndarray) -> int:
 
 
 def polar_unitary(a: np.ndarray) -> np.ndarray:
-    """Unitary factor W of the polar decomposition ``a = W (a^dag a)^{1/2}``.
+    """Unitary factor W of the polar decomposition ``a = W (a^dag a)^{1/2}``,
+    of one matrix or of each matrix of a (..., D, D) stack.
 
     Computed from the SVD, which extends W orthonormally across any null
     space, so rank-deficient inputs still yield a genuine unitary.
     """
-    a = as_operator(a)
-    u, _, vh = np.linalg.svd(a)
+    u, _, vh = np.linalg.svd(as_operators(a))
     return u @ vh
 
 
@@ -277,7 +276,8 @@ def fidelity_with_pure(psi: np.ndarray, rho: np.ndarray) -> float:
 
 # --------------------------------------------------------------------------
 # Seeded random generators.  ``default_rng`` wraps the PCG64 bit generator,
-# which is the stream named in CLI reports for reproducibility.
+# which is the stream named in CLI reports for reproducibility.  A sampler is
+# one draw of raw normals plus a ``*_from_normals`` build that takes a stack.
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -287,20 +287,26 @@ def rng_from(seed) -> np.random.Generator:
 
 
 def random_ket(dim: int, seed=None) -> np.ndarray:
-    """Normalized Haar-random state vector."""
-    g = rng_from(seed)
-    v = g.normal(size=dim) + 1j * g.normal(size=dim)
-    return v / np.linalg.norm(v)
+    """Normalized Haar-random state vector from one (2, dim) draw."""
+    return ket_from_normals(rng_from(seed).normal(size=(2, dim)))
+
+
+def ket_from_normals(x: np.ndarray) -> np.ndarray:
+    """Unit kets (..., D) from (..., 2, D) normals, normed as by np.linalg.norm."""
+    v = x[..., 0, :] + 1j * x[..., 1, :]
+    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
 
 
 def random_unitary(dim: int, seed=None) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    g = rng_from(seed)
-    z = g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases.conj()
+    """Haar-distributed unitary from one (2, dim, dim) draw."""
+    return unitary_from_normals(rng_from(seed).normal(size=(2, dim, dim)))
+
+
+def unitary_from_normals(x: np.ndarray) -> np.ndarray:
+    """Haar unitaries (..., D, D) from (..., 2, D, D) normals: Ginibre QR, diag R > 0."""
+    q, r = np.linalg.qr(x[..., 0, :, :] + 1j * x[..., 1, :, :])
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases)).conj()[..., None, :]
 
 
 def random_hermitian(dim: int, seed=None, scale: float = 1.0) -> np.ndarray:
@@ -310,12 +316,16 @@ def random_hermitian(dim: int, seed=None, scale: float = 1.0) -> np.ndarray:
 
 
 def random_state(dim: int, seed=None, rank: int | None = None) -> np.ndarray:
-    """Random density operator (PSD, unit trace) from the Ginibre ensemble."""
-    g = rng_from(seed)
+    """Random density operator from one (2, dim, rank) draw (rank D by default)."""
     r = dim if rank is None else rank
-    z = g.normal(size=(dim, r)) + 1j * g.normal(size=(dim, r))
+    return state_from_normals(rng_from(seed).normal(size=(2, dim, r)))
+
+
+def state_from_normals(x: np.ndarray) -> np.ndarray:
+    """Ginibre density operators Z Z^dag / tr (..., D, D) from (..., 2, D, r) normals."""
+    z = x[..., 0, :, :] + 1j * x[..., 1, :, :]
     m = z @ dagger(z)
-    return m / np.trace(m).real
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_psd(dim: int, seed=None) -> np.ndarray:
@@ -325,15 +335,15 @@ def random_psd(dim: int, seed=None) -> np.ndarray:
 
 
 def random_povm(dim: int, n_elements: int, seed=None) -> list[np.ndarray]:
-    """Random ``n_elements``-outcome POVM.
+    """Random ``n_elements``-outcome POVM from one (n, 2, D, D) draw."""
+    return list(povm_from_normals(rng_from(seed).normal(size=(n_elements, 2, dim, dim))))
 
-    Draws random PSD matrices and conjugates each by the inverse square
-    root of their sum, the same renormalization used for the standard
-    informationally complete construction; validity is automatic.  The
-    one (n, 2, D, D) draw is the stream of n ``random_psd`` calls.
-    """
-    x = rng_from(seed).normal(size=(n_elements, 2, dim, dim))
-    z = x[:, 0] + 1j * x[:, 1]
+
+def povm_from_normals(x: np.ndarray) -> np.ndarray:
+    """POVMs (..., n, D, D) from (..., n, 2, D, D) normals: n Ginibre PSD matrices,
+    each conjugated by the inverse square root of their sum (the renormalization
+    of the standard IC construction), so validity is automatic."""
+    z = x[..., 0, :, :] + 1j * x[..., 1, :, :]
     parts = z @ dagger(z)
-    w = mat_invsqrt(parts.sum(axis=0))
-    return list(w @ parts @ w)
+    w = mat_invsqrt(parts.sum(axis=-3))[..., None, :, :]
+    return w @ parts @ w

@@ -115,11 +115,9 @@ class BilinearFrame:
 
 
 def swap_operator(dim: int) -> np.ndarray:
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            s[i * dim + j, j * dim + i] = 1.0
-    return s
+    """S |i>|j> = |j>|i> on C^dim x C^dim."""
+    s = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
+    return s.transpose(0, 1, 3, 2).reshape(dim * dim, dim * dim)
 
 
 def tree_probabilities(frame: BilinearFrame, tree: PovmTree) -> list[np.ndarray]:
@@ -131,13 +129,6 @@ def tree_probabilities(frame: BilinearFrame, tree: PovmTree) -> list[np.ndarray]
 
 def tree_total(frame: BilinearFrame, tree: PovmTree) -> float:
     return float(sum(row.sum() for row in tree_probabilities(frame, tree)))
-
-
-def product_effect_basis(dim_a: int, dim_b: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All pairs from the two standard SQMs; spans product operator space."""
-    sa = standard_sqm(dim_a).base.elements
-    sb = standard_sqm(dim_b).base.elements
-    return [(e, f) for e in sa for f in sb]
 
 
 def reconstruct_joint_operator(frame: BilinearFrame) -> np.ndarray:
@@ -280,10 +271,10 @@ def real_dimension_count(dim_a: int, dim_b: int) -> tuple[int, int]:
 
 
 def complex_product_rank(dim_a: int, dim_b: int) -> int:
-    """Rank of {E_i x F_j} over the full Hermitian space (complex field)."""
-    a = real_design_matrix(
-        [linalg.tensor(e, f) for e, f in product_effect_basis(dim_a, dim_b)]
-    )
+    """Rank of {E_i x F_j}, all pairs from the two standard SQMs, over the full
+    Hermitian space (complex field)."""
+    sa, sb = standard_sqm(dim_a).base.elements, standard_sqm(dim_b).base.elements
+    a = real_design_matrix([linalg.tensor(e, f) for e in sa for f in sb])
     return linalg.numeric_rank(np.linalg.svd(a, compute_uv=False))
 
 

@@ -86,11 +86,16 @@ class QuantumChannel:
 
 def make_channel(kraus: Sequence[np.ndarray]) -> QuantumChannel:
     ops = tuple(linalg.as_operator(a) for a in kraus)
-    dim = ops[0].shape[0]
-    dev = np.linalg.norm(sum(linalg.dagger(a) @ a for a in ops) - np.eye(dim))
+    _check_complete(np.stack(ops))
+    return QuantumChannel(ops)
+
+
+def _check_complete(kraus: np.ndarray) -> None:
+    """NotTracePreserving unless sum A^dag A = I for each (..., n, D, D) Kraus set."""
+    gram = (linalg.dagger(kraus) @ kraus).sum(axis=-3)
+    dev = np.linalg.norm(gram - np.eye(kraus.shape[-1]), axis=(-2, -1)).max()
     if dev > linalg.IDENTITY_TOL:
         raise NotTracePreserving(f"sum A^dag A deviates from I by {dev:.3e}")
-    return QuantumChannel(ops)
 
 
 # --------------------------------------------------------------------------
@@ -113,20 +118,18 @@ def apply_instrument(
     state: np.ndarray, inst: KrausInstrument
 ) -> list[OutcomeUpdate]:
     """Per-outcome probabilities and normalized posterior states."""
+    raw = unnormalized_posteriors(state, inst)
+    probs = np.trace(raw, axis1=1, axis2=2).real.tolist()
+    return [OutcomeUpdate(max(p, 0.0), r / p if p > PROB_FLOOR else None) for r, p in zip(raw, probs)]
+
+
+def unnormalized_posteriors(state: np.ndarray, inst: KrausInstrument) -> np.ndarray:
+    """The (K, D, D) stack of sum_i A_{d,i} rho A_{d,i}^dag, whose traces are the
+    outcome probabilities."""
     state = linalg.as_operator(state)
     if state.shape[0] != inst.dim:
-        raise DimensionMismatch(
-            f"state dim {state.shape[0]} vs instrument dim {inst.dim}"
-        )
-    results = []
-    for ops in inst.outcomes:
-        raw = sum(a @ state @ linalg.dagger(a) for a in ops)
-        p = float(np.trace(raw).real)
-        if p <= PROB_FLOOR:
-            results.append(OutcomeUpdate(max(p, 0.0), None))
-        else:
-            results.append(OutcomeUpdate(p, raw / p))
-    return results
+        raise DimensionMismatch(f"state dim {state.shape[0]} vs instrument dim {inst.dim}")
+    return np.stack([sum(a @ state @ linalg.dagger(a) for a in ops) for ops in inst.outcomes])
 
 
 def efficient_from_povm(
@@ -137,13 +140,11 @@ def efficient_from_povm(
     Omitted unitaries default to the identity, which is the refinement-only
     (minimally readjusting) realization of the measurement.
     """
+    roots = linalg.mat_sqrt(np.stack(povm.elements))
     if unitaries is not None:
         if len(unitaries) != len(povm):
             raise DimensionMismatch("need one unitary per POVM element")
-        unitaries = [_assert_unitary(u) for u in unitaries]
-    roots = linalg.mat_sqrt(np.stack(povm.elements))
-    if unitaries is not None:
-        roots = [u @ r for u, r in zip(unitaries, roots)]
+        roots = [_assert_unitary(u) @ r for u, r in zip(unitaries, roots)]
     return make_instrument([(a,) for a in roots])
 
 
@@ -185,23 +186,53 @@ class UpdateFactorization:
 def _matching_unitary(vals: np.ndarray, sigma_vecs: np.ndarray, tau_vecs: np.ndarray) -> np.ndarray:
     """Deterministic unitary V with V sigma V^dag = tau for isospectral inputs.
 
-    Takes the common spectrum, descending, and both eigenvector matrices.
-    Eigenvectors are paired by descending eigenvalue; inside clusters of
-    eigenvalues closer than ``linalg.RANK_TOL`` times the largest (at least
-    1/D, as the inputs have unit trace), the pairing is fixed by the polar
-    unitary of the cross-overlap block, which makes V independent of the
-    arbitrary basis LAPACK picks within each eigenspace.  For all 1 x 1
-    blocks z at once that unitary is the phase of z, as the SVD gives it.
+    Takes the common spectrum, descending, and both eigenvector matrices
+    (or stacks of them).  Eigenvectors are paired by descending eigenvalue;
+    inside clusters of eigenvalues closer than ``linalg.RANK_TOL`` times the
+    largest (at least 1/D, as the inputs have unit trace), the pairing is
+    fixed by the polar unitary of the cross-overlap block, which makes V
+    independent of the arbitrary basis LAPACK picks within each eigenspace.
+    For all 1 x 1 blocks z at once that unitary is the phase of z, as the
+    SVD gives it; larger clusters take one stacked SVD per cluster size.
     """
-    gaps = np.abs(np.diff(vals)) > linalg.RANK_TOL * vals[0]
-    starts = np.flatnonzero(np.r_[True, gaps])
-    sizes = np.diff(np.r_[starts, len(vals)])
-    x, w = sigma_vecs[:, starts[sizes == 1]], tau_vecs[:, starts[sizes == 1]]
-    v = (w * np.exp(1j * np.angle((w.conj() * x).sum(axis=0)))) @ linalg.dagger(x)
-    for start, stop in zip(starts[sizes > 1], (starts + sizes)[sizes > 1]):
-        x, w = sigma_vecs[:, start:stop], tau_vecs[:, start:stop]
-        v += w @ linalg.polar_unitary(linalg.dagger(w) @ x) @ linalg.dagger(x)
-    return v
+    d = vals.shape[-1]
+    vals, xs, ws = vals.reshape(-1, d), sigma_vecs.reshape(-1, d, d), tau_vecs.reshape(-1, d, d)
+    new = np.ones(vals.shape, dtype=bool)
+    new[:, 1:] = np.abs(np.diff(vals)) > linalg.RANK_TOL * vals[:, :1]
+    single = new & np.c_[new[:, 1:], np.ones(len(vals), dtype=bool)]
+    phases = np.exp(1j * np.angle((ws.conj() * xs).sum(axis=-2))) * single
+    rows, starts = np.nonzero(new)
+    sizes = np.diff(np.r_[rows * d + starts, vals.size])
+    v = (ws * phases[:, None, :]) @ linalg.dagger(xs)
+    for size in np.unique(sizes[sizes > 1]):
+        pick = sizes == size
+        m, cols = rows[pick, None], starts[pick, None] + np.arange(size)
+        x, w = xs[m, :, cols].swapaxes(-1, -2), ws[m, :, cols].swapaxes(-1, -2)
+        np.add.at(v, m[:, 0], w @ linalg.polar_unitary(linalg.dagger(w) @ x) @ linalg.dagger(x))
+    return v.reshape(sigma_vecs.shape)
+
+
+def factor_updates(states: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`factor_update` of N states (N, D, D) under N efficient instruments
+    (N, K, D, D), with one eigendecomposition for all square roots and one for
+    all refinements and posteriors.  Returns the (N, K) probabilities, the mask
+    of those above ``PROB_FLOOR``, and (N, K, D, D) refinements, readjustments
+    and posteriors, zero outside the mask."""
+    states, kraus = linalg.as_operators(states), linalg.as_operators(kraus)
+    if kraus.shape[-1] != states.shape[-1]:
+        raise DimensionMismatch("state and instrument dims differ")
+    roots = linalg.mat_sqrt(states)[:, None]
+    effects = linalg.dagger(kraus) @ kraus
+    probs = np.trace(states[:, None] @ effects, axis1=-2, axis2=-1).real
+    live = probs > PROB_FLOOR
+    scale = probs[live][:, None, None]
+    refinements = (roots @ effects @ roots)[live] / scale
+    posteriors = (kraus @ states[:, None] @ linalg.dagger(kraus))[live] / scale
+    eig = linalg.eig_hermitian(np.stack([refinements, posteriors]))  # (2, live, D, D)
+    v = _matching_unitary(eig.eigenvalues[0], *eig.eigenvectors)
+    out = np.zeros((3,) + kraus.shape, dtype=complex)
+    out[:, live] = refinements, v, posteriors
+    return probs, live, *out
 
 
 def factor_update(state: np.ndarray, inst: KrausInstrument) -> UpdateFactorization:
@@ -212,34 +243,23 @@ def factor_update(state: np.ndarray, inst: KrausInstrument) -> UpdateFactorizati
     V_d carrying the refinement to the actual posterior.  Rank-deficient
     states are handled on their support: square roots become pseudo
     inverses and both refinement and posterior live inside the support, so
-    every identity below still holds there.  All refinements and
-    posteriors are formed as stacks and eigendecomposed in one call.
+    every identity below still holds there.  This is :func:`factor_updates`
+    on a stack of one; outcomes with probability at most ``PROB_FLOOR``
+    get None in place of the three operators.
     """
     state = linalg.as_operator(state)
     if not inst.efficient:
         raise ValueError(
             "factorization is defined for efficient (single-Kraus) instruments"
         )
-    if state.shape[0] != inst.dim:
-        raise DimensionMismatch("state and instrument dims differ")
-    root = linalg.mat_sqrt(state)
     support_dim = linalg.numeric_rank(np.linalg.eigvalsh(state))
     kraus = np.stack([a for (a,) in inst.outcomes])
-    effects = linalg.dagger(kraus) @ kraus
-    probs = np.trace(state @ effects, axis1=1, axis2=2).real
-    live = probs > PROB_FLOOR
-    scale = probs[live][:, None, None]
-    refinements = root @ effects[live] @ root / scale
-    posteriors = kraus[live] @ state @ linalg.dagger(kraus[live]) / scale
-    eig = linalg.eig_hermitian(np.stack([refinements, posteriors]))  # (2, live, D, D)
-    outcomes = []
-    for p, k in zip(probs.tolist(), np.cumsum(live) - 1):
-        if p <= PROB_FLOOR:
-            outcomes.append(OutcomeFactorization(max(p, 0.0), None, None, None))
-            continue
-        v = _matching_unitary(eig.eigenvalues[0, k], *eig.eigenvectors[:, k])
-        outcomes.append(OutcomeFactorization(p, refinements[k], v, posteriors[k]))
-    return UpdateFactorization(state, tuple(outcomes), support_dim)
+    probs, live, *ops = (a[0] for a in factor_updates(state[None], kraus[None]))
+    outcomes = tuple(
+        OutcomeFactorization(max(p, 0.0), *(o[k] if live[k] else None for o in ops))
+        for k, p in enumerate(probs.tolist())
+    )
+    return UpdateFactorization(state, outcomes, support_dim)
 
 
 def identify_measurement(
@@ -288,11 +308,7 @@ def instrument_from_dilation(
     """
     rho_ancilla = linalg.as_operator(rho_ancilla)
     u = linalg.as_operator(u)
-    projs = (
-        ancilla_projectors.elements
-        if isinstance(ancilla_projectors, Povm)
-        else tuple(ancilla_projectors)
-    )
+    projs = tuple(ancilla_projectors)
     d_anc = rho_ancilla.shape[0]
     if u.shape[0] % d_anc != 0:
         raise DimensionMismatch("unitary dim is not a multiple of the ancilla dim")
@@ -386,12 +402,9 @@ def choi_channel(choi: np.ndarray) -> QuantumChannel:
     vals, vecs = np.linalg.eigh((choi + linalg.dagger(choi)) / 2.0)
     if vals[0] < -linalg.CHOI_PSD_TOL:
         raise NotCp(f"Choi operator has eigenvalue {vals[0]:.3e} < 0")
-    kraus = []
-    for k in range(d2):
-        if vals[k] <= linalg.CHOI_PSD_TOL:
-            continue
-        kraus.append(np.sqrt(d * vals[k]) * vecs[:, k].reshape(d, d).T)
-    return make_channel(kraus)
+    keep = vals > linalg.CHOI_PSD_TOL
+    vecs = vecs[:, keep].T.reshape(-1, d, d).swapaxes(-1, -2)
+    return make_channel(np.sqrt(d * vals[keep])[:, None, None] * vecs)
 
 
 def controlled_unitary_channel(
@@ -464,9 +477,7 @@ def remote_steering_experiment(
     unconditional = channel_choi(controlled_unitary_channel(u0, u1, alpha, beta))
     u0, u1 = linalg.as_operator(u0), linalg.as_operator(u1)
     # |chi> = alpha |0>_far |0>_ctrl + beta |1>_far |1>_ctrl
-    chi = np.zeros(4, dtype=complex)
-    chi[0] = alpha
-    chi[3] = beta
+    chi = np.array([alpha, 0.0, 0.0, beta], dtype=complex)
     pair = np.outer(chi, chi.conj())
     probs = []
     chois = []
@@ -606,19 +617,30 @@ def random_instrument(
 
     Each effect E_d is split as ``A_{d,i} = sqrt(w_i) V_{d,i} E_d^{1/2}``
     with random unitaries and random convex weights, so completeness is
-    exact by construction.
+    exact by construction.  One Kraus per outcome: :func:`kraus_from_normals`.
     """
     g = linalg.rng_from(seed)
+    if kraus_per_outcome == 1:
+        kraus = kraus_from_normals(g.normal(size=(2, n_outcomes, 2, dim, dim)))
+        return KrausInstrument(tuple((a,) for a in kraus))
     outcomes = []
     for root in linalg.mat_sqrt(np.stack(linalg.random_povm(dim, n_outcomes, g))):
-        if kraus_per_outcome == 1:
-            outcomes.append((linalg.random_unitary(dim, g) @ root,))
-        else:
-            w = g.dirichlet(np.ones(kraus_per_outcome))
-            outcomes.append(
-                tuple(
-                    np.sqrt(wi) * linalg.random_unitary(dim, g) @ root
-                    for wi in w
-                )
-            )
+        w = g.dirichlet(np.ones(kraus_per_outcome))
+        outcomes.append(
+            tuple(np.sqrt(wi) * linalg.random_unitary(dim, g) @ root for wi in w)
+        )
     return make_instrument(outcomes)
+
+
+def kraus_from_normals(x: np.ndarray) -> np.ndarray:
+    """Efficient instruments ``A_d = V_d E_d^{1/2}`` (..., K, D, D), checked for
+    completeness, from (..., 2, K, 2, D, D) normals: [..., 0, :, ...] for the POVM
+    E, [..., 1, :, ...] for the Haar V_d.  All-zero POVM normals give the zero
+    operator, an outcome of probability 0: a stack can pad fewer outcomes."""
+    povm, unitaries = x[..., 0, :, :, :, :], x[..., 1, :, :, :, :]
+    roots = linalg.mat_sqrt(linalg.povm_from_normals(povm))
+    present = povm.any(axis=(-3, -2, -1))
+    kraus = np.zeros_like(roots)
+    kraus[present] = linalg.unitary_from_normals(unitaries[present]) @ roots[present]
+    _check_complete(kraus)
+    return kraus

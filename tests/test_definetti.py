@@ -589,3 +589,47 @@ def test_grid_and_weights_bitwise_equal_to_loops(n_directions, radii):
         w = np.array([np.exp(strength * np.trace(s @ axis).real) for s in loops])
         got = definetti.axis_skewed_weights(grid, axis, strength)
         assert got.tobytes() == (w / w.sum()).tobytes()
+
+
+def parent_count_posterior(weights, likelihood, counts):
+    """``_count_posterior`` before the underflow cut: exp of every entry."""
+    possible = likelihood > 0.0
+    with np.errstate(divide="ignore"):
+        log_post = np.log(weights) + counts @ np.log(np.where(possible, likelihood, 1.0)).T
+    log_post[counts @ ~possible.T > 0] = -np.inf
+    post = np.exp(log_post - log_post.max(axis=-1, keepdims=True))
+    return post / post.sum(axis=-1, keepdims=True)
+
+
+def merging_trajectories(name, n_outcomes, seed):
+    grid, prior_a, prior_b, povm = cli_merging_config(name)
+    truth = grid[(53 * seed) % len(grid)]
+    trace = definetti.merging_experiment(prior_a, prior_b, truth, povm, n_outcomes, seed=seed)
+    return np.stack([trace.inter_agent, trace.to_truth_a, trace.to_truth_b])
+
+
+@pytest.mark.parametrize("name", ["sqm", "z"])
+@pytest.mark.parametrize("n_outcomes", [500, 2000])
+def test_underflow_cut_keeps_trajectories_bitwise(monkeypatch, name, n_outcomes):
+    for seed in range(3):
+        got = merging_trajectories(name, n_outcomes, seed)
+        with monkeypatch.context() as patched:
+            patched.setattr(definetti, "_count_posterior", parent_count_posterior)
+            expected = merging_trajectories(name, n_outcomes, seed)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["sqm", "z"])
+def test_underflow_cut_zeroes_only_subnormal_weights(name):
+    grid, prior_a, _, povm = cli_merging_config(name)
+    likelihood = effects.born(prior_a.states, povm)
+    tiny = np.finfo(float).tiny
+    for seed in range(3):
+        truth = grid[11 + seed]
+        trace = definetti.merging_experiment(prior_a, prior_a, truth, povm, 2000, seed=seed)
+        counts = cumulative_counts(trace.outcomes, len(povm))
+        got = definetti._count_posterior(prior_a.weights, likelihood, counts)
+        before = parent_count_posterior(prior_a.weights, likelihood, counts)
+        changed = got != before
+        assert changed.any()
+        assert (before[changed] < tiny).all() and (got[changed] == 0.0).all()
