@@ -6,9 +6,9 @@ deterministic for a fixed seed and configuration up to the two timing
 fields.  Randomness comes only from PCG64 generators: each section seeds
 one generator with ``seed XOR salt`` (a fixed per-section salt; the
 de Finetti runs each get their own, ``seed XOR (salt + run)``) and draws
-every trial's inputs from it in a fixed order.  ``update-factor`` and
-``entropy-sweep`` draw all their trials first, as raw normals, and then
-evaluate them as stacks; the other sections evaluate trial by trial.
+every trial's inputs from it in a fixed order.  Every section draws all its
+trials first, as raw normals, integers and uniforms, and then evaluates them
+as stacks; only ``definetti-merge`` runs one experiment per run.
 """
 
 import argparse
@@ -74,17 +74,20 @@ def _sqm_build(dim, trials, seed, tol):
 def _gleason_roundtrip(dim, trials, seed, tol):
     g = _rng(seed, 0x61)
     sqm = effects.standard_sqm(dim)
-    worst_rt = 0.0
-    worst_held = 0.0
-    for _ in range(trials):
-        rho = linalg.random_state(dim, g)
-        frame = effects.FrameFunction.from_state(rho, sqm.base.elements)
-        rec = effects.reconstruct_from_frame(frame)
-        worst_rt = max(worst_rt, linalg.trace_distance(rec, rho))
-        for _ in range(5):
-            held = effects.Povm(tuple(linalg.random_povm(dim, int(g.integers(2, 6)), g)))
-            dev = np.abs(effects.born(rec, held) - effects.born(rho, held)).max()
-            worst_held = max(worst_held, float(dev))
+    x_state = np.empty((trials, 2, dim, dim))
+    x_held = np.zeros((trials, 5, 5, 2, dim, dim))  # 5 POVMs of up to 5 outcomes, zero-padded
+    for t in range(trials):
+        x_state[t] = g.normal(size=(2, dim, dim))
+        for j in range(5):
+            k = int(g.integers(2, 6))
+            x_held[t, j, :k] = g.normal(size=(k, 2, dim, dim))
+    rho = linalg.state_from_normals(x_state)
+    frames = [effects.FrameFunction.from_state(r, sqm.base.elements) for r in rho]
+    rec = np.stack([effects.reconstruct_from_frame(f) for f in frames])
+    # Row k of a trial's Born matrix is vec(E_k^T) of its own held-out effects.
+    held = linalg.povm_from_normals(x_held).swapaxes(-1, -2).reshape(trials, 25, dim * dim)
+    probs = (held @ np.stack([rec, rho]).reshape(2, trials, dim * dim, 1)).real
+    worst_rt, worst_held = linalg.trace_distance(rec, rho).max(), np.abs(probs[0] - probs[1]).max()
     checks = [
         _check("gleason_roundtrip_trace_distance_max", worst_rt, "<=", 1e-8, tol),
         _check("gleason_heldout_probability_error_max", worst_held, "<=", 1e-8, tol),
@@ -100,11 +103,9 @@ def _certainty_bound(dim, trials, seed, tol):
         numeric = 1.0 / float(np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0])
         gap_max = max(gap_max, abs(closed - numeric))
     bound = effects.certainty_bound(dim)
-    sqm = effects.standard_sqm(dim)
-    exceed = -np.inf
-    for _ in range(trials):
-        p = effects.born(linalg.random_state(dim, g), sqm.base)
-        exceed = max(exceed, float(p.max() - bound))
+    # One draw of all trials' normals: the stream of one random_state per trial.
+    rho = linalg.state_from_normals(g.normal(size=(trials, 2, dim, dim)))
+    exceed = effects.born(rho, effects.standard_sqm(dim).base).max() - bound
     bound10 = effects.certainty_bound(10)
     checks = [
         _check("certainty_bound_value", bound, "<", 1.0, tol),
@@ -122,27 +123,21 @@ def _certainty_bound(dim, trials, seed, tol):
 
 
 def _teleport(dim, trials, seed, tol):
-    g = _rng(seed, 0x63)
-    fid_err = 0.0
-    marg_dev = 0.0
-    prob_dev = 0.0
-    for _ in range(trials):
-        psi = linalg.random_ket(2, g)
-        for outcome in range(4):
-            t = update.teleport(psi, outcome=outcome)
-            fid_err = max(fid_err, abs(t.fidelity - 1.0))
-            marg_dev = max(
-                marg_dev,
-                float(np.abs(t.bob_marginal_before - np.eye(2) / 2).max()),
-                float(np.abs(t.bob_marginal_unconditional - np.eye(2) / 2).max()),
-            )
-            prob_dev = max(prob_dev, float(np.abs(t.outcome_probs - 0.25).max()))
+    psi = linalg.ket_from_normals(_rng(seed, 0x63).normal(size=(trials, 2, 2)))
+    probs, _, before, unconditional, _, fidelity = update.teleports(psi)
+    marg_dev = np.abs(np.stack([before, unconditional]) - np.eye(2) / 2).max()
     checks = [
-        _check("teleport_fidelity_error_max", fid_err, "<=", 1e-9, tol),
+        _check("teleport_fidelity_error_max", np.abs(fidelity - 1.0).max(), "<=", 1e-9, tol),
         _check("teleport_bob_marginal_dev_max", marg_dev, "<=", 1e-12, tol),
-        _check("teleport_outcome_prob_dev_max", prob_dev, "<=", 1e-12, tol),
+        _check("teleport_outcome_prob_dev_max", np.abs(probs - 0.25).max(), "<=", 1e-12, tol),
     ]
     return checks, []
+
+
+# update-factor evaluates its trials in chunks of at most this many bytes of
+# instrument normals, 8192 / D^2 trials, which bounds its memory at large D;
+# a `qbayes all` run (100 trials) is one chunk up to D = 9.
+_CHUNK_BYTES = 1 << 20
 
 
 def _update_factor(dim, trials, seed, tol):
@@ -154,6 +149,21 @@ def _update_factor(dim, trials, seed, tol):
         k = int(g.integers(2, 5))
         x_inst[t, :, :k] = g.normal(size=(2, k, 2, dim, dim))
         x_ket[t] = g.normal(size=(2, dim))
+    step = max(1, _CHUNK_BYTES // x_inst[0].nbytes)
+    chunks = range(0, trials, step)
+    devs = [_factor_devs(*(x[i : i + step] for x in (x_state, x_inst, x_ket))) for i in chunks]
+    mix_dev, spec_dev, readj_dev, pure_dev = np.max(devs, axis=0)
+    checks = [
+        _check("update_refinement_mixture_dev_max", mix_dev, "<=", 1e-9, tol),
+        _check("update_spectrum_match_dev_max", spec_dev, "<=", 1e-8, tol),
+        _check("update_readjustment_dev_max", readj_dev, "<=", 1e-8, tol),
+        _check("update_pure_refinement_dev_max", pure_dev, "<=", 1e-10, tol),
+    ]
+    return checks, []
+
+
+def _factor_devs(x_state, x_inst, x_ket):
+    """update-factor's four deviations over one chunk of trials' normals."""
     rho = linalg.state_from_normals(x_state)
     kraus = update.kraus_from_normals(x_inst)
     probs, live, ref, v, post = update.factor_updates(rho, kraus)
@@ -165,13 +175,7 @@ def _update_factor(dim, trials, seed, tol):
     pure = psi[:, :, None] * psi.conj()[:, None, :]
     _, live, ref, _, _ = update.factor_updates(pure, kraus)
     pure_dev = np.linalg.norm(ref - pure[:, None], axis=(-2, -1))[live].max()
-    checks = [
-        _check("update_refinement_mixture_dev_max", mix_dev, "<=", 1e-9, tol),
-        _check("update_spectrum_match_dev_max", spec_dev, "<=", 1e-8, tol),
-        _check("update_readjustment_dev_max", readj_dev, "<=", 1e-8, tol),
-        _check("update_pure_refinement_dev_max", pure_dev, "<=", 1e-10, tol),
-    ]
-    return checks, []
+    return mix_dev, spec_dev, readj_dev, pure_dev
 
 
 def _entropy_sweep(dim, trials, seed, tol):
@@ -207,13 +211,9 @@ def _locality_reconstruct(dim, trials, seed, tol):
     g = _rng(seed, 0x66)
     worst = {}
     for da, db in ((2, 2), (2, 3)):
-        w = 0.0
-        for _ in range(trials):
-            rho = linalg.random_state(da * db, g)
-            frame = locality.BilinearFrame.from_state(rho, (da, db))
-            rec = locality.reconstruct_joint_operator(frame)
-            w = max(w, linalg.trace_distance(rec, rho))
-        worst[(da, db)] = w
+        rho = linalg.state_from_normals(g.normal(size=(trials, 2, da * db, da * db)))
+        rec = locality.reconstruct_joint_operator(locality.BilinearFrame.from_state(rho, (da, db)))
+        worst[(da, db)] = linalg.trace_distance(rec, rho).max()
     analysis = locality.real_span_analysis(2, 2)
     yy = linalg.tensor(linalg.sigma_y, linalg.sigma_y)
     overlap = max(
@@ -252,32 +252,16 @@ def _swap_counterexample(dim, trials, seed, tol):
 
 def _definetti_merge(dim, trials, seed, tol):
     grid = definetti.bloch_grid(50, (0.25, 0.5, 0.75, 1.0))
-    sqm = effects.standard_sqm(2).base
     uniform = definetti.make_prior(grid)
     skewed = definetti.make_prior(grid, definetti.center_skewed_weights(grid))
-    inter = []
-    truth = []
-    for run in range(trials):
-        pick = _rng(seed, 0x680000 + run)
-        true_state = grid[int(pick.integers(len(grid)))]
-        trace = definetti.merging_experiment(
-            uniform, skewed, true_state, sqm, 500, seed=int(seed) ^ (0x690000 + run)
-        )
-        inter.append(trace.final_inter_agent)
-        truth.append(max(trace.final_to_truth))
-    zmeas = effects.validate_povm(
-        [linalg.projector(linalg.ket(i, 2)) for i in range(2)]
-    )
+    traces = _merging_runs(uniform, skewed, effects.standard_sqm(2).base, trials, seed, 0x680000)
+    inter = [t.final_inter_agent for t in traces]
+    truth = [max(t.final_to_truth) for t in traces]
+    zmeas = effects.validate_povm([linalg.projector(linalg.ket(i, 2)) for i in range(2)])
     pa = definetti.make_prior(grid, definetti.axis_skewed_weights(grid, linalg.sigma_x, +2.0))
     pb = definetti.make_prior(grid, definetti.axis_skewed_weights(grid, linalg.sigma_x, -2.0))
-    plateau = []
-    for run in range(min(trials, 10)):
-        pick = _rng(seed, 0x6A0000 + run)
-        true_state = grid[int(pick.integers(len(grid)))]
-        trace = definetti.merging_experiment(
-            pa, pb, true_state, zmeas, 500, seed=int(seed) ^ (0x6B0000 + run)
-        )
-        plateau.append(trace.final_inter_agent)
+    traces = _merging_runs(pa, pb, zmeas, min(trials, 10), seed, 0x6A0000)
+    plateau = [t.final_inter_agent for t in traces]
     checks = [
         _check("definetti_median_inter_agent", float(np.median(inter)), "<=", 0.05, tol),
         _check("definetti_median_to_truth", float(np.median(truth)), "<=", 0.05, tol),
@@ -288,6 +272,20 @@ def _definetti_merge(dim, trials, seed, tol):
         "grid, not derived constants"
     ]
     return checks, notes
+
+
+def _merging_runs(prior_a, prior_b, povm, runs, seed, salt):
+    """One 500-outcome merging experiment per run: its true state is a grid point
+    drawn from ``_rng(seed, salt + run)``, its outcomes from seed ``seed ^
+    (salt + 0x10000 + run)``."""
+    grid = prior_a.states
+    return [
+        definetti.merging_experiment(
+            prior_a, prior_b, grid[int(_rng(seed, salt + run).integers(len(grid)))], povm, 500,
+            seed=int(seed) ^ (salt + 0x10000 + run),
+        )
+        for run in range(runs)
+    ]
 
 
 def _real_counterexample(dim, trials, seed, tol):

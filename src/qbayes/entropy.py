@@ -195,11 +195,16 @@ def _refinement_gaps(states: np.ndarray, raw: np.ndarray) -> np.ndarray:
 
 def classical_refinement_gap(joint: np.ndarray) -> float:
     """Shannon gap S(H) - sum_d P(d) S(H|d) of a joint (h, d) table."""
-    joint = assert_distribution(joint)
-    pd = joint.sum(axis=0)
-    seen = pd > 0.0
-    conditional = _entropy(joint[:, seen].T / pd[seen, None])
-    return float(_entropy(joint.sum(axis=1)) - pd[seen] @ conditional)
+    return float(_classical_gaps(np.asarray(joint, dtype=float)[None])[0])
+
+
+def _classical_gaps(joints: np.ndarray) -> np.ndarray:
+    """Shannon gaps (N,) of an (N, h, d) stack of joint tables, each checked as a
+    distribution.  Zero entries change no gap, so tables may be zero-padded."""
+    joints = assert_distribution(joints, stacked=True)
+    pd = joints.sum(axis=-2)
+    conditional = _entropy(joints.swapaxes(-1, -2) / np.where(pd > 0.0, pd, 1.0)[..., None])
+    return _entropy(joints.sum(axis=-1)) - (pd * conditional).sum(axis=-1)
 
 
 def check_refinement_inequalities(
@@ -215,8 +220,8 @@ def check_refinement_inequalities(
     that pair in every trial; passing only one of the two raises ValueError.
     Otherwise each trial draws a random state, then a random efficient
     instrument with 2 to 5 outcomes, of dimension ``dim``.  Every trial then
-    draws a random classical joint distribution and records its Shannon gap.
-    The drawn trials' quantum gaps are evaluated afterwards as one stack.
+    draws a random classical joint distribution.  The drawn trials' quantum
+    and Shannon gaps are evaluated afterwards as stacks.
     """
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
@@ -226,14 +231,16 @@ def check_refinement_inequalities(
     g = linalg.rng_from(seed)
     x_state = np.empty((trials, 2, dim, dim))
     x_inst = np.zeros((trials, 2, 5, 2, dim, dim))  # up to 5 outcomes, zero-padded
-    c_gaps = np.empty(trials)
+    joints = np.zeros((trials, 5, 5))  # 2 to 5 rows and columns, zero-padded
     for t in range(trials):
         if state is None:
             x_state[t] = g.normal(size=(2, dim, dim))
             k = int(g.integers(2, 6))
             x_inst[t, :, :k] = g.normal(size=(2, k, 2, dim, dim))
-        joint = g.random((int(g.integers(2, 6)), int(g.integers(2, 6))))
-        c_gaps[t] = classical_refinement_gap(joint / joint.sum())
+        h, d = int(g.integers(2, 6)), int(g.integers(2, 6))
+        joint = g.random((h, d))
+        joints[t, :h, :d] = joint / joint.sum()
+    c_gaps = _classical_gaps(joints)
     if state is not None:
         s, q = refinement_gap(state, inst)
         return RefinementGaps(np.full(trials, s), np.full(trials, q), c_gaps)

@@ -48,18 +48,40 @@ class PovmTree:
 def random_tree(
     dim_a: int, dim_b: int, seed=None, direction: str | None = None
 ) -> PovmTree:
-    """Random tree with 2 to 5 outcomes at each stage.  Its POVMs come from
-    :func:`qbayes.linalg.random_povm`, valid by construction, unvalidated."""
-    g = linalg.rng_from(seed)
+    """Random tree with 2 to 5 outcomes at each stage: :func:`_draw_tree`, then
+    :func:`_trees_from_normals` on a stack of one.  Its POVMs are those of
+    :func:`qbayes.linalg.random_povm` on the same draws, valid by construction,
+    unvalidated."""
+    direction, x_first, x_branch = _draw_tree(dim_a, dim_b, linalg.rng_from(seed), direction)
+    first, branches = (a[0] for a in _trees_from_normals(x_first[None], x_branch[None]))
+    sizes = x_branch.any(axis=(-3, -2, -1)).sum(axis=-1)  # 0 past the first's outcomes
+    povms = tuple(Povm(tuple(b[:k])) for b, k in zip(branches, sizes) if k)
+    return PovmTree(direction, Povm(tuple(first[: len(povms)])), povms)
+
+
+def _draw_tree(dim_a: int, dim_b: int, g, direction: str | None = None):
+    """A random tree's draws: its direction, then its normals zero-padded to 5
+    outcomes, (5, 2, D, D) for the first POVM and (5, 5, 2, D', D') for the branches."""
     if direction is None:
         direction = "AtoB" if g.integers(2) == 0 else "BtoA"
     d_first, d_branch = (dim_a, dim_b) if direction == "AtoB" else (dim_b, dim_a)
-    first = Povm(tuple(linalg.random_povm(d_first, int(g.integers(2, 6)), g)))
-    branches = tuple(
-        Povm(tuple(linalg.random_povm(d_branch, int(g.integers(2, 6)), g)))
-        for _ in range(len(first))
-    )
-    return PovmTree(direction, first, branches)
+    x_first, x_branch = np.zeros((5, 2, d_first, d_first)), np.zeros((5, 5, 2, d_branch, d_branch))
+    n = int(g.integers(2, 6))
+    x_first[:n] = g.normal(size=(n, 2, d_first, d_first))
+    for i in range(n):
+        k = int(g.integers(2, 6))
+        x_branch[i, :k] = g.normal(size=(k, 2, d_branch, d_branch))
+    return direction, x_first, x_branch
+
+
+def _trees_from_normals(x_first: np.ndarray, x_branch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded POVMs (N, 5, D, D) and branches (N, 5, 5, D', D') of N trees from
+    their stacked :func:`_draw_tree` normals.  Branch POVMs are built only behind
+    drawn first outcomes: a padded branch has no elements to normalize."""
+    live = x_first.any(axis=(-3, -2, -1))
+    branches = np.zeros(x_branch.shape[:3] + x_branch.shape[-2:], dtype=complex)
+    branches[live] = linalg.povm_from_normals(x_branch[live])
+    return linalg.povm_from_normals(x_first), branches
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,30 +98,41 @@ class BilinearFrame:
     evaluator: Callable[[np.ndarray, np.ndarray], float] | None
     operator: np.ndarray | None = None
 
-    def __call__(self, e: np.ndarray, f: np.ndarray) -> float:
-        return float(self.evaluator(e, f) if self.operator is None else self.table([e], [f])[0, 0])
+    def __call__(self, e: np.ndarray, f: np.ndarray) -> float | np.ndarray:
+        """f(E, F).  The frame of one joint operator also takes broadcasting
+        stacks (..., dA, dA) and (..., dB, dB), giving one value per pair."""
+        if self.operator is None:
+            return float(self.evaluator(e, f))
+        da, db = self.dim_a, self.dim_b
+        # tr(L (E x F)) = sum L[a, b, c, d] E[c, a] F[d, b]
+        vals = np.einsum("abcd,...ca,...db->...", self.operator.reshape(da, db, da, db), e, f).real
+        return float(vals) if vals.ndim == 0 else vals
 
     def table(self, es: Sequence[np.ndarray], fs: Sequence[np.ndarray]) -> np.ndarray:
         """The (len(es), len(fs)) table f(E_i, F_j) over two effect sequences.
 
         For an operator frame it is M_a R M_b^T, where row i of M_a is
         vec(E_i^T) as in :attr:`qbayes.effects.Povm.matrix` (likewise M_b)
-        and R is L reshuffled to rows (a, c), columns (b, d).
+        and R is L reshuffled to rows (a, c), columns (b, d).  A stack of
+        operators gives a (..., len(es), len(fs)) stack of tables.
         """
         if self.operator is None:
             return np.array([[self(e, f) for f in fs] for e in es])
         da, db = self.dim_a, self.dim_b
         m_a = np.asarray(es, dtype=complex).swapaxes(-1, -2).reshape(len(es), da * da)
         m_b = np.asarray(fs, dtype=complex).swapaxes(-1, -2).reshape(len(fs), db * db)
-        r = self.operator.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+        lead = self.operator.shape[:-2]
+        r = self.operator.reshape(lead + (da, db, da, db)).swapaxes(-3, -2)
+        r = r.reshape(lead + (da * da, db * db))
         return (m_a @ r @ m_b.T).real
 
     @classmethod
     def from_state(cls, rho_ab: np.ndarray, dims: tuple[int, int]) -> "BilinearFrame":
-        """The frame tr(rho (E x F)) of a joint state."""
-        rho_ab = linalg.as_operator(rho_ab)
+        """The frame tr(rho (E x F)) of a joint state, or of each state of a
+        (..., D, D) stack."""
+        rho_ab = linalg.as_operators(rho_ab)
         da, db = dims
-        if rho_ab.shape[0] != da * db:
+        if rho_ab.shape[-1] != da * db:
             raise DimensionMismatch("joint state dim does not factor as given")
         return cls(da, db, None, rho_ab)
 
@@ -140,13 +173,16 @@ def reconstruct_joint_operator(frame: BilinearFrame) -> np.ndarray:
     is L = sum_ij y_ij R_i x S_j, one matrix product of the flattened duals
     reshuffled as in :meth:`BilinearFrame.table`.  The system is square and
     always solvable: each standard SQM is certified linearly independent
-    when it is built (see :func:`qbayes.effects.gram_renormalize`).
+    when it is built (see :func:`qbayes.effects.gram_renormalize`).  The
+    frame of a stack of operators gives the stack of their reconstructions.
     """
     da, db = frame.dim_a, frame.dim_b
     sqm_a, sqm_b = standard_sqm(da), standard_sqm(db)
     y = frame.table(sqm_a.base.elements, sqm_b.base.elements)
     joint = sqm_a.dual.reshape(da * da, -1).T @ y @ sqm_b.dual.reshape(db * db, -1)
-    return joint.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
+    lead = joint.shape[:-2]
+    joint = joint.reshape(lead + (da, da, db, db)).swapaxes(-3, -2)
+    return joint.reshape(lead + (da * db, da * db))
 
 
 @dataclass(frozen=True)
@@ -168,17 +204,25 @@ class SwapCounterexample:
 
 
 def swap_counterexample(dim: int, n_trees: int = 100, seed=0) -> SwapCounterexample:
-    """Build and certify the swap frame on two equal factors (200 effect pairs)."""
+    """Build and certify the swap frame on two equal factors.
+
+    Draws 200 effect pairs, then ``n_trees`` random trees, from ``seed`` in
+    the order of per-pair :func:`_random_effect` and per-tree
+    :func:`random_tree` calls.  The pairs are then evaluated as one stack,
+    and the trees as one stack per direction through :func:`_tree_totals`.
+    """
     g = linalg.rng_from(seed)
     frame = BilinearFrame.from_swap(dim)
-    min_val = np.inf
-    for _ in range(200):
-        e = _random_effect(dim, g)
-        f = _random_effect(dim, g)
-        min_val = min(min_val, frame(e, f))
-    max_dev = 0.0
-    for _ in range(n_trees):
-        max_dev = max(max_dev, abs(tree_total(frame, random_tree(dim, dim, g)) - 1.0))
+    x, u = np.empty((400, 2, dim, dim)), np.empty(400)
+    for i in range(400):  # E, F of pair 0, then of pair 1, ...
+        x[i], u[i] = g.normal(size=(2, dim, dim)), g.random()
+    es, fs = _effects_from_draws(x, u).reshape(200, 2, dim, dim).swapaxes(0, 1)
+    direction, x_first, x_branch = zip(*(_draw_tree(dim, dim, g) for _ in range(n_trees)))
+    first, branches = _trees_from_normals(np.stack(x_first), np.stack(x_branch))
+    totals = np.empty(n_trees)
+    for way in ("AtoB", "BtoA"):
+        pick = np.equal(direction, way)
+        totals[pick] = _tree_totals(frame, way, first[pick], branches[pick])
     joint = reconstruct_joint_operator(frame)
     witness = np.zeros(dim * dim, dtype=complex)
     witness[0 * dim + 1] = 1.0 / np.sqrt(2.0)
@@ -186,17 +230,32 @@ def swap_counterexample(dim: int, n_trees: int = 100, seed=0) -> SwapCounterexam
     return SwapCounterexample(
         dim=dim,
         normalization_constant=float(dim),
-        min_frame_value=float(min_val),
-        max_tree_deviation=float(max_dev),
+        min_frame_value=float(frame(es, fs).min()),
+        max_tree_deviation=float(np.abs(totals - 1.0).max()),
         joint_operator=joint,
         min_eigenvalue=float(np.linalg.eigvalsh(joint)[0]),
         witness_value=float(np.real(witness.conj() @ joint @ witness)),
     )
 
 
+def _tree_totals(frame: BilinearFrame, direction: str, first, branches) -> np.ndarray:
+    """:func:`tree_total` of N trees walked in ``direction``, from their zero-padded
+    POVM stacks first (N, m, D, D) and branches (N, m, k, D', D')."""
+    first = first[:, :, None]
+    vals = frame(first, branches) if direction == "AtoB" else frame(branches, first)
+    return vals.sum(axis=(-2, -1))
+
+
 def _random_effect(dim: int, g) -> np.ndarray:
-    m = linalg.random_psd(dim, g)
-    return m / (np.linalg.eigvalsh(m)[-1] + g.random())
+    return _effects_from_draws(g.normal(size=(2, dim, dim)), g.random())
+
+
+def _effects_from_draws(x: np.ndarray, u) -> np.ndarray:
+    """Effects M / (largest eigenvalue of M + u), M = Z Z^dag, (..., D, D) from
+    (..., 2, D, D) normals for Z = x[..., 0] + i x[..., 1] and (...) uniforms u."""
+    z = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    m = z @ linalg.dagger(z)
+    return m / (np.linalg.eigvalsh(m)[..., -1] + u)[..., None, None]
 
 
 # --------------------------------------------------------------------------

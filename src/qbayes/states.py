@@ -173,12 +173,16 @@ def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership
 # Classical distributions and Bayes conditioning.
 
 
-def assert_distribution(p: np.ndarray) -> np.ndarray:
+def assert_distribution(p: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """``p`` with entries in [-PROB_NEG_TOL, 0) set to 0; ValueError unless it is
+    a distribution, or with ``stacked`` each ``p[i]`` is one."""
     p = np.asarray(p, dtype=float)
     if p.min() < -linalg.PROB_NEG_TOL:
         raise ValueError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > linalg.DISTRIBUTION_SUM_TOL:
-        raise ValueError(f"probabilities sum to {p.sum():.15f}")
+    total = p.reshape(len(p), -1).sum(axis=1) if stacked else p.sum()
+    miss = np.abs(total - 1.0)
+    if miss.max() > linalg.DISTRIBUTION_SUM_TOL:
+        raise ValueError(f"probabilities sum to {np.ravel(total)[miss.argmax()]:.15f}")
     return np.clip(p, 0.0, None)
 
 

@@ -314,18 +314,13 @@ def instrument_from_dilation(
         raise DimensionMismatch("unitary dim is not a multiple of the ancilla dim")
     d_sys = u.shape[0] // d_anc
     anc_vals, anc_vecs = np.linalg.eigh(rho_ancilla)
+    keep = anc_vals > PROB_FLOOR
+    roots = np.sqrt(anc_vals[keep]) * anc_vecs[:, keep]  # column a is sqrt(lambda_a) |a>
     outcomes = []
     for pi in projs:
-        big = np.kron(np.eye(d_sys), pi) @ u
-        tens = big.reshape(d_sys, d_anc, d_sys, d_anc)
-        ops = []
-        for a_idx in range(d_anc):
-            lam = anc_vals[a_idx]
-            if lam <= PROB_FLOOR:
-                continue
-            # <b| (I x Pi_d) u |a> over the ancilla factor, for every b
-            ops.extend(np.sqrt(lam) * np.einsum("sbta,a->bst", tens, anc_vecs[:, a_idx]))
-        outcomes.append(tuple(ops))
+        tens = (np.kron(np.eye(d_sys), pi) @ u).reshape(d_sys, d_anc, d_sys, d_anc)
+        # <b| (I x Pi_d) u sqrt(lambda_a) |a> over the ancilla factor, for every a and b
+        outcomes.append(tuple(np.einsum("sbta,ar->rbst", tens, roots).reshape(-1, d_sys, d_sys)))
     return make_instrument(outcomes)
 
 
@@ -341,28 +336,18 @@ def dilation_from_instrument(
     """
     if not inst.efficient:
         raise ValueError("canonical dilation implemented for efficient instruments only")
-    d_sys = inst.dim
-    n_out = len(inst)
+    d_sys, n_out = inst.dim, len(inst)
     d_tot = d_sys * n_out
     # Isometry columns: |s>|0>  ->  sum_d (A_d |s>) |d>, ancilla index fastest.
-    v = np.zeros((d_tot, d_sys), dtype=complex)
-    for d, (a,) in enumerate(inst.outcomes):
-        v[d::n_out, :] = a
-    source_cols = [s * n_out for s in range(d_sys)]
+    v = np.stack([a for (a,) in inst.outcomes], axis=1).reshape(d_tot, d_sys)
+    sources = np.arange(d_tot) % n_out == 0
     full = np.zeros((d_tot, d_tot), dtype=complex)
-    full[:, source_cols] = v
+    full[:, sources] = v
     # Left singular vectors beyond rank(v) span range(v)'s orthocomplement;
     # map the remaining computational source vectors onto them.
-    u_full = np.linalg.svd(v, full_matrices=True)[0]
-    rest_targets = u_full[:, d_sys:]
-    rest_sources = [j for j in range(d_tot) if j not in source_cols]
-    full[:, rest_sources] = rest_targets
-    anc_state = np.zeros((n_out, n_out), dtype=complex)
-    anc_state[0, 0] = 1.0
-    anc_meas = validate_povm(
-        [linalg.projector(linalg.ket(d, n_out)) for d in range(n_out)]
-    )
-    return anc_state, _assert_unitary(full), anc_meas
+    full[:, ~sources] = np.linalg.svd(v, full_matrices=True)[0][:, d_sys:]
+    basis = [linalg.projector(linalg.ket(d, n_out)) for d in range(n_out)]
+    return basis[0], _assert_unitary(full), validate_povm(basis)
 
 
 # --------------------------------------------------------------------------
@@ -475,32 +460,20 @@ def remote_steering_experiment(
         amp = linalg.random_ket(2, g)
         alpha, beta = complex(amp[0]), complex(amp[1])
     unconditional = channel_choi(controlled_unitary_channel(u0, u1, alpha, beta))
-    u0, u1 = linalg.as_operator(u0), linalg.as_operator(u1)
-    # |chi> = alpha |0>_far |0>_ctrl + beta |1>_far |1>_ctrl
-    chi = np.array([alpha, 0.0, 0.0, beta], dtype=complex)
-    pair = np.outer(chi, chi.conj())
-    probs = []
-    chois = []
-    weights = []
-    for m in far_povm.elements:
-        sub = linalg.partial_trace(np.kron(m, np.eye(2)) @ pair, (2, 2), side="A")
-        p = float(np.trace(sub).real)
-        probs.append(p)
-        if p <= PROB_FLOOR:
-            chois.append(np.zeros((4, 4), dtype=complex))
-            weights.append(np.zeros(2))
-            continue
-        cond = sub / p
-        w = np.clip(np.real(np.diag(cond)), 0.0, None)
-        w = w / w.sum()
-        weights.append(w)
-        ch = make_channel(
-            [np.sqrt(w[0]) * u0, np.sqrt(w[1]) * u1]
-        )
-        chois.append(channel_choi(ch))
-    averaged = sum(p * c for p, c in zip(probs, chois))
+    # Outcome M on the far half of alpha|00> + beta|11> leaves the control with
+    # diagonal (|alpha|^2 M_00, |beta|^2 M_11), so the target gets U_0 or U_1.
+    diagonals = np.diagonal(np.stack(far_povm.elements), axis1=1, axis2=2).real
+    raw = diagonals * np.abs([alpha, beta]) ** 2
+    probs = raw.sum(axis=1)
+    live = probs > PROB_FLOOR
+    weights = np.zeros_like(raw)
+    w = np.clip(raw[live], 0.0, None)
+    weights[live] = w / w.sum(axis=1, keepdims=True)
+    # A mixture of unitary channels has the mixture of their Choi operators.
+    chois = np.tensordot(weights, [channel_choi(make_channel([u])) for u in (u0, u1)], axes=1)
+    averaged = np.tensordot(probs, chois, axes=1)
     return SteeringReport(
-        far_probs=np.array(probs),
+        far_probs=probs,
         conditional_chois=tuple(chois),
         conditional_weights=tuple(weights),
         averaged_choi=averaged,
@@ -561,46 +534,57 @@ def teleport(psi: np.ndarray, outcome: int | None = None, seed=None) -> Teleport
     input), Alice's conditional description of Bob's qubit, Bob's
     unconditional marginal before and after her measurement (I/2 both
     times), and the fidelity of Bob's corrected state with the input.
+    This is :func:`teleports` on a stack of one, read at one outcome.
     """
     psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.shape != (2,):
-        raise DimensionMismatch("teleportation input is a single-qubit ket")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > linalg.NORM_TOL:
-        raise NotNormalized(f"input ket has norm {norm:.9f}")
-    pair = np.zeros(4, dtype=complex)
-    pair[0] = pair[3] = 1.0 / np.sqrt(2.0)
-    total = np.kron(psi, pair)  # qubits: input, Alice's half, Bob
-    bob_before = linalg.partial_trace(
-        np.outer(total, total.conj()), (4, 2), side="A"
-    )
-    # Project Alice's two qubits onto each Bell state.
-    subs = np.conj(bell_kets()) @ total.reshape(4, 2)
-    probs = (subs.conj() * subs).real.sum(axis=1)
-    conditional = [s / np.sqrt(p) if p > PROB_FLOOR else s for s, p in zip(subs, probs)]
-    bob_unconditional = sum(
-        p * np.outer(k, k.conj()) for p, k in zip(probs, conditional)
-    )
+    probs, conditional, before, unconditional, final, fidelity = (t[0] for t in teleports(psi[None]))
     if outcome is None:
         outcome = int(linalg.rng_from(seed).choice(4, p=probs / probs.sum()))
     if not 0 <= outcome < 4:
         raise ValueError("Bell outcome index must be in 0..3")
     name, correction = BELL_CORRECTIONS[outcome]
-    final_ket = correction @ conditional[outcome]
-    final_state = np.outer(final_ket, final_ket.conj())
     return TeleportTranscript(
         input_ket=psi,
         outcome_probs=probs,
         outcome=outcome,
         conditional_ket=conditional[outcome],
-        bob_marginal_before=bob_before,
-        bob_marginal_unconditional=bob_unconditional,
+        bob_marginal_before=before,
+        bob_marginal_unconditional=unconditional,
         correction_name=name,
         correction=correction,
-        final_state=final_state,
-        fidelity=linalg.fidelity_with_pure(psi, final_state),
+        final_state=final[outcome],
+        fidelity=float(fidelity[outcome]),
         correction_table=tuple(n for n, _ in BELL_CORRECTIONS),
     )
+
+
+def teleports(psis: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`teleport` of N input kets (N, 2) under all four Bell outcomes.
+
+    Returns the (N, 4) outcome probabilities, the (N, 4, 2) conditional kets
+    of Bob's qubit, Bob's (N, 2, 2) marginals before Alice measures and
+    averaged over her outcomes, and the (N, 4, 2, 2) corrected states with
+    their (N, 4) fidelities to the inputs.
+    """
+    psis = np.asarray(psis, dtype=complex)
+    if psis.ndim != 2 or psis.shape[1] != 2:
+        raise DimensionMismatch("teleportation inputs are single-qubit kets")
+    norms = np.linalg.norm(psis, axis=1)
+    bad = np.abs(norms - 1.0) > linalg.NORM_TOL
+    if bad.any():
+        raise NotNormalized(f"input ket has norm {norms[bad][0]:.9f}")
+    pair = bell_kets()[0]  # (|00> + |11>)/sqrt(2)
+    total = (psis[:, :, None] * pair).reshape(-1, 4, 2)  # (input, Alice's half), Bob
+    before = np.einsum("nai,naj->nij", total, total.conj())
+    # Project Alice's two qubits onto each Bell state.
+    subs = np.conj(bell_kets()) @ total
+    probs = (subs.conj() * subs).real.sum(axis=-1)
+    conditional = subs / np.sqrt(np.where(probs > PROB_FLOOR, probs, 1.0))[..., None]
+    unconditional = np.einsum("nk,nki,nkj->nij", probs, conditional, conditional.conj())
+    final_kets = np.einsum("kij,nkj->nki", np.stack([c for _, c in BELL_CORRECTIONS]), conditional)
+    final = final_kets[..., :, None] * final_kets.conj()[..., None, :]
+    fidelity = np.einsum("ni,nkij,nj->nk", psis.conj(), final, psis).real
+    return probs, conditional, before, unconditional, final, fidelity
 
 
 # --------------------------------------------------------------------------

@@ -210,3 +210,22 @@ def test_eig_hermitian_stack_matches_single_calls(rng):
     assert list(linalg.is_hermitian(stack)) == [True] * 4 + [False, True]
     with pytest.raises(NotHermitian):
         linalg.eig_hermitian(stack)
+
+
+def test_single_matrix_hermiticity_matches_the_stacked_check():
+    """The flat norm of one matrix and the axis norm of a stack of one agree,
+    also within a relative 1e-6 of the HERMITIAN_TOL edge on either side."""
+    g = np.random.default_rng(2024)
+    verdicts = []
+    for _ in range(1000):
+        d = int(g.integers(2, 9))
+        h = linalg.random_hermitian(d, g)
+        a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+        skew = (a - linalg.dagger(a)) / 2.0
+        target = linalg.HERMITIAN_TOL * (1.0 + g.uniform(-1e-6, 1e-6))
+        m = h + skew * (target * np.linalg.norm(h) / np.linalg.norm(2.0 * skew))
+        single = linalg.is_hermitian(m)
+        assert isinstance(single, bool)
+        assert single == bool(linalg.is_hermitian(m[None])[0])
+        verdicts.append(single)
+    assert 300 < sum(verdicts) < 700

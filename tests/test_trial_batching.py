@@ -1,8 +1,8 @@
 """Trial-batched samplers, factorization and CLI sections.
 
-Each sampler is one draw of raw normals plus a stack-capable build, and the
-update-factor and entropy-sweep sections draw trial by trial and evaluate
-all trials as stacks.  The references here are copies of the per-call
+Each sampler is one draw of raw normals plus a stack-capable build, and every
+section that loops over trials draws them one by one and evaluates them all
+as stacks.  The references here are copies of the per-call
 samplers and per-trial loops that the batched code replaced: the batched
 code must make the same generator calls in the same order and agree with
 them value for value.
@@ -11,8 +11,8 @@ them value for value.
 import numpy as np
 import pytest
 
-from qbayes import cli, entropy, linalg, update
-from qbayes.errors import NotTracePreserving
+from qbayes import cli, effects, entropy, linalg, locality, update
+from qbayes.errors import NotNormalized, NotTracePreserving
 
 # --------------------------------------------------------------------------
 # Per-call references: the samplers as they were before the draw/build split.
@@ -329,3 +329,273 @@ def test_update_factor_section_eigendecomposes_whole_stacks(monkeypatch):
     code, _ = cli.run(["update-factor", "--trials", "100"])
     assert code == 0
     assert len(calls) <= 20
+
+
+def test_update_factor_chunks_do_not_change_values(monkeypatch):
+    argv = ["update-factor", "--dim", "3", "--seed", "4", "--trials", "50"]
+    whole = [c["value"] for c in cli.run(argv)[1]["checks"]]
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 7 * 2 * 4 * 2 * 9 * 8)  # 7 trials per chunk
+    assert [c["value"] for c in cli.run(argv)[1]["checks"]] == whole
+
+
+# --------------------------------------------------------------------------
+# Classical refinement gaps.
+
+
+def test_padded_classical_gaps_match_each_table():
+    g = np.random.default_rng(12)
+    joints, expected = np.zeros((40, 5, 5)), []
+    for t in range(40):
+        h, d = g.integers(2, 6, size=2)
+        joint = g.random((h, d))
+        joint[:, g.integers(d)] *= t % 2  # every other table has an unseen datum
+        joint /= joint.sum()
+        joints[t, :h, :d] = joint
+        pd = joint.sum(axis=0)
+        seen = pd > 0
+        conditional = [entropy.shannon(col / p) for col, p in zip(joint[:, seen].T, pd[seen])]
+        expected.append(entropy.shannon(joint.sum(axis=1)) - pd[seen] @ conditional)
+    assert np.abs(entropy._classical_gaps(joints) - expected).max() <= 1e-14
+    for t in (0, 1):
+        assert entropy.classical_refinement_gap(joints[t]) == entropy._classical_gaps(joints[t : t + 1])[0]
+
+
+def test_classical_gaps_check_every_table():
+    joints = np.full((3, 2, 2), 0.25)
+    joints[2, 0, 0] = 0.5
+    with pytest.raises(ValueError, match="sum to 1.25"):
+        entropy._classical_gaps(joints)
+    joints[2, 0, 0], joints[1, 0, 0] = 0.25, -0.1
+    with pytest.raises(ValueError, match="negative probability"):
+        entropy._classical_gaps(joints)
+
+
+# --------------------------------------------------------------------------
+# Trees, effects and teleportation as stacks.
+
+
+def old_random_tree(dim_a, dim_b, g, direction=None):
+    if direction is None:
+        direction = "AtoB" if g.integers(2) == 0 else "BtoA"
+    d_first, d_branch = (dim_a, dim_b) if direction == "AtoB" else (dim_b, dim_a)
+    first = effects.Povm(tuple(linalg.random_povm(d_first, int(g.integers(2, 6)), g)))
+    branches = tuple(
+        effects.Povm(tuple(linalg.random_povm(d_branch, int(g.integers(2, 6)), g)))
+        for _ in range(len(first))
+    )
+    return locality.PovmTree(direction, first, branches)
+
+
+def old_random_effect(dim, g):
+    m = linalg.random_psd(dim, g)
+    return m / (np.linalg.eigvalsh(m)[-1] + g.random())
+
+
+def old_teleport(psi, outcome):
+    """The per-ket protocol: (probs, Bob before, Bob unconditional, conditional
+    ket, final state, fidelity) at one outcome."""
+    pair = np.zeros(4, dtype=complex)
+    pair[0] = pair[3] = 1.0 / np.sqrt(2.0)
+    total = np.kron(psi, pair)
+    before = linalg.partial_trace(np.outer(total, total.conj()), (4, 2), side="A")
+    subs = np.conj(update.bell_kets()) @ total.reshape(4, 2)
+    probs = (subs.conj() * subs).real.sum(axis=1)
+    conditional = [s / np.sqrt(p) if p > linalg.PROB_FLOOR else s for s, p in zip(subs, probs)]
+    unconditional = sum(p * np.outer(k, k.conj()) for p, k in zip(probs, conditional))
+    final_ket = update.BELL_CORRECTIONS[outcome][1] @ conditional[outcome]
+    final = np.outer(final_ket, final_ket.conj())
+    return probs, before, unconditional, conditional[outcome], final, float(np.real(psi.conj() @ final @ psi))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("direction", [None, "AtoB", "BtoA"])
+def test_random_tree_is_bitwise_the_per_povm_sampler(dims, direction):
+    for seed in range(30):
+        g_new, g_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = locality.random_tree(*dims, g_new, direction=direction)
+        expected = old_random_tree(*dims, g_old, direction=direction)
+        assert got.direction == expected.direction
+        for new, old in zip((got.first, *got.branches), (expected.first, *expected.branches), strict=True):
+            assert len(new) == len(old)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(new, old))
+        assert_same_stream(g_new, g_old)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_effect_is_bitwise_the_per_call_sampler(d):
+    for seed in range(50):
+        g_new, g_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert locality._random_effect(d, g_new).tobytes() == old_random_effect(d, g_old).tobytes()
+        assert_same_stream(g_new, g_old)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2)])
+def test_batched_tree_totals_match_tree_total(dims):
+    frame = locality.BilinearFrame.from_state(linalg.random_state(dims[0] * dims[1], 3), dims)
+    g_new, g_old = np.random.default_rng(5), np.random.default_rng(5)
+    draws = [locality._draw_tree(*dims, g_new) for _ in range(60)]
+    expected = [locality.tree_total(frame, old_random_tree(*dims, g_old)) for _ in range(60)]
+    for way in ("AtoB", "BtoA"):
+        picked = [i for i, (direction, _, _) in enumerate(draws) if direction == way]
+        assert picked
+        first, branches = locality._trees_from_normals(
+            np.stack([draws[i][1] for i in picked]), np.stack([draws[i][2] for i in picked])
+        )
+        totals = locality._tree_totals(frame, way, first, branches)
+        assert np.abs(totals - np.take(expected, picked)).max() <= 1e-12
+
+
+def test_swap_counterexample_with_one_tree():
+    rep = locality.swap_counterexample(3, n_trees=1, seed=2)
+    assert rep.max_tree_deviation <= 1e-12 and rep.min_frame_value >= 0.0
+
+
+def test_operator_frame_pairs_match_the_table(rng):
+    frame = locality.BilinearFrame.from_state(linalg.random_state(6, rng), (2, 3))
+    es = np.stack([locality._random_effect(2, rng) for _ in range(4)])
+    fs = np.stack([locality._random_effect(3, rng) for _ in range(5)])
+    assert np.abs(frame(es[:, None], fs[None]) - frame.table(es, fs)).max() <= 1e-15
+    assert isinstance(frame(es[0], fs[0]), float)
+
+
+def test_stacked_joint_reconstruction_matches_each_state(rng):
+    rho = np.stack([linalg.random_state(6, rng) for _ in range(5)])
+    stacked = locality.reconstruct_joint_operator(locality.BilinearFrame.from_state(rho, (2, 3)))
+    for r, rec in zip(rho, stacked):
+        single = locality.reconstruct_joint_operator(locality.BilinearFrame.from_state(r, (2, 3)))
+        assert rec.tobytes() == single.tobytes()
+
+
+def test_stacked_teleport_matches_single_ket_transcripts(rng):
+    psis = np.stack([linalg.random_ket(2, rng) for _ in range(20)] + [np.array([1.0, 0.0])])
+    probs, conditional, before, unconditional, final, fidelity = update.teleports(psis)
+    for n, psi in enumerate(psis):
+        for outcome in range(4):
+            t = update.teleport(psi, outcome=outcome)
+            assert t.outcome == outcome and t.correction_name == update.BELL_CORRECTIONS[outcome][0]
+            assert np.array_equal(t.outcome_probs, probs[n])
+            assert np.array_equal(t.conditional_ket, conditional[n, outcome])
+            assert np.array_equal(t.bob_marginal_before, before[n])
+            assert np.array_equal(t.bob_marginal_unconditional, unconditional[n])
+            assert np.array_equal(t.final_state, final[n, outcome])
+            assert t.fidelity == fidelity[n, outcome]
+            reference = old_teleport(psi, outcome)
+            for got, old in zip((probs[n], before[n], unconditional[n]), reference[:3]):
+                assert np.abs(got - old).max() <= 1e-15
+            assert np.abs(t.conditional_ket - reference[3]).max() <= 1e-15
+            assert np.abs(t.final_state - reference[4]).max() <= 1e-15
+            assert abs(t.fidelity - reference[5]) <= 1e-15
+
+
+def test_stacked_teleport_names_an_unnormalized_ket():
+    psis = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]])
+    with pytest.raises(NotNormalized, match="1.414213562"):
+        update.teleports(psis)
+
+
+# --------------------------------------------------------------------------
+# The five sections batched here, against their per-trial loops.
+
+
+def per_trial_gleason_roundtrip(dim, trials, seed):
+    g = cli._rng(seed, 0x61)
+    sqm = effects.standard_sqm(dim)
+    worst_rt = worst_held = 0.0
+    for _ in range(trials):
+        rho = old_random_state(dim, g)
+        rec = effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho, sqm.base.elements))
+        worst_rt = max(worst_rt, linalg.trace_distance(rec, rho))
+        for _ in range(5):
+            held = effects.Povm(tuple(old_random_povm(dim, int(g.integers(2, 6)), g)))
+            worst_held = max(worst_held, np.abs(effects.born(rec, held) - effects.born(rho, held)).max())
+    return [worst_rt, worst_held]
+
+
+def per_trial_certainty_bound(dim, trials, seed):
+    g = cli._rng(seed, 0x62)
+    gaps = [
+        effects.certainty_bound(d, check=False) - 1.0 / np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0]
+        for d in range(2, 11)
+    ]
+    bound = effects.certainty_bound(dim)
+    sqm = effects.standard_sqm(dim)
+    exceed = max(effects.born(old_random_state(dim, g), sqm.base).max() - bound for _ in range(trials))
+    return [bound, np.abs(gaps).max(), exceed, abs(10 * effects.certainty_bound(10) * 0.79 - 1.0)]
+
+
+def per_trial_teleport(dim, trials, seed):
+    g = cli._rng(seed, 0x63)
+    fid_err = marg_dev = prob_dev = 0.0
+    for _ in range(trials):
+        psi = old_random_ket(2, g)
+        for outcome in range(4):
+            probs, before, unconditional, _, _, fidelity = old_teleport(psi, outcome)
+            fid_err = max(fid_err, abs(fidelity - 1.0))
+            marg_dev = max(marg_dev, np.abs(before - np.eye(2) / 2).max(), np.abs(unconditional - np.eye(2) / 2).max())
+            prob_dev = max(prob_dev, np.abs(probs - 0.25).max())
+    return [fid_err, marg_dev, prob_dev]
+
+
+def per_trial_locality_reconstruct(dim, trials, seed):
+    g = cli._rng(seed, 0x66)
+    worst = []
+    for dims in ((2, 2), (2, 3)):
+        w = 0.0
+        for _ in range(trials):
+            rho = old_random_state(dims[0] * dims[1], g)
+            rec = locality.reconstruct_joint_operator(locality.BilinearFrame.from_state(rho, dims))
+            w = max(w, linalg.trace_distance(rec, rho))
+        worst.append(w)
+    analysis = locality.real_span_analysis(2, 2)
+    yy = linalg.tensor(linalg.sigma_y, linalg.sigma_y)
+    overlap = max(
+        abs(linalg.hs_inner(n, yy).real) / (np.linalg.norm(n) * np.linalg.norm(yy))
+        for n in analysis.null_directions
+    )
+    domino_dev = np.linalg.norm(sum(locality.domino_fixture().elements) - np.eye(9))
+    return [*worst, abs(analysis.numeric_rank - analysis.product_span_dim), overlap, domino_dev]
+
+
+def per_trial_swap_counterexample(dim, trials, seed):
+    g = cli._rng(seed, 0x67)
+    frame = locality.BilinearFrame.from_swap(dim)
+    min_val = min(frame.table([old_random_effect(dim, g)], [old_random_effect(dim, g)])[0, 0] for _ in range(200))
+    max_dev = max(abs(locality.tree_total(frame, old_random_tree(dim, dim, g)) - 1.0) for _ in range(trials))
+    joint = locality.reconstruct_joint_operator(frame)
+    return [max_dev, min_val, np.linalg.eigvalsh(joint)[0]]
+
+
+PER_TRIAL_SECTIONS = [
+    ("gleason-roundtrip", per_trial_gleason_roundtrip),
+    ("certainty-bound", per_trial_certainty_bound),
+    ("teleport", per_trial_teleport),
+    ("locality-reconstruct", per_trial_locality_reconstruct),
+    ("swap-counterexample", per_trial_swap_counterexample),
+]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("section, reference", PER_TRIAL_SECTIONS, ids=[s for s, _ in PER_TRIAL_SECTIONS])
+def test_batched_section_matches_per_trial_loop(section, reference, dim):
+    trials = cli._TRIALS[section][0]
+    for seed in range(1, 21):
+        _, report = cli.run([section, "--dim", str(dim), "--seed", str(seed), "--trials", str(trials)])
+        expected = reference(dim, trials, seed)
+        assert len(expected) == len(report["checks"])
+        for check, value in zip(report["checks"], expected):
+            assert abs(check["value"] - value) <= 1e-12, (seed, check["name"])
+            assert check["pass"] == cli._OPS[check["op"]](value, check["threshold"])
+
+
+def test_all_sections_eigendecompose_whole_stacks(monkeypatch):
+    calls = []
+    eig_hermitian = linalg.eig_hermitian
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return eig_hermitian(m)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", counting)
+    code, _ = cli.run(["all", "--dim", "3"])
+    assert code == 0
+    assert len(calls) <= 100
