@@ -24,14 +24,14 @@ def density_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate one density operator or a (..., D, D) stack of them.
 
     Checks Hermiticity, positivity (to ``linalg.PSD_TOL``) and unit trace
-    (to ``linalg.TRACE_TOL``) with one batched norm and one batched eigvalsh.
+    (to ``linalg.TRACE_TOL``) with one Hermiticity test and one batched eigvalsh.
     Returns the operators as a complex array and their ascending spectra
     (..., D).
     NotAState names the first failing operator of a stack by its flat index.
     """
     rho = linalg.as_operators(rho)
     flat = rho.reshape((-1,) + rho.shape[-2:])
-    hermitian = linalg.is_hermitian(flat)
+    hermitian = np.atleast_1d(linalg.is_hermitian(rho if rho.ndim == 2 else flat))
     vals = np.linalg.eigvalsh((flat + linalg.dagger(flat)) / 2.0)
     trace = np.trace(flat, axis1=1, axis2=2).real
     bad = np.flatnonzero(
