@@ -103,6 +103,8 @@ class BilinearFrame:
         stacks (..., dA, dA) and (..., dB, dB), giving one value per pair."""
         if self.operator is None:
             return float(self.evaluator(e, f))
+        if self.operator.ndim != 2:
+            raise DimensionMismatch("only the frame of one joint operator is evaluated pair by pair")
         da, db = self.dim_a, self.dim_b
         # tr(L (E x F)) = sum L[a, b, c, d] E[c, a] F[d, b]
         vals = np.einsum("abcd,...ca,...db->...", self.operator.reshape(da, db, da, db), e, f).real

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qbayes import cli, effects, entropy, linalg, locality, update
-from qbayes.errors import NotNormalized, NotTracePreserving
+from qbayes.errors import DimensionMismatch, NotNormalized, NotTracePreserving
 
 # --------------------------------------------------------------------------
 # Per-call references: the samplers as they were before the draw/build split.
@@ -460,10 +460,13 @@ def test_operator_frame_pairs_match_the_table(rng):
 
 def test_stacked_joint_reconstruction_matches_each_state(rng):
     rho = np.stack([linalg.random_state(6, rng) for _ in range(5)])
-    stacked = locality.reconstruct_joint_operator(locality.BilinearFrame.from_state(rho, (2, 3)))
+    frame = locality.BilinearFrame.from_state(rho, (2, 3))
+    stacked = locality.reconstruct_joint_operator(frame)
     for r, rec in zip(rho, stacked):
         single = locality.reconstruct_joint_operator(locality.BilinearFrame.from_state(r, (2, 3)))
         assert rec.tobytes() == single.tobytes()
+    with pytest.raises(DimensionMismatch):
+        frame(np.eye(2), np.eye(3))
 
 
 def test_stacked_teleport_matches_single_ket_transcripts(rng):
