@@ -82,8 +82,8 @@ def _gleason_roundtrip(dim, trials, seed, tol):
             k = int(g.integers(2, 6))
             x_held[t, j, :k] = g.normal(size=(k, 2, dim, dim))
     rho = linalg.state_from_normals(x_state)
-    frames = [effects.FrameFunction.from_state(r, sqm.base.elements) for r in rho]
-    rec = np.stack([effects.reconstruct_from_frame(f) for f in frames])
+    from_state = effects.FrameFunction.from_state  # one frame alive at a time
+    rec = np.stack([effects.reconstruct_from_frame(from_state(r, sqm.base.elements)) for r in rho])
     # Row k of a trial's Born matrix is vec(E_k^T) of its own held-out effects.
     held = linalg.povm_from_normals(x_held).swapaxes(-1, -2).reshape(trials, 25, dim * dim)
     probs = (held @ np.stack([rec, rho]).reshape(2, trials, dim * dim, 1)).real
