@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Povm, born, real_design_matrix
+from .effects import Povm, _effect_stack, born, real_design_matrix
 from .errors import (
     DimensionBudgetExceeded,
     DimensionMismatch,
@@ -29,13 +29,6 @@ from .states import assert_density_operator, assert_distribution
 MEMORY_BUDGET_BYTES = 2 ** 28
 
 
-def _as_stack(states) -> np.ndarray:
-    """Support states as one (K, D, D) stack; mixed shapes raise DimensionMismatch."""
-    if not isinstance(states, np.ndarray) and len({np.shape(s) for s in states}) > 1:
-        raise DimensionMismatch("support states must share a dimension")
-    return np.asarray(states)
-
-
 @dataclass(frozen=True)
 class PriorOverStates:
     """Discrete probability distribution over density operators: a (K, D, D)
@@ -46,7 +39,7 @@ class PriorOverStates:
 
     def __post_init__(self):
         assert_distribution(self.weights)
-        object.__setattr__(self, "states", _as_stack(self.states))
+        object.__setattr__(self, "states", _effect_stack(self.states))
         if len(self.states) != len(self.weights):
             raise DimensionMismatch("one weight per support state required")
 
@@ -60,7 +53,7 @@ class PriorOverStates:
 
 def make_prior(states: Sequence[np.ndarray], weights=None) -> PriorOverStates:
     """Prior over ``states`` (validated as one stack), uniform by default."""
-    states = assert_density_operator(_as_stack(states))
+    states = assert_density_operator(_effect_stack(states))
     if weights is None:
         weights = np.full(len(states), 1.0 / len(states))
     return PriorOverStates(states, np.asarray(weights, dtype=float))

@@ -12,7 +12,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,20 +29,21 @@ from .errors import (
 )
 
 
-def effect_key(op: np.ndarray) -> bytes:
-    """Canonical by-value key for an effect (entrywise, rounded)."""
+def effect_keys(stack: np.ndarray) -> list[bytes]:
+    """Canonical by-value key of each effect of a (K, D, D) stack (entrywise, rounded)."""
     # + 0.0 maps -0.0 to 0.0, whose byte pattern differs.
-    return (np.round(np.asarray(op, dtype=complex), linalg.KEY_DECIMALS) + 0.0).tobytes()
+    return [k.tobytes() for k in np.round(linalg.as_operators(stack), linalg.KEY_DECIMALS) + 0.0]
 
 
-def _effect_stack(effects) -> np.ndarray:
-    """Coerce a nonempty sequence of D x D effects to one complex (K, D, D) stack."""
+def _effect_stack(ops) -> np.ndarray:
+    """Coerce a nonempty sequence of D x D operators to one complex (K, D, D)
+    stack, the storage of every operator set; a stack is taken as it is."""
     try:
-        stack = linalg.as_operators(effects)
-    except ValueError as exc:  # numpy's error for effects of different shapes
-        raise DimensionMismatch(f"effects do not stack to one shape: {exc}") from exc
+        stack = linalg.as_operators(ops)
+    except ValueError as exc:  # numpy's error for operators of different shapes
+        raise DimensionMismatch(f"operators do not stack to one shape: {exc}") from exc
     if stack.ndim != 3 or not len(stack):
-        raise DimensionMismatch(f"expected a nonempty (K, D, D) effect stack, got {stack.shape}")
+        raise DimensionMismatch(f"expected a nonempty (K, D, D) operator stack, got {stack.shape}")
     return stack
 
 
@@ -53,13 +54,16 @@ def _born_matrix(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Povm:
-    """Validated POVM: an ordered tuple of effects summing to the identity."""
+    """Validated POVM: its effects, summing to the identity, as one (K, D, D) stack."""
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", _effect_stack(self.elements))
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -77,24 +81,19 @@ class Povm:
         ``vec`` flattens row by row, so ``M @ vec(rho)`` is the vector of
         traces tr(rho E_k): the Born rule as one linear map.
         """
-        return _born_matrix(np.stack(self.elements))
+        return _born_matrix(self.elements)
 
 
-def validate_povm(candidate: Iterable[np.ndarray]) -> Povm:
-    """Check a sequence of matrices forms a POVM and wrap it.
+def validate_povm(candidate: np.ndarray | Sequence[np.ndarray]) -> Povm:
+    """Check a (K, D, D) stack or a sequence of matrices forms a POVM and wrap it.
 
     Raises NotHermitian or NotPsd (naming the first offending index) when an
     element is not an effect, NotResolution (with the deficit norm) when the
     elements do not sum to the identity within ``linalg.IDENTITY_TOL``.
     """
-    elements = [linalg.as_operator(e) for e in candidate]
-    if not elements:
+    if not len(candidate):
         raise NotResolution("a POVM needs at least one element", deficit=float("nan"))
-    dim = elements[0].shape[0]
-    for i, e in enumerate(elements):
-        if e.shape[0] != dim:
-            raise DimensionMismatch(f"element {i} has dim {e.shape[0]}, expected {dim}")
-    stack = np.stack(elements)
+    stack = _effect_stack(candidate)
     hermitian = linalg.is_hermitian(stack)
     if not hermitian.all():
         raise NotHermitian(f"element {int(np.argmin(hermitian))} is not Hermitian")
@@ -102,12 +101,12 @@ def validate_povm(candidate: Iterable[np.ndarray]) -> Povm:
     i = int(np.argmax(lowest < -linalg.PSD_TOL))
     if lowest[i] < -linalg.PSD_TOL:
         raise NotPsd(f"element {i} has eigenvalue {lowest[i]:.3e} < 0", index=i)
-    deficit = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
+    deficit = float(np.linalg.norm(stack.sum(axis=0) - np.eye(stack.shape[-1])))
     if deficit > linalg.IDENTITY_TOL:
         raise NotResolution(
             f"elements sum to the identity only within {deficit:.3e}", deficit=deficit
         )
-    return Povm(tuple(elements))
+    return Povm(stack)
 
 
 def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
@@ -157,14 +156,15 @@ class MinimalIcPovm:
 
     ``base`` holds the dim^2 renormalized effects, ``gram`` the positive
     definite sum of the seed projectors, ``projectors`` the seeds
-    themselves.  The square element matrix ``base.matrix`` is invertible;
-    the ``dual`` frame read off its inverse, the effect ``keys`` and the
-    per-element ``max_probability`` are computed once, on first use.
+    themselves as one (dim^2, dim, dim) stack.  The square element matrix
+    ``base.matrix`` is invertible; the ``dual`` frame read off its inverse,
+    the effect ``keys`` and the per-element ``max_probability`` are computed
+    once, on first use.
     """
 
     base: Povm
     gram: np.ndarray
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -185,9 +185,9 @@ class MinimalIcPovm:
 
     @functools.cached_property
     def keys(self) -> list[bytes]:
-        """``effect_key`` of each element of ``base``; a frame with exactly
-        these keys is inverted through ``dual`` by reconstruct_from_frame."""
-        return [effect_key(e) for e in self.base.elements]
+        """``effect_keys`` of ``base``; a frame with exactly these keys is
+        inverted through ``dual`` by reconstruct_from_frame."""
+        return effect_keys(self.base.elements)
 
     @functools.cached_property
     def max_probability(self) -> np.ndarray:
@@ -203,13 +203,13 @@ def gram_renormalize(projectors: Sequence[np.ndarray]) -> MinimalIcPovm:
     resolve the identity.  Raises SingularGram when G is singular (NotPsd
     when it is not PSD).
     """
-    projectors = tuple(linalg.as_operator(p) for p in projectors)
-    gram = sum(projectors)
+    projectors = _effect_stack(projectors)
+    gram = projectors.sum(axis=0)
     try:
         w = linalg.mat_invsqrt(gram)
     except SingularOperator as exc:
         raise SingularGram(f"sum of projectors is singular: {exc}") from exc
-    elements = validate_povm([w @ p @ w for p in projectors])
+    elements = validate_povm(w @ projectors @ w)
     sqm = MinimalIcPovm(elements, gram, projectors)
     if element_gram_min_singular_value(sqm.base) < linalg.INDEPENDENCE_TOL:
         raise DegenerateSpan("renormalized elements lost linear independence")
@@ -265,7 +265,7 @@ def max_probability(povm: Povm) -> np.ndarray:
     Returns the largest eigenvalue of each effect; born(rho, povm) is
     dominated entrywise by this vector for every state rho.
     """
-    return np.linalg.eigvalsh(np.stack(povm.elements))[:, -1]
+    return np.linalg.eigvalsh(povm.elements)[:, -1]
 
 
 # --------------------------------------------------------------------------
@@ -277,44 +277,55 @@ class FrameFunction:
 
     Effects are canonicalized by rounding to ``linalg.KEY_DECIMALS``
     decimal digits before keying, so two numerically equal effects share
-    one assignment no matter which POVM they appear in.
+    one assignment no matter which POVM they appear in.  Effects are held
+    as one stack, in first-recorded order, with a value array and a key index.
     """
 
     def __init__(self):
-        self._values: dict[bytes, float] = {}
-        self._effects: dict[bytes, np.ndarray] = {}
+        self._effects = np.empty((0, 0, 0), dtype=complex)
+        self._values = np.empty(0)
+        self._index: dict[bytes, int] = {}
 
     @classmethod
-    def from_state(cls, state: np.ndarray, effects: Iterable[np.ndarray]) -> "FrameFunction":
-        """Record tr(rho E) per effect: one complex stack of the effects, keyed
-        in one rounding pass and evaluated with one born call.  Effects of
-        mixed shapes raise DimensionMismatch."""
+    def from_state(cls, state: np.ndarray, effects: Sequence[np.ndarray]) -> "FrameFunction":
+        """Record tr(rho E) per effect with one key pass and one born call; a
+        stack of effects is kept as it is, not copied.  A repeated effect keeps
+        its first row and its last value.  Mixed shapes raise DimensionMismatch."""
         f = cls()
-        effects = list(effects)
-        if effects:
+        if len(effects):
             stack = _effect_stack(effects)
-            keys = [k.tobytes() for k in np.round(stack, linalg.KEY_DECIMALS) + 0.0]
-            f._values.update(zip(keys, born(state, stack).tolist()))
-            f._effects.update(zip(keys, stack))
+            values = born(state, stack)
+            rows = dict(zip(effect_keys(stack), range(len(stack))))  # key -> its last row
+            if len(rows) < len(stack):
+                last = list(rows.values())
+                stack, values, rows = stack[last], values[last], dict(zip(rows, range(len(rows))))
+            f._effects, f._values, f._index = stack, values, rows
         return f
 
     def record(self, effect: np.ndarray, value: float) -> None:
+        """Assign ``value`` to ``effect`` (a known one keeps its row); the stack,
+        perhaps a POVM's own, is rebuilt, never written."""
         effect = linalg.as_operator(effect)
-        key = effect_key(effect)
-        self._values[key] = float(value)
-        self._effects[key] = effect
+        (key,) = effect_keys(effect[None])
+        i = self._index.setdefault(key, len(self._values))
+        rows = [*self._effects[:i], effect, *self._effects[i + 1 :]]
+        self._values = np.r_[self._values[:i], float(value), self._values[i + 1 :]]
+        try:
+            self._effects = _effect_stack(rows)
+        except DimensionMismatch:  # effects of mixed shapes: rejected on reconstruction
+            self._effects = rows
 
     def value(self, effect: np.ndarray) -> float:
-        key = effect_key(linalg.as_operator(effect))
-        if key not in self._values:
+        (key,) = effect_keys(linalg.as_operator(effect)[None])
+        if key not in self._index:
             raise KeyError("no assignment recorded for this effect")
-        return self._values[key]
+        return float(self._values[self._index[key]])
 
     def __len__(self) -> int:
         return len(self._values)
 
     def items(self) -> list[tuple[np.ndarray, float]]:
-        return [(self._effects[k], v) for k, v in self._values.items()]
+        return list(zip(self._effects, self._values.tolist()))
 
     def povm_sum(self, povm: Povm) -> float:
         return sum(self.value(e) for e in povm.elements)
@@ -350,12 +361,11 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
     """
     if not len(frame):
         raise DegenerateSpan("empty frame function")
-    stack = _effect_stack(list(frame._effects.values()))
-    y = np.fromiter(frame._values.values(), float, len(frame))
+    stack, y = _effect_stack(frame._effects), frame._values
     k, dim = stack.shape[:2]
     if k < dim * dim:
         raise DegenerateSpan(f"{k} effects cannot span the {dim * dim}-dim operator space")
-    if k == dim * dim > 1 and list(frame._values) == standard_sqm(dim).keys:
+    if k == dim * dim > 1 and list(frame._index) == standard_sqm(dim).keys:
         rho = (y @ standard_sqm(dim).dual.reshape(k, k)).reshape(dim, dim)
     else:
         x, _, rank, _ = np.linalg.lstsq(real_design_matrix(stack), y, rcond=None)
@@ -396,16 +406,13 @@ def povm_from_dilation(
     """
     rho_ancilla = linalg.as_operator(rho_ancilla)
     u = linalg.as_operator(u)
-    projs = tuple(ancilla_projectors)
+    projs = _effect_stack(ancilla_projectors)
     d_anc = rho_ancilla.shape[0]
-    if projs[0].shape[0] != d_anc:
+    if projs.shape[-1] != d_anc:
         raise DimensionMismatch("ancilla projectors vs ancilla state dims differ")
     if u.shape[0] % d_anc != 0:
         raise DimensionMismatch("unitary dim is not a multiple of the ancilla dim")
     d_sys = u.shape[0] // d_anc
     weight = np.kron(np.eye(d_sys), rho_ancilla)
-    effects = []
-    for pi in projs:
-        big = weight @ linalg.dagger(u) @ np.kron(np.eye(d_sys), pi) @ u
-        effects.append(linalg.partial_trace(big, (d_sys, d_anc), side="B"))
-    return validate_povm(effects)
+    big = weight @ linalg.dagger(u) @ np.kron(np.eye(d_sys), projs) @ u  # one per outcome
+    return validate_povm(np.trace(big.reshape(-1, d_sys, d_anc, d_sys, d_anc), axis1=2, axis2=4))

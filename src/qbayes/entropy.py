@@ -207,44 +207,29 @@ def _classical_gaps(joints: np.ndarray) -> np.ndarray:
     return _entropy(joints.sum(axis=-1)) - (pd * conditional).sum(axis=-1)
 
 
-def check_refinement_inequalities(
-    state: np.ndarray | None = None,
-    inst: KrausInstrument | None = None,
-    trials: int = 1,
-    dim: int = 2,
-    seed=None,
-) -> RefinementGaps:
+def check_refinement_inequalities(trials: int = 1, dim: int = 2, seed=None) -> RefinementGaps:
     """Sweep the quantum and classical refinement inequalities.
 
-    With an explicit (state, instrument) pair the quantum gaps are those of
-    that pair in every trial; passing only one of the two raises ValueError.
-    Otherwise each trial draws a random state, then a random efficient
-    instrument with 2 to 5 outcomes, of dimension ``dim``.  Every trial then
-    draws a random classical joint distribution.  The drawn trials' quantum
-    and Shannon gaps are evaluated afterwards as stacks.
+    Each trial draws a random state, then a random efficient instrument with
+    2 to 5 outcomes, of dimension ``dim``, then a random classical joint
+    distribution.  The drawn trials' quantum and Shannon gaps are evaluated
+    afterwards as stacks.  One given (state, instrument) pair's quantum gaps
+    are :func:`refinement_gap`.
     """
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
-    if (state is None) != (inst is None):
-        missing = "inst" if inst is None else "state"
-        raise ValueError(f"{missing} is missing: pass both state and inst, or neither")
     g = linalg.rng_from(seed)
     x_state = np.empty((trials, 2, dim, dim))
     x_inst = np.zeros((trials, 2, 5, 2, dim, dim))  # up to 5 outcomes, zero-padded
     joints = np.zeros((trials, 5, 5))  # 2 to 5 rows and columns, zero-padded
     for t in range(trials):
-        if state is None:
-            x_state[t] = g.normal(size=(2, dim, dim))
-            k = int(g.integers(2, 6))
-            x_inst[t, :, :k] = g.normal(size=(2, k, 2, dim, dim))
+        x_state[t] = g.normal(size=(2, dim, dim))
+        k = int(g.integers(2, 6))
+        x_inst[t, :, :k] = g.normal(size=(2, k, 2, dim, dim))
         h, d = int(g.integers(2, 6)), int(g.integers(2, 6))
         joint = g.random((h, d))
         joints[t, :h, :d] = joint / joint.sum()
-    c_gaps = _classical_gaps(joints)
-    if state is not None:
-        s, q = refinement_gap(state, inst)
-        return RefinementGaps(np.full(trials, s), np.full(trials, q), c_gaps)
     rho = linalg.state_from_normals(x_state)
     kraus = kraus_from_normals(x_inst)
     s_gaps, q_gaps = _refinement_gaps(rho, kraus @ rho[:, None] @ linalg.dagger(kraus))
-    return RefinementGaps(s_gaps, q_gaps, c_gaps)
+    return RefinementGaps(s_gaps, q_gaps, _classical_gaps(joints))

@@ -221,16 +221,9 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray
     ``side`` names the factor that is traced away: "A" returns the dB x dB
     operator left on B, "B" the dA x dA operator left on A.
     """
-    m = as_operator(m)
-    da, db = dims
-    if m.shape[0] != da * db:
-        raise DimensionMismatch(f"matrix of dim {m.shape[0]} is not {da}x{db}")
-    t = m.reshape(da, db, da, db)
-    if side == "A":
-        return np.einsum("ijik->jk", t)
-    if side == "B":
-        return np.einsum("ijkj->ik", t)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    return trace_out_factor(m, dims, "AB".index(side))
 
 
 def trace_out_factor(m: np.ndarray, dims: Sequence[int], which: int) -> np.ndarray:

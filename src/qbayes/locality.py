@@ -39,10 +39,8 @@ class PovmTree:
             raise ValueError("direction must be 'AtoB' or 'BtoA'")
         if len(self.branches) != len(self.first):
             raise DimensionMismatch("need one branch POVM per first outcome")
-        db = self.branches[0].dim
-        for b in self.branches:
-            if b.dim != db:
-                raise DimensionMismatch("branch POVMs must share one dimension")
+        if len({b.dim for b in self.branches}) > 1:
+            raise DimensionMismatch("branch POVMs must share one dimension")
 
 
 def random_tree(
@@ -55,8 +53,8 @@ def random_tree(
     direction, x_first, x_branch = _draw_tree(dim_a, dim_b, linalg.rng_from(seed), direction)
     first, branches = (a[0] for a in _trees_from_normals(x_first[None], x_branch[None]))
     sizes = x_branch.any(axis=(-3, -2, -1)).sum(axis=-1)  # 0 past the first's outcomes
-    povms = tuple(Povm(tuple(b[:k])) for b, k in zip(branches, sizes) if k)
-    return PovmTree(direction, Povm(tuple(first[: len(povms)])), povms)
+    povms = tuple(Povm(b[:k]) for b, k in zip(branches, sizes) if k)
+    return PovmTree(direction, Povm(first[: len(povms)]), povms)
 
 
 def _draw_tree(dim_a: int, dim_b: int, g, direction: str | None = None):
@@ -158,8 +156,8 @@ def swap_operator(dim: int) -> np.ndarray:
 def tree_probabilities(frame: BilinearFrame, tree: PovmTree) -> list[np.ndarray]:
     """Joint outcome table of a frame over a tree, one row per first outcome."""
     if tree.direction == "AtoB":
-        return [frame.table([e], b.elements)[0] for e, b in zip(tree.first, tree.branches)]
-    return [frame.table(b.elements, [f])[:, 0] for f, b in zip(tree.first, tree.branches)]
+        return [frame.table(e[None], b.elements)[0] for e, b in zip(tree.first, tree.branches)]
+    return [frame.table(b.elements, f[None])[:, 0] for f, b in zip(tree.first, tree.branches)]
 
 
 def tree_total(frame: BilinearFrame, tree: PovmTree) -> float:
@@ -290,7 +288,7 @@ class RealSpanAnalysis:
     product_span_dim: int
     full_symmetric_dim: int
     numeric_rank: int
-    null_directions: tuple[np.ndarray, ...]
+    null_directions: np.ndarray
 
 
 def real_span_analysis(dim_a: int, dim_b: int) -> RealSpanAnalysis:
@@ -302,8 +300,8 @@ def real_span_analysis(dim_a: int, dim_b: int) -> RealSpanAnalysis:
     a = np.einsum("pij,bij->pb", products, basis)
     _, svals, vt = np.linalg.svd(a)
     rank = linalg.numeric_rank(svals)
-    # Orthonormal basis of the unreachable directions, as matrices.
-    nulls = tuple(np.tensordot(vt[rank:], basis, axes=1).astype(complex))
+    # Orthonormal basis of the unreachable directions, as one stack of matrices.
+    nulls = np.tensordot(vt[rank:], basis, axes=1).astype(complex)
     return RealSpanAnalysis(
         product_span_dim=dim_a * dim_b * (dim_a + 1) * (dim_b + 1) // 4,
         full_symmetric_dim=dim_a * dim_b * (dim_a * dim_b + 1) // 2,

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Povm, validate_povm
+from .effects import Povm, _effect_stack, validate_povm
 from .errors import (
     DimensionMismatch,
     InconsistentRefinement,
@@ -40,54 +40,67 @@ def _assert_unitary(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausInstrument:
-    """Outcome-indexed Kraus sets {A_{d,i}} with sum A^dag A = I."""
+    """Outcome-indexed Kraus sets {A_{d,i}} with sum A^dag A = I as one
+    (K, r, D, D) stack; ragged sets are padded to r with zero operators,
+    which change no effect or posterior."""
 
-    outcomes: tuple[tuple[np.ndarray, ...], ...]
+    outcomes: np.ndarray
+
+    def __post_init__(self):
+        flat = _effect_stack([a for ops in self.outcomes for a in ops])
+        sizes = np.array([len(ops) for ops in self.outcomes])
+        stack = np.zeros((len(sizes), sizes.max()) + flat.shape[1:], dtype=complex)
+        stack[np.arange(sizes.max()) < sizes[:, None]] = flat
+        object.__setattr__(self, "outcomes", stack)
 
     @property
     def dim(self) -> int:
-        return self.outcomes[0][0].shape[0]
+        return self.outcomes.shape[-1]
 
     def __len__(self) -> int:
         return len(self.outcomes)
 
-    def effects(self) -> list[np.ndarray]:
-        return [sum(linalg.dagger(a) @ a for a in ops) for ops in self.outcomes]
+    def effects(self) -> np.ndarray:
+        """The (K, D, D) stack of effects sum_i A_{d,i}^dag A_{d,i}."""
+        return (linalg.dagger(self.outcomes) @ self.outcomes).sum(axis=1)
 
     @property
     def efficient(self) -> bool:
-        return all(len(ops) == 1 for ops in self.outcomes)
+        return self.outcomes.shape[1] == 1
 
 
-def make_instrument(outcomes: Sequence[Sequence[np.ndarray]]) -> KrausInstrument:
+def make_instrument(outcomes: np.ndarray | Sequence[Sequence[np.ndarray]]) -> KrausInstrument:
     """Validate Kraus completeness and wrap the operator sets."""
-    packed = tuple(
-        tuple(linalg.as_operator(a) for a in ops) for ops in outcomes
-    )
+    inst = KrausInstrument(outcomes)
     # The only check: each sum_i A^dag A is PSD by form, and at most I once all sum to I.
-    make_channel([a for ops in packed for a in ops])
-    return KrausInstrument(packed)
+    _check_complete(inst.outcomes.reshape((-1,) + inst.outcomes.shape[-2:]))
+    return inst
 
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Trace-preserving completely positive map given by Kraus operators."""
+    """Trace-preserving completely positive map: its Kraus operators as one stack."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "kraus", _effect_stack(self.kraus))
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[-1]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = linalg.as_operator(rho)
-        return sum(a @ rho @ linalg.dagger(a) for a in self.kraus)
+        if rho.shape[0] != self.dim:
+            raise DimensionMismatch(f"state dim {rho.shape[0]} vs channel dim {self.dim}")
+        return (self.kraus @ rho @ linalg.dagger(self.kraus)).sum(axis=0)
 
 
-def make_channel(kraus: Sequence[np.ndarray]) -> QuantumChannel:
-    ops = tuple(linalg.as_operator(a) for a in kraus)
-    _check_complete(np.stack(ops))
-    return QuantumChannel(ops)
+def make_channel(kraus: np.ndarray | Sequence[np.ndarray]) -> QuantumChannel:
+    ch = QuantumChannel(kraus)
+    _check_complete(ch.kraus)
+    return ch
 
 
 def _check_complete(kraus: np.ndarray) -> None:
@@ -129,7 +142,7 @@ def unnormalized_posteriors(state: np.ndarray, inst: KrausInstrument) -> np.ndar
     state = linalg.as_operator(state)
     if state.shape[0] != inst.dim:
         raise DimensionMismatch(f"state dim {state.shape[0]} vs instrument dim {inst.dim}")
-    return np.stack([sum(a @ state @ linalg.dagger(a) for a in ops) for ops in inst.outcomes])
+    return (inst.outcomes @ state @ linalg.dagger(inst.outcomes)).sum(axis=1)
 
 
 def efficient_from_povm(
@@ -140,12 +153,12 @@ def efficient_from_povm(
     Omitted unitaries default to the identity, which is the refinement-only
     (minimally readjusting) realization of the measurement.
     """
-    roots = linalg.mat_sqrt(np.stack(povm.elements))
+    roots = linalg.mat_sqrt(povm.elements)
     if unitaries is not None:
         if len(unitaries) != len(povm):
             raise DimensionMismatch("need one unitary per POVM element")
-        roots = [_assert_unitary(u) @ r for u, r in zip(unitaries, roots)]
-    return make_instrument([(a,) for a in roots])
+        roots = np.stack([_assert_unitary(u) for u in unitaries]) @ roots
+    return make_instrument(roots[:, None])
 
 
 # --------------------------------------------------------------------------
@@ -253,8 +266,8 @@ def factor_update(state: np.ndarray, inst: KrausInstrument) -> UpdateFactorizati
             "factorization is defined for efficient (single-Kraus) instruments"
         )
     support_dim = linalg.numeric_rank(np.linalg.eigvalsh(state))
-    kraus = np.stack([a for (a,) in inst.outcomes])
-    probs, live, *ops = (a[0] for a in factor_updates(state[None], kraus[None]))
+    kraus = inst.outcomes[None, :, 0]  # efficient: one Kraus operator per outcome
+    probs, live, *ops = (a[0] for a in factor_updates(state[None], kraus))
     outcomes = tuple(
         OutcomeFactorization(max(p, 0.0), *(o[k] if live[k] else None for o in ops))
         for k, p in enumerate(probs.tolist())
@@ -308,7 +321,7 @@ def instrument_from_dilation(
     """
     rho_ancilla = linalg.as_operator(rho_ancilla)
     u = linalg.as_operator(u)
-    projs = tuple(ancilla_projectors)
+    projs = _effect_stack(ancilla_projectors)
     d_anc = rho_ancilla.shape[0]
     if u.shape[0] % d_anc != 0:
         raise DimensionMismatch("unitary dim is not a multiple of the ancilla dim")
@@ -316,12 +329,10 @@ def instrument_from_dilation(
     anc_vals, anc_vecs = np.linalg.eigh(rho_ancilla)
     keep = anc_vals > PROB_FLOOR
     roots = np.sqrt(anc_vals[keep]) * anc_vecs[:, keep]  # column a is sqrt(lambda_a) |a>
-    outcomes = []
-    for pi in projs:
-        tens = (np.kron(np.eye(d_sys), pi) @ u).reshape(d_sys, d_anc, d_sys, d_anc)
-        # <b| (I x Pi_d) u sqrt(lambda_a) |a> over the ancilla factor, for every a and b
-        outcomes.append(tuple(np.einsum("sbta,ar->rbst", tens, roots).reshape(-1, d_sys, d_sys)))
-    return make_instrument(outcomes)
+    tens = (np.kron(np.eye(d_sys), projs) @ u).reshape(-1, d_sys, d_anc, d_sys, d_anc)
+    # <b| (I x Pi_d) u sqrt(lambda_a) |a> over the ancilla factor, for every d, a and b
+    kraus = np.einsum("dsbta,ar->drbst", tens, roots)
+    return make_instrument(kraus.reshape(len(projs), -1, d_sys, d_sys))
 
 
 def dilation_from_instrument(
@@ -339,7 +350,7 @@ def dilation_from_instrument(
     d_sys, n_out = inst.dim, len(inst)
     d_tot = d_sys * n_out
     # Isometry columns: |s>|0>  ->  sum_d (A_d |s>) |d>, ancilla index fastest.
-    v = np.stack([a for (a,) in inst.outcomes], axis=1).reshape(d_tot, d_sys)
+    v = inst.outcomes[:, 0].swapaxes(0, 1).reshape(d_tot, d_sys)
     sources = np.arange(d_tot) % n_out == 0
     full = np.zeros((d_tot, d_tot), dtype=complex)
     full[:, sources] = v
@@ -365,7 +376,7 @@ def channel_choi(ch: QuantumChannel) -> np.ndarray:
     ``w = (I x A) |psi_ME>``, whose components are A^T flattened over
     sqrt(D).
     """
-    w = np.stack([a.T.reshape(-1) for a in ch.kraus]) / np.sqrt(ch.dim)
+    w = ch.kraus.swapaxes(-1, -2).reshape(len(ch.kraus), -1) / np.sqrt(ch.dim)
     return w.T @ w.conj()
 
 
@@ -404,28 +415,23 @@ def controlled_unitary_channel(
         raise NotNormalized("control amplitudes must satisfy |a|^2 + |b|^2 = 1")
     u0 = _assert_unitary(u0)
     u1 = _assert_unitary(u1)
-    kraus = []
-    if abs(alpha) > 0.0:
-        kraus.append(alpha * u0)
-    if abs(beta) > 0.0:
-        kraus.append(beta * u1)
-    return make_channel(kraus)
+    return make_channel([c * u for c, u in ((alpha, u0), (beta, u1)) if abs(c) > 0.0])
 
 
 @dataclass(frozen=True)
 class SteeringReport:
     """Conditional channels steered onto a target by a far measurement.
 
-    ``conditional_chois[k]`` is the Choi operator of the target channel
-    given far outcome k (with probability ``far_probs[k]``);
+    ``conditional_chois[k]``, of a (K, 4, 4) stack, is the Choi operator of
+    the target channel given far outcome k (with probability ``far_probs[k]``);
     ``averaged_choi`` is their mixture and ``unconditional_choi`` the Choi
     of the channel obtained by never measuring the far system.  The final
     field is the no-signaling deviation between the two.
     """
 
     far_probs: np.ndarray
-    conditional_chois: tuple[np.ndarray, ...]
-    conditional_weights: tuple[np.ndarray, ...]
+    conditional_chois: np.ndarray
+    conditional_weights: np.ndarray
     averaged_choi: np.ndarray
     unconditional_choi: np.ndarray
     max_deviation: float
@@ -462,7 +468,7 @@ def remote_steering_experiment(
     unconditional = channel_choi(controlled_unitary_channel(u0, u1, alpha, beta))
     # Outcome M on the far half of alpha|00> + beta|11> leaves the control with
     # diagonal (|alpha|^2 M_00, |beta|^2 M_11), so the target gets U_0 or U_1.
-    diagonals = np.diagonal(np.stack(far_povm.elements), axis1=1, axis2=2).real
+    diagonals = np.diagonal(far_povm.elements, axis1=1, axis2=2).real
     raw = diagonals * np.abs([alpha, beta]) ** 2
     probs = raw.sum(axis=1)
     live = probs > PROB_FLOOR
@@ -474,8 +480,8 @@ def remote_steering_experiment(
     averaged = np.tensordot(probs, chois, axes=1)
     return SteeringReport(
         far_probs=probs,
-        conditional_chois=tuple(chois),
-        conditional_weights=tuple(weights),
+        conditional_chois=chois,
+        conditional_weights=weights,
         averaged_choi=averaged,
         unconditional_choi=unconditional,
         max_deviation=float(np.abs(averaged - unconditional).max()),
@@ -606,13 +612,11 @@ def random_instrument(
     g = linalg.rng_from(seed)
     if kraus_per_outcome == 1:
         kraus = kraus_from_normals(g.normal(size=(2, n_outcomes, 2, dim, dim)))
-        return KrausInstrument(tuple((a,) for a in kraus))
+        return KrausInstrument(kraus[:, None])
     outcomes = []
-    for root in linalg.mat_sqrt(np.stack(linalg.random_povm(dim, n_outcomes, g))):
+    for root in linalg.mat_sqrt(linalg.povm_from_normals(g.normal(size=(n_outcomes, 2, dim, dim)))):
         w = g.dirichlet(np.ones(kraus_per_outcome))
-        outcomes.append(
-            tuple(np.sqrt(wi) * linalg.random_unitary(dim, g) @ root for wi in w)
-        )
+        outcomes.append([np.sqrt(wi) * linalg.random_unitary(dim, g) @ root for wi in w])
     return make_instrument(outcomes)
 
 

@@ -24,6 +24,15 @@ def test_validate_povm_identity_singleton():
     assert len(povm) == 1
 
 
+@pytest.mark.parametrize("form", [tuple, list, np.stack])
+def test_povm_holds_one_stack_whatever_the_input(form, rng):
+    stack = linalg.povm_from_normals(rng.normal(size=(4, 2, 3, 3)))
+    for povm in (effects.Povm(form(list(stack))), effects.validate_povm(form(list(stack)))):
+        assert isinstance(povm.elements, np.ndarray) and povm.elements.dtype == complex
+        assert np.array_equal(povm.elements, stack)
+        assert povm.dim == 3 and len(povm) == 4
+
+
 def test_validate_povm_projective_basis():
     povm = effects.validate_povm(
         [linalg.projector(linalg.ket(i, 2)) for i in range(2)]
@@ -141,6 +150,44 @@ def test_frame_function_keys_by_value():
     assert len(f) == 1
 
 
+def test_effect_keys_of_a_stack_are_its_rows_keys(rng):
+    stack = np.stack(linalg.random_povm(3, 6, rng))
+    keys = effects.effect_keys(stack)
+    assert keys == [effects.effect_keys(e[None])[0] for e in stack]
+    assert len(set(keys)) == 6
+    signed_zero = np.array([[0.5, -0.0], [0.0, 0.5]], dtype=complex)
+    assert effects.effect_keys(signed_zero[None]) == effects.effect_keys(np.eye(2)[None] / 2.0)
+
+
+def test_frame_from_state_repeated_effect_keeps_first_row_and_last_value(rng):
+    sqm = effects.standard_sqm(2)
+    rho = linalg.random_state(2, rng)
+    twin = sqm.base[1] + 1e-14  # the same key as element 1, another value
+    f = effects.FrameFunction.from_state(rho, [*sqm.base, twin])
+    assert len(f) == 4 and len(f.items()) == 4
+    effs, values = zip(*f.items())
+    assert np.array_equal(effs[1], twin) and values[1] == effects.born(rho, twin[None])[0]
+    assert f.value(sqm.base[1]) == values[1]
+    with pytest.raises(KeyError):
+        f.value(np.eye(2) / 3.0)
+    assert np.array_equal(np.stack(effs)[[0, 2, 3]], sqm.base.elements[[0, 2, 3]])
+    recorded = effects.FrameFunction()
+    for e in [*sqm.base, twin]:
+        recorded.record(e, effects.born(rho, e[None])[0])
+    assert [v for _, v in recorded.items()] == list(values)
+
+
+def test_recording_on_a_povm_frame_leaves_the_povm_alone(rng):
+    sqm = effects.standard_sqm(3)
+    before = sqm.base.elements.copy()
+    f = effects.FrameFunction.from_state(linalg.random_state(3, rng), sqm.base.elements)
+    assert np.shares_memory(f.items()[0][0], sqm.base.elements)  # the stack, not a copy
+    f.record(sqm.base[0] * 0.5, 0.1)
+    f.record(sqm.base[1] + 1e-14, 0.2)
+    assert np.array_equal(sqm.base.elements, before)
+    assert f.value(sqm.base[1]) == 0.2 and len(f) == 10
+
+
 def test_frame_povm_sums_to_one(sqm, rng, dim):
     rho = linalg.random_state(dim, rng)
     f = effects.FrameFunction.from_state(rho, sqm.base.elements)
@@ -152,7 +199,7 @@ def test_frame_from_state_keys_are_effect_keys(d, rng):
     sqm = effects.standard_sqm(d)
     rho = linalg.random_state(d, rng)
     f = effects.FrameFunction.from_state(rho, sqm.base.elements)
-    assert list(f._values) == [effects.effect_key(e) for e in sqm.base.elements]
+    assert list(f._index) == [effects.effect_keys(e[None])[0] for e in sqm.base.elements]
     probs = effects.born(rho, sqm.base)
     assert [f.value(e) for e in sqm.base.elements] == probs.tolist()
 

@@ -239,26 +239,6 @@ def test_refinement_sweep_matches_per_trial_loop(seed, trials, dim):
     assert np.abs(got - expected).max() <= 1e-12
 
 
-def test_refinement_sweep_with_a_state_alone_raises():
-    rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError, match="inst is missing"):
-        entropy.check_refinement_inequalities(state=rho, trials=3, dim=3, seed=1)
-
-
-def test_refinement_sweep_with_an_instrument_alone_raises():
-    inst = update.random_instrument(3, 3, 1, 4)
-    with pytest.raises(ValueError, match="state is missing"):
-        entropy.check_refinement_inequalities(inst=inst, trials=3, dim=3, seed=1)
-
-
-def test_refinement_sweep_on_a_given_pair_repeats_its_gaps():
-    rho = linalg.random_state(3, 6)
-    inst = update.random_instrument(3, 4, 2, 7)
-    gaps = entropy.check_refinement_inequalities(rho, inst, trials=4, seed=2)
-    s, q = entropy.refinement_gap(rho, inst)
-    assert (gaps.von_neumann_gaps == s).all() and (gaps.subentropy_gaps == q).all()
-
-
 # --------------------------------------------------------------------------
 # CLI sections against their per-trial loops.
 

@@ -3,6 +3,7 @@ import pytest
 
 from qbayes import effects, linalg, update
 from qbayes.errors import (
+    DimensionMismatch,
     InconsistentRefinement,
     NotCp,
     NotHermitian,
@@ -98,6 +99,61 @@ def test_sqm_measurement_is_valid_instrument():
     inst = update.efficient_from_povm(effects.standard_sqm(2).base)
     assert len(inst) == 4
     assert inst.efficient
+
+
+@pytest.mark.parametrize("form", [tuple, list, np.stack])
+def test_instrument_and_channel_hold_one_stack_whatever_the_input(form, rng):
+    kraus = update.random_instrument(3, 1, 3, rng).outcomes[0]
+    ch = update.make_channel(form(list(kraus)))
+    inst = update.make_instrument(form([form([a]) for a in kraus]))
+    assert ch.kraus.dtype == complex and np.array_equal(ch.kraus, kraus)
+    assert inst.outcomes.shape == (3, 1, 3, 3) and np.array_equal(inst.outcomes[:, 0], kraus)
+
+
+def _ragged_instrument(rng):
+    """Outcome sets of 1, 3 and 2 Kraus operators of a random 3-outcome instrument."""
+    povm = linalg.mat_sqrt(np.stack(linalg.random_povm(3, 3, rng)))
+    weights = [np.ones(1), rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(2))]
+    return [
+        [np.sqrt(w) * linalg.random_unitary(3, rng) @ root for w in ws]
+        for root, ws in zip(povm, weights)
+    ]
+
+
+def test_zero_padding_of_a_ragged_instrument_changes_nothing(rng):
+    sets = _ragged_instrument(rng)
+    inst = update.make_instrument(sets)
+    assert inst.outcomes.shape == (3, 3, 3, 3) and not inst.efficient
+    assert not inst.outcomes[0, 1:].any() and not inst.outcomes[2, 2:].any()
+    rho = linalg.random_state(3, rng)
+    raw = update.unnormalized_posteriors(rho, inst)
+    outs = update.apply_instrument(rho, inst)
+    for d, ops in enumerate(sets):
+        effect = sum(linalg.dagger(a) @ a for a in ops)
+        posterior = sum(a @ rho @ linalg.dagger(a) for a in ops)
+        assert np.abs(inst.effects()[d] - effect).max() <= 1e-14
+        assert np.abs(raw[d] - posterior).max() <= 1e-14
+        assert np.abs(update.QuantumChannel(inst.outcomes[d]).apply(rho) - posterior).max() <= 1e-14
+        assert outs[d].probability == pytest.approx(np.trace(posterior).real, abs=1e-14)
+        assert np.abs(outs[d].posterior - posterior / np.trace(posterior).real).max() <= 1e-14
+
+
+@pytest.mark.parametrize("build", [update.make_channel, lambda ops: update.make_instrument([ops])])
+def test_malformed_kraus_sets_raise_dimension_mismatch(build):
+    with pytest.raises(DimensionMismatch):
+        build([np.eye(2) / np.sqrt(2.0), np.eye(3) / np.sqrt(2.0)])
+    with pytest.raises(DimensionMismatch):
+        build([])
+    with pytest.raises(DimensionMismatch):
+        update.make_instrument([[np.eye(2) / np.sqrt(2.0)], [np.eye(3) / np.sqrt(2.0)]])
+    with pytest.raises(DimensionMismatch):
+        update.make_instrument([])
+
+
+def test_channel_rejects_a_state_of_another_dimension():
+    ch = update.make_channel([np.eye(2)])
+    with pytest.raises(DimensionMismatch):
+        ch.apply(np.eye(3) / 3.0)
 
 
 # --------------------------------------------------------------------------
