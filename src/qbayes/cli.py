@@ -7,8 +7,8 @@ fields.  Randomness comes only from PCG64 generators: each section seeds
 one generator with ``seed XOR salt`` (a fixed per-section salt; the
 de Finetti runs each get their own, ``seed XOR (salt + run)``) and draws
 every trial's inputs from it in a fixed order.  Every section draws all its
-trials first, as raw normals, integers and uniforms, and then evaluates them
-as stacks; only ``definetti-merge`` runs one experiment per run.
+trials first, as raw normals, integers and uniforms (``definetti-merge``: each
+run's true state and its outcomes), and then evaluates them as stacks.
 """
 
 import argparse
@@ -48,20 +48,6 @@ def _rng(seed, salt=0):
     return np.random.default_rng(int(seed) ^ int(salt))
 
 
-# update-factor and gleason-roundtrip evaluate their trials in chunks of at
-# most this many bytes of their largest trial array (8192 / D^2 and 2621 / D^2
-# trials), which bounds their memory at large D; under `qbayes all` each is one
-# chunk up to D = 9 and D = 7.
-_CHUNK_BYTES = 1 << 20
-
-
-def _chunked(fn, *arrays):
-    """fn on successive chunks of the arrays' leading (trial) axis, each chunk
-    at most _CHUNK_BYTES of the largest array; returns one result per chunk."""
-    step = max(1, _CHUNK_BYTES // max(x[0].nbytes for x in arrays))
-    return [fn(*(x[i : i + step] for x in arrays)) for i in range(0, len(arrays[0]), step)]
-
-
 # --------------------------------------------------------------------------
 # Subcommand check builders.  Each returns (checks, notes).
 
@@ -94,7 +80,7 @@ def _gleason_roundtrip(dim, trials, seed, tol):
     from_state = effects.FrameFunction.from_state  # one frame alive at a time
     rec = np.stack([effects.reconstruct_from_frame(from_state(r, sqm.base.elements)) for r in rho])
     worst_rt = linalg.trace_distance(rec, rho).max()
-    worst_held = max(_chunked(_held_out_error, x_held, rec, rho))
+    worst_held = max(linalg._chunked(_held_out_error, x_held, rec, rho))
     checks = [
         _check("gleason_roundtrip_trace_distance_max", worst_rt, "<=", 1e-8, tol),
         _check("gleason_heldout_probability_error_max", worst_held, "<=", 1e-8, tol),
@@ -152,7 +138,7 @@ def _update_factor(dim, trials, seed, tol):
         k = int(g.integers(2, 5))
         x_inst[t, :, :k] = g.normal(size=(2, k, 2, dim, dim))
         x_ket[t] = g.normal(size=(2, dim))
-    devs = _chunked(_factor_devs, x_state, x_inst, x_ket)
+    devs = linalg._chunked(_factor_devs, x_state, x_inst, x_ket)
     mix_dev, spec_dev, readj_dev, pure_dev = np.max(devs, axis=0)
     checks = [
         _check("update_refinement_mixture_dev_max", mix_dev, "<=", 1e-9, tol),
@@ -271,17 +257,13 @@ def _definetti_merge(dim, trials, seed, tol):
 
 
 def _merging_runs(prior_a, prior_b, povm, runs, seed, salt):
-    """One 500-outcome merging experiment per run: its true state is a grid point
-    drawn from ``_rng(seed, salt + run)``, its outcomes from seed ``seed ^
-    (salt + 0x10000 + run)``."""
+    """``runs`` 500-outcome merging experiments as one stack: run r's true state
+    is a grid point drawn from ``_rng(seed, salt + r)``, its outcomes from seed
+    ``seed ^ (salt + 0x10000 + r)``."""
     grid = prior_a.states
-    return [
-        definetti.merging_experiment(
-            prior_a, prior_b, grid[int(_rng(seed, salt + run).integers(len(grid)))], povm, 500,
-            seed=int(seed) ^ (salt + 0x10000 + run),
-        )
-        for run in range(runs)
-    ]
+    picks = [int(_rng(seed, salt + run).integers(len(grid))) for run in range(runs)]
+    seeds = [int(seed) ^ (salt + 0x10000 + run) for run in range(runs)]
+    return definetti.merging_experiments(prior_a, prior_b, grid[picks], povm, 500, seeds)
 
 
 def _real_counterexample(dim, trials, seed, tol):
@@ -327,7 +309,7 @@ _TRIALS = {
 
 
 # entropy-sweep's 20000-sample Monte-Carlo holds O(D^2) memory per sample
-# (163 MiB peak at D = 16), so larger dimensions are refused before any work.
+# (159 MiB peak at D = 16), so larger dimensions are refused before any work.
 MAX_DIM = 16
 
 

@@ -245,7 +245,8 @@ def posterior_update(
 
 def _merging_distances(agents: tuple, counts: np.ndarray, true_state: np.ndarray) -> tuple:
     """Trace distances (A to B, A to truth, B to truth) of the predictive states
-    after each row of ``counts``, for two (weights, likelihoods, stack) agents."""
+    after each row of ``counts``, for two (weights, likelihoods, stack) agents
+    and one true state or one per row."""
     pred_a, pred_b = (
         np.tensordot(_count_posterior(w, like, counts), s, axes=1) for w, like, s in agents
     )
@@ -300,18 +301,40 @@ def merging_experiment(
     arbitrarily small but not zero), which is the minimal agreement that
     makes merging possible.  Only the three final distances are computed
     here, from the outcome counts; trajectories are built when read.
+    This is :func:`merging_experiments` on a stack of one.
     """
-    true_state = assert_density_operator(true_state)
+    true_states = linalg.as_operator(true_state)[None]
+    return merging_experiments(prior_a, prior_b, true_states, povm, n_outcomes, [seed])[0]
+
+
+def merging_experiments(
+    prior_a: PriorOverStates,
+    prior_b: PriorOverStates,
+    true_states: np.ndarray,
+    povm: Povm,
+    n_outcomes: int,
+    seeds: Sequence,
+) -> list[MergingTrace]:
+    """:func:`merging_experiment` on each state of a (R, D, D) stack, run r
+    drawing its outcomes, bitwise those of one run, from ``seeds[r]``.  The
+    states are validated once (NotAState names the first bad one), each agent's
+    likelihoods are tabled once, and one posterior per agent gives every run's
+    final distances."""
+    true_states = assert_density_operator(_effect_stack(true_states))
     if prior_a.weights.min() <= 0.0 or prior_b.weights.min() <= 0.0:
         raise ValueError("both priors must be strictly positive on their grids")
-    g = linalg.rng_from(seed)
-    p_true = born(true_state, povm)
-    p_true = p_true / p_true.sum()
-    outcomes = g.choice(len(povm), size=n_outcomes, p=p_true)
+    p_true = born(true_states[:, None], povm)[:, 0]  # one row product per run, as for one state
+    outcomes = [
+        linalg.rng_from(seed).choice(len(povm), size=n_outcomes, p=p / p.sum())
+        for p, seed in zip(p_true, seeds, strict=True)
+    ]
     agents = tuple((p.weights, born(p.states, povm), p.states) for p in (prior_a, prior_b))
-    counts = np.bincount(outcomes, minlength=len(povm))
-    inter, to_a, to_b = _merging_distances(agents, counts, true_state)
-    return MergingTrace(outcomes, inter, (to_a, to_b), agents, true_state)
+    counts = np.stack([np.bincount(o, minlength=len(povm)) for o in outcomes])
+    finals = np.stack(_merging_distances(agents, counts, true_states), axis=1).tolist()
+    return [
+        MergingTrace(o, f[0], (f[1], f[2]), agents, state)
+        for o, f, state in zip(outcomes, finals, true_states)
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -31,8 +31,12 @@ from .errors import (
 
 def effect_keys(stack: np.ndarray) -> list[bytes]:
     """Canonical by-value key of each effect of a (K, D, D) stack (entrywise, rounded)."""
-    # + 0.0 maps -0.0 to 0.0, whose byte pattern differs.
-    return [k.tobytes() for k in np.round(linalg.as_operators(stack), linalg.KEY_DECIMALS) + 0.0]
+    # Rounding the float view rounds each real and imaginary part, as np.round
+    # does on the complex stack; + 0.0 maps -0.0 to 0.0, whose bytes differ.
+    parts = np.ascontiguousarray(linalg.as_operators(stack)).view(float)
+    rounded = np.round(parts, linalg.KEY_DECIMALS) + 0.0
+    buf, size = rounded.tobytes(), rounded.itemsize * math.prod(rounded.shape[1:])
+    return [buf[i : i + size] for i in range(0, len(buf), size)]
 
 
 def _effect_stack(ops) -> np.ndarray:

@@ -129,24 +129,31 @@ def mean_entropy_mc(rho: np.ndarray, samples: int, seed=None) -> tuple[float, fl
 def _random_basis_probabilities(rho: np.ndarray, n: int, g: np.random.Generator) -> np.ndarray:
     """Outcome probabilities (n, D) of ``rho`` in n Haar-random bases.
 
-    The columns of all the Ginibre draws are orthonormalized at once by
-    classical Gram-Schmidt with one re-orthogonalization pass.  Each basis
-    vector then equals the QR one up to a unit phase, which leaves every
-    outcome probability q^dag rho q unchanged, so the bases are Haar.
+    The first D - 1 columns of all the Ginibre draws are orthonormalized at
+    once by classical Gram-Schmidt with one re-orthogonalization pass, in real
+    form: z[j, :, s] = (Re q; Im q) is column j of sample s.  Each basis vector
+    then equals the QR one up to a unit phase, which leaves every outcome
+    probability q^dag rho q unchanged, so the bases are Haar.  The basis is
+    complete, so the last probability is tr rho minus the others.
     """
-    d = rho.shape[0]
-    # z[j, :, s] is column j of sample s, so each step runs along the samples.
-    z = np.empty((d, d, n), dtype=complex)
-    z.real = g.normal(size=(n, d, d)).transpose(2, 1, 0)
-    z.imag = g.normal(size=(n, d, d)).transpose(2, 1, 0)
+    d, m = rho.shape[0], rho.shape[0] - 1
+    z = np.empty((m, 2 * d, n))
+    z[:, :d] = g.normal(size=(n, d, d))[..., :m].T
+    z[:, d:] = g.normal(size=(n, d, d))[..., :m].T
+    h = np.block([[rho.real, -rho.imag], [rho.imag, rho.real]])  # q^dag rho q = z[j] . h z[j]
     probs = np.empty((d, n))
-    for j in range(d):
-        v = z[j]
+    for j in range(m):
+        v, q = z[j], z[:j]
         for _ in range(2 if j else 0):
-            overlap = np.einsum("kin,in->kn", z[:j], v.conj()).conj()
-            v = v - np.einsum("kin,kn->in", z[:j], overlap)
-        z[j] = v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
-        probs[j] = (z[j].conj() * (rho @ z[j])).sum(axis=0).real
+            # v - sum_k q_k <q_k, v>, with <q, v> = q . v + i (Re q . Im v - Im q . Re v).
+            re = np.einsum("kin,in->kn", q, v)
+            im = np.einsum("kin,in->kn", q[:, :d], v[d:]) - np.einsum("kin,in->kn", q[:, d:], v[:d])
+            v = v - np.einsum("kin,kn->in", q, re)
+            v[:d] += np.einsum("kin,kn->in", q[:, d:], im)
+            v[d:] -= np.einsum("kin,kn->in", q[:, :d], im)
+        v = z[j] = v / np.sqrt(np.einsum("in,in->n", v, v))
+        probs[j] = np.einsum("in,in->n", v, h @ v)
+    probs[m] = np.trace(rho).real - probs[:m].sum(axis=0)
     return probs.T
 
 

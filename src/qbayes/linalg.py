@@ -261,6 +261,20 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return float(dist) if diff.ndim == 2 else dist
 
 
+# update-factor, gleason-roundtrip and the swap-counterexample trees evaluate
+# their trials in chunks of at most this many bytes of their largest trial
+# array (8192 / D^2, 2621 / D^2 and 2621 / D^2 trials), which bounds their
+# memory at large D; under `qbayes all` each is one chunk up to D = 9, 7 and 7.
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunked(fn, *arrays):
+    """fn on successive chunks of the arrays' leading (trial) axis, each chunk
+    at most _CHUNK_BYTES of the largest array; returns one result per chunk."""
+    step = max(1, _CHUNK_BYTES // max(x[0].nbytes for x in arrays))
+    return [fn(*(x[i : i + step] for x in arrays)) for i in range(0, len(arrays[0]), step)]
+
+
 # --------------------------------------------------------------------------
 # Seeded random generators.  ``default_rng`` wraps the PCG64 bit generator,
 # which is the stream named in CLI reports for reproducibility.  A sampler is

@@ -209,7 +209,7 @@ def swap_counterexample(dim: int, n_trees: int = 100, seed=0) -> SwapCounterexam
     Draws 200 effect pairs, then ``n_trees`` random trees, from ``seed`` in
     the order of per-pair :func:`_random_effect` and per-tree
     :func:`random_tree` calls.  The pairs are then evaluated as one stack,
-    and the trees as one stack per direction through :func:`_tree_totals`.
+    and the trees in chunks of ``linalg._chunked``, as one stack per direction.
     """
     g = linalg.rng_from(seed)
     frame = BilinearFrame.from_swap(dim)
@@ -218,11 +218,8 @@ def swap_counterexample(dim: int, n_trees: int = 100, seed=0) -> SwapCounterexam
         x[i], u[i] = g.normal(size=(2, dim, dim)), g.random()
     es, fs = _effects_from_draws(x, u).reshape(200, 2, dim, dim).swapaxes(0, 1)
     direction, x_first, x_branch = zip(*(_draw_tree(dim, dim, g) for _ in range(n_trees)))
-    first, branches = _trees_from_normals(np.stack(x_first), np.stack(x_branch))
-    totals = np.empty(n_trees)
-    for way in ("AtoB", "BtoA"):
-        pick = np.equal(direction, way)
-        totals[pick] = _tree_totals(frame, way, first[pick], branches[pick])
+    draws = np.array(direction), np.stack(x_first), np.stack(x_branch)
+    totals = np.concatenate(linalg._chunked(lambda *x: _tree_totals(frame, *x), *draws))
     joint = reconstruct_joint_operator(frame)
     witness = np.zeros(dim * dim, dtype=complex)
     witness[0 * dim + 1] = 1.0 / np.sqrt(2.0)
@@ -238,12 +235,16 @@ def swap_counterexample(dim: int, n_trees: int = 100, seed=0) -> SwapCounterexam
     )
 
 
-def _tree_totals(frame: BilinearFrame, direction: str, first, branches) -> np.ndarray:
-    """:func:`tree_total` of N trees walked in ``direction``, from their zero-padded
-    POVM stacks first (N, m, D, D) and branches (N, m, k, D', D')."""
-    first = first[:, :, None]
-    vals = frame(first, branches) if direction == "AtoB" else frame(branches, first)
-    return vals.sum(axis=(-2, -1))
+def _tree_totals(frame: BilinearFrame, direction, x_first, x_branch) -> np.ndarray:
+    """:func:`tree_total` of N trees from their stacked :func:`_draw_tree` draws,
+    tree n walked in ``direction[n]``."""
+    first, branches = _trees_from_normals(x_first, x_branch)
+    first, totals = first[:, :, None], np.empty(len(direction))
+    for way in np.unique(direction):
+        pick = direction == way
+        e, f = (first[pick], branches[pick]) if way == "AtoB" else (branches[pick], first[pick])
+        totals[pick] = frame(e, f).sum(axis=(-2, -1))
+    return totals
 
 
 def _random_effect(dim: int, g) -> np.ndarray:

@@ -159,6 +159,34 @@ def test_effect_keys_of_a_stack_are_its_rows_keys(rng):
     assert effects.effect_keys(signed_zero[None]) == effects.effect_keys(np.eye(2)[None] / 2.0)
 
 
+def old_effect_keys(stack):
+    """effect_keys as first written: the complex stack rounded, one tobytes per row."""
+    return [k.tobytes() for k in np.round(linalg.as_operators(stack), linalg.KEY_DECIMALS) + 0.0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_effect_keys_match_rounding_the_complex_stack(d):
+    g = np.random.default_rng(40 + d)
+    scale = 10.0**linalg.KEY_DECIMALS
+    # Entries whose scaled value is exactly halfway between integers, signed
+    # zeros, and negatives that round to -0.0.
+    halves = (np.arange(-40, 40) + 0.5) / scale
+    ties = [x for x in halves if x * scale == np.floor(x * scale) + 0.5]
+    specials = np.array([0.0, -0.0, -1e-14, 1e-14, -4e-13, *ties])
+    assert len(ties) > 10
+    for _ in range(20):
+        stack = g.normal(size=(5, d, d)) + 1j * g.normal(size=(5, d, d))
+        stack *= g.choice([1e-12, 1e-6, 1.0], size=(5, 1, 1))
+        parts = stack.view(float)
+        pick = g.random(parts.shape) < 0.4
+        parts[pick] = g.choice(specials, size=int(pick.sum()))
+        for arg in (stack, stack.transpose(0, 2, 1), stack.real):
+            assert effects.effect_keys(arg) == old_effect_keys(arg)
+    sqm = effects.standard_sqm(d + 1).base.elements
+    assert effects.effect_keys(sqm) == old_effect_keys(sqm)
+    assert effects.effect_keys(np.empty((0, d, d))) == []
+
+
 def test_frame_from_state_repeated_effect_keeps_first_row_and_last_value(rng):
     sqm = effects.standard_sqm(2)
     rho = linalg.random_state(2, rng)

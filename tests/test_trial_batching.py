@@ -11,8 +11,8 @@ them value for value.
 import numpy as np
 import pytest
 
-from qbayes import cli, effects, entropy, linalg, locality, update
-from qbayes.errors import DimensionMismatch, NotNormalized, NotTracePreserving
+from qbayes import cli, definetti, effects, entropy, linalg, locality, update
+from qbayes.errors import DimensionMismatch, NotAState, NotNormalized, NotTracePreserving
 
 # --------------------------------------------------------------------------
 # Per-call references: the samplers as they were before the draw/build split.
@@ -314,7 +314,7 @@ def test_update_factor_section_eigendecomposes_whole_stacks(monkeypatch):
 def test_update_factor_chunks_do_not_change_values(monkeypatch):
     argv = ["update-factor", "--dim", "3", "--seed", "4", "--trials", "50"]
     whole = [c["value"] for c in cli.run(argv)[1]["checks"]]
-    monkeypatch.setattr(cli, "_CHUNK_BYTES", 7 * 2 * 4 * 2 * 9 * 8)  # 7 trials per chunk
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 7 * 2 * 4 * 2 * 9 * 8)  # 7 trials per chunk
     assert [c["value"] for c in cli.run(argv)[1]["checks"]] == whole
 
 
@@ -418,10 +418,9 @@ def test_batched_tree_totals_match_tree_total(dims):
     for way in ("AtoB", "BtoA"):
         picked = [i for i, (direction, _, _) in enumerate(draws) if direction == way]
         assert picked
-        first, branches = locality._trees_from_normals(
-            np.stack([draws[i][1] for i in picked]), np.stack([draws[i][2] for i in picked])
-        )
-        totals = locality._tree_totals(frame, way, first, branches)
+        x_first = np.stack([draws[i][1] for i in picked])
+        x_branch = np.stack([draws[i][2] for i in picked])
+        totals = locality._tree_totals(frame, np.full(len(picked), way), x_first, x_branch)
         assert np.abs(totals - np.take(expected, picked)).max() <= 1e-12
 
 
@@ -582,3 +581,96 @@ def test_all_sections_eigendecompose_whole_stacks(monkeypatch):
     code, _ = cli.run(["all", "--dim", "3"])
     assert code == 0
     assert len(calls) <= 100
+
+
+# --------------------------------------------------------------------------
+# The Monte-Carlo kernel and the merging runs.
+
+
+def old_random_basis_probabilities(rho, n, g):
+    """The complex Gram-Schmidt kernel over all D columns, as first batched."""
+    d = rho.shape[0]
+    z = np.empty((d, d, n), dtype=complex)
+    z.real = g.normal(size=(n, d, d)).transpose(2, 1, 0)
+    z.imag = g.normal(size=(n, d, d)).transpose(2, 1, 0)
+    probs = np.empty((d, n))
+    for j in range(d):
+        v = z[j]
+        for _ in range(2 if j else 0):
+            overlap = np.einsum("kin,in->kn", z[:j], v.conj()).conj()
+            v = v - np.einsum("kin,kn->in", z[:j], overlap)
+        z[j] = v / np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+        probs[j] = (z[j].conj() * (rho @ z[j])).sum(axis=0).real
+    return probs.T
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_basis_probabilities_match_the_complex_kernel(d):
+    for seed in range(3):
+        rho = linalg.random_state(d, 60 + seed)
+        g_new, g_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = entropy._random_basis_probabilities(rho, 500, g_new)
+        expected = old_random_basis_probabilities(rho, 500, g_old)
+        assert got.shape == expected.shape == (500, d)
+        assert np.abs(got - expected).max() <= 1e-14
+        assert_same_stream(g_new, g_old)
+
+
+def merging_config(name):
+    grid = definetti.bloch_grid(50, (0.25, 0.5, 0.75, 1.0))
+    if name == "sqm":
+        weights = (None, definetti.center_skewed_weights(grid))
+        povm = effects.standard_sqm(2).base
+    else:
+        weights = [definetti.axis_skewed_weights(grid, linalg.sigma_x, s) for s in (2.0, -2.0)]
+        povm = effects.validate_povm([linalg.projector(linalg.ket(i, 2)) for i in range(2)])
+    return grid, *(definetti.make_prior(grid, w) for w in weights), povm
+
+
+@pytest.mark.parametrize("name", ["sqm", "z"])
+def test_merging_experiments_match_single_runs(name):
+    grid, prior_a, prior_b, povm = merging_config(name)
+    truths = grid[[3, 77, 150, 199, 3, 120]]
+    seeds = [11, 12, 13, 14, 15, np.random.default_rng(16)]
+    traces = definetti.merging_experiments(prior_a, prior_b, truths, povm, 500, seeds)
+    seeds[-1] = np.random.default_rng(16)
+    for trace, truth, seed in zip(traces, truths, seeds, strict=True):
+        single = definetti.merging_experiment(prior_a, prior_b, truth, povm, 500, seed=seed)
+        assert trace.outcomes.tobytes() == single.outcomes.tobytes()
+        assert abs(trace.final_inter_agent - single.final_inter_agent) <= 1e-12
+        assert np.abs(np.subtract(trace.final_to_truth, single.final_to_truth)).max() <= 1e-12
+        assert np.array_equal(trace.inter_agent, single.inter_agent)
+        assert np.array_equal(trace.to_truth_b, single.to_truth_b)
+
+
+def test_merging_experiments_name_the_first_bad_state():
+    grid, prior_a, prior_b, povm = merging_config("sqm")
+    truths = grid[:5].copy()
+    truths[2] *= 1.5  # trace 1.5
+    truths[4, 0, 0] = -0.25
+    with pytest.raises(NotAState, match=r"^state 2 .*trace 1\.5"):
+        definetti.merging_experiments(prior_a, prior_b, truths, povm, 10, range(5))
+    with pytest.raises(ValueError):
+        definetti.merging_experiments(prior_a, prior_b, grid[:2], povm, 10, [1, 2, 3])
+
+
+def test_definetti_merge_section_takes_one_posterior_per_agent_and_loop(monkeypatch):
+    calls = []
+    count_posterior = definetti._count_posterior
+
+    def counting(*args):
+        calls.append(np.shape(args[2]))
+        return count_posterior(*args)
+
+    monkeypatch.setattr(definetti, "_count_posterior", counting)
+    code, _ = cli.run(["definetti-merge", "--dim", "2", "--trials", "10"])
+    assert code == 0
+    assert len(calls) <= 4
+
+
+def test_swap_tree_chunks_do_not_change_values(monkeypatch):
+    whole = locality.swap_counterexample(3, n_trees=40, seed=8)
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 7 * 5 * 5 * 2 * 9 * 8)  # 7 trees per chunk
+    chunked = locality.swap_counterexample(3, n_trees=40, seed=8)
+    assert chunked.max_tree_deviation == whole.max_tree_deviation
+    assert chunked.min_frame_value == whole.min_frame_value
