@@ -9,6 +9,9 @@ de Finetti runs each get their own, ``seed XOR (salt + run)``) and draws
 every trial's inputs from it in a fixed order.  Every section draws all its
 trials first, as raw normals, integers and uniforms (``definetti-merge``: each
 run's true state and its outcomes), and then evaluates them as stacks.
+
+The module loads ``effects`` and ``linalg``; each section imports the other
+modules it calls in its own body, so a command loads only what it uses.
 """
 
 import argparse
@@ -22,7 +25,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, definetti, effects, entropy, linalg, locality, update
+from . import __version__, effects, linalg
 
 # Checks compare value against threshold with one of these operators.
 _OPS = {
@@ -78,7 +81,7 @@ def _gleason_roundtrip(dim, trials, seed, tol):
             x_held[t, j, :k] = g.normal(size=(k, 2, dim, dim))
     rho = linalg.state_from_normals(x_state)
     from_state = effects.FrameFunction.from_state  # one frame alive at a time
-    rec = np.stack([effects.reconstruct_from_frame(from_state(r, sqm.base.elements)) for r in rho])
+    rec = np.stack([effects.reconstruct_from_frame(from_state(r, sqm.base)) for r in rho])
     worst_rt = linalg.trace_distance(rec, rho).max()
     worst_held = max(linalg._chunked(_held_out_error, x_held, rec, rho))
     checks = [
@@ -118,6 +121,7 @@ def _certainty_bound(dim, trials, seed, tol):
 
 
 def _teleport(dim, trials, seed, tol):
+    from . import update
     psi = linalg.ket_from_normals(_rng(seed, 0x63).normal(size=(trials, 2, 2)))
     probs, _, before, unconditional, _, fidelity = update.teleports(psi)
     marg_dev = np.abs(np.stack([before, unconditional]) - np.eye(2) / 2).max()
@@ -151,6 +155,7 @@ def _update_factor(dim, trials, seed, tol):
 
 def _factor_devs(x_state, x_inst, x_ket):
     """update-factor's four deviations over one chunk of trials' normals."""
+    from . import update
     rho = linalg.state_from_normals(x_state)
     kraus = update.kraus_from_normals(x_inst)
     probs, live, ref, v, post = update.factor_updates(rho, kraus)
@@ -166,6 +171,7 @@ def _factor_devs(x_state, x_inst, x_ket):
 
 
 def _entropy_sweep(dim, trials, seed, tol):
+    from . import entropy
     g = _rng(seed, 0x65)
     q_half = entropy.subentropy(np.eye(2) / 2.0)
     mean_half = entropy.mean_entropy(np.eye(2) / 2.0)
@@ -195,6 +201,7 @@ def _entropy_sweep(dim, trials, seed, tol):
 
 
 def _locality_reconstruct(dim, trials, seed, tol):
+    from . import locality
     g = _rng(seed, 0x66)
     worst = {}
     for da, db in ((2, 2), (2, 3)):
@@ -223,6 +230,7 @@ def _locality_reconstruct(dim, trials, seed, tol):
 
 
 def _swap_counterexample(dim, trials, seed, tol):
+    from . import locality
     rep = locality.swap_counterexample(dim, n_trees=trials, seed=_rng(seed, 0x67))
     checks = [
         _check("swap_tree_normalization_dev_max", rep.max_tree_deviation, "<=", 1e-9, tol),
@@ -233,6 +241,7 @@ def _swap_counterexample(dim, trials, seed, tol):
 
 
 def _definetti_merge(dim, trials, seed, tol):
+    from . import definetti
     grid = definetti.bloch_grid(50, (0.25, 0.5, 0.75, 1.0))
     uniform = definetti.make_prior(grid)
     skewed = definetti.make_prior(grid, definetti.center_skewed_weights(grid))
@@ -260,6 +269,7 @@ def _merging_runs(prior_a, prior_b, povm, runs, seed, salt):
     """``runs`` 500-outcome merging experiments as one stack: run r's true state
     is a grid point drawn from ``_rng(seed, salt + r)``, its outcomes from seed
     ``seed ^ (salt + 0x10000 + r)``."""
+    from . import definetti
     grid = prior_a.states
     picks = [int(_rng(seed, salt + run).integers(len(grid))) for run in range(runs)]
     seeds = [int(seed) ^ (salt + 0x10000 + run) for run in range(runs)]
@@ -267,6 +277,7 @@ def _merging_runs(prior_a, prior_b, povm, runs, seed, salt):
 
 
 def _real_counterexample(dim, trials, seed, tol):
+    from . import definetti
     rep = definetti.real_counterexample(2)
     fit_margin = rep.real_fit_residual - rep.witness_bound
     checks = [

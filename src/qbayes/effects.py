@@ -291,14 +291,14 @@ class FrameFunction:
         self._index: dict[bytes, int] = {}
 
     @classmethod
-    def from_state(cls, state: np.ndarray, effects: Sequence[np.ndarray]) -> "FrameFunction":
-        """Record tr(rho E) per effect with one key pass and one born call; a
-        stack of effects is kept as it is, not copied.  A repeated effect keeps
-        its first row and its last value.  Mixed shapes raise DimensionMismatch."""
+    def from_state(cls, state: np.ndarray, effects: Povm | Sequence[np.ndarray]) -> "FrameFunction":
+        """Record tr(rho E) per effect with one key pass and one born call, which
+        reuses a Povm's cached matrix; a stack is kept as it is, not copied.  A repeated
+        effect keeps its first row and its last value.  Mixed shapes raise DimensionMismatch."""
         f = cls()
         if len(effects):
-            stack = _effect_stack(effects)
-            values = born(state, stack)
+            stack = effects.elements if isinstance(effects, Povm) else _effect_stack(effects)
+            values = born(state, effects if isinstance(effects, Povm) else stack)
             rows = dict(zip(effect_keys(stack), range(len(stack))))  # key -> its last row
             if len(rows) < len(stack):
                 last = list(rows.values())

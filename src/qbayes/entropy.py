@@ -126,7 +126,7 @@ def mean_entropy_mc(rho: np.ndarray, samples: int, seed=None) -> tuple[float, fl
     return float(h.mean()), float(h.std(ddof=1) / np.sqrt(samples))
 
 
-def _random_basis_probabilities(rho: np.ndarray, n: int, g: np.random.Generator) -> np.ndarray:
+def _random_basis_probabilities(rho: np.ndarray, n: int, g: "np.random.Generator") -> np.ndarray:
     """Outcome probabilities (n, D) of ``rho`` in n Haar-random bases.
 
     The first D - 1 columns of all the Ginibre draws are orthonormalized at

@@ -281,7 +281,7 @@ def _chunked(fn, *arrays):
 # one draw of raw normals plus a ``*_from_normals`` build that takes a stack.
 
 
-def rng_from(seed) -> np.random.Generator:
+def rng_from(seed) -> "np.random.Generator":
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)

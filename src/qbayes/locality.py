@@ -217,8 +217,11 @@ def swap_counterexample(dim: int, n_trees: int = 100, seed=0) -> SwapCounterexam
     for i in range(400):  # E, F of pair 0, then of pair 1, ...
         x[i], u[i] = g.normal(size=(2, dim, dim)), g.random()
     es, fs = _effects_from_draws(x, u).reshape(200, 2, dim, dim).swapaxes(0, 1)
-    direction, x_first, x_branch = zip(*(_draw_tree(dim, dim, g) for _ in range(n_trees)))
-    draws = np.array(direction), np.stack(x_first), np.stack(x_branch)
+    direction, x_first = np.empty(n_trees, "<U4"), np.empty((n_trees, 5, 2, dim, dim))
+    x_branch = np.empty((n_trees, 5, 5, 2, dim, dim))
+    for t in range(n_trees):  # filled in place, so no per-tree copy outlives its row
+        direction[t], x_first[t], x_branch[t] = _draw_tree(dim, dim, g)
+    draws = direction, x_first, x_branch
     totals = np.concatenate(linalg._chunked(lambda *x: _tree_totals(frame, *x), *draws))
     joint = reconstruct_joint_operator(frame)
     witness = np.zeros(dim * dim, dtype=complex)

@@ -232,6 +232,17 @@ def test_frame_from_state_keys_are_effect_keys(d, rng):
     assert [f.value(e) for e in sqm.base.elements] == probs.tolist()
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_frame_from_state_on_a_povm_is_bitwise_its_stack_frame(d, rng):
+    sqm = effects.standard_sqm(d)
+    rho = linalg.random_state(d, rng)
+    on_povm = effects.FrameFunction.from_state(rho, sqm.base)
+    on_stack = effects.FrameFunction.from_state(rho, sqm.base.elements)
+    assert list(on_povm._index.items()) == list(on_stack._index.items())
+    assert on_povm._values.tobytes() == on_stack._values.tobytes()
+    assert on_povm._effects is sqm.base.elements
+
+
 def test_reconstruct_round_trip_basis_state():
     sqm = effects.standard_sqm(2)
     rho = linalg.projector(linalg.ket(0, 2))
