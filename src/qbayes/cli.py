@@ -1,14 +1,18 @@
 """Command-line verification suite with machine-readable reports.
 
 Every subcommand runs a set of named numeric checks, each with an explicit
-threshold, and emits a report in JSON, CSV or text form.  Reports are
-deterministic for a fixed seed and configuration up to the two timing
-fields.  Randomness comes only from PCG64 generators: each section seeds
-one generator with ``seed XOR salt`` (a fixed per-section salt; the
-de Finetti runs each get their own, ``seed XOR (salt + run)``) and draws
-every trial's inputs from it in a fixed order.  Every section draws all its
-trials first, as raw normals, integers and uniforms (``definetti-merge``: each
-run's true state and its outcomes), and then evaluates them as stacks.
+threshold, and emits a report in JSON, CSV or text form.  A section is a
+function of (dim, trials, seed) that returns its check rows (name, value, op,
+default threshold).  One loop runs the selected sections, applies the
+``--tol`` overrides (a name that matches no check of the command is a usage
+error) and adds the notes kept per section.  Reports are deterministic for a
+fixed seed and configuration up to the two timing fields.  Randomness comes
+only from PCG64 generators: each section seeds one generator with
+``seed XOR salt`` (a fixed per-section salt; the de Finetti runs each get
+their own, ``seed XOR (salt + run)``) and draws every trial's inputs from it
+in a fixed order.  Every section draws all its trials first, as raw normals,
+integers and uniforms (``definetti-merge``: each run's true state and its
+outcomes), and then evaluates them as stacks.
 
 The module loads ``effects`` and ``linalg``; each section imports the other
 modules it calls in its own body, so a command loads only what it uses.
@@ -19,6 +23,7 @@ import csv
 import functools
 import io
 import json
+import operator
 import sys
 import time
 from datetime import datetime, timezone
@@ -28,11 +33,7 @@ import numpy as np
 from . import __version__, effects, linalg
 
 # Checks compare value against threshold with one of these operators.
-_OPS = {
-    "<=": lambda v, t: v <= t,
-    ">=": lambda v, t: v >= t,
-    "<": lambda v, t: v < t,
-}
+_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
 
 
 def _check(name, value, op, threshold, overrides):
@@ -52,24 +53,23 @@ def _rng(seed, salt=0):
 
 
 # --------------------------------------------------------------------------
-# Subcommand check builders.  Each returns (checks, notes).
+# Sections.  Each returns its check rows (name, value, op, default threshold).
 
 
-def _sqm_build(dim, trials, seed, tol):
+def _sqm_build(dim, trials, seed):
     sqm = effects.standard_sqm(dim)
     sum_dev = float(np.linalg.norm(sqm.base.elements.sum(axis=0) - np.eye(dim)))
     second = np.linalg.eigvalsh(sqm.base.elements)[:, -2].max()
     gram_min = effects.element_gram_min_singular_value(sqm.base)
-    checks = [
-        _check("sqm_element_count_error", abs(len(sqm) - dim * dim), "<=", 0, tol),
-        _check("sqm_sum_to_identity_dev", sum_dev, "<=", 1e-9, tol),
-        _check("sqm_rank_one_second_eigenvalue", second, "<=", 1e-9, tol),
-        _check("sqm_gram_min_singular_value", gram_min, ">=", 1e-8, tol),
+    return [
+        ("sqm_element_count_error", abs(len(sqm) - dim * dim), "<=", 0),
+        ("sqm_sum_to_identity_dev", sum_dev, "<=", 1e-9),
+        ("sqm_rank_one_second_eigenvalue", second, "<=", 1e-9),
+        ("sqm_gram_min_singular_value", gram_min, ">=", 1e-8),
     ]
-    return checks, []
 
 
-def _gleason_roundtrip(dim, trials, seed, tol):
+def _gleason_roundtrip(dim, trials, seed):
     g = _rng(seed, 0x61)
     sqm = effects.standard_sqm(dim)
     x_state = np.empty((trials, 2, dim, dim))
@@ -84,22 +84,21 @@ def _gleason_roundtrip(dim, trials, seed, tol):
     rec = np.stack([effects.reconstruct_from_frame(from_state(r, sqm.base)) for r in rho])
     worst_rt = linalg.trace_distance(rec, rho).max()
     worst_held = max(linalg._chunked(_held_out_error, x_held, rec, rho))
-    checks = [
-        _check("gleason_roundtrip_trace_distance_max", worst_rt, "<=", 1e-8, tol),
-        _check("gleason_heldout_probability_error_max", worst_held, "<=", 1e-8, tol),
+    return [
+        ("gleason_roundtrip_trace_distance_max", worst_rt, "<=", 1e-8),
+        ("gleason_heldout_probability_error_max", worst_held, "<=", 1e-8),
     ]
-    return checks, []
 
 
 def _held_out_error(x_held, rec, rho):
     """Largest held-out probability difference of rec against rho over one chunk
     of trials; row k of a trial's Born matrix is vec(E_k^T) of its own effects."""
-    held = linalg.povm_from_normals(x_held).swapaxes(-1, -2).reshape(len(rho), 25, -1)
+    held = effects._born_matrix(linalg.povm_from_normals(x_held)).reshape(len(rho), 25, -1)
     probs = (held @ np.stack([rec, rho]).reshape(2, len(rho), -1, 1)).real
     return np.abs(probs[0] - probs[1]).max()
 
 
-def _certainty_bound(dim, trials, seed, tol):
+def _certainty_bound(dim, trials, seed):
     g = _rng(seed, 0x62)
     gap_max = 0.0
     for d in range(2, 11):
@@ -111,29 +110,27 @@ def _certainty_bound(dim, trials, seed, tol):
     rho = linalg.state_from_normals(g.normal(size=(trials, 2, dim, dim)))
     exceed = effects.born(rho, effects.standard_sqm(dim).base).max() - bound
     ratio_dev = abs(10 * effects.certainty_bound(10) * 0.79 - 1.0)
-    checks = [
-        _check("certainty_bound_value", bound, "<", 1.0, tol),
-        _check("certainty_closed_vs_numeric_gap_max", gap_max, "<=", 1e-9, tol),
-        _check("certainty_sqm_probability_excess_max", exceed, "<=", 1e-9, tol),
-        _check("certainty_asymptote_ratio_dev", ratio_dev, "<=", 0.10, tol),
+    return [
+        ("certainty_bound_value", bound, "<", 1.0),
+        ("certainty_closed_vs_numeric_gap_max", gap_max, "<=", 1e-9),
+        ("certainty_sqm_probability_excess_max", exceed, "<=", 1e-9),
+        ("certainty_asymptote_ratio_dev", ratio_dev, "<=", 0.10),
     ]
-    return checks, []
 
 
-def _teleport(dim, trials, seed, tol):
+def _teleport(dim, trials, seed):
     from . import update
     psi = linalg.ket_from_normals(_rng(seed, 0x63).normal(size=(trials, 2, 2)))
     probs, _, before, unconditional, _, fidelity = update.teleports(psi)
     marg_dev = np.abs(np.stack([before, unconditional]) - np.eye(2) / 2).max()
-    checks = [
-        _check("teleport_fidelity_error_max", np.abs(fidelity - 1.0).max(), "<=", 1e-9, tol),
-        _check("teleport_bob_marginal_dev_max", marg_dev, "<=", 1e-12, tol),
-        _check("teleport_outcome_prob_dev_max", np.abs(probs - 0.25).max(), "<=", 1e-12, tol),
+    return [
+        ("teleport_fidelity_error_max", np.abs(fidelity - 1.0).max(), "<=", 1e-9),
+        ("teleport_bob_marginal_dev_max", marg_dev, "<=", 1e-12),
+        ("teleport_outcome_prob_dev_max", np.abs(probs - 0.25).max(), "<=", 1e-12),
     ]
-    return checks, []
 
 
-def _update_factor(dim, trials, seed, tol):
+def _update_factor(dim, trials, seed):
     g = _rng(seed, 0x64)
     x_state, x_ket = np.empty((trials, 2, dim, dim)), np.empty((trials, 2, dim))
     x_inst = np.zeros((trials, 2, 4, 2, dim, dim))  # up to 4 outcomes, zero-padded
@@ -144,13 +141,12 @@ def _update_factor(dim, trials, seed, tol):
         x_ket[t] = g.normal(size=(2, dim))
     devs = linalg._chunked(_factor_devs, x_state, x_inst, x_ket)
     mix_dev, spec_dev, readj_dev, pure_dev = np.max(devs, axis=0)
-    checks = [
-        _check("update_refinement_mixture_dev_max", mix_dev, "<=", 1e-9, tol),
-        _check("update_spectrum_match_dev_max", spec_dev, "<=", 1e-8, tol),
-        _check("update_readjustment_dev_max", readj_dev, "<=", 1e-8, tol),
-        _check("update_pure_refinement_dev_max", pure_dev, "<=", 1e-10, tol),
+    return [
+        ("update_refinement_mixture_dev_max", mix_dev, "<=", 1e-9),
+        ("update_spectrum_match_dev_max", spec_dev, "<=", 1e-8),
+        ("update_readjustment_dev_max", readj_dev, "<=", 1e-8),
+        ("update_pure_refinement_dev_max", pure_dev, "<=", 1e-10),
     ]
-    return checks, []
 
 
 def _factor_devs(x_state, x_inst, x_ket):
@@ -170,7 +166,7 @@ def _factor_devs(x_state, x_inst, x_ket):
     return mix_dev, spec_dev, readj_dev, pure_dev
 
 
-def _entropy_sweep(dim, trials, seed, tol):
+def _entropy_sweep(dim, trials, seed):
     from . import entropy
     g = _rng(seed, 0x65)
     q_half = entropy.subentropy(np.eye(2) / 2.0)
@@ -188,19 +184,18 @@ def _entropy_sweep(dim, trials, seed, tol):
         mc, se = entropy.mean_entropy_mc(rho, 20000, g)
         z_max = max(z_max, abs(mc - exact) / se)
     gaps = entropy.check_refinement_inequalities(trials=trials, dim=dim, seed=g)
-    checks = [
-        _check("entropy_subentropy_half_identity_error", abs(q_half - 0.278652), "<=", 1e-6, tol),
-        _check("entropy_mean_half_identity_error", abs(mean_half - 1.0), "<=", 1e-9, tol),
-        _check("entropy_subentropy_cap_excess_max", cap_excess, "<=", 1e-6, tol),
-        _check("entropy_mc_zscore_max", z_max, "<=", 3.0, tol),
-        _check("entropy_refinement_s_gap_min", gaps.von_neumann_gaps.min(), ">=", -1e-8, tol),
-        _check("entropy_refinement_q_gap_min", gaps.subentropy_gaps.min(), ">=", -1e-8, tol),
-        _check("entropy_classical_gap_min", gaps.classical_gaps.min(), ">=", -1e-8, tol),
+    return [
+        ("entropy_subentropy_half_identity_error", abs(q_half - 0.278652), "<=", 1e-6),
+        ("entropy_mean_half_identity_error", abs(mean_half - 1.0), "<=", 1e-9),
+        ("entropy_subentropy_cap_excess_max", cap_excess, "<=", 1e-6),
+        ("entropy_mc_zscore_max", z_max, "<=", 3.0),
+        ("entropy_refinement_s_gap_min", gaps.von_neumann_gaps.min(), ">=", -1e-8),
+        ("entropy_refinement_q_gap_min", gaps.subentropy_gaps.min(), ">=", -1e-8),
+        ("entropy_classical_gap_min", gaps.classical_gaps.min(), ">=", -1e-8),
     ]
-    return checks, []
 
 
-def _locality_reconstruct(dim, trials, seed, tol):
+def _locality_reconstruct(dim, trials, seed):
     from . import locality
     g = _rng(seed, 0x66)
     worst = {}
@@ -219,28 +214,26 @@ def _locality_reconstruct(dim, trials, seed, tol):
     domino_dev = float(
         np.linalg.norm(locality.domino_fixture().elements.sum(axis=0) - np.eye(9))
     )
-    checks = [
-        _check("locality_roundtrip_2x2_max", worst[(2, 2)], "<=", 1e-8, tol),
-        _check("locality_roundtrip_2x3_max", worst[(2, 3)], "<=", 1e-8, tol),
-        _check("locality_real_rank_error", rank_error, "<=", 0, tol),
-        _check("locality_null_overlap_with_yy", overlap, ">=", 0.99, tol),
-        _check("locality_domino_resolution_dev", domino_dev, "<=", 1e-10, tol),
+    return [
+        ("locality_roundtrip_2x2_max", worst[(2, 2)], "<=", 1e-8),
+        ("locality_roundtrip_2x3_max", worst[(2, 3)], "<=", 1e-8),
+        ("locality_real_rank_error", rank_error, "<=", 0),
+        ("locality_null_overlap_with_yy", overlap, ">=", 0.99),
+        ("locality_domino_resolution_dev", domino_dev, "<=", 1e-10),
     ]
-    return checks, []
 
 
-def _swap_counterexample(dim, trials, seed, tol):
+def _swap_counterexample(dim, trials, seed):
     from . import locality
     rep = locality.swap_counterexample(dim, n_trees=trials, seed=_rng(seed, 0x67))
-    checks = [
-        _check("swap_tree_normalization_dev_max", rep.max_tree_deviation, "<=", 1e-9, tol),
-        _check("swap_min_frame_value", rep.min_frame_value, ">=", -1e-12, tol),
-        _check("swap_joint_min_eigenvalue", rep.min_eigenvalue, "<=", -1e-3, tol),
+    return [
+        ("swap_tree_normalization_dev_max", rep.max_tree_deviation, "<=", 1e-9),
+        ("swap_min_frame_value", rep.min_frame_value, ">=", -1e-12),
+        ("swap_joint_min_eigenvalue", rep.min_eigenvalue, "<=", -1e-3),
     ]
-    return checks, []
 
 
-def _definetti_merge(dim, trials, seed, tol):
+def _definetti_merge(dim, trials, seed):
     from . import definetti
     grid = definetti.bloch_grid(50, (0.25, 0.5, 0.75, 1.0))
     uniform = definetti.make_prior(grid)
@@ -253,16 +246,11 @@ def _definetti_merge(dim, trials, seed, tol):
     pb = definetti.make_prior(grid, definetti.axis_skewed_weights(grid, linalg.sigma_x, -2.0))
     traces = _merging_runs(pa, pb, zmeas, min(trials, 10), seed, 0x6A0000)
     plateau = [t.final_inter_agent for t in traces]
-    checks = [
-        _check("definetti_median_inter_agent", float(np.median(inter)), "<=", 0.05, tol),
-        _check("definetti_median_to_truth", float(np.median(truth)), "<=", 0.05, tol),
-        _check("definetti_non_ic_median_inter_agent", float(np.median(plateau)), ">=", 0.05, tol),
+    return [
+        ("definetti_median_inter_agent", float(np.median(inter)), "<=", 0.05),
+        ("definetti_median_to_truth", float(np.median(truth)), "<=", 0.05),
+        ("definetti_non_ic_median_inter_agent", float(np.median(plateau)), ">=", 0.05),
     ]
-    notes = [
-        "definetti-merge thresholds are engineering targets for the default "
-        "grid, not derived constants"
-    ]
-    return checks, notes
 
 
 def _merging_runs(prior_a, prior_b, povm, runs, seed, salt):
@@ -276,46 +264,37 @@ def _merging_runs(prior_a, prior_b, povm, runs, seed, salt):
     return definetti.merging_experiments(prior_a, prior_b, grid[picks], povm, 500, seeds)
 
 
-def _real_counterexample(dim, trials, seed, tol):
+def _real_counterexample(dim, trials, seed):
     from . import definetti
     rep = definetti.real_counterexample(2)
     fit_margin = rep.real_fit_residual - rep.witness_bound
-    checks = [
-        _check("real_max_imag_entry", rep.max_imag_entry, "<=", 1e-12, tol),
-        _check("real_transposition_dev", rep.transposition_deviation, "<=", 1e-9, tol),
-        _check("real_witness_bound", rep.witness_bound, ">=", 0.05, tol),
-        _check("real_fit_residual_vs_witness", fit_margin, ">=", -1e-9, tol),
-        _check("real_complex_fit_residual", rep.complex_fit_residual, "<=", 1e-9, tol),
+    return [
+        ("real_max_imag_entry", rep.max_imag_entry, "<=", 1e-12),
+        ("real_transposition_dev", rep.transposition_deviation, "<=", 1e-9),
+        ("real_witness_bound", rep.witness_bound, ">=", 0.05),
+        ("real_fit_residual_vs_witness", fit_margin, ">=", -1e-9),
+        ("real_complex_fit_residual", rep.complex_fit_residual, "<=", 1e-9),
     ]
-    return checks, []
 
 
+# name -> (section, trials under ``all``, trials when run alone).  The ``all``
+# counts are bounded to keep the whole run comfortably inside a few minutes.
 _COMMANDS = {
-    "sqm-build": _sqm_build,
-    "gleason-roundtrip": _gleason_roundtrip,
-    "certainty-bound": _certainty_bound,
-    "teleport": _teleport,
-    "update-factor": _update_factor,
-    "entropy-sweep": _entropy_sweep,
-    "locality-reconstruct": _locality_reconstruct,
-    "swap-counterexample": _swap_counterexample,
-    "definetti-merge": _definetti_merge,
-    "real-counterexample": _real_counterexample,
+    "sqm-build": (_sqm_build, 1, 1),
+    "gleason-roundtrip": (_gleason_roundtrip, 50, 100),
+    "certainty-bound": (_certainty_bound, 200, 1000),
+    "teleport": (_teleport, 25, 100),
+    "update-factor": (_update_factor, 100, 500),
+    "entropy-sweep": (_entropy_sweep, 100, 300),
+    "locality-reconstruct": (_locality_reconstruct, 20, 50),
+    "swap-counterexample": (_swap_counterexample, 50, 100),
+    "definetti-merge": (_definetti_merge, 10, 20),
+    "real-counterexample": (_real_counterexample, 1, 1),
 }
 
-# Trial counts per section: (under ``all``, when run alone).  The ``all``
-# counts are bounded to keep the whole run comfortably inside a few minutes.
-_TRIALS = {
-    "sqm-build": (1, 1),
-    "gleason-roundtrip": (50, 100),
-    "certainty-bound": (200, 1000),
-    "teleport": (25, 100),
-    "update-factor": (100, 500),
-    "entropy-sweep": (100, 300),
-    "locality-reconstruct": (20, 50),
-    "swap-counterexample": (50, 100),
-    "definetti-merge": (10, 20),
-    "real-counterexample": (1, 1),
+_NOTES = {
+    "definetti-merge": "definetti-merge thresholds are engineering targets for the default "
+    "grid, not derived constants",
 }
 
 
@@ -324,14 +303,15 @@ _TRIALS = {
 MAX_DIM = 16
 
 
-def _parse_tol(pairs):
-    overrides = {}
-    for raw in pairs or []:
-        if "=" not in raw:
-            raise ValueError(f"--tol expects NAME=VALUE, got {raw!r}")
-        name, value = raw.split("=", 1)
-        overrides[name.strip()] = float(value)
-    return overrides
+def _tol_pair(raw):
+    """One ``--tol NAME=VALUE`` as (name, threshold); a malformed one is a usage error."""
+    name, sep, value = raw.partition("=")
+    try:
+        if sep:
+            return name.strip(), float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expects NAME=VALUE, got {raw!r}")
 
 
 @functools.cache
@@ -352,7 +332,7 @@ def _build_parser():
             "--format", choices=("json", "csv", "text"), default="json"
         )
         p.add_argument("--out", default=None)
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE")
+        p.add_argument("--tol", action="append", type=_tol_pair, metavar="NAME=VALUE")
     return parser
 
 
@@ -369,23 +349,19 @@ def _run_parsed(parser, args):
         parser.error("--seed must be a nonnegative integer")
     if args.trials is not None and args.trials < 1:
         parser.error("--trials must be at least 1")
-    try:
-        overrides = _parse_tol(args.tol)
-    except ValueError as exc:
-        parser.error(str(exc))
+    overrides = dict(args.tol or [])
     started = time.perf_counter()
-    checks = []
-    notes = []
-    if args.command == "all":
-        for name, fn in _COMMANDS.items():
-            trials = args.trials if args.trials is not None else _TRIALS[name][0]
-            section_checks, section_notes = fn(args.dim, trials, args.seed, overrides)
-            checks.extend(section_checks)
-            notes.extend(section_notes)
-    else:
-        fn = _COMMANDS[args.command]
-        trials = args.trials if args.trials is not None else _TRIALS[args.command][1]
-        checks, notes = fn(args.dim, trials, args.seed, overrides)
+    names = list(_COMMANDS) if args.command == "all" else [args.command]
+    rows = []
+    for name in names:
+        fn, *defaults = _COMMANDS[name]
+        trials = defaults[args.command != "all"] if args.trials is None else args.trials
+        rows += fn(args.dim, trials, args.seed)
+    unknown = sorted(set(overrides) - {row[0] for row in rows})
+    if unknown:
+        parser.error(f"--tol names no check of {args.command}: {', '.join(unknown)}")
+    checks = [_check(*row, overrides) for row in rows]
+    notes = [_NOTES[name] for name in names if name in _NOTES]
     overall = all(c["pass"] for c in checks)
     report = {
         "command": args.command,
@@ -412,10 +388,9 @@ def render(report, fmt):
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "value", "op", "threshold", "pass"])
-        for c in report["checks"]:
-            writer.writerow([c["name"], repr(c["value"]), c["op"], repr(c["threshold"]), c["pass"]])
+        writer = csv.DictWriter(buf, list(report["checks"][0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(report["checks"])
         return buf.getvalue()
     lines = [f"{report['command']} (seed {report['config']['seed']})"]
     for c in report["checks"]:

@@ -52,8 +52,8 @@ def _effect_stack(ops) -> np.ndarray:
 
 
 def _born_matrix(stack: np.ndarray) -> np.ndarray:
-    """``Povm.matrix`` of a (K, D, D) stack of effects."""
-    return stack.swapaxes(-1, -2).reshape(len(stack), -1)
+    """``Povm.matrix`` of a (..., K, D, D) stack of effects: rows vec(E_k^T)."""
+    return stack.swapaxes(-1, -2).reshape(stack.shape[:-2] + (-1,))
 
 
 @dataclass(frozen=True)
@@ -331,9 +331,6 @@ class FrameFunction:
     def items(self) -> list[tuple[np.ndarray, float]]:
         return list(zip(self._effects, self._values.tolist()))
 
-    def povm_sum(self, povm: Povm) -> float:
-        return sum(self.value(e) for e in povm.elements)
-
 
 def real_design_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
     """Real (K, 2 D^2) matrix with row k equal to [Re vec E_k | Im vec E_k].
@@ -395,19 +392,12 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
 # POVMs from ancilla dilations.
 
 
-def povm_from_dilation(
+def _dilation_kraus(
     rho_ancilla: np.ndarray,
     u: np.ndarray,
     ancilla_projectors: Povm | Sequence[np.ndarray],
-) -> Povm:
-    """System POVM induced by measuring an ancilla after an interaction.
-
-    The joint state (system tensor ancilla, system first) evolves through
-    ``u`` and the ancilla is then measured projectively.  The effect for
-    outcome d is ``tr_ancilla((I x rho_A) u^dag (I x Pi_d) u)``, defined so
-    that born(rho_S, result) reproduces the joint-picture outcome
-    probabilities ``tr(u (rho_S x rho_A) u^dag (I x Pi_d))`` exactly.
-    """
+) -> np.ndarray:
+    """The (K, r, D, D) Kraus stack of :func:`qbayes.update.instrument_from_dilation`."""
     rho_ancilla = linalg.as_operator(rho_ancilla)
     u = linalg.as_operator(u)
     projs = _effect_stack(ancilla_projectors)
@@ -417,6 +407,30 @@ def povm_from_dilation(
     if u.shape[0] % d_anc != 0:
         raise DimensionMismatch("unitary dim is not a multiple of the ancilla dim")
     d_sys = u.shape[0] // d_anc
-    weight = np.kron(np.eye(d_sys), rho_ancilla)
-    big = weight @ linalg.dagger(u) @ np.kron(np.eye(d_sys), projs) @ u  # one per outcome
-    return validate_povm(np.trace(big.reshape(-1, d_sys, d_anc, d_sys, d_anc), axis1=2, axis2=4))
+    if not linalg.is_hermitian(rho_ancilla):
+        raise NotHermitian("ancilla state is not Hermitian")
+    anc_vals, anc_vecs = np.linalg.eigh(rho_ancilla)
+    if anc_vals[0] < -linalg.PSD_TOL:
+        raise NotPsd(f"ancilla state has eigenvalue {anc_vals[0]:.3e} < 0")
+    keep = anc_vals > linalg.PROB_FLOOR
+    roots = np.sqrt(anc_vals[keep]) * anc_vecs[:, keep]  # column a is sqrt(lambda_a) |a>
+    tens = (np.kron(np.eye(d_sys), projs) @ u).reshape(-1, d_sys, d_anc, d_sys, d_anc)
+    # <b| (I x Pi_d) u sqrt(lambda_a) |a> over the ancilla factor, for every d, a and b
+    kraus = np.einsum("dsbta,ar->drbst", tens, roots)
+    return kraus.reshape(len(projs), -1, d_sys, d_sys)
+
+
+def povm_from_dilation(
+    rho_ancilla: np.ndarray,
+    u: np.ndarray,
+    ancilla_projectors: Povm | Sequence[np.ndarray],
+) -> Povm:
+    """System POVM induced by measuring an ancilla after an interaction.
+
+    Effect d is ``sum A^dag A`` over outcome d's Kraus operators of
+    :func:`qbayes.update.instrument_from_dilation` (same convention, same
+    errors), so born(rho_S, result) reproduces the joint-picture outcome
+    probabilities ``tr(u (rho_S x rho_A) u^dag (I x Pi_d))``.
+    """
+    kraus = _dilation_kraus(rho_ancilla, u, ancilla_projectors)
+    return validate_povm((linalg.dagger(kraus) @ kraus).sum(axis=1))

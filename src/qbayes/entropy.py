@@ -93,29 +93,6 @@ def mean_entropy(rho: np.ndarray) -> float | np.ndarray:
     return _float_if_single(harmonic_tail(vals.shape[-1]) + _subentropy(vals))
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """All uncertainty functionals of one state, in bits.
-
-    ``shannon`` is the entropy of the supplied outcome distribution when
-    one is given, otherwise of the state's spectrum (the best-measurement
-    value, which coincides with ``von_neumann``).  The mean entropy always
-    equals the dimension's harmonic tail plus the subentropy.
-    """
-
-    shannon: float
-    von_neumann: float
-    subentropy: float
-    mean_entropy: float
-
-
-def entropy_report(rho: np.ndarray, distribution: np.ndarray | None = None) -> EntropyReport:
-    vals = _spectra(linalg.as_operator(rho))
-    s, q = float(_entropy(vals)), float(_subentropy(vals))
-    h = s if distribution is None else shannon(distribution)
-    return EntropyReport(h, s, q, harmonic_tail(vals.shape[-1]) + q)
-
-
 def mean_entropy_mc(rho: np.ndarray, samples: int, seed=None) -> tuple[float, float]:
     """Monte-Carlo estimate (mean, standard error) of the mean measurement
     entropy over ``samples`` >= 2 Haar-random bases."""

@@ -9,7 +9,7 @@ Eigenvalues are reported in descending order throughout the package.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,18 +132,6 @@ def eig_hermitian(m: np.ndarray) -> EigDecomposition:
         raise NotHermitian(f"relative deviation from Hermiticity exceeds {HERMITIAN_TOL}")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)
     return EigDecomposition(vals[..., ::-1], vecs[..., ::-1])
-
-
-def mat_fn(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix via its spectrum.
-
-    Returns ``V f(Lambda) V^dag``.  ``f`` must accept an ndarray of
-    eigenvalues.  Positivity constraints on the domain of ``f`` are the
-    caller's business; see :func:`mat_invsqrt` for the guarded inverse.
-    """
-    eig = eig_hermitian(m)
-    vals = np.asarray(f(eig.eigenvalues), dtype=float)
-    return (eig.eigenvectors * vals) @ dagger(eig.eigenvectors)
 
 
 def _psd_eigs(m: np.ndarray) -> EigDecomposition:

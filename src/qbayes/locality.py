@@ -17,7 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Povm, build_ic_projectors, real_design_matrix, standard_sqm, validate_povm
+from .effects import (
+    Povm, _born_matrix, build_ic_projectors, real_design_matrix, standard_sqm, validate_povm
+)
 from .errors import DegenerateSpan, DimensionMismatch
 
 
@@ -119,8 +121,8 @@ class BilinearFrame:
         if self.operator is None:
             return np.array([[self(e, f) for f in fs] for e in es])
         da, db = self.dim_a, self.dim_b
-        m_a = np.asarray(es, dtype=complex).swapaxes(-1, -2).reshape(len(es), da * da)
-        m_b = np.asarray(fs, dtype=complex).swapaxes(-1, -2).reshape(len(fs), db * db)
+        m_a = _born_matrix(np.asarray(es, dtype=complex))
+        m_b = _born_matrix(np.asarray(fs, dtype=complex))
         lead = self.operator.shape[:-2]
         r = self.operator.reshape(lead + (da, db, da, db)).swapaxes(-3, -2)
         r = r.reshape(lead + (da * da, db * db))

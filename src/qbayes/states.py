@@ -52,14 +52,6 @@ def assert_density_operator(rho: np.ndarray) -> np.ndarray:
     return density_spectrum(rho)[0]
 
 
-def is_density_operator(rho: np.ndarray) -> bool:
-    try:
-        assert_density_operator(rho)
-        return True
-    except (NotAState, DimensionMismatch):
-        return False
-
-
 @dataclass(frozen=True)
 class SqmVector:
     """Probability vector over the outcomes of a fixed SQM."""

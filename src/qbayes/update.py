@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Povm, _effect_stack, validate_povm
+from .effects import Povm, _born_matrix, _dilation_kraus, _effect_stack, validate_povm
 from .errors import (
     DimensionMismatch,
     InconsistentRefinement,
@@ -311,28 +311,18 @@ def instrument_from_dilation(
 ) -> KrausInstrument:
     """Kraus realization of measuring an ancilla after an interaction.
 
-    Uses the same joint-picture convention as
-    :func:`qbayes.effects.povm_from_dilation`: the joint state evolves as
+    The joint state (system tensor ancilla, system first) evolves as
     ``u rho u^dag`` and the ancilla is measured projectively, so outcome d
     applies Kraus operators
     ``A_{d,(b,a)} = sqrt(lambda_a) <b| (I x Pi_d) u |a>`` with
-    ``lambda_a, |a>`` the eigenpairs of the ancilla state and the bra/ket
-    contractions taken over the ancilla factor alone.
+    ``lambda_a, |a>`` the eigenpairs of the ancilla state above
+    ``PROB_FLOOR`` and the bra/ket contractions taken over the ancilla factor
+    alone.  Projectors of another dimension than the ancilla state, or a
+    unitary whose dimension is no multiple of it, raise DimensionMismatch; a
+    non-Hermitian ancilla state NotHermitian, one with a negative eigenvalue
+    NotPsd.
     """
-    rho_ancilla = linalg.as_operator(rho_ancilla)
-    u = linalg.as_operator(u)
-    projs = _effect_stack(ancilla_projectors)
-    d_anc = rho_ancilla.shape[0]
-    if u.shape[0] % d_anc != 0:
-        raise DimensionMismatch("unitary dim is not a multiple of the ancilla dim")
-    d_sys = u.shape[0] // d_anc
-    anc_vals, anc_vecs = np.linalg.eigh(rho_ancilla)
-    keep = anc_vals > PROB_FLOOR
-    roots = np.sqrt(anc_vals[keep]) * anc_vecs[:, keep]  # column a is sqrt(lambda_a) |a>
-    tens = (np.kron(np.eye(d_sys), projs) @ u).reshape(-1, d_sys, d_anc, d_sys, d_anc)
-    # <b| (I x Pi_d) u sqrt(lambda_a) |a> over the ancilla factor, for every d, a and b
-    kraus = np.einsum("dsbta,ar->drbst", tens, roots)
-    return make_instrument(kraus.reshape(len(projs), -1, d_sys, d_sys))
+    return make_instrument(_dilation_kraus(rho_ancilla, u, ancilla_projectors))
 
 
 def dilation_from_instrument(
@@ -376,7 +366,7 @@ def channel_choi(ch: QuantumChannel) -> np.ndarray:
     ``w = (I x A) |psi_ME>``, whose components are A^T flattened over
     sqrt(D).
     """
-    w = ch.kraus.swapaxes(-1, -2).reshape(len(ch.kraus), -1) / np.sqrt(ch.dim)
+    w = _born_matrix(ch.kraus) / np.sqrt(ch.dim)
     return w.T @ w.conj()
 
 

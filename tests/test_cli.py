@@ -92,6 +92,8 @@ def test_usage_errors_exit_two():
     assert run_cli(["frobnicate"]).returncode == 2
     assert run_cli(["teleport", "--dim", "1"]).returncode == 2
     assert run_cli(["teleport", "--tol", "oops"]).returncode == 2
+    assert run_cli(["teleport", "--tol", "teleport_fidelity_error_max=abc"]).returncode == 2
+    assert run_cli(["teleport", "--tol", "teleport_fidelity_eror_max=-1"]).returncode == 2
     assert run_cli([]).returncode == 2
 
 
@@ -152,3 +154,84 @@ def test_cached_parser_keeps_no_state_between_runs(capsys):
         cli.run(["teleport", "--dim", "1"])
     assert exc.value.code == 2
     assert "between 2 and" in capsys.readouterr().err
+
+
+# The ordered checks of ``all``: name, op and default threshold.
+ALL_CHECKS = [
+    ("sqm_element_count_error", "<=", 0.0),
+    ("sqm_sum_to_identity_dev", "<=", 1e-09),
+    ("sqm_rank_one_second_eigenvalue", "<=", 1e-09),
+    ("sqm_gram_min_singular_value", ">=", 1e-08),
+    ("gleason_roundtrip_trace_distance_max", "<=", 1e-08),
+    ("gleason_heldout_probability_error_max", "<=", 1e-08),
+    ("certainty_bound_value", "<", 1.0),
+    ("certainty_closed_vs_numeric_gap_max", "<=", 1e-09),
+    ("certainty_sqm_probability_excess_max", "<=", 1e-09),
+    ("certainty_asymptote_ratio_dev", "<=", 0.1),
+    ("teleport_fidelity_error_max", "<=", 1e-09),
+    ("teleport_bob_marginal_dev_max", "<=", 1e-12),
+    ("teleport_outcome_prob_dev_max", "<=", 1e-12),
+    ("update_refinement_mixture_dev_max", "<=", 1e-09),
+    ("update_spectrum_match_dev_max", "<=", 1e-08),
+    ("update_readjustment_dev_max", "<=", 1e-08),
+    ("update_pure_refinement_dev_max", "<=", 1e-10),
+    ("entropy_subentropy_half_identity_error", "<=", 1e-06),
+    ("entropy_mean_half_identity_error", "<=", 1e-09),
+    ("entropy_subentropy_cap_excess_max", "<=", 1e-06),
+    ("entropy_mc_zscore_max", "<=", 3.0),
+    ("entropy_refinement_s_gap_min", ">=", -1e-08),
+    ("entropy_refinement_q_gap_min", ">=", -1e-08),
+    ("entropy_classical_gap_min", ">=", -1e-08),
+    ("locality_roundtrip_2x2_max", "<=", 1e-08),
+    ("locality_roundtrip_2x3_max", "<=", 1e-08),
+    ("locality_real_rank_error", "<=", 0.0),
+    ("locality_null_overlap_with_yy", ">=", 0.99),
+    ("locality_domino_resolution_dev", "<=", 1e-10),
+    ("swap_tree_normalization_dev_max", "<=", 1e-09),
+    ("swap_min_frame_value", ">=", -1e-12),
+    ("swap_joint_min_eigenvalue", "<=", -0.001),
+    ("definetti_median_inter_agent", "<=", 0.05),
+    ("definetti_median_to_truth", "<=", 0.05),
+    ("definetti_non_ic_median_inter_agent", ">=", 0.05),
+    ("real_max_imag_entry", "<=", 1e-12),
+    ("real_transposition_dev", "<=", 1e-09),
+    ("real_witness_bound", ">=", 0.05),
+    ("real_fit_residual_vs_witness", ">=", -1e-09),
+    ("real_complex_fit_residual", "<=", 1e-09),
+]
+DEFINETTI_NOTE = (
+    "definetti-merge thresholds are engineering targets for the default grid, not derived constants"
+)
+
+
+def test_report_shape_is_pinned_and_sections_are_slices_of_all():
+    argv = ["--trials", "2", "--seed", "4"]
+    _, report = cli.run(["all", *argv])
+    assert [(c["name"], c["op"], c["threshold"]) for c in report["checks"]] == ALL_CHECKS
+    assert report["notes"] == [DEFINETTI_NOTE]
+    start = 0
+    for name in cli._COMMANDS:
+        _, alone = cli.run([name, *argv])
+        rows = report["checks"][start : start + len(alone["checks"])]
+        assert alone["checks"] == rows, name
+        assert alone["notes"] == ([DEFINETTI_NOTE] if name == "definetti-merge" else [])
+        start += len(rows)
+    assert start == len(ALL_CHECKS)
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (["teleport", "--tol", "teleport_fidelity_eror_max=-1"], "teleport_fidelity_eror_max"),
+        (["teleport", "--tol", "sqm_gram_min_singular_value=0.5"], "sqm_gram_min_singular_value"),
+        (
+            ["all", "--tol", "zeta=1", "--tol", "certainty_bound_value=2", "--tol", "alpha=1"],
+            "alpha, zeta",
+        ),
+    ],
+)
+def test_unknown_tol_names_are_usage_errors(argv, unknown, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv + ["--trials", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"--tol names no check of {argv[0]}: {unknown}\n")

@@ -190,19 +190,6 @@ def test_refinement_inequalities_sweep():
     assert report3.min_gap >= -1e-8
 
 
-def test_entropy_report_identity(rng):
-    rho = linalg.random_state(4, rng)
-    report = entropy.entropy_report(rho)
-    assert report.shannon == pytest.approx(report.von_neumann)
-    assert report.mean_entropy == pytest.approx(
-        entropy.harmonic_tail(4) + report.subentropy, abs=1e-9
-    )
-    for value in (report.shannon, report.von_neumann, report.subentropy):
-        assert value >= -1e-12
-    with_dist = entropy.entropy_report(rho, np.array([0.5, 0.25, 0.25]))
-    assert with_dist.shannon == pytest.approx(1.5)
-
-
 def test_classical_refinement_gap_oracle(rng):
     joint = rng.random((4, 3))
     joint /= joint.sum()

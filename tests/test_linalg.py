@@ -64,11 +64,6 @@ def test_invsqrt_rejects_singular():
     assert np.allclose(pinv, np.diag([1.0, 0.0]))
 
 
-def test_mat_fn_applies_spectrally():
-    m = np.diag([1.0, 4.0])
-    assert np.allclose(linalg.mat_fn(m, np.log), np.diag([0.0, np.log(4.0)]))
-
-
 def test_polar_of_unitary_is_itself():
     u = linalg.random_unitary(3, 7)
     assert np.linalg.norm(linalg.polar_unitary(u) - u) < 1e-12

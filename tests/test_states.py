@@ -59,7 +59,7 @@ def test_uniform_vector_membership_decided_by_reconstruction():
     result = states.in_sqm_set(np.full(4, 0.25), sqm)
     assert result.member
     assert result.min_eigenvalue == pytest.approx(0.3232233, abs=1e-6)
-    assert states.is_density_operator(result.state)
+    states.assert_density_operator(result.state)
 
 
 def test_high_certainty_vector_is_not_a_state():

@@ -559,7 +559,7 @@ PER_TRIAL_SECTIONS = [
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("section, reference", PER_TRIAL_SECTIONS, ids=[s for s, _ in PER_TRIAL_SECTIONS])
 def test_batched_section_matches_per_trial_loop(section, reference, dim):
-    trials = cli._TRIALS[section][0]
+    trials = cli._COMMANDS[section][1]
     for seed in range(1, 21):
         _, report = cli.run([section, "--dim", str(dim), "--seed", str(seed), "--trials", str(trials)])
         expected = reference(dim, trials, seed)

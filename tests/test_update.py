@@ -8,6 +8,7 @@ from qbayes.errors import (
     NotCp,
     NotHermitian,
     NotNormalized,
+    NotPsd,
     NotTracePreserving,
     NotUnitary,
     RankDeficientState,
@@ -305,6 +306,20 @@ def test_instrument_dilation_matches_joint_picture(rng):
             assert abs(out.probability - p) <= 1e-9
             if p > 1e-9:
                 assert np.linalg.norm(out.posterior - reduced / p) <= 1e-9
+
+
+def test_dilations_reject_malformed_ancillas(rng):
+    rho_a = linalg.random_state(3, rng)
+    u = linalg.random_unitary(6, rng)
+    for dilate in (update.instrument_from_dilation, effects.povm_from_dilation):
+        with pytest.raises(DimensionMismatch, match="ancilla projectors"):
+            dilate(rho_a, u, basis_projectors(2))
+        with pytest.raises(DimensionMismatch, match="multiple of the ancilla"):
+            dilate(rho_a, linalg.random_unitary(4, rng), basis_projectors(3))
+        with pytest.raises(NotHermitian, match="ancilla state"):
+            dilate(np.array([[0.5, 0.5], [0.0, 0.5]]), np.eye(4), basis_projectors(2))
+        with pytest.raises(NotPsd, match="ancilla state"):
+            dilate(np.diag([1.2, -0.2]), np.eye(4), basis_projectors(2))
 
 
 def test_dilation_from_instrument_round_trip(rng):
