@@ -2,17 +2,18 @@
 
 Every subcommand runs a set of named numeric checks, each with an explicit
 threshold, and emits a report in JSON, CSV or text form.  A section is a
-function of (dim, trials, seed) that returns its check rows (name, value, op,
-default threshold).  One loop runs the selected sections, applies the
+function of (dim, trials, generator) that returns its check rows (name, value,
+op, default threshold).  One loop runs the selected sections, applies the
 ``--tol`` overrides (a name that matches no check of the command is a usage
 error) and adds the notes kept per section.  Reports are deterministic for a
 fixed seed and configuration up to the two timing fields.  Randomness comes
-only from PCG64 generators: each section seeds one generator with
-``seed XOR salt`` (a fixed per-section salt; the de Finetti runs each get
-their own, ``seed XOR (salt + run)``) and draws every trial's inputs from it
-in a fixed order.  Every section draws all its trials first, as raw normals,
-integers and uniforms (``definetti-merge``: each run's true state and its
-outcomes), and then evaluates them as stacks.
+only from PCG64 generators: the loop gives each section one generator,
+``default_rng([seed, key])``, a ``SeedSequence`` over the seed and a fixed
+per-section key, so distinct seeds and sections get independent streams
+(each ``definetti-merge`` run draws its outcomes from a spawned child).  A
+section draws all its trials in a few calls, integers first and then one
+normal array per kind of input, zero-padded where trials are ragged, and
+evaluates them as stacks.
 
 The module loads ``effects`` and ``linalg``; each section imports the other
 modules it calls in its own body, so a command loads only what it uses.
@@ -48,15 +49,11 @@ def _check(name, value, op, threshold, overrides):
     }
 
 
-def _rng(seed, salt=0):
-    return np.random.default_rng(int(seed) ^ int(salt))
-
-
 # --------------------------------------------------------------------------
 # Sections.  Each returns its check rows (name, value, op, default threshold).
 
 
-def _sqm_build(dim, trials, seed):
+def _sqm_build(dim, trials, g):
     sqm = effects.standard_sqm(dim)
     sum_dev = float(np.linalg.norm(sqm.base.elements.sum(axis=0) - np.eye(dim)))
     second = np.linalg.eigvalsh(sqm.base.elements)[:, -2].max()
@@ -69,17 +66,11 @@ def _sqm_build(dim, trials, seed):
     ]
 
 
-def _gleason_roundtrip(dim, trials, seed):
-    g = _rng(seed, 0x61)
+def _gleason_roundtrip(dim, trials, g):
     sqm = effects.standard_sqm(dim)
-    x_state = np.empty((trials, 2, dim, dim))
-    x_held = np.zeros((trials, 5, 5, 2, dim, dim))  # 5 POVMs of up to 5 outcomes, zero-padded
-    for t in range(trials):
-        x_state[t] = g.normal(size=(2, dim, dim))
-        for j in range(5):
-            k = int(g.integers(2, 6))
-            x_held[t, j, :k] = g.normal(size=(k, 2, dim, dim))
-    rho = linalg.state_from_normals(x_state)
+    k = g.integers(2, 6, size=(trials, 5))  # outcomes of each trial's 5 held-out POVMs
+    rho = linalg.state_from_normals(g.normal(size=(trials, 2, dim, dim)))
+    x_held = linalg._padded_normals(g, k, (trials, 5, 5, 2, dim, dim))
     from_state = effects.FrameFunction.from_state  # one frame alive at a time
     rec = np.stack([effects.reconstruct_from_frame(from_state(r, sqm.base)) for r in rho])
     worst_rt = linalg.trace_distance(rec, rho).max()
@@ -98,15 +89,13 @@ def _held_out_error(x_held, rec, rho):
     return np.abs(probs[0] - probs[1]).max()
 
 
-def _certainty_bound(dim, trials, seed):
-    g = _rng(seed, 0x62)
+def _certainty_bound(dim, trials, g):
     gap_max = 0.0
     for d in range(2, 11):
         closed = effects.certainty_bound(d, check=False)
         numeric = 1.0 / float(np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0])
         gap_max = max(gap_max, abs(closed - numeric))
     bound = effects.certainty_bound(dim)
-    # One draw of all trials' normals: the stream of one random_state per trial.
     rho = linalg.state_from_normals(g.normal(size=(trials, 2, dim, dim)))
     exceed = effects.born(rho, effects.standard_sqm(dim).base).max() - bound
     ratio_dev = abs(10 * effects.certainty_bound(10) * 0.79 - 1.0)
@@ -118,9 +107,9 @@ def _certainty_bound(dim, trials, seed):
     ]
 
 
-def _teleport(dim, trials, seed):
+def _teleport(dim, trials, g):
     from . import update
-    psi = linalg.ket_from_normals(_rng(seed, 0x63).normal(size=(trials, 2, 2)))
+    psi = linalg.ket_from_normals(g.normal(size=(trials, 2, 2)))
     probs, _, before, unconditional, _, fidelity = update.teleports(psi)
     marg_dev = np.abs(np.stack([before, unconditional]) - np.eye(2) / 2).max()
     return [
@@ -130,15 +119,11 @@ def _teleport(dim, trials, seed):
     ]
 
 
-def _update_factor(dim, trials, seed):
-    g = _rng(seed, 0x64)
-    x_state, x_ket = np.empty((trials, 2, dim, dim)), np.empty((trials, 2, dim))
-    x_inst = np.zeros((trials, 2, 4, 2, dim, dim))  # up to 4 outcomes, zero-padded
-    for t in range(trials):
-        x_state[t] = g.normal(size=(2, dim, dim))
-        k = int(g.integers(2, 5))
-        x_inst[t, :, :k] = g.normal(size=(2, k, 2, dim, dim))
-        x_ket[t] = g.normal(size=(2, dim))
+def _update_factor(dim, trials, g):
+    k = g.integers(2, 5, size=(trials, 1))  # outcomes of each trial's instrument
+    x_state = g.normal(size=(trials, 2, dim, dim))
+    x_inst = linalg._padded_normals(g, k, (trials, 2, 4, 2, dim, dim))
+    x_ket = g.normal(size=(trials, 2, dim))
     devs = linalg._chunked(_factor_devs, x_state, x_inst, x_ket)
     mix_dev, spec_dev, readj_dev, pure_dev = np.max(devs, axis=0)
     return [
@@ -166,38 +151,35 @@ def _factor_devs(x_state, x_inst, x_ket):
     return mix_dev, spec_dev, readj_dev, pure_dev
 
 
-def _entropy_sweep(dim, trials, seed):
+def _entropy_sweep(dim, trials, g):
     from . import entropy
-    g = _rng(seed, 0x65)
     q_half = entropy.subentropy(np.eye(2) / 2.0)
     mean_half = entropy.mean_entropy(np.eye(2) / 2.0)
-    draws = {}
-    for _ in range(trials):
-        d = int(g.integers(2, 6))
-        draws.setdefault(d, []).append(g.normal(size=(2, d, d)))
-    cap = max(entropy.subentropy(linalg.state_from_normals(np.array(x))).max() for x in draws.values())
-    cap_excess = cap - entropy.SUBENTROPY_CAP
-    z_max = 0.0
-    for _ in range(5):
-        rho = linalg.random_state(dim, g)
-        exact = entropy.mean_entropy(rho)
-        mc, se = entropy.mean_entropy_mc(rho, 20000, g)
-        z_max = max(z_max, abs(mc - exact) / se)
+    # States of dimension d = 2..5, each embedded in 5 dimensions by zero rows
+    # and columns of its normals; zero eigenvalues leave the subentropy as is.
+    d = g.integers(2, 6, size=(trials, 1, 1, 1))
+    rows, cols = np.ogrid[:5, :5]
+    x = np.where((rows < d) & (cols < d), g.normal(size=(trials, 2, 5, 5)), 0.0)
+    cap = entropy.subentropy(linalg.state_from_normals(x))
+    rho = linalg.state_from_normals(g.normal(size=(5, 2, dim, dim)))
+    mc, se = np.array([entropy.mean_entropy_mc(r, 20000, g) for r in rho]).T
+    # The sum of the squared z-scores of 5 unbiased estimates is chi^2 with 5
+    # degrees of freedom, which exceeds 25.74 with probability 1e-4.
+    chi2 = (((mc - entropy.mean_entropy(rho)) / se) ** 2).sum()
     gaps = entropy.check_refinement_inequalities(trials=trials, dim=dim, seed=g)
     return [
-        ("entropy_subentropy_half_identity_error", abs(q_half - 0.278652), "<=", 1e-6),
+        ("entropy_subentropy_half_identity_error", abs(q_half - (1 - 0.5 / entropy.LN2)), "<=", 1e-6),
         ("entropy_mean_half_identity_error", abs(mean_half - 1.0), "<=", 1e-9),
-        ("entropy_subentropy_cap_excess_max", cap_excess, "<=", 1e-6),
-        ("entropy_mc_zscore_max", z_max, "<=", 3.0),
+        ("entropy_subentropy_cap_excess_max", cap.max() - entropy.SUBENTROPY_CAP, "<=", 1e-6),
+        ("entropy_mc_chi2", chi2, "<=", 25.74),
         ("entropy_refinement_s_gap_min", gaps.von_neumann_gaps.min(), ">=", -1e-8),
         ("entropy_refinement_q_gap_min", gaps.subentropy_gaps.min(), ">=", -1e-8),
         ("entropy_classical_gap_min", gaps.classical_gaps.min(), ">=", -1e-8),
     ]
 
 
-def _locality_reconstruct(dim, trials, seed):
+def _locality_reconstruct(dim, trials, g):
     from . import locality
-    g = _rng(seed, 0x66)
     worst = {}
     for da, db in ((2, 2), (2, 3)):
         rho = linalg.state_from_normals(g.normal(size=(trials, 2, da * db, da * db)))
@@ -223,9 +205,9 @@ def _locality_reconstruct(dim, trials, seed):
     ]
 
 
-def _swap_counterexample(dim, trials, seed):
+def _swap_counterexample(dim, trials, g):
     from . import locality
-    rep = locality.swap_counterexample(dim, n_trees=trials, seed=_rng(seed, 0x67))
+    rep = locality.swap_counterexample(dim, n_trees=trials, seed=g)
     return [
         ("swap_tree_normalization_dev_max", rep.max_tree_deviation, "<=", 1e-9),
         ("swap_min_frame_value", rep.min_frame_value, ">=", -1e-12),
@@ -233,18 +215,18 @@ def _swap_counterexample(dim, trials, seed):
     ]
 
 
-def _definetti_merge(dim, trials, seed):
+def _definetti_merge(dim, trials, g):
     from . import definetti
     grid = definetti.bloch_grid(50, (0.25, 0.5, 0.75, 1.0))
     uniform = definetti.make_prior(grid)
     skewed = definetti.make_prior(grid, definetti.center_skewed_weights(grid))
-    traces = _merging_runs(uniform, skewed, effects.standard_sqm(2).base, trials, seed, 0x680000)
+    traces = _merging_runs(uniform, skewed, effects.standard_sqm(2).base, trials, g)
     inter = [t.final_inter_agent for t in traces]
     truth = [max(t.final_to_truth) for t in traces]
     zmeas = effects.validate_povm([linalg.projector(linalg.ket(i, 2)) for i in range(2)])
     pa = definetti.make_prior(grid, definetti.axis_skewed_weights(grid, linalg.sigma_x, +2.0))
     pb = definetti.make_prior(grid, definetti.axis_skewed_weights(grid, linalg.sigma_x, -2.0))
-    traces = _merging_runs(pa, pb, zmeas, min(trials, 10), seed, 0x6A0000)
+    traces = _merging_runs(pa, pb, zmeas, min(trials, 10), g)
     plateau = [t.final_inter_agent for t in traces]
     return [
         ("definetti_median_inter_agent", float(np.median(inter)), "<=", 0.05),
@@ -253,18 +235,15 @@ def _definetti_merge(dim, trials, seed):
     ]
 
 
-def _merging_runs(prior_a, prior_b, povm, runs, seed, salt):
-    """``runs`` 500-outcome merging experiments as one stack: run r's true state
-    is a grid point drawn from ``_rng(seed, salt + r)``, its outcomes from seed
-    ``seed ^ (salt + 0x10000 + r)``."""
+def _merging_runs(prior_a, prior_b, povm, runs, g):
+    """``runs`` 2000-outcome merging experiments as one stack: the true states
+    are grid points drawn from ``g``, run r's outcomes from its r-th spawned child."""
     from . import definetti
-    grid = prior_a.states
-    picks = [int(_rng(seed, salt + run).integers(len(grid))) for run in range(runs)]
-    seeds = [int(seed) ^ (salt + 0x10000 + run) for run in range(runs)]
-    return definetti.merging_experiments(prior_a, prior_b, grid[picks], povm, 500, seeds)
+    truths = prior_a.states[g.integers(len(prior_a), size=runs)]
+    return definetti.merging_experiments(prior_a, prior_b, truths, povm, 2000, g.spawn(runs))
 
 
-def _real_counterexample(dim, trials, seed):
+def _real_counterexample(dim, trials, g):
     from . import definetti
     rep = definetti.real_counterexample(2)
     fit_margin = rep.real_fit_residual - rep.witness_bound
@@ -277,19 +256,22 @@ def _real_counterexample(dim, trials, seed):
     ]
 
 
-# name -> (section, trials under ``all``, trials when run alone).  The ``all``
-# counts are bounded to keep the whole run comfortably inside a few minutes.
+# name -> (section, trials under ``all``, trials when run alone, stream key).
+# The ``all`` counts are bounded to keep the whole run comfortably inside a few
+# minutes.  A section draws from ``default_rng([seed, key])``, one stream per
+# seed and key; a section that draws nothing has no key and gets no generator,
+# so that it does not import ``numpy.random``.
 _COMMANDS = {
-    "sqm-build": (_sqm_build, 1, 1),
-    "gleason-roundtrip": (_gleason_roundtrip, 50, 100),
-    "certainty-bound": (_certainty_bound, 200, 1000),
-    "teleport": (_teleport, 25, 100),
-    "update-factor": (_update_factor, 100, 500),
-    "entropy-sweep": (_entropy_sweep, 100, 300),
-    "locality-reconstruct": (_locality_reconstruct, 20, 50),
-    "swap-counterexample": (_swap_counterexample, 50, 100),
-    "definetti-merge": (_definetti_merge, 10, 20),
-    "real-counterexample": (_real_counterexample, 1, 1),
+    "sqm-build": (_sqm_build, 1, 1, None),
+    "gleason-roundtrip": (_gleason_roundtrip, 50, 100, 0x61),
+    "certainty-bound": (_certainty_bound, 200, 1000, 0x62),
+    "teleport": (_teleport, 25, 100, 0x63),
+    "update-factor": (_update_factor, 100, 500, 0x64),
+    "entropy-sweep": (_entropy_sweep, 100, 300, 0x65),
+    "locality-reconstruct": (_locality_reconstruct, 20, 50, 0x66),
+    "swap-counterexample": (_swap_counterexample, 50, 100, 0x67),
+    "definetti-merge": (_definetti_merge, 10, 20, 0x68),
+    "real-counterexample": (_real_counterexample, 1, 1, None),
 }
 
 _NOTES = {
@@ -307,11 +289,11 @@ def _tol_pair(raw):
     """One ``--tol NAME=VALUE`` as (name, threshold); a malformed one is a usage error."""
     name, sep, value = raw.partition("=")
     try:
-        if sep:
-            return name.strip(), float(value)
+        if sep and np.isfinite(threshold := float(value)):
+            return name.strip(), threshold
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expects NAME=VALUE, got {raw!r}")
+    raise argparse.ArgumentTypeError(f"expects NAME=VALUE with a finite VALUE, got {raw!r}")
 
 
 @functools.cache
@@ -354,9 +336,10 @@ def _run_parsed(parser, args):
     names = list(_COMMANDS) if args.command == "all" else [args.command]
     rows = []
     for name in names:
-        fn, *defaults = _COMMANDS[name]
-        trials = defaults[args.command != "all"] if args.trials is None else args.trials
-        rows += fn(args.dim, trials, args.seed)
+        fn, in_all, alone, key = _COMMANDS[name]
+        trials = args.trials or (in_all if args.command == "all" else alone)
+        g = None if key is None else np.random.default_rng([args.seed, key])
+        rows += fn(args.dim, trials, g)
     unknown = sorted(set(overrides) - {row[0] for row in rows})
     if unknown:
         parser.error(f"--tol names no check of {args.command}: {', '.join(unknown)}")

@@ -194,26 +194,22 @@ def _classical_gaps(joints: np.ndarray) -> np.ndarray:
 def check_refinement_inequalities(trials: int = 1, dim: int = 2, seed=None) -> RefinementGaps:
     """Sweep the quantum and classical refinement inequalities.
 
-    Each trial draws a random state, then a random efficient instrument with
-    2 to 5 outcomes, of dimension ``dim``, then a random classical joint
-    distribution.  The drawn trials' quantum and Shannon gaps are evaluated
-    afterwards as stacks.  One given (state, instrument) pair's quantum gaps
-    are :func:`refinement_gap`.
+    Each trial has a random state, a random efficient instrument with 2 to 5
+    outcomes, of dimension ``dim``, and a random classical joint distribution
+    of 2 to 5 by 2 to 5 entries.  All trials are drawn in a few calls (the
+    outcome and table sizes, then the state normals, the zero-padded
+    instrument normals and the zero-padded tables) and their quantum and
+    Shannon gaps evaluated as stacks.  One given (state, instrument) pair's
+    quantum gaps are :func:`refinement_gap`.
     """
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
     g = linalg.rng_from(seed)
-    x_state = np.empty((trials, 2, dim, dim))
-    x_inst = np.zeros((trials, 2, 5, 2, dim, dim))  # up to 5 outcomes, zero-padded
-    joints = np.zeros((trials, 5, 5))  # 2 to 5 rows and columns, zero-padded
-    for t in range(trials):
-        x_state[t] = g.normal(size=(2, dim, dim))
-        k = int(g.integers(2, 6))
-        x_inst[t, :, :k] = g.normal(size=(2, k, 2, dim, dim))
-        h, d = int(g.integers(2, 6)), int(g.integers(2, 6))
-        joint = g.random((h, d))
-        joints[t, :h, :d] = joint / joint.sum()
-    rho = linalg.state_from_normals(x_state)
-    kraus = kraus_from_normals(x_inst)
+    k, h, d = g.integers(2, 6, size=(3, trials, 1, 1))
+    rho = linalg.state_from_normals(g.normal(size=(trials, 2, dim, dim)))
+    kraus = kraus_from_normals(linalg._padded_normals(g, k[:, 0], (trials, 2, 5, 2, dim, dim)))
+    rows, cols = np.ogrid[:5, :5]
+    joints = np.where((rows < h) & (cols < d), g.random((trials, 5, 5)), 0.0)
+    joints /= joints.sum(axis=(1, 2), keepdims=True)
     s_gaps, q_gaps = _refinement_gaps(rho, kraus @ rho[:, None] @ linalg.dagger(kraus))
     return RefinementGaps(s_gaps, q_gaps, _classical_gaps(joints))

@@ -275,6 +275,16 @@ def rng_from(seed) -> "np.random.Generator":
     return np.random.default_rng(seed)
 
 
+def _padded_normals(g, counts: np.ndarray, shape: tuple) -> np.ndarray:
+    """One draw of normals of ``shape`` holding a ragged stack: along axis
+    counts.ndim, the entries from index counts[...] on are zeroed padding
+    (counts broadcasts over the axes before that one)."""
+    x = g.normal(size=shape)
+    pad = np.arange(shape[counts.ndim]) >= counts[..., None]
+    x[np.broadcast_to(pad, shape[: counts.ndim + 1])] = 0.0
+    return x
+
+
 def random_ket(dim: int, seed=None) -> np.ndarray:
     """Normalized Haar-random state vector from one (2, dim) draw."""
     return ket_from_normals(rng_from(seed).normal(size=(2, dim)))

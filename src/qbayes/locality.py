@@ -48,35 +48,33 @@ class PovmTree:
 def random_tree(
     dim_a: int, dim_b: int, seed=None, direction: str | None = None
 ) -> PovmTree:
-    """Random tree with 2 to 5 outcomes at each stage: :func:`_draw_tree`, then
-    :func:`_trees_from_normals` on a stack of one.  Its POVMs are those of
-    :func:`qbayes.linalg.random_povm` on the same draws, valid by construction,
-    unvalidated."""
-    direction, x_first, x_branch = _draw_tree(dim_a, dim_b, linalg.rng_from(seed), direction)
-    first, branches = (a[0] for a in _trees_from_normals(x_first[None], x_branch[None]))
-    sizes = x_branch.any(axis=(-3, -2, -1)).sum(axis=-1)  # 0 past the first's outcomes
+    """Random tree with 2 to 5 outcomes at each stage: its direction, then
+    :func:`_draw_trees` and :func:`_trees_from_normals` on a stack of one.  Its
+    POVMs are valid by construction, unvalidated."""
+    g = linalg.rng_from(seed)
+    if direction is None:
+        direction = "AtoB" if g.integers(2) == 0 else "BtoA"
+    dims = (dim_a, dim_b) if direction == "AtoB" else (dim_b, dim_a)
+    first, branches = (a[0] for a in _trees_from_normals(*_draw_trees(*dims, 1, g)))
+    sizes = branches.any(axis=(-2, -1)).sum(axis=-1)  # 0 past the first's outcomes
     povms = tuple(Povm(b[:k]) for b, k in zip(branches, sizes) if k)
     return PovmTree(direction, Povm(first[: len(povms)]), povms)
 
 
-def _draw_tree(dim_a: int, dim_b: int, g, direction: str | None = None):
-    """A random tree's draws: its direction, then its normals zero-padded to 5
-    outcomes, (5, 2, D, D) for the first POVM and (5, 5, 2, D', D') for the branches."""
-    if direction is None:
-        direction = "AtoB" if g.integers(2) == 0 else "BtoA"
-    d_first, d_branch = (dim_a, dim_b) if direction == "AtoB" else (dim_b, dim_a)
-    x_first, x_branch = np.zeros((5, 2, d_first, d_first)), np.zeros((5, 5, 2, d_branch, d_branch))
-    n = int(g.integers(2, 6))
-    x_first[:n] = g.normal(size=(n, 2, d_first, d_first))
-    for i in range(n):
-        k = int(g.integers(2, 6))
-        x_branch[i, :k] = g.normal(size=(k, 2, d_branch, d_branch))
-    return direction, x_first, x_branch
+def _draw_trees(d_first: int, d_branch: int, n: int, g) -> tuple[np.ndarray, np.ndarray]:
+    """The normals of n random trees in one draw each, zero-padded to 5 outcomes:
+    (n, 5, 2, D, D) for the first POVMs and (n, 5, 5, 2, D', D') for the
+    branches.  Every POVM has 2 to 5 outcomes; no branch follows an outcome
+    its first POVM lacks."""
+    k = g.integers(2, 6, size=(n, 6))  # the first POVM's outcomes, then each branch's
+    k[:, 1:][np.arange(5) >= k[:, :1]] = 0
+    x_first = linalg._padded_normals(g, k[:, 0], (n, 5, 2, d_first, d_first))
+    return x_first, linalg._padded_normals(g, k[:, 1:], (n, 5, 5, 2, d_branch, d_branch))
 
 
 def _trees_from_normals(x_first: np.ndarray, x_branch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-padded POVMs (N, 5, D, D) and branches (N, 5, 5, D', D') of N trees from
-    their stacked :func:`_draw_tree` normals.  Branch POVMs are built only behind
+    their :func:`_draw_trees` normals.  Branch POVMs are built only behind
     drawn first outcomes: a padded branch has no elements to normalize."""
     live = x_first.any(axis=(-3, -2, -1))
     branches = np.zeros(x_branch.shape[:3] + x_branch.shape[-2:], dtype=complex)
@@ -208,22 +206,16 @@ class SwapCounterexample:
 def swap_counterexample(dim: int, n_trees: int = 100, seed=0) -> SwapCounterexample:
     """Build and certify the swap frame on two equal factors.
 
-    Draws 200 effect pairs, then ``n_trees`` random trees, from ``seed`` in
-    the order of per-pair :func:`_random_effect` and per-tree
-    :func:`random_tree` calls.  The pairs are then evaluated as one stack,
-    and the trees in chunks of ``linalg._chunked``, as one stack per direction.
+    Draws 200 effect pairs, then ``n_trees`` random trees (their directions,
+    then :func:`_draw_trees`), from ``seed``.  The pairs are evaluated as one
+    stack, and the trees in chunks of ``linalg._chunked``, as one stack per
+    direction.
     """
     g = linalg.rng_from(seed)
     frame = BilinearFrame.from_swap(dim)
-    x, u = np.empty((400, 2, dim, dim)), np.empty(400)
-    for i in range(400):  # E, F of pair 0, then of pair 1, ...
-        x[i], u[i] = g.normal(size=(2, dim, dim)), g.random()
-    es, fs = _effects_from_draws(x, u).reshape(200, 2, dim, dim).swapaxes(0, 1)
-    direction, x_first = np.empty(n_trees, "<U4"), np.empty((n_trees, 5, 2, dim, dim))
-    x_branch = np.empty((n_trees, 5, 5, 2, dim, dim))
-    for t in range(n_trees):  # filled in place, so no per-tree copy outlives its row
-        direction[t], x_first[t], x_branch[t] = _draw_tree(dim, dim, g)
-    draws = direction, x_first, x_branch
+    es, fs = _effects_from_draws(g.normal(size=(2, 200, 2, dim, dim)), g.random((2, 200)))
+    direction = np.where(g.integers(2, size=n_trees) == 0, "AtoB", "BtoA")
+    draws = direction, *_draw_trees(dim, dim, n_trees, g)
     totals = np.concatenate(linalg._chunked(lambda *x: _tree_totals(frame, *x), *draws))
     joint = reconstruct_joint_operator(frame)
     witness = np.zeros(dim * dim, dtype=complex)
@@ -241,7 +233,7 @@ def swap_counterexample(dim: int, n_trees: int = 100, seed=0) -> SwapCounterexam
 
 
 def _tree_totals(frame: BilinearFrame, direction, x_first, x_branch) -> np.ndarray:
-    """:func:`tree_total` of N trees from their stacked :func:`_draw_tree` draws,
+    """:func:`tree_total` of N trees from their :func:`_draw_trees` draws,
     tree n walked in ``direction[n]``."""
     first, branches = _trees_from_normals(x_first, x_branch)
     first, totals = first[:, :, None], np.empty(len(direction))

@@ -113,7 +113,7 @@ def test_criterion_4_update_factorization():
 
 
 def test_criterion_5_entropy_suite():
-    assert abs(entropy.subentropy(np.eye(2) / 2.0) - 0.278652) <= 1e-6
+    assert abs(entropy.subentropy(np.eye(2) / 2.0) - (1 - 1 / (2 * np.log(2)))) <= 1e-6
     assert abs(entropy.mean_entropy(np.eye(2) / 2.0) - 1.0) <= 1e-9
     rng = np.random.default_rng(5)
     for _ in range(10**4):

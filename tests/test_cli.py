@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from qbayes import cli
+from qbayes import cli, definetti, entropy, linalg
 
 TIMING_FIELDS = ("timestamp", "wall_time_s")
 
@@ -88,12 +89,49 @@ def test_seed_changes_values():
     assert va != vb
 
 
+def test_adjacent_seeds_give_distinct_definetti_reports():
+    values = [
+        [c["value"] for c in cli.run(["definetti-merge", "--seed", seed])[1]["checks"]]
+        for seed in ("2", "3")
+    ]
+    assert all(a != b for a, b in zip(*values))
+
+
+def check_passes(argv):
+    return {c["name"]: c["pass"] for c in cli.run(argv)[1]["checks"]}
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_chi2_check_fails_on_a_one_percent_bias_in_mean_entropy(monkeypatch, dim):
+    argv = ["entropy-sweep", "--dim", dim, "--trials", "10"]
+    assert check_passes(argv)["entropy_mc_chi2"]
+    mean_entropy = entropy.mean_entropy
+    monkeypatch.setattr(entropy, "mean_entropy", lambda rho: 1.01 * mean_entropy(rho))
+    assert not check_passes(argv)["entropy_mc_chi2"]
+
+
+def test_median_to_truth_check_fails_on_truths_off_the_grid(monkeypatch):
+    argv = ["definetti-merge", "--trials", "10"]
+    assert check_passes(argv)["definetti_median_to_truth"]
+    merging_experiments = definetti.merging_experiments
+    off_grid = np.random.default_rng(0)
+
+    def random_truths(prior_a, prior_b, truths, *args):
+        truths = linalg.state_from_normals(off_grid.normal(size=(len(truths), 2, 2, 2)))
+        return merging_experiments(prior_a, prior_b, truths, *args)
+
+    monkeypatch.setattr(definetti, "merging_experiments", random_truths)
+    assert not check_passes(argv)["definetti_median_to_truth"]
+
+
 def test_usage_errors_exit_two():
     assert run_cli(["frobnicate"]).returncode == 2
     assert run_cli(["teleport", "--dim", "1"]).returncode == 2
     assert run_cli(["teleport", "--tol", "oops"]).returncode == 2
     assert run_cli(["teleport", "--tol", "teleport_fidelity_error_max=abc"]).returncode == 2
     assert run_cli(["teleport", "--tol", "teleport_fidelity_eror_max=-1"]).returncode == 2
+    for value in ("nan", "inf", "-inf"):
+        assert run_cli(["teleport", "--tol", f"teleport_fidelity_error_max={value}"]).returncode == 2
     assert run_cli([]).returncode == 2
 
 
@@ -178,7 +216,7 @@ ALL_CHECKS = [
     ("entropy_subentropy_half_identity_error", "<=", 1e-06),
     ("entropy_mean_half_identity_error", "<=", 1e-09),
     ("entropy_subentropy_cap_excess_max", "<=", 1e-06),
-    ("entropy_mc_zscore_max", "<=", 3.0),
+    ("entropy_mc_chi2", "<=", 25.74),
     ("entropy_refinement_s_gap_min", ">=", -1e-08),
     ("entropy_refinement_q_gap_min", ">=", -1e-08),
     ("entropy_classical_gap_min", ">=", -1e-08),

@@ -529,7 +529,7 @@ def test_merge_section_builds_no_trajectory(monkeypatch):
     code, _ = cli.run(["definetti-merge", "--trials", "2"])
     assert code == 0
     assert shapes
-    assert not any(501 in shape[:-2] for shape in shapes)
+    assert not any(2001 in shape[:-2] for shape in shapes)
 
 
 @pytest.mark.parametrize("outcome", [-1, 2, 1.0])

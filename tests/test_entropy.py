@@ -30,7 +30,7 @@ def test_half_identity_oracle_is_stable():
     a = _richardson_half_identity(1e-6)
     b = _richardson_half_identity(1e-7)
     assert abs(a - b) <= 1e-8
-    assert a == pytest.approx(0.278652, abs=1e-6)
+    assert a == pytest.approx(1 - 1 / (2 * np.log(2)), abs=1e-6)
 
 
 def test_shannon_values():
@@ -58,7 +58,7 @@ def test_subentropy_pure_state_vanishes(rng):
 def test_subentropy_half_identity_matches_oracle():
     q = entropy.subentropy(np.eye(2) / 2.0)
     assert q == pytest.approx(_richardson_half_identity(1e-6), abs=1e-8)
-    assert q == pytest.approx(0.278652, abs=1e-6)
+    assert q == pytest.approx(1 - 1 / (2 * np.log(2)), abs=1e-6)
 
 
 def test_mean_entropy_half_identity_is_one_bit():

@@ -1,11 +1,12 @@
 """Trial-batched samplers, factorization and CLI sections.
 
 Each sampler is one draw of raw normals plus a stack-capable build, and every
-section that loops over trials draws them one by one and evaluates them all
-as stacks.  The references here are copies of the per-call
-samplers and per-trial loops that the batched code replaced: the batched
-code must make the same generator calls in the same order and agree with
-them value for value.
+section draws all its trials in a few calls and evaluates them as stacks.  The
+samplers' references are copies of the per-call samplers they replaced, which
+must make the same generator calls in the same order and agree bitwise.  The
+sections' references draw the same arrays from the same generator, use only
+each trial's own entries (never the zero padding), and evaluate the trials one
+by one with the per-call library functions.
 """
 
 import numpy as np
@@ -58,6 +59,11 @@ def old_random_kraus(dim, n, g):
     """Kraus operators of the one-per-outcome random instrument, stacked."""
     roots = linalg.mat_sqrt(np.stack(old_random_povm(dim, n, g)))
     return np.stack([old_random_unitary(dim, g) @ root for root in roots])
+
+
+def section_rng(section, seed):
+    """The generator that the CLI gives ``section`` at ``seed``."""
+    return np.random.default_rng([seed, cli._COMMANDS[section][3]])
 
 
 def assert_same_stream(g_new, g_old):
@@ -211,19 +217,23 @@ def test_matching_unitary_mixes_cluster_sizes_in_one_stack():
 
 
 def per_trial_refinement_gaps(trials, dim, seed):
-    """The sweep as a per-trial loop over the per-call samplers."""
-    g = np.random.default_rng(seed)
+    """The sweep's draws as a per-trial loop over the per-call functions."""
+    g = linalg.rng_from(seed)
+    k, h, d = g.integers(2, 6, size=(3, trials))
+    x_state = g.normal(size=(trials, 2, dim, dim))
+    x_inst = g.normal(size=(trials, 2, 5, 2, dim, dim))
+    tables = g.random((trials, 5, 5))
     out = np.empty((3, trials))
     for t in range(trials):
-        rho = old_random_state(dim, g)
-        kraus = old_random_kraus(dim, int(g.integers(2, 6)), g)
+        rho = linalg.state_from_normals(x_state[t])
+        kraus = update.kraus_from_normals(x_inst[t, :, : k[t]])
         raw = kraus @ rho @ linalg.dagger(kraus)
         probs = np.trace(raw, axis1=1, axis2=2).real
         live = probs > linalg.PROB_FLOOR
         posts = raw[live] / probs[live][:, None, None]
         out[0, t] = entropy.von_neumann(rho) - probs[live] @ entropy.von_neumann(posts)
         out[1, t] = entropy.subentropy(rho) - probs[live] @ entropy.subentropy(posts)
-        joint = g.random((int(g.integers(2, 6)), int(g.integers(2, 6))))
+        joint = tables[t, : h[t], : d[t]]
         out[2, t] = entropy.classical_refinement_gap(joint / joint.sum())
     return out
 
@@ -244,11 +254,15 @@ def test_refinement_sweep_matches_per_trial_loop(seed, trials, dim):
 
 
 def per_trial_update_factor(dim, trials, seed):
-    g = cli._rng(seed, 0x64)
+    g = section_rng("update-factor", seed)
+    k = g.integers(2, 5, size=trials)
+    x_state = g.normal(size=(trials, 2, dim, dim))
+    x_inst = g.normal(size=(trials, 2, 4, 2, dim, dim))
+    x_ket = g.normal(size=(trials, 2, dim))
     mix_dev = spec_dev = readj_dev = pure_dev = 0.0
-    for _ in range(trials):
-        rho = old_random_state(dim, g)
-        kraus = old_random_kraus(dim, int(g.integers(2, 5)), g)
+    for t in range(trials):
+        rho = linalg.state_from_normals(x_state[t])
+        kraus = update.kraus_from_normals(x_inst[t, :, : k[t]])
         fac = per_cluster_polar_factorization(rho, kraus)
         live = [f for f in fac if f is not None]
         mix_dev = max(mix_dev, np.linalg.norm(sum(p * r for p, r, _, _ in live) - rho))
@@ -256,7 +270,7 @@ def per_trial_update_factor(dim, trials, seed):
             spec = np.abs(np.linalg.eigvalsh(ref) - np.linalg.eigvalsh(post)).max()
             spec_dev = max(spec_dev, spec)
             readj_dev = max(readj_dev, np.linalg.norm(v @ ref @ linalg.dagger(v) - post))
-        psi = old_random_ket(dim, g)
+        psi = linalg.ket_from_normals(x_ket[t])
         pure = np.outer(psi, psi.conj())
         for f in per_cluster_polar_factorization(pure, kraus):
             if f is not None:
@@ -265,21 +279,23 @@ def per_trial_update_factor(dim, trials, seed):
 
 
 def per_trial_entropy_sweep(dim, trials, seed):
-    g = cli._rng(seed, 0x65)
+    g = section_rng("entropy-sweep", seed)
     q_half = entropy.subentropy(np.eye(2) / 2.0)
     mean_half = entropy.mean_entropy(np.eye(2) / 2.0)
-    cap = max(entropy.subentropy(old_random_state(int(g.integers(2, 6)), g)) for _ in range(trials))
-    z_max = 0.0
-    for _ in range(5):
-        rho = old_random_state(dim, g)
+    d = g.integers(2, 6, size=trials)
+    x = g.normal(size=(trials, 2, 5, 5))
+    cap = max(entropy.subentropy(linalg.state_from_normals(x[t, :, : d[t], : d[t]])) for t in range(trials))
+    chi2 = 0.0
+    for x_rho in g.normal(size=(5, 2, dim, dim)):
+        rho = linalg.state_from_normals(x_rho)
         mc, se = entropy.mean_entropy_mc(rho, 20000, g)
-        z_max = max(z_max, abs(mc - entropy.mean_entropy(rho)) / se)
+        chi2 += ((mc - entropy.mean_entropy(rho)) / se) ** 2
     gaps = per_trial_refinement_gaps(trials, dim, g)
     return [
-        abs(q_half - 0.278652),
+        abs(q_half - (1 - 1 / (2 * np.log(2)))),
         abs(mean_half - 1.0),
         cap - entropy.SUBENTROPY_CAP,
-        z_max,
+        chi2,
         *gaps.min(axis=1),
     ]
 
@@ -354,16 +370,25 @@ def test_classical_gaps_check_every_table():
 # Trees, effects and teleportation as stacks.
 
 
-def old_random_tree(dim_a, dim_b, g, direction=None):
+def tree_draws(d_first, d_branch, n, g):
+    """The draws of ``locality._draw_trees`` without the padding: outcome counts
+    (n, 6), the first POVM's then each branch's, and the full normal arrays."""
+    k = g.integers(2, 6, size=(n, 6))
+    return k, g.normal(size=(n, 5, 2, d_first, d_first)), g.normal(size=(n, 5, 5, 2, d_branch, d_branch))
+
+
+def per_povm_tree(direction, k, x_first, x_branch):
+    """One tree from its draws, each POVM built alone from its own normals."""
+    first = effects.Povm(linalg.povm_from_normals(x_first[: k[0]]))
+    branches = (effects.Povm(linalg.povm_from_normals(x_branch[i, : k[1 + i]])) for i in range(k[0]))
+    return locality.PovmTree(direction, first, tuple(branches))
+
+
+def per_povm_random_tree(dim_a, dim_b, g, direction=None):
     if direction is None:
         direction = "AtoB" if g.integers(2) == 0 else "BtoA"
-    d_first, d_branch = (dim_a, dim_b) if direction == "AtoB" else (dim_b, dim_a)
-    first = effects.Povm(tuple(linalg.random_povm(d_first, int(g.integers(2, 6)), g)))
-    branches = tuple(
-        effects.Povm(tuple(linalg.random_povm(d_branch, int(g.integers(2, 6)), g)))
-        for _ in range(len(first))
-    )
-    return locality.PovmTree(direction, first, branches)
+    dims = (dim_a, dim_b) if direction == "AtoB" else (dim_b, dim_a)
+    return per_povm_tree(direction, *(x[0] for x in tree_draws(*dims, 1, g)))
 
 
 def old_random_effect(dim, g):
@@ -393,7 +418,7 @@ def test_random_tree_is_bitwise_the_per_povm_sampler(dims, direction):
     for seed in range(30):
         g_new, g_old = np.random.default_rng(seed), np.random.default_rng(seed)
         got = locality.random_tree(*dims, g_new, direction=direction)
-        expected = old_random_tree(*dims, g_old, direction=direction)
+        expected = per_povm_random_tree(*dims, g_old, direction=direction)
         assert got.direction == expected.direction
         for new, old in zip((got.first, *got.branches), (expected.first, *expected.branches), strict=True):
             assert len(new) == len(old)
@@ -413,15 +438,12 @@ def test_random_effect_is_bitwise_the_per_call_sampler(d):
 def test_batched_tree_totals_match_tree_total(dims):
     frame = locality.BilinearFrame.from_state(linalg.random_state(dims[0] * dims[1], 3), dims)
     g_new, g_old = np.random.default_rng(5), np.random.default_rng(5)
-    draws = [locality._draw_tree(*dims, g_new) for _ in range(60)]
-    expected = [locality.tree_total(frame, old_random_tree(*dims, g_old)) for _ in range(60)]
-    for way in ("AtoB", "BtoA"):
-        picked = [i for i, (direction, _, _) in enumerate(draws) if direction == way]
-        assert picked
-        x_first = np.stack([draws[i][1] for i in picked])
-        x_branch = np.stack([draws[i][2] for i in picked])
-        totals = locality._tree_totals(frame, np.full(len(picked), way), x_first, x_branch)
-        assert np.abs(totals - np.take(expected, picked)).max() <= 1e-12
+    for way, tree_dims in (("AtoB", dims), ("BtoA", dims[::-1])):
+        totals = locality._tree_totals(frame, np.full(30, way), *locality._draw_trees(*tree_dims, 30, g_new))
+        trees = (per_povm_tree(way, *x) for x in zip(*tree_draws(*tree_dims, 30, g_old)))
+        expected = [locality.tree_total(frame, tree) for tree in trees]
+        assert np.abs(totals - expected).max() <= 1e-12
+    assert_same_stream(g_new, g_old)
 
 
 def test_swap_counterexample_with_one_tree():
@@ -480,36 +502,40 @@ def test_stacked_teleport_names_an_unnormalized_ket():
 
 
 def per_trial_gleason_roundtrip(dim, trials, seed):
-    g = cli._rng(seed, 0x61)
+    g = section_rng("gleason-roundtrip", seed)
     sqm = effects.standard_sqm(dim)
+    k = g.integers(2, 6, size=(trials, 5))
+    x_state = g.normal(size=(trials, 2, dim, dim))
+    x_held = g.normal(size=(trials, 5, 5, 2, dim, dim))
     worst_rt = worst_held = 0.0
-    for _ in range(trials):
-        rho = old_random_state(dim, g)
+    for t in range(trials):
+        rho = linalg.state_from_normals(x_state[t])
         rec = effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho, sqm.base.elements))
         worst_rt = max(worst_rt, linalg.trace_distance(rec, rho))
-        for _ in range(5):
-            held = effects.Povm(tuple(old_random_povm(dim, int(g.integers(2, 6)), g)))
+        for j in range(5):
+            held = effects.Povm(linalg.povm_from_normals(x_held[t, j, : k[t, j]]))
             worst_held = max(worst_held, np.abs(effects.born(rec, held) - effects.born(rho, held)).max())
     return [worst_rt, worst_held]
 
 
 def per_trial_certainty_bound(dim, trials, seed):
-    g = cli._rng(seed, 0x62)
+    g = section_rng("certainty-bound", seed)
     gaps = [
         effects.certainty_bound(d, check=False) - 1.0 / np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0]
         for d in range(2, 11)
     ]
     bound = effects.certainty_bound(dim)
     sqm = effects.standard_sqm(dim)
-    exceed = max(effects.born(old_random_state(dim, g), sqm.base).max() - bound for _ in range(trials))
+    x = g.normal(size=(trials, 2, dim, dim))
+    exceed = max(effects.born(linalg.state_from_normals(xt), sqm.base).max() - bound for xt in x)
     return [bound, np.abs(gaps).max(), exceed, abs(10 * effects.certainty_bound(10) * 0.79 - 1.0)]
 
 
 def per_trial_teleport(dim, trials, seed):
-    g = cli._rng(seed, 0x63)
+    g = section_rng("teleport", seed)
     fid_err = marg_dev = prob_dev = 0.0
-    for _ in range(trials):
-        psi = old_random_ket(2, g)
+    for x in g.normal(size=(trials, 2, 2)):
+        psi = linalg.ket_from_normals(x)
         for outcome in range(4):
             probs, before, unconditional, _, _, fidelity = old_teleport(psi, outcome)
             fid_err = max(fid_err, abs(fidelity - 1.0))
@@ -519,12 +545,12 @@ def per_trial_teleport(dim, trials, seed):
 
 
 def per_trial_locality_reconstruct(dim, trials, seed):
-    g = cli._rng(seed, 0x66)
+    g = section_rng("locality-reconstruct", seed)
     worst = []
     for dims in ((2, 2), (2, 3)):
         w = 0.0
-        for _ in range(trials):
-            rho = old_random_state(dims[0] * dims[1], g)
+        for x in g.normal(size=(trials, 2, dims[0] * dims[1], dims[0] * dims[1])):
+            rho = linalg.state_from_normals(x)
             rec = locality.reconstruct_joint_operator(locality.BilinearFrame.from_state(rho, dims))
             w = max(w, linalg.trace_distance(rec, rho))
         worst.append(w)
@@ -539,10 +565,14 @@ def per_trial_locality_reconstruct(dim, trials, seed):
 
 
 def per_trial_swap_counterexample(dim, trials, seed):
-    g = cli._rng(seed, 0x67)
+    g = section_rng("swap-counterexample", seed)
     frame = locality.BilinearFrame.from_swap(dim)
-    min_val = min(frame.table([old_random_effect(dim, g)], [old_random_effect(dim, g)])[0, 0] for _ in range(200))
-    max_dev = max(abs(locality.tree_total(frame, old_random_tree(dim, dim, g)) - 1.0) for _ in range(trials))
+    x, u = g.normal(size=(2, 200, 2, dim, dim)), g.random((2, 200))
+    pairs = (locality._effects_from_draws(x[:, i], u[:, i]) for i in range(200))
+    min_val = min(frame.table([e], [f])[0, 0] for e, f in pairs)
+    ways = np.where(g.integers(2, size=trials) == 0, "AtoB", "BtoA")
+    trees = (per_povm_tree(way, *draws) for way, *draws in zip(ways, *tree_draws(dim, dim, trials, g)))
+    max_dev = max(abs(locality.tree_total(frame, tree) - 1.0) for tree in trees)
     joint = locality.reconstruct_joint_operator(frame)
     return [max_dev, min_val, np.linalg.eigvalsh(joint)[0]]
 
