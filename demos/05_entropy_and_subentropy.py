@@ -20,7 +20,7 @@ print("mean entropy over random bases:  ", f"{entropy.mean_entropy(rho):.4f} bit
 print("subentropy:                      ", f"{entropy.subentropy(rho):.4f} bits")
 
 mc, se = entropy.mean_entropy_mc(rho, 50000, seed=5)
-print(f"Monte-Carlo check: {mc:.4f} +- {se:.4f} bits")
+print(f"Monte-Carlo check: {mc:.6f} +- {se:.1e} bits")
 
 # Even with maximal knowledge (a pure state) a typical measurement stays
 # almost maximally unpredictable.

@@ -162,7 +162,7 @@ def _entropy_sweep(dim, trials, g):
     x = np.where((rows < d) & (cols < d), g.normal(size=(trials, 2, 5, 5)), 0.0)
     cap = entropy.subentropy(linalg.state_from_normals(x))
     rho = linalg.state_from_normals(g.normal(size=(5, 2, dim, dim)))
-    mc, se = np.array([entropy.mean_entropy_mc(r, 20000, g) for r in rho]).T
+    mc, se = entropy.mean_entropy_mc(rho, 20000, g)
     # The sum of the squared z-scores of 5 unbiased estimates is chi^2 with 5
     # degrees of freedom, which exceeds 25.74 with probability 1e-4.
     chi2 = (((mc - entropy.mean_entropy(rho)) / se) ** 2).sum()
@@ -280,8 +280,8 @@ _NOTES = {
 }
 
 
-# entropy-sweep's 20000-sample Monte-Carlo holds O(D^2) memory per sample
-# (159 MiB peak at D = 16), so larger dimensions are refused before any work.
+# At D = 16 entropy-sweep alone peaks at 141 MiB (82 MiB in `all`), holding its
+# refinement sweep's operators and subentropy quadrature; larger D is refused.
 MAX_DIM = 16
 
 

@@ -308,12 +308,6 @@ def unitary_from_normals(x: np.ndarray) -> np.ndarray:
     return q * (phases / np.abs(phases)).conj()[..., None, :]
 
 
-def random_hermitian(dim: int, seed=None, scale: float = 1.0) -> np.ndarray:
-    g = rng_from(seed)
-    z = g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))
-    return scale * (z + dagger(z)) / 2.0
-
-
 def random_state(dim: int, seed=None, rank: int | None = None) -> np.ndarray:
     """Random density operator from one (2, dim, rank) draw (rank D by default)."""
     r = dim if rank is None else rank

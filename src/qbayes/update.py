@@ -355,10 +355,6 @@ def dilation_from_instrument(
 # Channels and Choi operators.
 
 
-def maximally_entangled_ket(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex).ravel() / np.sqrt(dim)
-
-
 def channel_choi(ch: QuantumChannel) -> np.ndarray:
     """Choi operator (I x Phi) applied to the maximally entangled state.
 

@@ -1,0 +1,56 @@
+"""Test-only samplers and reference kernels that the library does not need."""
+
+import numpy as np
+
+from qbayes import linalg
+
+
+def random_hermitian(dim, seed=None, scale=1.0):
+    g = linalg.rng_from(seed)
+    z = g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))
+    return scale * (z + linalg.dagger(z)) / 2.0
+
+
+def maximally_entangled_ket(dim):
+    return np.eye(dim, dtype=complex).ravel() / np.sqrt(dim)
+
+
+def random_basis_probabilities(rho, n, g):
+    """Outcome probabilities (n, D) of ``rho`` in n Haar-random bases.
+
+    The independent reference for the spectral Monte-Carlo of the mean
+    entropy.  The first D - 1 columns of all the Ginibre draws are
+    orthonormalized at once by classical Gram-Schmidt with one
+    re-orthogonalization pass, in real form: z[j, :, s] = (Re q; Im q) is
+    column j of sample s.  Each basis vector then equals the QR one up to a
+    unit phase, which leaves every outcome probability q^dag rho q unchanged,
+    so the bases are Haar.  The basis is complete, so the last probability is
+    tr rho minus the others.
+    """
+    d, m = rho.shape[0], rho.shape[0] - 1
+    z = np.empty((m, 2 * d, n))
+    z[:, :d] = g.normal(size=(n, d, d))[..., :m].T
+    z[:, d:] = g.normal(size=(n, d, d))[..., :m].T
+    h = np.block([[rho.real, -rho.imag], [rho.imag, rho.real]])  # q^dag rho q = z[j] . h z[j]
+    probs = np.empty((d, n))
+    for j in range(m):
+        v, q = z[j], z[:j]
+        for _ in range(2 if j else 0):
+            # v - sum_k q_k <q_k, v>, with <q, v> = q . v + i (Re q . Im v - Im q . Re v).
+            re = np.einsum("kin,in->kn", q, v)
+            im = np.einsum("kin,in->kn", q[:, :d], v[d:]) - np.einsum("kin,in->kn", q[:, d:], v[:d])
+            v = v - np.einsum("kin,kn->in", q, re)
+            v[:d] += np.einsum("kin,kn->in", q[:, d:], im)
+            v[d:] -= np.einsum("kin,kn->in", q[:, :d], im)
+        v = z[j] = v / np.sqrt(np.einsum("in,in->n", v, v))
+        probs[j] = np.einsum("in,in->n", v, h @ v)
+    probs[m] = np.trace(rho).real - probs[:m].sum(axis=0)
+    return probs.T
+
+
+def basis_entropy_mc(rho, n, g):
+    """(mean, standard error) of the Shannon entropy of ``rho`` measured in n
+    Haar-random bases drawn by :func:`random_basis_probabilities`."""
+    p = random_basis_probabilities(rho, n, g)
+    h = -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1)
+    return h.mean(), h.std(ddof=1) / np.sqrt(n)

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import maximally_entangled_ket
 from qbayes import definetti, effects, entropy, linalg, locality, update
 
 
@@ -229,7 +230,7 @@ def test_criterion_8_definetti():
 
 def test_criterion_9_channels():
     choi_id = update.channel_choi(update.make_channel([np.eye(2)]))
-    psi = update.maximally_entangled_ket(2)
+    psi = maximally_entangled_ket(2)
     assert np.abs(choi_id - np.outer(psi, psi.conj())).max() <= 1e-12
 
     rng = np.random.default_rng(9)

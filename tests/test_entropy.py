@@ -1,6 +1,10 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
+from helpers import basis_entropy_mc, random_basis_probabilities
 from qbayes import effects, entropy, linalg, update
 from qbayes.errors import NotAState
 
@@ -228,13 +232,15 @@ def test_single_operator_gives_float(rng):
     for f in (entropy.von_neumann, entropy.subentropy, entropy.mean_entropy):
         assert type(f(rho)) is float
         assert type(f(np.eye(2) / 2.0)) is float
+    assert [type(v) for v in entropy.mean_entropy_mc(rho, 100, 0)] == [float, float]
 
 
 def test_stack_with_a_non_state_names_its_index(rng):
     states = _random_stack(3, 6, rng)
     states[2] = 2.0 * states[2]  # trace 2
     states[4] = states[4] @ np.diag([1.0, 1.0, 2.0])  # not Hermitian
-    for f in (entropy.von_neumann, entropy.subentropy, entropy.mean_entropy):
+    mc = functools.partial(entropy.mean_entropy_mc, samples=100, seed=0)
+    for f in (entropy.von_neumann, entropy.subentropy, entropy.mean_entropy, mc):
         with pytest.raises(NotAState, match=r"^state 2 "):
             f(states)
         with pytest.raises(NotAState, match=r"^state 1 .*Hermitian False"):
@@ -267,19 +273,74 @@ def _qr_reference(rho, samples, g):
 @pytest.mark.parametrize("d", [2, 3, 8, 16])
 def test_gram_schmidt_probabilities_match_qr(d):
     rho = linalg.random_state(d, 70 + d)
-    probs = entropy._random_basis_probabilities(rho, 300, np.random.default_rng(d))
+    probs = random_basis_probabilities(rho, 300, np.random.default_rng(d))
     reference = _qr_reference(rho, 300, np.random.default_rng(d))
     assert probs.shape == (300, d)
     assert np.abs(probs - reference).max() <= 1e-14
 
 
 def test_mean_entropy_mc_matches_qr_mean():
+    """The basis reference's estimate is the QR bases' sample mean and SE."""
     rho = linalg.random_state(3, 5)
-    mean, se = entropy.mean_entropy_mc(rho, 4000, 11)
+    mean, se = basis_entropy_mc(rho, 4000, np.random.default_rng(11))
     p = np.clip(_qr_reference(rho, 4000, np.random.default_rng(11)), 1e-300, None)
     h = -(p * np.log2(p)).sum(axis=1)
     assert abs(mean - h.mean()) <= 1e-13
     assert abs(se - h.std(ddof=1) / np.sqrt(4000)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_mean_entropy_mc_agrees_with_the_basis_reference(d):
+    """The spectral estimate and the Haar-basis one agree within 3 combined SEs."""
+    g = np.random.default_rng(90 + d)
+    for rank in (1, 2, d):
+        rho = linalg.random_state(d, g, rank=rank)
+        mc, se = entropy.mean_entropy_mc(rho, 20000, g)
+        ref, ref_se = basis_entropy_mc(rho, 4000, g)
+        assert abs(mc - ref) <= 3.0 * np.hypot(se, ref_se)
+
+
+def test_mean_entropy_mc_stack_equals_per_state_calls():
+    g = np.random.default_rng(4)
+    states = _random_stack(4, 6, g)
+    mean, se = entropy.mean_entropy_mc(states.reshape(2, 3, 4, 4), 500, 7)
+    assert mean.shape == se.shape == (2, 3)
+    g = np.random.default_rng(7)
+    loop = np.array([entropy.mean_entropy_mc(rho, 500, g) for rho in states])
+    assert np.array_equal(np.stack([mean.ravel(), se.ravel()], axis=1), loop)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_mean_entropy_mc_on_degenerate_spectra(d):
+    """Constant or nearly collinear controls give finite values and no warning.
+
+    At I/D the samples are constant up to rounding and the reported SE (0 to
+    about 1e-19) misses the rounding error of about 1e-16, hence the
+    absolute 1e-12.
+    """
+    g = np.random.default_rng(40 + d)
+    tilt = np.zeros(d)
+    tilt[:2] = 1e-9, -1e-9
+    u = linalg.random_unitary(d, g)
+    states = [np.eye(d) / d, linalg.random_state(d, g, rank=1), linalg.random_state(d, g, rank=2)]
+    states += [u @ np.diag(1.0 / d + s * tilt) @ u.conj().T for s in (1.0, -1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mc, se = entropy.mean_entropy_mc(np.stack(states), 20000, g)
+    assert np.isfinite(mc).all() and np.isfinite(se).all()
+    assert (np.abs(mc - entropy.mean_entropy(np.stack(states))) <= 3.0 * se + 1e-12).all()
+
+
+def test_mean_entropy_mc_standard_errors_are_calibrated():
+    """Over 800 estimates the z-scores against the closed form spread as N(0, 1)."""
+    g = np.random.default_rng(2025)
+    z = []
+    for d in (2, 3, 5, 8):
+        states = _random_stack(d, 200, g)
+        mc, se = entropy.mean_entropy_mc(states, 4000, g)
+        z.append((mc - entropy.mean_entropy(states)) / se)
+    assert 0.9 <= np.std(z) <= 1.1
+    assert abs(np.mean(z)) <= 0.2
 
 
 def test_mean_entropy_mc_needs_two_samples():

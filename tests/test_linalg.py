@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_hermitian
 from qbayes import linalg
 from qbayes.errors import DimensionMismatch, NotHermitian, SingularOperator
 
@@ -30,7 +31,7 @@ def test_eig_rejects_non_hermitian():
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=50, deadline=None)
 def test_eig_reconstructs_random_hermitian(seed):
-    m = linalg.random_hermitian(4, seed)
+    m = random_hermitian(4, seed)
     eig = linalg.eig_hermitian(m)
     scale = max(np.linalg.norm(m), 1.0)
     assert np.linalg.norm(eig.reconstruct() - m) <= RECONSTRUCTION_TOL * scale
@@ -193,7 +194,7 @@ def test_trace_distance_on_stacks_matches_pairwise(rng):
 
 
 def test_eig_hermitian_stack_matches_single_calls(rng):
-    stack = np.stack([linalg.random_hermitian(3, rng) for _ in range(6)])
+    stack = np.stack([random_hermitian(3, rng) for _ in range(6)])
     eig = linalg.eig_hermitian(stack)
     for m, vals, vecs in zip(stack, eig.eigenvalues, eig.eigenvectors):
         single = linalg.eig_hermitian(m)
@@ -214,7 +215,7 @@ def test_single_matrix_hermiticity_matches_the_stacked_check():
     verdicts = []
     for _ in range(1000):
         d = int(g.integers(2, 9))
-        h = linalg.random_hermitian(d, g)
+        h = random_hermitian(d, g)
         a = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
         skew = (a - linalg.dagger(a)) / 2.0
         target = linalg.HERMITIAN_TOL * (1.0 + g.uniform(-1e-6, 1e-6))

@@ -12,6 +12,7 @@ by one with the per-call library functions.
 import numpy as np
 import pytest
 
+from helpers import random_basis_probabilities
 from qbayes import cli, definetti, effects, entropy, linalg, locality, update
 from qbayes.errors import DimensionMismatch, NotAState, NotNormalized, NotTracePreserving
 
@@ -639,7 +640,7 @@ def test_basis_probabilities_match_the_complex_kernel(d):
     for seed in range(3):
         rho = linalg.random_state(d, 60 + seed)
         g_new, g_old = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = entropy._random_basis_probabilities(rho, 500, g_new)
+        got = random_basis_probabilities(rho, 500, g_new)
         expected = old_random_basis_probabilities(rho, 500, g_old)
         assert got.shape == expected.shape == (500, d)
         assert np.abs(got - expected).max() <= 1e-14

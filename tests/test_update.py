@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import maximally_entangled_ket
 from qbayes import effects, linalg, update
 from qbayes.errors import (
     DimensionMismatch,
@@ -382,7 +383,7 @@ def test_remote_measurement_nondisturbance_and_induced_povm(rng):
 
 def test_identity_channel_choi_is_maximally_entangled():
     choi = update.channel_choi(update.make_channel([np.eye(2)]))
-    psi = update.maximally_entangled_ket(2)
+    psi = maximally_entangled_ket(2)
     assert np.linalg.norm(choi - np.outer(psi, psi.conj())) <= 1e-12
     assert np.trace(choi).real == pytest.approx(1.0)
 
