@@ -71,8 +71,7 @@ def _gleason_roundtrip(dim, trials, g):
     k = g.integers(2, 6, size=(trials, 5))  # outcomes of each trial's 5 held-out POVMs
     rho = linalg.state_from_normals(g.normal(size=(trials, 2, dim, dim)))
     x_held = linalg._padded_normals(g, k, (trials, 5, 5, 2, dim, dim))
-    from_state = effects.FrameFunction.from_state  # one frame alive at a time
-    rec = np.stack([effects.reconstruct_from_frame(from_state(r, sqm.base)) for r in rho])
+    rec = effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho, sqm.base))
     worst_rt = linalg.trace_distance(rec, rho).max()
     worst_held = max(linalg._chunked(_held_out_error, x_held, rec, rho))
     return [
@@ -146,8 +145,8 @@ def _factor_devs(x_state, x_inst, x_ket):
     readj_dev = np.linalg.norm(v @ ref @ linalg.dagger(v) - post, axis=(-2, -1)).max()
     psi = linalg.ket_from_normals(x_ket)
     pure = psi[:, :, None] * psi.conj()[:, None, :]
-    _, live, ref, _, _ = update.factor_updates(pure, kraus)
-    pure_dev = np.linalg.norm(ref - pure[:, None], axis=(-2, -1))[live].max()
+    _, live, ref = update.refinements(pure, kraus)  # a pure state is its own refinement
+    pure_dev = np.linalg.norm(ref - pure[np.nonzero(live)[0]], axis=(-2, -1)).max()
     return mix_dev, spec_dev, readj_dev, pure_dev
 
 
@@ -280,8 +279,9 @@ _NOTES = {
 }
 
 
-# At D = 16 entropy-sweep alone peaks at 141 MiB (82 MiB in `all`), holding its
-# refinement sweep's operators and subentropy quadrature; larger D is refused.
+# At D = 16 entropy-sweep alone peaks at 90 MiB (66 MiB in `all`; an SQM build
+# alone, 38 MiB), holding its 300-trial refinement sweep's normals and posterior
+# operators; larger D is refused.
 MAX_DIM = 16
 
 

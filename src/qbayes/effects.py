@@ -222,8 +222,11 @@ def gram_renormalize(projectors: Sequence[np.ndarray]) -> MinimalIcPovm:
 
 def element_gram_min_singular_value(povm: Povm) -> float:
     """Smallest singular value of the Hilbert-Schmidt Gram of the elements."""
-    m = povm.matrix
-    return float(np.linalg.svd(m @ m.conj().T, compute_uv=False)[-1])
+    # tr(E_i E_j) is real for Hermitian effects: the dot product of the rows'
+    # float views.  The Gram is PSD, so its singular values are its eigenvalues.
+    # It is formed by einsum: a threaded BLAS product of this size can stall.
+    rows = np.ascontiguousarray(povm.matrix).view(float)
+    return float(np.linalg.eigvalsh(np.einsum("ik,jk->ij", rows, rows))[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,6 +286,8 @@ class FrameFunction:
     decimal digits before keying, so two numerically equal effects share
     one assignment no matter which POVM they appear in.  Effects are held
     as one stack, in first-recorded order, with a value array and a key index.
+    A frame of a (..., D, D) stack of states holds a (..., K) value table, one
+    row of K values per state; its reconstruction is the stack of states.
     """
 
     def __init__(self):
@@ -292,9 +297,10 @@ class FrameFunction:
 
     @classmethod
     def from_state(cls, state: np.ndarray, effects: Povm | Sequence[np.ndarray]) -> "FrameFunction":
-        """Record tr(rho E) per effect with one key pass and one born call, which
-        reuses a Povm's cached matrix; a stack is kept as it is, not copied.  A repeated
-        effect keeps its first row and its last value.  Mixed shapes raise DimensionMismatch."""
+        """Record tr(rho E) per effect, for one state or each state of a (..., D, D)
+        stack, with one key pass and one born call, which reuses a Povm's cached
+        matrix; a stack of effects is kept as it is, not copied.  A repeated effect
+        keeps its first row and its last value.  Mixed shapes raise DimensionMismatch."""
         f = cls()
         if len(effects):
             stack = effects.elements if isinstance(effects, Povm) else _effect_stack(effects)
@@ -302,34 +308,38 @@ class FrameFunction:
             rows = dict(zip(effect_keys(stack), range(len(stack))))  # key -> its last row
             if len(rows) < len(stack):
                 last = list(rows.values())
-                stack, values, rows = stack[last], values[last], dict(zip(rows, range(len(rows))))
+                stack, values, rows = stack[last], values[..., last], dict(zip(rows, range(len(rows))))
             f._effects, f._values, f._index = stack, values, rows
         return f
 
-    def record(self, effect: np.ndarray, value: float) -> None:
-        """Assign ``value`` to ``effect`` (a known one keeps its row); the stack,
-        perhaps a POVM's own, is rebuilt, never written."""
+    def record(self, effect: np.ndarray, value) -> None:
+        """Assign ``value`` to ``effect`` (a known one keeps its row); on a frame of
+        a state stack it broadcasts over the stack.  The effect stack, perhaps a
+        POVM's own, is rebuilt, never written."""
         effect = linalg.as_operator(effect)
         (key,) = effect_keys(effect[None])
-        i = self._index.setdefault(key, len(self._values))
+        i = self._index.setdefault(key, len(self))
         rows = [*self._effects[:i], effect, *self._effects[i + 1 :]]
-        self._values = np.r_[self._values[:i], float(value), self._values[i + 1 :]]
+        column = np.broadcast_to(np.asarray(value, dtype=float), self._values.shape[:-1])[..., None]
+        self._values = np.concatenate([self._values[..., :i], column, self._values[..., i + 1 :]], axis=-1)
         try:
             self._effects = _effect_stack(rows)
         except DimensionMismatch:  # effects of mixed shapes: rejected on reconstruction
             self._effects = rows
 
-    def value(self, effect: np.ndarray) -> float:
+    def value(self, effect: np.ndarray) -> float | np.ndarray:
+        """The value of ``effect``: a float, or one per state of a stack."""
         (key,) = effect_keys(linalg.as_operator(effect)[None])
         if key not in self._index:
             raise KeyError("no assignment recorded for this effect")
-        return float(self._values[self._index[key]])
+        value = self._values[..., self._index[key]]
+        return float(value) if value.ndim == 0 else value
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self._values.shape[-1]
 
-    def items(self) -> list[tuple[np.ndarray, float]]:
-        return list(zip(self._effects, self._values.tolist()))
+    def items(self) -> list[tuple[np.ndarray, float | list]]:
+        return list(zip(self._effects, np.moveaxis(self._values, -1, 0).tolist()))
 
 
 def real_design_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -355,10 +365,14 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
     squares over the real vector space of Hermitian operators; fewer than
     dim^2 linearly independent effects, or a residual above
     ``linalg.RECONSTRUCTION_RESIDUAL_TOL`` on either path, raise
-    DegenerateSpan, and effects of mixed shapes DimensionMismatch.  The
-    solution is returned as-is.  If it fails the density-operator checks
-    (the frame values did not come from a state) a NotAStateWarning is
-    emitted rather than an exception, so callers can inspect the operator.
+    DegenerateSpan, and effects of mixed shapes DimensionMismatch.  A frame
+    of a state stack, with a (..., K) value table, gives the (..., D, D)
+    stack through one product with the dual frame or one least-squares
+    solve with a right-hand side per state.  The solution is returned
+    as-is.  If it fails the density-operator checks (the frame values did
+    not come from a state) a NotAStateWarning is emitted rather than an
+    exception, so callers can inspect the operator; on a stack the residual
+    error and the warning name the first failing frame by its flat index.
     """
     if not len(frame):
         raise DegenerateSpan("empty frame function")
@@ -367,21 +381,27 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
     if k < dim * dim:
         raise DegenerateSpan(f"{k} effects cannot span the {dim * dim}-dim operator space")
     if k == dim * dim > 1 and list(frame._index) == standard_sqm(dim).keys:
-        rho = (y @ standard_sqm(dim).dual.reshape(k, k)).reshape(dim, dim)
+        rho = y @ standard_sqm(dim).dual.reshape(k, k)
     else:
-        x, _, rank, _ = np.linalg.lstsq(real_design_matrix(stack), y, rcond=None)
+        x, _, rank, _ = np.linalg.lstsq(real_design_matrix(stack), y.reshape(-1, k).T, rcond=None)
         if rank < dim * dim:
             raise DegenerateSpan(f"sampled effects span only {rank} of {dim * dim} dims")
-        rho = (x[: dim * dim] + 1j * x[dim * dim :]).reshape(dim, dim)
-    residual = float(np.linalg.norm((_born_matrix(stack) @ rho.reshape(-1)).real - y))
-    if residual > linalg.RECONSTRUCTION_RESIDUAL_TOL:
-        raise DegenerateSpan(f"least-squares residual {residual:.3e} too large")
-    vals = np.linalg.eigvalsh(rho)
-    trace = np.trace(rho).real
-    if vals[0] < linalg.STATE_EIG_FLOOR or abs(trace - 1.0) > linalg.FRAME_TRACE_TOL:
+        rho = (x[: dim * dim] + 1j * x[dim * dim :]).T.reshape(y.shape[:-1] + (-1,))
+    where = "" if y.ndim == 1 else "frame {}: "  # a stack names its first failing frame
+    residual = np.linalg.norm((rho @ _born_matrix(stack).T).real - y, axis=-1).reshape(-1)
+    bad = residual > linalg.RECONSTRUCTION_RESIDUAL_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateSpan(f"{where.format(i)}least-squares residual {residual[i]:.3e} too large")
+    rho = rho.reshape(y.shape[:-1] + (dim, dim))
+    low = np.linalg.eigvalsh(rho)[..., 0].reshape(-1)
+    trace = np.trace(rho, axis1=-2, axis2=-1).real.reshape(-1)
+    bad = (low < linalg.STATE_EIG_FLOOR) | (abs(trace - 1.0) > linalg.FRAME_TRACE_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
         warnings.warn(
-            f"reconstructed operator is not a state (min eigenvalue "
-            f"{vals[0]:.3e}, trace {trace:.6f})",
+            f"{where.format(i)}reconstructed operator is not a state (min eigenvalue "
+            f"{low[i]:.3e}, trace {trace[i]:.6f})",
             NotAStateWarning,
             stacklevel=2,
         )

@@ -225,12 +225,12 @@ def _matching_unitary(vals: np.ndarray, sigma_vecs: np.ndarray, tau_vecs: np.nda
     return v.reshape(sigma_vecs.shape)
 
 
-def factor_updates(states: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`factor_update` of N states (N, D, D) under N efficient instruments
-    (N, K, D, D), with one eigendecomposition for all square roots and one for
-    all refinements and posteriors.  Returns the (N, K) probabilities, the mask
-    of those above ``PROB_FLOOR``, and (N, K, D, D) refinements, readjustments
-    and posteriors, zero outside the mask."""
+def refinements(states: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The refinement half of :func:`factor_updates`: the (N, K) probabilities of
+    N states (N, D, D) under N efficient instruments (N, K, D, D), the mask of
+    those above ``PROB_FLOOR`` and, for the outcomes in the mask, in its row-major
+    order, the refinements rho^{1/2} E_d rho^{1/2} / P(d), from one
+    eigendecomposition for all square roots."""
     states, kraus = linalg.as_operators(states), linalg.as_operators(kraus)
     if kraus.shape[-1] != states.shape[-1]:
         raise DimensionMismatch("state and instrument dims differ")
@@ -238,13 +238,22 @@ def factor_updates(states: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, .
     effects = linalg.dagger(kraus) @ kraus
     probs = np.trace(states[:, None] @ effects, axis1=-2, axis2=-1).real
     live = probs > PROB_FLOOR
-    scale = probs[live][:, None, None]
-    refinements = (roots @ effects @ roots)[live] / scale
-    posteriors = (kraus @ states[:, None] @ linalg.dagger(kraus))[live] / scale
-    eig = linalg.eig_hermitian(np.stack([refinements, posteriors]))  # (2, live, D, D)
+    return probs, live, (roots @ effects @ roots)[live] / probs[live][:, None, None]
+
+
+def factor_updates(states: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`factor_update` of N states (N, D, D) under N efficient instruments
+    (N, K, D, D): :func:`refinements`, then one eigendecomposition for all
+    refinements and posteriors.  Returns the (N, K) probabilities, the mask of
+    those above ``PROB_FLOOR``, and (N, K, D, D) refinements, readjustments and
+    posteriors, zero outside the mask."""
+    probs, live, refined = refinements(states, kraus)
+    states, kraus = linalg.as_operators(states), linalg.as_operators(kraus)
+    posteriors = (kraus @ states[:, None] @ linalg.dagger(kraus))[live] / probs[live][:, None, None]
+    eig = linalg.eig_hermitian(np.stack([refined, posteriors]))  # (2, live, D, D)
     v = _matching_unitary(eig.eigenvalues[0], *eig.eigenvectors)
     out = np.zeros((3,) + kraus.shape, dtype=complex)
-    out[:, live] = refinements, v, posteriors
+    out[:, live] = refined, v, posteriors
     return probs, live, *out
 
 

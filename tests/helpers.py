@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qbayes import linalg
+from qbayes import entropy, linalg
 
 
 def random_hermitian(dim, seed=None, scale=1.0):
@@ -54,3 +54,13 @@ def basis_entropy_mc(rho, n, g):
     p = random_basis_probabilities(rho, n, g)
     h = -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1)
     return h.mean(), h.std(ddof=1) / np.sqrt(n)
+
+
+def log1p_subentropy(vals):
+    """Subentropy of each spectrum along the last axis by the trapezoid rule of
+    ``entropy`` with 1 - prod_i t/(l_i + t) written as -expm1(-sum log1p(l_i/t)),
+    on a (..., D, nodes) array: the reference for the polynomial kernel."""
+    t = entropy._T_NODES
+    one_minus_prod = -np.expm1(-np.log1p(vals[..., None] / t).sum(axis=-2))
+    integrand = vals.sum(axis=-1)[..., None] / (1.0 + t) - one_minus_prod
+    return -entropy._S_STEP * (t * integrand).sum(axis=-1) / entropy.LN2

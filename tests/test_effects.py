@@ -425,6 +425,80 @@ def test_other_spanning_frames_take_the_general_path(d, rng, monkeypatch):
     assert len(calls) == len(frames)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_stacked_frames_equal_per_frame_calls(d, monkeypatch):
+    g = np.random.default_rng(4400 + d)
+    rho = np.stack([linalg.random_state(d, g) for _ in range(7)])
+    sqm = effects.standard_sqm(d)
+    # The SQM as a POVM and as a bare stack take the dual path, reversed least squares.
+    effect_sets = (sqm.base, sqm.base.elements, sqm.base[::-1])
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+    for effs in effect_sets:
+        frame = effects.FrameFunction.from_state(rho, effs)
+        assert frame._values.shape == (len(rho), d * d) and len(frame) == d * d
+        rec = effects.reconstruct_from_frame(frame)
+        assert rec.shape == rho.shape and np.abs(rec - rho).max() <= 1e-12
+        for r, one in zip(rho, rec):
+            single = effects.reconstruct_from_frame(effects.FrameFunction.from_state(r, effs))
+            assert np.abs(one - single).max() <= 1e-14
+        nested = effects.FrameFunction.from_state(rho[:6].reshape(2, 3, d, d), effs)
+        assert np.abs(effects.reconstruct_from_frame(nested) - rec[:6].reshape(2, 3, d, d)).max() <= 1e-14
+    assert len(calls) == 2 + 7  # the stacked and the nested solve, then one per single state
+
+
+def test_stacked_frame_values_and_records_broadcast(rng):
+    sqm = effects.standard_sqm(2)
+    rho = np.stack([linalg.random_state(2, rng) for _ in range(3)])
+    frame = effects.FrameFunction.from_state(rho, sqm.base)
+    assert np.array_equal(frame.value(sqm.base[1]), effects.born(rho, sqm.base)[:, 1])
+    frame.record(np.eye(2) / 2.0, 0.5)  # a new effect: one value for every state
+    frame.record(sqm.base[0], frame.value(sqm.base[0]) * 2.0)  # a known effect: one per state
+    assert len(frame) == 5 and frame._values.shape == (3, 5)
+    assert np.array_equal(frame.value(np.eye(2) / 2.0), [0.5] * 3)
+    effs, values = zip(*frame.items())
+    assert len(effs) == 5 and all(len(v) == 3 for v in values) and values[4] == [0.5] * 3
+
+
+def test_stacked_frame_warning_names_the_failing_frame(rng):
+    sqm = effects.standard_sqm(2)
+    rho = np.stack([linalg.random_state(2, rng) for _ in range(4)])
+    frame = effects.FrameFunction.from_state(rho, sqm.base)
+    column = frame.value(sqm.base[0]).copy()
+    column[2] += 0.5  # the trace of frame 2 becomes 1.5
+    frame.record(sqm.base[0], column)
+    with pytest.warns(NotAStateWarning, match="frame 2: reconstructed operator is not a state"):
+        rec = effects.reconstruct_from_frame(frame)
+    assert abs(np.trace(rec[2]).real - 1.5) <= 1e-12
+    assert np.abs(np.delete(rec, 2, axis=0) - np.delete(rho, 2, axis=0)).max() <= 1e-12
+
+
+def test_stacked_frame_residual_names_the_failing_frame(rng):
+    sqm = effects.standard_sqm(3)
+    rho = np.stack([linalg.random_state(3, rng) for _ in range(3)])
+    frame = effects.FrameFunction.from_state(rho, [*sqm.base, np.eye(3) / 2.0])
+    frame.record(np.eye(3) / 2.0, [0.5, 0.9, 0.5])  # every state gives 0.5
+    with pytest.raises(DegenerateSpan, match="frame 1: least-squares residual"):
+        effects.reconstruct_from_frame(frame)
+
+
+def test_single_state_frame_keeps_its_shapes(rng):
+    sqm = effects.standard_sqm(3)
+    rho = linalg.random_state(3, rng)
+    frame = effects.FrameFunction.from_state(rho, sqm.base)
+    assert frame._values.shape == (9,) and isinstance(frame.value(sqm.base[0]), float)
+    assert all(isinstance(v, float) for _, v in frame.items())
+    stacked = effects.FrameFunction.from_state(rho[None], sqm.base)
+    assert np.array_equal(stacked._values[0], frame._values)
+    rec = effects.reconstruct_from_frame(frame)
+    assert rec.shape == (3, 3)
+    assert np.array_equal(effects.reconstruct_from_frame(stacked)[0], rec)
+    frame.record(sqm.base[0], 0.9)
+    with pytest.warns(NotAStateWarning, match=r"^reconstructed operator is not a state"):
+        effects.reconstruct_from_frame(frame)
+
+
 def test_inconsistent_overcomplete_frame_raises(rng):
     sqm = effects.standard_sqm(3)
     frame = effects.FrameFunction.from_state(linalg.random_state(3, rng), sqm.base.elements)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import basis_entropy_mc, random_basis_probabilities
+from helpers import basis_entropy_mc, log1p_subentropy, random_basis_probabilities
 from qbayes import effects, entropy, linalg, update
 from qbayes.errors import NotAState
 
@@ -135,6 +135,47 @@ def test_subentropy_matches_raw_formula_on_random_states():
         assert abs(entropy.subentropy(rho) - raw) <= 1e-12
 
 
+def spectra_cases(d, g):
+    """Random, rank-deficient (exactly and up to noise), near-degenerate and
+    power-law spectra."""
+    cases = [g.dirichlet(np.ones(d), size=20)]
+    for r in sorted({1, 2, d // 2, d - 1} - {0}):
+        deficient = np.zeros((5, d))
+        deficient[:, :r] = g.dirichlet(np.ones(r), size=5)
+        cases.append(deficient)
+    noisy = deficient + 1e-17 * np.abs(g.standard_normal((5, d)))  # as eigvalsh leaves them
+    cases.append(noisy / noisy.sum(axis=1, keepdims=True))
+    near = np.full((5, d), 1.0 / d) + 1e-9 * g.standard_normal((5, d))
+    cases.append(near / near.sum(axis=1, keepdims=True))
+    cases.append(g.dirichlet(np.full(d, 0.05), size=5))  # eigenvalues over many decades
+    return np.concatenate(cases)
+
+
+@pytest.mark.parametrize("d", [*range(2, 17), 24, 32, 48, 64, 128])
+def test_polynomial_subentropy_matches_the_log1p_reference(d):
+    vals = spectra_cases(d, np.random.default_rng(700 + d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = entropy._subentropy(vals)
+    assert np.isfinite(got).all()
+    assert np.abs(got - log1p_subentropy(vals)).max() <= 3e-14
+
+
+def test_subentropy_blocks_change_no_value():
+    vals = spectra_cases(5, np.random.default_rng(71))
+    stacked = np.concatenate([vals] * 4)
+    assert len(stacked) > 2 * entropy._QUAD_ROWS  # three blocks, the last one short
+    whole = entropy._subentropy(stacked)
+    assert np.array_equal(whole, np.concatenate([entropy._subentropy(vals)] * 4))
+    assert all(entropy._subentropy(v) == q for v, q in zip(vals, whole))
+
+
+def test_pure_spectra_give_exactly_zero_subentropy():
+    # u g and delta T vanish at every node: no rounding is left over.
+    assert entropy._subentropy(np.eye(6)).tolist() == [0.0] * 6
+    assert entropy._subentropy(np.array([1.0])) == 0.0
+
+
 def test_mean_entropy_matches_monte_carlo(rng):
     for _ in range(5):
         d = int(rng.integers(2, 4))
@@ -192,6 +233,19 @@ def test_refinement_inequalities_sweep():
     assert report.min_gap >= -1e-8
     report3 = entropy.check_refinement_inequalities(trials=200, dim=3, seed=8)
     assert report3.min_gap >= -1e-8
+
+
+def test_refinement_sweep_builds_no_kraus_operators(monkeypatch):
+    expected = entropy.check_refinement_inequalities(trials=40, dim=3, seed=12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep reads only posterior spectra")
+
+    for module, name in [(update, "kraus_from_normals"), (linalg, "mat_sqrt"), (linalg, "unitary_from_normals")]:
+        monkeypatch.setattr(module, name, refuse)
+    gaps = entropy.check_refinement_inequalities(trials=40, dim=3, seed=12)
+    for field in ("von_neumann_gaps", "subentropy_gaps", "classical_gaps"):
+        assert np.array_equal(getattr(gaps, field), getattr(expected, field))
 
 
 def test_classical_refinement_gap_oracle(rng):

@@ -201,6 +201,16 @@ def test_stacked_factorization_matches_per_state(d):
                     assert np.abs(got - expected).max() <= 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_refinements_are_bitwise_the_factorization_refinements(d):
+    for seed in range(5):
+        states, kraus = factorization_inputs(d, np.random.default_rng(300 * d + seed))
+        probs, live, refs = update.refinements(states, kraus)
+        full_probs, full_live, full_refs, _, _ = update.factor_updates(states, kraus)
+        assert np.array_equal(probs, full_probs) and np.array_equal(live, full_live)
+        assert np.array_equal(refs, full_refs[live])
+
+
 def test_matching_unitary_mixes_cluster_sizes_in_one_stack():
     g = np.random.default_rng(8)
     spectra = [[0.4, 0.3, 0.2, 0.1], [0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.25] * 4]
@@ -326,6 +336,14 @@ def test_update_factor_section_eigendecomposes_whole_stacks(monkeypatch):
     code, _ = cli.run(["update-factor", "--trials", "100"])
     assert code == 0
     assert len(calls) <= 20
+
+
+def test_update_factor_section_factors_only_the_mixed_states(monkeypatch):
+    calls = []
+    factor_updates = update.factor_updates
+    monkeypatch.setattr(update, "factor_updates", lambda *a: calls.append(a) or factor_updates(*a))
+    code, _ = cli.run(["update-factor", "--dim", "3", "--trials", "100"])
+    assert code == 0 and len(calls) == 1
 
 
 def test_update_factor_chunks_do_not_change_values(monkeypatch):
@@ -598,6 +616,14 @@ def test_batched_section_matches_per_trial_loop(section, reference, dim):
         for check, value in zip(report["checks"], expected):
             assert abs(check["value"] - value) <= 1e-12, (seed, check["name"])
             assert check["pass"] == cli._OPS[check["op"]](value, check["threshold"])
+
+
+def test_gleason_section_reconstructs_every_trial_in_one_call(monkeypatch):
+    shapes = []
+    reconstruct = effects.reconstruct_from_frame
+    monkeypatch.setattr(effects, "reconstruct_from_frame", lambda f: shapes.append(f._values.shape) or reconstruct(f))
+    code, _ = cli.run(["gleason-roundtrip", "--dim", "3", "--trials", "50"])
+    assert code == 0 and shapes == [(50, 9)]
 
 
 def test_all_sections_eigendecompose_whole_stacks(monkeypatch):
