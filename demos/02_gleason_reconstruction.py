@@ -32,7 +32,7 @@ for trial in range(3):
 
 # Frame additivity under fine-graining is what makes this work: merging
 # two outcomes adds their frame values exactly.
-e1 = 0.3 * linalg.random_psd(3, rng)
+e1 = linalg.random_state(3, rng)
 e1 /= np.linalg.eigvalsh(e1)[-1] * 4
 e2 = np.eye(3) / 5 - e1 / 2
 f1 = np.trace(secret @ e1).real

@@ -273,9 +273,22 @@ _COMMANDS = {
     "real-counterexample": (_real_counterexample, 1, 1, None),
 }
 
+# name -> its report notes.  A section that does not read --dim names the
+# dimensions it runs at instead.
 _NOTES = {
-    "definetti-merge": "definetti-merge thresholds are engineering targets for the default "
-    "grid, not derived constants",
+    "teleport": ("teleport ignores --dim: it teleports qubits (D = 2)",),
+    "locality-reconstruct": (
+        "locality-reconstruct ignores --dim: it reconstructs at 2 x 2 and 2 x 3, counts "
+        "real dimensions at 2 x 2 and checks the domino POVM at 3 x 3",
+    ),
+    "definetti-merge": (
+        "definetti-merge thresholds are engineering targets for the default grid, not "
+        "derived constants",
+        "definetti-merge ignores --dim: its priors and data are on qubits (D = 2)",
+    ),
+    "real-counterexample": (
+        "real-counterexample ignores --dim: it certifies two copies of a qubit (D = 2)",
+    ),
 }
 
 
@@ -344,7 +357,7 @@ def _run_parsed(parser, args):
     if unknown:
         parser.error(f"--tol names no check of {args.command}: {', '.join(unknown)}")
     checks = [_check(*row, overrides) for row in rows]
-    notes = [_NOTES[name] for name in names if name in _NOTES]
+    notes = [note for name in names for note in _NOTES.get(name, ())]
     overall = all(c["pass"] for c in checks)
     report = {
         "command": args.command,

@@ -59,15 +59,6 @@ def make_prior(states: Sequence[np.ndarray], weights=None) -> PriorOverStates:
     return PriorOverStates(states, np.asarray(weights, dtype=float))
 
 
-def point_prior(state: np.ndarray) -> PriorOverStates:
-    return make_prior([state], np.array([1.0]))
-
-
-def predictive_state(prior: PriorOverStates) -> np.ndarray:
-    """Single-copy state a holder of this prior assigns: the mixture."""
-    return np.tensordot(prior.weights, prior.states, axes=1)
-
-
 def bloch_grid(
     n_directions: int = 50, radii: Sequence[float] = (0.25, 0.5, 0.75, 1.0)
 ) -> np.ndarray:
@@ -211,18 +202,23 @@ def _count_posterior(weights: np.ndarray, likelihood: np.ndarray, counts: np.nda
 
 
 def _outcome_counts(outcomes: Sequence[int], n_outcomes: int) -> np.ndarray:
-    """How often each of ``n_outcomes`` indices occurs in ``outcomes``."""
-    data = np.asarray(outcomes).ravel()
-    ok = (data >= 0) & (data < n_outcomes)
-    if data.dtype.kind not in "iu":
-        ok &= np.array([isinstance(d, (int, np.integer)) for d in outcomes], dtype=bool)
-    bad = np.flatnonzero(~ok)
+    """How often each of ``n_outcomes`` indices occurs in the flat sequence
+    ``outcomes``.  Input that is not flat (a scalar, a 2-D array, a list of
+    lists) raises DimensionMismatch, and so does an entry that is not an integer index (a
+    bool, a float, a string, a sequence), naming the first such entry."""
+    items = np.asarray(outcomes, dtype=object)
+    if items.ndim != 1:
+        raise DimensionMismatch(f"outcomes must be a flat sequence, got shape {items.shape}")
+    # Entry by entry: an array of the entries would turn [1, True] into ints.
+    index = (int, np.integer)  # a Python bool is an int; a numpy bool is no np.integer
+    ok = [type(d) is not bool and isinstance(d, index) and 0 <= d < n_outcomes for d in items.tolist()]
+    bad = np.flatnonzero(~np.array(ok, dtype=bool))
     if bad.size:
         raise DimensionMismatch(
-            f"outcome {data[bad[0]]} at position {bad[0]} is not an index of the "
+            f"outcome {items[bad[0]]} at position {bad[0]} is not an index of the "
             f"{n_outcomes}-outcome POVM"
         )
-    return np.bincount(data.astype(int), minlength=n_outcomes)
+    return np.bincount(items.astype(int), minlength=n_outcomes)
 
 
 def posterior_update(

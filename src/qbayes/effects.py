@@ -327,14 +327,6 @@ class FrameFunction:
         except DimensionMismatch:  # effects of mixed shapes: rejected on reconstruction
             self._effects = rows
 
-    def value(self, effect: np.ndarray) -> float | np.ndarray:
-        """The value of ``effect``: a float, or one per state of a stack."""
-        (key,) = effect_keys(linalg.as_operator(effect)[None])
-        if key not in self._index:
-            raise KeyError("no assignment recorded for this effect")
-        value = self._values[..., self._index[key]]
-        return float(value) if value.ndim == 0 else value
-
     def __len__(self) -> int:
         return self._values.shape[-1]
 
@@ -406,51 +398,3 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
             stacklevel=2,
         )
     return rho
-
-
-# --------------------------------------------------------------------------
-# POVMs from ancilla dilations.
-
-
-def _dilation_kraus(
-    rho_ancilla: np.ndarray,
-    u: np.ndarray,
-    ancilla_projectors: Povm | Sequence[np.ndarray],
-) -> np.ndarray:
-    """The (K, r, D, D) Kraus stack of :func:`qbayes.update.instrument_from_dilation`."""
-    rho_ancilla = linalg.as_operator(rho_ancilla)
-    u = linalg.as_operator(u)
-    projs = _effect_stack(ancilla_projectors)
-    d_anc = rho_ancilla.shape[0]
-    if projs.shape[-1] != d_anc:
-        raise DimensionMismatch("ancilla projectors vs ancilla state dims differ")
-    if u.shape[0] % d_anc != 0:
-        raise DimensionMismatch("unitary dim is not a multiple of the ancilla dim")
-    d_sys = u.shape[0] // d_anc
-    if not linalg.is_hermitian(rho_ancilla):
-        raise NotHermitian("ancilla state is not Hermitian")
-    anc_vals, anc_vecs = np.linalg.eigh(rho_ancilla)
-    if anc_vals[0] < -linalg.PSD_TOL:
-        raise NotPsd(f"ancilla state has eigenvalue {anc_vals[0]:.3e} < 0")
-    keep = anc_vals > linalg.PROB_FLOOR
-    roots = np.sqrt(anc_vals[keep]) * anc_vecs[:, keep]  # column a is sqrt(lambda_a) |a>
-    tens = (np.kron(np.eye(d_sys), projs) @ u).reshape(-1, d_sys, d_anc, d_sys, d_anc)
-    # <b| (I x Pi_d) u sqrt(lambda_a) |a> over the ancilla factor, for every d, a and b
-    kraus = np.einsum("dsbta,ar->drbst", tens, roots)
-    return kraus.reshape(len(projs), -1, d_sys, d_sys)
-
-
-def povm_from_dilation(
-    rho_ancilla: np.ndarray,
-    u: np.ndarray,
-    ancilla_projectors: Povm | Sequence[np.ndarray],
-) -> Povm:
-    """System POVM induced by measuring an ancilla after an interaction.
-
-    Effect d is ``sum A^dag A`` over outcome d's Kraus operators of
-    :func:`qbayes.update.instrument_from_dilation` (same convention, same
-    errors), so born(rho_S, result) reproduces the joint-picture outcome
-    probabilities ``tr(u (rho_S x rho_A) u^dag (I x Pi_d))``.
-    """
-    kraus = _dilation_kraus(rho_ancilla, u, ancilla_projectors)
-    return validate_povm((linalg.dagger(kraus) @ kraus).sum(axis=1))

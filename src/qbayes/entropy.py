@@ -1,9 +1,10 @@
 """Uncertainty functionals and the refinement inequalities.
 
-Shannon entropy for classical distributions, von Neumann entropy for
-states, the subentropy (the spectral functional controlling how
-unpredictable a typical orthonormal-basis measurement remains), and the
-mean measurement entropy over Haar-random bases.  All values are in bits.
+Von Neumann entropy, the Shannon entropy of a state's spectrum (a diagonal
+state gives that of a classical distribution), the subentropy (the spectral
+functional controlling how unpredictable a typical orthonormal-basis
+measurement remains), and the mean measurement entropy over Haar-random
+bases.  All values are in bits.
 
 ``von_neumann``, ``subentropy``, ``mean_entropy`` and ``mean_entropy_mc``
 take one state or a (..., D, D) stack, validated and diagonalized by one
@@ -38,11 +39,6 @@ _QUAD_ROWS = 64
 
 # Upper bound (1 - gamma)/ln 2 on the subentropy, in bits.
 SUBENTROPY_CAP = (1.0 - EULER_GAMMA) / LN2
-
-
-def shannon(p: np.ndarray) -> float:
-    """Shannon entropy -sum p log2 p with 0 log 0 = 0, in bits."""
-    return float(_entropy(assert_distribution(p).ravel()))
 
 
 def _spectra(rho: np.ndarray) -> np.ndarray:
@@ -205,16 +201,6 @@ class RefinementGaps:
     subentropy_gaps: np.ndarray
     classical_gaps: np.ndarray
 
-    @property
-    def min_gap(self) -> float:
-        return float(
-            min(
-                self.von_neumann_gaps.min(),
-                self.subentropy_gaps.min(),
-                self.classical_gaps.min(),
-            )
-        )
-
 
 def refinement_gap(state: np.ndarray, inst: KrausInstrument) -> tuple[float, float]:
     """(von Neumann gap, subentropy gap) for one state and instrument."""
@@ -234,11 +220,6 @@ def _refinement_gaps(states: np.ndarray, raw: np.ndarray) -> np.ndarray:
     h, post = np.stack([_entropy(vals), _subentropy(vals)]), np.zeros((2,) + probs.shape)
     post[:, live] = h[:, len(states):]
     return h[:, : len(states)] - (np.where(live, probs, 0.0) * post).sum(axis=-1)
-
-
-def classical_refinement_gap(joint: np.ndarray) -> float:
-    """Shannon gap S(H) - sum_d P(d) S(H|d) of a joint (h, d) table."""
-    return float(_classical_gaps(np.asarray(joint, dtype=float)[None])[0])
 
 
 def _classical_gaps(joints: np.ndarray) -> np.ndarray:

@@ -117,10 +117,6 @@ class EigDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
-
 
 def eig_hermitian(m: np.ndarray) -> EigDecomposition:
     """Eigendecompose a Hermitian matrix or (..., D, D) stack, descending.
@@ -155,22 +151,18 @@ def mat_sqrt(m: np.ndarray) -> np.ndarray:
     return (eig.eigenvectors * np.sqrt(vals)[..., None, :]) @ dagger(eig.eigenvectors)
 
 
-def mat_invsqrt(m: np.ndarray, pseudo: bool = False) -> np.ndarray:
+def mat_invsqrt(m: np.ndarray) -> np.ndarray:
     """Inverse square root of a positive definite Hermitian matrix or stack.
 
-    With ``pseudo=True`` the inverse is taken on the support only
-    (eigenvalues below the rank threshold are mapped to zero) instead of
-    raising SingularOperator.
+    Raises SingularOperator when an eigenvalue is at most the rank threshold
+    (relative to the largest).
     """
     eig = _psd_eigs(m)
-    small = eig.eigenvalues <= RANK_TOL * np.maximum(eig.eigenvalues[..., :1], 0.0)
-    if small.any() and not pseudo:
+    if np.any(eig.eigenvalues <= RANK_TOL * np.maximum(eig.eigenvalues[..., :1], 0.0)):
         raise SingularOperator(
             f"eigenvalue {eig.eigenvalues[..., -1].min():.3e} below the invertibility threshold"
         )
-    inv = np.zeros_like(eig.eigenvalues)
-    keep = ~small
-    inv[keep] = 1.0 / np.sqrt(eig.eigenvalues[keep])
+    inv = 1.0 / np.sqrt(eig.eigenvalues)
     return (eig.eigenvectors * inv[..., None, :]) @ dagger(eig.eigenvectors)
 
 
@@ -202,20 +194,10 @@ def tensor_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def partial_trace(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
-    """Trace out one factor of a bipartite operator.
-
-    ``dims`` gives (dim_A, dim_B) with A the leading tensor factor.
-    ``side`` names the factor that is traced away: "A" returns the dB x dB
-    operator left on B, "B" the dA x dA operator left on A.
-    """
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return trace_out_factor(m, dims, "AB".index(side))
-
-
 def trace_out_factor(m: np.ndarray, dims: Sequence[int], which: int) -> np.ndarray:
-    """Trace a single factor out of an n-partite operator."""
+    """Trace factor ``which`` out of an operator on factors of dims ``dims``,
+    leading factor first: on a bipartite (dA, dB) operator, 0 leaves the dB x dB
+    operator on B and 1 the dA x dA operator on A."""
     m = as_operator(m)
     dims = list(dims)
     n = len(dims)
@@ -319,12 +301,6 @@ def state_from_normals(x: np.ndarray) -> np.ndarray:
     z = x[..., 0, :, :] + 1j * x[..., 1, :, :]
     m = z @ dagger(z)
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def random_psd(dim: int, seed=None) -> np.ndarray:
-    g = rng_from(seed)
-    z = g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))
-    return z @ dagger(z)
 
 
 def random_povm(dim: int, n_elements: int, seed=None) -> list[np.ndarray]:

@@ -244,10 +244,6 @@ def _tree_totals(frame: BilinearFrame, direction, x_first, x_branch) -> np.ndarr
     return totals
 
 
-def _random_effect(dim: int, g) -> np.ndarray:
-    return _effects_from_draws(g.normal(size=(2, dim, dim)), g.random())
-
-
 def _effects_from_draws(x: np.ndarray, u) -> np.ndarray:
     """Effects M / (largest eigenvalue of M + u), M = Z Z^dag, (..., D, D) from
     (..., 2, D, D) normals for Z = x[..., 0] + i x[..., 1] and (...) uniforms u."""

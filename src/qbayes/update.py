@@ -15,13 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Povm, _born_matrix, _dilation_kraus, _effect_stack, validate_povm
+from .effects import Povm, _born_matrix, _effect_stack, validate_povm
 from .errors import (
     DimensionMismatch,
     InconsistentRefinement,
     NotCp,
     NotHermitian,
     NotNormalized,
+    NotPsd,
     NotTracePreserving,
     NotUnitary,
     RankDeficientState,
@@ -113,27 +114,6 @@ def _check_complete(kraus: np.ndarray) -> None:
 
 # --------------------------------------------------------------------------
 # Applying instruments.
-
-
-@dataclass(frozen=True)
-class OutcomeUpdate:
-    """One measurement outcome: its probability and the posterior state.
-
-    ``posterior`` is None for outcomes whose probability falls below the
-    probability floor.
-    """
-
-    probability: float
-    posterior: np.ndarray | None
-
-
-def apply_instrument(
-    state: np.ndarray, inst: KrausInstrument
-) -> list[OutcomeUpdate]:
-    """Per-outcome probabilities and normalized posterior states."""
-    raw = unnormalized_posteriors(state, inst)
-    probs = np.trace(raw, axis1=1, axis2=2).real.tolist()
-    return [OutcomeUpdate(max(p, 0.0), r / p if p > PROB_FLOOR else None) for r, p in zip(raw, probs)]
 
 
 def unnormalized_posteriors(state: np.ndarray, inst: KrausInstrument) -> np.ndarray:
@@ -263,11 +243,11 @@ def factor_update(state: np.ndarray, inst: KrausInstrument) -> UpdateFactorizati
     For each outcome d with probability P(d) the refinement is
     ``rho^{1/2} E_d rho^{1/2} / P(d)`` and the readjustment is a unitary
     V_d carrying the refinement to the actual posterior.  Rank-deficient
-    states are handled on their support: square roots become pseudo
-    inverses and both refinement and posterior live inside the support, so
-    every identity below still holds there.  This is :func:`factor_updates`
-    on a stack of one; outcomes with probability at most ``PROB_FLOOR``
-    get None in place of the three operators.
+    states need no inverse: ``mat_sqrt`` zeroes the rank noise of rho^{1/2},
+    so refinement and posterior both lie on the support of rho, and every
+    identity below holds there.  This is :func:`factor_updates` on a stack
+    of one; outcomes with probability at most ``PROB_FLOOR`` get None in
+    place of the three operators.
     """
     state = linalg.as_operator(state)
     if not inst.efficient:
@@ -326,12 +306,32 @@ def instrument_from_dilation(
     ``A_{d,(b,a)} = sqrt(lambda_a) <b| (I x Pi_d) u |a>`` with
     ``lambda_a, |a>`` the eigenpairs of the ancilla state above
     ``PROB_FLOOR`` and the bra/ket contractions taken over the ancilla factor
-    alone.  Projectors of another dimension than the ancilla state, or a
+    alone.  The system POVM the dilation induces is ``.effects()`` of the
+    result.  Projectors of another dimension than the ancilla state, or a
     unitary whose dimension is no multiple of it, raise DimensionMismatch; a
     non-Hermitian ancilla state NotHermitian, one with a negative eigenvalue
     NotPsd.
     """
-    return make_instrument(_dilation_kraus(rho_ancilla, u, ancilla_projectors))
+    rho_ancilla = linalg.as_operator(rho_ancilla)
+    u = linalg.as_operator(u)
+    projs = _effect_stack(ancilla_projectors)
+    d_anc = rho_ancilla.shape[0]
+    if projs.shape[-1] != d_anc:
+        raise DimensionMismatch("ancilla projectors vs ancilla state dims differ")
+    if u.shape[0] % d_anc != 0:
+        raise DimensionMismatch("unitary dim is not a multiple of the ancilla dim")
+    d_sys = u.shape[0] // d_anc
+    if not linalg.is_hermitian(rho_ancilla):
+        raise NotHermitian("ancilla state is not Hermitian")
+    anc_vals, anc_vecs = np.linalg.eigh(rho_ancilla)
+    if anc_vals[0] < -linalg.PSD_TOL:
+        raise NotPsd(f"ancilla state has eigenvalue {anc_vals[0]:.3e} < 0")
+    keep = anc_vals > PROB_FLOOR
+    roots = np.sqrt(anc_vals[keep]) * anc_vecs[:, keep]  # column a is sqrt(lambda_a) |a>
+    tens = (np.kron(np.eye(d_sys), projs) @ u).reshape(-1, d_sys, d_anc, d_sys, d_anc)
+    # <b| (I x Pi_d) u sqrt(lambda_a) |a> over the ancilla factor, for every d, a and b
+    kraus = np.einsum("dsbta,ar->drbst", tens, roots)
+    return make_instrument(kraus.reshape(len(projs), -1, d_sys, d_sys))
 
 
 def dilation_from_instrument(
@@ -586,33 +586,6 @@ def teleports(psis: np.ndarray) -> tuple[np.ndarray, ...]:
     final = final_kets[..., :, None] * final_kets.conj()[..., None, :]
     fidelity = np.einsum("ni,nkij,nj->nk", psis.conj(), final, psis).real
     return probs, conditional, before, unconditional, final, fidelity
-
-
-# --------------------------------------------------------------------------
-# Random instrument generator (test plumbing).
-
-
-def random_instrument(
-    dim: int,
-    n_outcomes: int,
-    kraus_per_outcome: int = 1,
-    seed=None,
-) -> KrausInstrument:
-    """Random valid instrument over a random POVM.
-
-    Each effect E_d is split as ``A_{d,i} = sqrt(w_i) V_{d,i} E_d^{1/2}``
-    with random unitaries and random convex weights, so completeness is
-    exact by construction.  One Kraus per outcome: :func:`kraus_from_normals`.
-    """
-    g = linalg.rng_from(seed)
-    if kraus_per_outcome == 1:
-        kraus = kraus_from_normals(g.normal(size=(2, n_outcomes, 2, dim, dim)))
-        return KrausInstrument(kraus[:, None])
-    outcomes = []
-    for root in linalg.mat_sqrt(linalg.povm_from_normals(g.normal(size=(n_outcomes, 2, dim, dim)))):
-        w = g.dirichlet(np.ones(kraus_per_outcome))
-        outcomes.append([np.sqrt(wi) * linalg.random_unitary(dim, g) @ root for wi in w])
-    return make_instrument(outcomes)
 
 
 def kraus_from_normals(x: np.ndarray) -> np.ndarray:

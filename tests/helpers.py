@@ -2,13 +2,50 @@
 
 import numpy as np
 
-from qbayes import entropy, linalg
+from qbayes import effects, entropy, linalg, locality, update
 
 
 def random_hermitian(dim, seed=None, scale=1.0):
     g = linalg.rng_from(seed)
     z = g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))
     return scale * (z + linalg.dagger(z)) / 2.0
+
+
+def shannon(p):
+    """Shannon entropy of a distribution: the von Neumann entropy of its diagonal state."""
+    return entropy.von_neumann(np.diag(p))
+
+
+def random_effect(dim, g):
+    """One random effect M / (largest eigenvalue of M + u), M = Z Z^dag, from a
+    (2, D, D) normal draw and one uniform: the swap sampler's kernel on one draw."""
+    return locality._effects_from_draws(g.normal(size=(2, dim, dim)), g.random())
+
+
+def random_instrument(dim, n_outcomes, kraus_per_outcome=1, seed=None):
+    """Random valid instrument over a random POVM.
+
+    Each effect E_d is split as ``A_{d,i} = sqrt(w_i) V_{d,i} E_d^{1/2}``
+    with random unitaries and random convex weights, so completeness is
+    exact by construction.  One Kraus per outcome: ``update.kraus_from_normals``.
+    """
+    g = linalg.rng_from(seed)
+    if kraus_per_outcome == 1:
+        kraus = update.kraus_from_normals(g.normal(size=(2, n_outcomes, 2, dim, dim)))
+        return update.KrausInstrument(kraus[:, None])
+    outcomes = []
+    for root in linalg.mat_sqrt(linalg.povm_from_normals(g.normal(size=(n_outcomes, 2, dim, dim)))):
+        w = g.dirichlet(np.ones(kraus_per_outcome))
+        outcomes.append([np.sqrt(wi) * linalg.random_unitary(dim, g) @ root for wi in w])
+    return update.make_instrument(outcomes)
+
+
+def frame_value(frame, effect):
+    """The value a frame holds for ``effect``, found by its key: a float, or one
+    per state of a stack.  An effect with no value raises KeyError."""
+    (key,) = effects.effect_keys(linalg.as_operator(effect)[None])
+    value = frame._values[..., frame._index[key]]
+    return float(value) if value.ndim == 0 else value
 
 
 def maximally_entangled_ket(dim):

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import maximally_entangled_ket
+from helpers import maximally_entangled_ket, random_instrument
 from qbayes import definetti, effects, entropy, linalg, locality, update
 
 
@@ -89,7 +89,7 @@ def test_criterion_4_update_factorization():
     for d in (2, 3):
         for _ in range(500):
             rho = linalg.random_state(d, rng)
-            inst = update.random_instrument(d, int(rng.integers(2, 5)), 1, rng)
+            inst = random_instrument(d, int(rng.integers(2, 5)), 1, rng)
             fac = update.factor_update(rho, inst)
             assert np.linalg.norm(fac.mixture_of_refinements() - rho) <= 1e-9
             for out in fac.outcomes:
@@ -103,7 +103,7 @@ def test_criterion_4_update_factorization():
         for _ in range(25):
             psi = linalg.random_ket(d, rng)
             pure = np.outer(psi, psi.conj())
-            inst = update.random_instrument(d, 3, 1, rng)
+            inst = random_instrument(d, 3, 1, rng)
             for out in update.factor_update(pure, inst).outcomes:
                 if out.refinement is not None:
                     assert np.linalg.norm(out.refinement - pure) <= 1e-10
@@ -237,14 +237,14 @@ def test_criterion_9_channels():
     for _ in range(100):
         d = int(rng.integers(2, 4))
         ch = update.make_channel(
-            update.random_instrument(d, 1, int(rng.integers(1, 5)), rng).outcomes[0]
+            random_instrument(d, 1, int(rng.integers(1, 5)), rng).outcomes[0]
         )
         choi = update.channel_choi(ch)
         # CP -> PSD, TP -> unit trace with output marginal I/d.
         assert np.linalg.eigvalsh(choi)[0] >= -1e-9
         assert abs(np.trace(choi).real - 1.0) <= 1e-9
         assert np.linalg.norm(
-            linalg.partial_trace(choi, (d, d), "B") - np.eye(d) / d
+            linalg.trace_out_factor(choi, (d, d), 1) - np.eye(d) / d
         ) <= 1e-9
         # Reverse: a PSD Choi with the right marginal gives back a channel
         # acting identically; damaged Chois are rejected.

@@ -240,21 +240,47 @@ ALL_CHECKS = [
 DEFINETTI_NOTE = (
     "definetti-merge thresholds are engineering targets for the default grid, not derived constants"
 )
+# Each section's notes, in report order; the sections that ignore --dim say so.
+SECTION_NOTES = {
+    "teleport": ["teleport ignores --dim: it teleports qubits (D = 2)"],
+    "locality-reconstruct": [
+        "locality-reconstruct ignores --dim: it reconstructs at 2 x 2 and 2 x 3, counts "
+        "real dimensions at 2 x 2 and checks the domino POVM at 3 x 3"
+    ],
+    "definetti-merge": [
+        DEFINETTI_NOTE,
+        "definetti-merge ignores --dim: its priors and data are on qubits (D = 2)",
+    ],
+    "real-counterexample": [
+        "real-counterexample ignores --dim: it certifies two copies of a qubit (D = 2)"
+    ],
+}
 
 
 def test_report_shape_is_pinned_and_sections_are_slices_of_all():
     argv = ["--trials", "2", "--seed", "4"]
     _, report = cli.run(["all", *argv])
     assert [(c["name"], c["op"], c["threshold"]) for c in report["checks"]] == ALL_CHECKS
-    assert report["notes"] == [DEFINETTI_NOTE]
+    assert report["notes"] == [note for notes in SECTION_NOTES.values() for note in notes]
     start = 0
     for name in cli._COMMANDS:
         _, alone = cli.run([name, *argv])
         rows = report["checks"][start : start + len(alone["checks"])]
         assert alone["checks"] == rows, name
-        assert alone["notes"] == ([DEFINETTI_NOTE] if name == "definetti-merge" else [])
+        assert alone["notes"] == SECTION_NOTES.get(name, [])
         start += len(rows)
     assert start == len(ALL_CHECKS)
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_a_section_that_ignores_dim_says_so(name):
+    # A note must name the dimensions exactly when --dim 2 and --dim 3 give
+    # bitwise the same check values.
+    two, three = (cli.run([name, "--dim", d, "--trials", "2", "--seed", "3"])[1] for d in "23")
+    same = [c["value"] for c in two["checks"]] == [c["value"] for c in three["checks"]]
+    says_so = [n for n in three["notes"] if n.startswith(f"{name} ignores --dim: ")]
+    assert len(says_so) == same
+    assert all("D = 2" in n or "2 x 2" in n for n in says_so)
 
 
 @pytest.mark.parametrize(

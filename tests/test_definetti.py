@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,18 @@ def qubit_sqm():
     return effects.standard_sqm(2).base
 
 
+def point_prior(state):
+    return definetti.make_prior([state], [1.0])
+
+
+def predictive(prior):
+    """The single-copy state a holder of ``prior`` assigns: the mixture."""
+    return np.tensordot(prior.weights, prior.states, axes=1)
+
+
 def test_point_prior_mix_is_tensor_power(rng):
     rho = linalg.random_state(2, rng)
-    ex = definetti.definetti_mix(definetti.point_prior(rho), 3)
+    ex = definetti.definetti_mix(point_prior(rho), 3)
     assert np.linalg.norm(ex.op - linalg.tensor_all([rho] * 3)) <= 1e-12
 
 
@@ -48,7 +59,7 @@ def test_asymmetric_product_fails_transposition(rng):
 
 
 def test_budget_guard():
-    prior = definetti.point_prior(np.eye(2) / 2.0)
+    prior = point_prior(np.eye(2) / 2.0)
     with pytest.raises(DimensionBudgetExceeded):
         definetti.definetti_mix(prior, 15)
 
@@ -61,7 +72,7 @@ def test_budget_counts_bytes_at_the_boundary():
         definetti._check_budget(limit + 1, "one byte over")
     # One 2^14-dimensional operator is 4 GiB of complex entries.
     with pytest.raises(DimensionBudgetExceeded):
-        definetti.definetti_mix(definetti.point_prior(np.eye(2) / 2.0), 14)
+        definetti.definetti_mix(point_prior(np.eye(2) / 2.0), 14)
     # 64 KiB per 6-copy qubit power: 4096 of them fit, 4097 do not.
     assert 4096 * 16 * 2**12 == limit
     with pytest.raises(DimensionBudgetExceeded):
@@ -91,7 +102,7 @@ def test_empty_outcome_list_keeps_prior(rng):
 
 
 def test_point_prior_unchanged_by_data(rng):
-    prior = definetti.point_prior(linalg.random_state(2, rng))
+    prior = point_prior(linalg.random_state(2, rng))
     post = definetti.posterior_update(prior, qubit_sqm(), [0, 1, 2, 3, 0])
     assert np.allclose(post.weights, [1.0])
 
@@ -147,7 +158,7 @@ def test_predictive_state(rng):
     w = rng.random(4)
     w /= w.sum()
     prior = definetti.make_prior(states_list, w)
-    pred = definetti.predictive_state(prior)
+    pred = predictive(prior)
     assert np.linalg.norm(pred - sum(wi * s for wi, s in zip(w, states_list))) <= 1e-12
 
 
@@ -155,7 +166,7 @@ def test_predictive_of_y_mixture_is_maximally_mixed():
     rho_p = 0.5 * (np.eye(2) + linalg.sigma_y)
     rho_m = 0.5 * (np.eye(2) - linalg.sigma_y)
     prior = definetti.make_prior([rho_p, rho_m])
-    assert np.linalg.norm(definetti.predictive_state(prior) - np.eye(2) / 2.0) <= 1e-12
+    assert np.linalg.norm(predictive(prior) - np.eye(2) / 2.0) <= 1e-12
 
 
 def test_posterior_predictive_matches_multicopy_conditional(rng):
@@ -165,7 +176,7 @@ def test_posterior_predictive_matches_multicopy_conditional(rng):
     povm = qubit_sqm()
     data = [int(rng.integers(4)), int(rng.integers(4))]
     post = definetti.posterior_update(prior, povm, data)
-    pred = definetti.predictive_state(post)
+    pred = predictive(post)
     ex3 = definetti.definetti_mix(prior, 3)
     weight_op = linalg.tensor_all([povm[data[0]], povm[data[1]], np.eye(2)])
     conditioned = linalg.trace_out_factor(
@@ -256,7 +267,7 @@ def test_merging_raises_on_impossible_data():
     zmeas = effects.validate_povm([zero, one])
     with pytest.raises(ZeroLikelihoodEverywhere):
         definetti.merging_experiment(
-            definetti.point_prior(one), definetti.point_prior(zero), zero, zmeas, 5, seed=0
+            point_prior(one), point_prior(zero), zero, zmeas, 5, seed=0
         )
 
 
@@ -532,13 +543,35 @@ def test_merge_section_builds_no_trajectory(monkeypatch):
     assert not any(2001 in shape[:-2] for shape in shapes)
 
 
-@pytest.mark.parametrize("outcome", [-1, 2, 1.0])
+@pytest.mark.parametrize("outcome", [-1, 2, 1.0, "a", None, [0, 1]])
 def test_bad_outcome_index_raises_typed_error(outcome):
     zeros, ones = (linalg.projector(linalg.ket(i, 2)) for i in range(2))
     prior = definetti.make_prior([np.eye(2) / 2.0, zeros])
     zmeas = effects.validate_povm([zeros, ones])
-    with pytest.raises(DimensionMismatch, match=rf"^outcome {outcome} at position 2 "):
+    with pytest.raises(DimensionMismatch, match=rf"^outcome {re.escape(str(outcome))} at position 2 "):
         definetti.posterior_update(prior, zmeas, [0, 1, outcome, 0])
+
+
+@pytest.mark.parametrize("outcomes", [[[0, 1], [1, 0]], np.array([[0, 1], [1, 0]]), 1, np.int64(1)])
+def test_nested_or_scalar_outcomes_are_rejected(outcomes):
+    zeros, ones = (linalg.projector(linalg.ket(i, 2)) for i in range(2))
+    prior = definetti.make_prior([np.eye(2) / 2.0, zeros])
+    zmeas = effects.validate_povm([zeros, ones])
+    shape = re.escape(str(np.shape(outcomes)))
+    with pytest.raises(DimensionMismatch, match=rf"^outcomes must be a flat sequence, got shape {shape}"):
+        definetti.posterior_update(prior, zmeas, outcomes)
+
+
+@pytest.mark.parametrize(
+    "outcomes, first",
+    [([True, True], 0), (np.array([True, True]), 0), ([1, False], 1), ([0, np.True_], 1)],
+)
+def test_boolean_outcomes_are_not_indices(outcomes, first):
+    zeros, ones = (linalg.projector(linalg.ket(i, 2)) for i in range(2))
+    prior = definetti.make_prior([np.eye(2) / 2.0, zeros])
+    zmeas = effects.validate_povm([zeros, ones])
+    with pytest.raises(DimensionMismatch, match=rf"^outcome {outcomes[first]} at position {first} "):
+        definetti.posterior_update(prior, zmeas, outcomes)
 
 
 def test_prior_states_are_one_stack(rng):

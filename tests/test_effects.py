@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbayes import effects, linalg
+from helpers import frame_value
+from qbayes import effects, linalg, update
 from qbayes.errors import (
     DegenerateSpan,
     DimensionMismatch,
@@ -117,7 +118,7 @@ def test_born_d2_sqm_matches_trace_oracle():
 
 def test_born_shared_effect_is_noncontextual(rng):
     # The same effect evaluated inside two different POVMs gets one value.
-    e = linalg.random_psd(2, rng)
+    e = linalg.random_state(2, rng)
     e = e / (np.linalg.eigvalsh(e)[-1] * 1.5)
     rest = np.eye(2) - e
     povm_a = effects.validate_povm([e, rest])
@@ -134,8 +135,8 @@ def test_fine_graining_additivity(seed):
     # f(E1 + E2) = f(E1) + f(E2) for state-induced frames.
     g = np.random.default_rng(seed)
     rho = linalg.random_state(3, g)
-    e1 = linalg.random_psd(3, g)
-    e2 = linalg.random_psd(3, g)
+    e1 = linalg.random_state(3, g)
+    e2 = linalg.random_state(3, g)
     scale = np.linalg.eigvalsh(e1 + e2)[-1] * 1.5
     e1, e2 = e1 / scale, e2 / scale
     lhs = np.trace(rho @ (e1 + e2)).real
@@ -146,7 +147,7 @@ def test_fine_graining_additivity(seed):
 def test_frame_function_keys_by_value():
     f = effects.FrameFunction()
     f.record(np.eye(2) / 2.0, 0.5)
-    assert f.value(np.eye(2) / 2.0 + 1e-15) == pytest.approx(0.5)
+    assert frame_value(f, np.eye(2) / 2.0 + 1e-15) == pytest.approx(0.5)
     assert len(f) == 1
 
 
@@ -195,9 +196,9 @@ def test_frame_from_state_repeated_effect_keeps_first_row_and_last_value(rng):
     assert len(f) == 4 and len(f.items()) == 4
     effs, values = zip(*f.items())
     assert np.array_equal(effs[1], twin) and values[1] == effects.born(rho, twin[None])[0]
-    assert f.value(sqm.base[1]) == values[1]
+    assert frame_value(f, sqm.base[1]) == values[1]
     with pytest.raises(KeyError):
-        f.value(np.eye(2) / 3.0)
+        frame_value(f, np.eye(2) / 3.0)
     assert np.array_equal(np.stack(effs)[[0, 2, 3]], sqm.base.elements[[0, 2, 3]])
     recorded = effects.FrameFunction()
     for e in [*sqm.base, twin]:
@@ -213,13 +214,13 @@ def test_recording_on_a_povm_frame_leaves_the_povm_alone(rng):
     f.record(sqm.base[0] * 0.5, 0.1)
     f.record(sqm.base[1] + 1e-14, 0.2)
     assert np.array_equal(sqm.base.elements, before)
-    assert f.value(sqm.base[1]) == 0.2 and len(f) == 10
+    assert frame_value(f, sqm.base[1]) == 0.2 and len(f) == 10
 
 
 def test_frame_povm_sums_to_one(sqm, rng, dim):
     rho = linalg.random_state(dim, rng)
     f = effects.FrameFunction.from_state(rho, sqm.base.elements)
-    assert sum(f.value(e) for e in sqm.base.elements) == pytest.approx(1.0, abs=1e-9)
+    assert sum(frame_value(f, e) for e in sqm.base.elements) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -229,7 +230,7 @@ def test_frame_from_state_keys_are_effect_keys(d, rng):
     f = effects.FrameFunction.from_state(rho, sqm.base.elements)
     assert list(f._index) == [effects.effect_keys(e[None])[0] for e in sqm.base.elements]
     probs = effects.born(rho, sqm.base)
-    assert [f.value(e) for e in sqm.base.elements] == probs.tolist()
+    assert [frame_value(f, e) for e in sqm.base.elements] == probs.tolist()
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -452,11 +453,11 @@ def test_stacked_frame_values_and_records_broadcast(rng):
     sqm = effects.standard_sqm(2)
     rho = np.stack([linalg.random_state(2, rng) for _ in range(3)])
     frame = effects.FrameFunction.from_state(rho, sqm.base)
-    assert np.array_equal(frame.value(sqm.base[1]), effects.born(rho, sqm.base)[:, 1])
+    assert np.array_equal(frame_value(frame, sqm.base[1]), effects.born(rho, sqm.base)[:, 1])
     frame.record(np.eye(2) / 2.0, 0.5)  # a new effect: one value for every state
-    frame.record(sqm.base[0], frame.value(sqm.base[0]) * 2.0)  # a known effect: one per state
+    frame.record(sqm.base[0], frame_value(frame, sqm.base[0]) * 2.0)  # a known effect: one per state
     assert len(frame) == 5 and frame._values.shape == (3, 5)
-    assert np.array_equal(frame.value(np.eye(2) / 2.0), [0.5] * 3)
+    assert np.array_equal(frame_value(frame, np.eye(2) / 2.0), [0.5] * 3)
     effs, values = zip(*frame.items())
     assert len(effs) == 5 and all(len(v) == 3 for v in values) and values[4] == [0.5] * 3
 
@@ -465,7 +466,7 @@ def test_stacked_frame_warning_names_the_failing_frame(rng):
     sqm = effects.standard_sqm(2)
     rho = np.stack([linalg.random_state(2, rng) for _ in range(4)])
     frame = effects.FrameFunction.from_state(rho, sqm.base)
-    column = frame.value(sqm.base[0]).copy()
+    column = frame_value(frame, sqm.base[0]).copy()
     column[2] += 0.5  # the trace of frame 2 becomes 1.5
     frame.record(sqm.base[0], column)
     with pytest.warns(NotAStateWarning, match="frame 2: reconstructed operator is not a state"):
@@ -487,7 +488,7 @@ def test_single_state_frame_keeps_its_shapes(rng):
     sqm = effects.standard_sqm(3)
     rho = linalg.random_state(3, rng)
     frame = effects.FrameFunction.from_state(rho, sqm.base)
-    assert frame._values.shape == (9,) and isinstance(frame.value(sqm.base[0]), float)
+    assert frame._values.shape == (9,) and isinstance(frame_value(frame, sqm.base[0]), float)
     assert all(isinstance(v, float) for _, v in frame.items())
     stacked = effects.FrameFunction.from_state(rho[None], sqm.base)
     assert np.array_equal(stacked._values[0], frame._values)
@@ -547,9 +548,14 @@ def _basis_projectors(d):
     return effects.validate_povm([linalg.projector(linalg.ket(i, d)) for i in range(d)])
 
 
+def _dilation_povm(rho_a, u, meas):
+    """The system POVM a dilation induces: the effects of its instrument."""
+    return effects.validate_povm(update.instrument_from_dilation(rho_a, u, meas).effects())
+
+
 def test_dilation_no_interaction_gives_trivial_povm(rng):
     rho_a = linalg.random_state(3, rng)
-    povm = effects.povm_from_dilation(rho_a, np.eye(6), _basis_projectors(3))
+    povm = _dilation_povm(rho_a, np.eye(6), _basis_projectors(3))
     for pi, e in zip(_basis_projectors(3).elements, povm.elements):
         weight = np.trace(rho_a @ pi).real
         assert np.linalg.norm(e - weight * np.eye(2)) < 1e-12
@@ -560,7 +566,7 @@ def test_dilation_cnot_measures_system():
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
     anc = linalg.projector(linalg.ket(0, 2))
-    povm = effects.povm_from_dilation(anc, cnot, _basis_projectors(2))
+    povm = _dilation_povm(anc, cnot, _basis_projectors(2))
     assert np.linalg.norm(povm[0] - linalg.projector(linalg.ket(0, 2))) < 1e-12
     assert np.linalg.norm(povm[1] - linalg.projector(linalg.ket(1, 2))) < 1e-12
 
@@ -570,7 +576,7 @@ def test_dilation_reproduces_joint_probabilities(rng):
     for _ in range(20):
         u = linalg.random_unitary(d_sys * d_anc, rng)
         rho_a = linalg.random_state(d_anc, rng)
-        povm = effects.povm_from_dilation(rho_a, u, _basis_projectors(d_anc))
+        povm = _dilation_povm(rho_a, u, _basis_projectors(d_anc))
         rho_s = linalg.random_state(d_sys, rng)
         joint = u @ linalg.tensor(rho_s, rho_a) @ linalg.dagger(u)
         local = effects.born(rho_s, povm)

@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import basis_entropy_mc, log1p_subentropy, random_basis_probabilities
+from helpers import (
+    basis_entropy_mc,
+    log1p_subentropy,
+    random_basis_probabilities,
+    random_instrument,
+    shannon,
+)
 from qbayes import effects, entropy, linalg, update
 from qbayes.errors import NotAState
 
@@ -38,9 +44,9 @@ def test_half_identity_oracle_is_stable():
 
 
 def test_shannon_values():
-    assert entropy.shannon(np.array([1.0, 0.0])) == 0.0
-    assert entropy.shannon(np.full(4, 0.25)) == pytest.approx(2.0)
-    assert entropy.shannon(np.array([0.5, 0.25, 0.25])) == pytest.approx(1.5)
+    assert shannon([1.0, 0.0]) == 0.0
+    assert shannon(np.full(4, 0.25)) == pytest.approx(2.0)
+    assert shannon([0.5, 0.25, 0.25]) == pytest.approx(1.5)
 
 
 def test_von_neumann_values(rng):
@@ -191,12 +197,12 @@ def test_eigenbasis_measurement_is_best(rng):
     eigen_meas = effects.validate_povm(
         [linalg.projector(vecs[:, i]) for i in range(3)]
     )
-    h_eigen = entropy.shannon(effects.born(rho, eigen_meas))
+    h_eigen = shannon(effects.born(rho, eigen_meas))
     assert h_eigen == pytest.approx(entropy.von_neumann(rho), abs=1e-10)
     for _ in range(100):
         u = linalg.random_unitary(3, rng)
         meas = effects.validate_povm([linalg.projector(u[:, i]) for i in range(3)])
-        assert entropy.shannon(effects.born(rho, meas)) >= h_eigen - 1e-10
+        assert shannon(effects.born(rho, meas)) >= h_eigen - 1e-10
 
 
 def test_concavity_of_entropy_and_subentropy(rng):
@@ -213,7 +219,7 @@ def test_concavity_of_entropy_and_subentropy(rng):
 def test_refinement_gap_pure_state_is_zero(rng):
     psi = linalg.random_ket(3, rng)
     rho = np.outer(psi, psi.conj())
-    inst = update.random_instrument(3, 3, 1, rng)
+    inst = random_instrument(3, 3, 1, rng)
     s_gap, q_gap = entropy.refinement_gap(rho, inst)
     assert abs(s_gap) <= 1e-10
     assert abs(q_gap) <= 1e-10
@@ -229,10 +235,10 @@ def test_refinement_gap_projective_on_maximally_mixed():
 
 
 def test_refinement_inequalities_sweep():
-    report = entropy.check_refinement_inequalities(trials=300, dim=2, seed=7)
-    assert report.min_gap >= -1e-8
-    report3 = entropy.check_refinement_inequalities(trials=200, dim=3, seed=8)
-    assert report3.min_gap >= -1e-8
+    for trials, dim, seed in ((300, 2, 7), (200, 3, 8)):
+        report = entropy.check_refinement_inequalities(trials=trials, dim=dim, seed=seed)
+        for gaps in (report.von_neumann_gaps, report.subentropy_gaps, report.classical_gaps):
+            assert gaps.shape == (trials,) and gaps.min() >= -1e-8
 
 
 def test_refinement_sweep_builds_no_kraus_operators(monkeypatch):
@@ -252,12 +258,13 @@ def test_classical_refinement_gap_oracle(rng):
     joint = rng.random((4, 3))
     joint /= joint.sum()
     prior = joint.sum(axis=1)
-    expected = entropy.shannon(prior)
+    expected = shannon(prior)
     for d in range(3):
         pd = joint[:, d].sum()
-        expected -= pd * entropy.shannon(joint[:, d] / pd)
-    assert entropy.classical_refinement_gap(joint) == pytest.approx(expected, abs=1e-12)
-    assert entropy.classical_refinement_gap(joint) >= -1e-12
+        expected -= pd * shannon(joint[:, d] / pd)
+    gap = entropy._classical_gaps(joint[None])[0]
+    assert gap == pytest.approx(expected, abs=1e-12)
+    assert gap >= -1e-12
 
 
 # --------------------------------------------------------------------------

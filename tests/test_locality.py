@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import random_effect
 from qbayes import effects, linalg, locality
 
 
@@ -38,7 +39,7 @@ def test_entangled_frame_matches_sequential_measurement(rng):
         root = linalg.mat_sqrt(e)
         big = linalg.tensor(root, np.eye(2)) @ rho @ linalg.tensor(root, np.eye(2))
         p_i = np.trace(big).real
-        conditional = linalg.partial_trace(big, (2, 2), "A")
+        conditional = linalg.trace_out_factor(big, (2, 2), 0)
         for j, f in enumerate(tree.branches[i].elements):
             sequential = np.trace(conditional @ f).real
             assert rows[i][j] == pytest.approx(sequential, abs=1e-12)
@@ -79,8 +80,8 @@ def test_swap_frame_reconstructs_the_swap_operator(dim):
 def test_state_frame_table_matches_per_pair_trace(dims, rng):
     da, db = dims
     rho = linalg.random_state(da * db, rng)
-    es = [locality._random_effect(da, rng) for _ in range(5)] + list(effects.standard_sqm(da).base)
-    fs = [locality._random_effect(db, rng) for _ in range(4)] + list(effects.standard_sqm(db).base)
+    es = [random_effect(da, rng) for _ in range(5)] + list(effects.standard_sqm(da).base)
+    fs = [random_effect(db, rng) for _ in range(4)] + list(effects.standard_sqm(db).base)
     table = locality.BilinearFrame.from_state(rho, dims).table(es, fs)
     expected = np.array([[np.trace(rho @ np.kron(e, f)).real for f in fs] for e in es])
     assert table.shape == (len(es), len(fs))
@@ -89,8 +90,8 @@ def test_state_frame_table_matches_per_pair_trace(dims, rng):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_swap_frame_table_is_trace_of_product(dim, rng):
-    es = np.stack([locality._random_effect(dim, rng) for _ in range(6)])
-    fs = np.stack([locality._random_effect(dim, rng) for _ in range(3)])
+    es = np.stack([random_effect(dim, rng) for _ in range(6)])
+    fs = np.stack([random_effect(dim, rng) for _ in range(3)])
     table = locality.BilinearFrame.from_swap(dim).table(es, fs)
     expected = np.array([[np.trace(e @ f).real / dim for f in fs] for e in es])
     assert np.abs(table - expected).max() <= 1e-14
@@ -98,8 +99,8 @@ def test_swap_frame_table_is_trace_of_product(dim, rng):
 
 def test_callable_frame_table_is_per_pair(rng):
     frame = locality.BilinearFrame(2, 3, lambda e, f: np.trace(e).real * np.trace(f).real)
-    es = [locality._random_effect(2, rng) for _ in range(3)]
-    fs = [locality._random_effect(3, rng) for _ in range(2)]
+    es = [random_effect(2, rng) for _ in range(3)]
+    fs = [random_effect(3, rng) for _ in range(2)]
     expected = [[frame(e, f) for f in fs] for e in es]
     assert np.array_equal(frame.table(es, fs), expected)
 
@@ -124,8 +125,8 @@ def test_joint_reconstruction_heldout_pairs(rng):
     frame = locality.BilinearFrame.from_state(rho, (2, 3))
     rec = locality.reconstruct_joint_operator(frame)
     for _ in range(50):
-        e = locality._random_effect(2, rng)
-        f = locality._random_effect(3, rng)
+        e = random_effect(2, rng)
+        f = random_effect(3, rng)
         assert np.trace(rec @ linalg.tensor(e, f)).real == pytest.approx(
             frame(e, f), abs=1e-8
         )
@@ -146,9 +147,9 @@ def test_bilinearity_against_effect_decompositions(rng):
     frame = locality.BilinearFrame.from_state(rho, (2, 2))
     rec = locality.reconstruct_joint_operator(frame)
     for _ in range(20):
-        e1 = locality._random_effect(2, rng)
-        e2 = locality._random_effect(2, rng)
-        f1 = locality._random_effect(2, rng)
+        e1 = random_effect(2, rng)
+        e2 = random_effect(2, rng)
+        f1 = random_effect(2, rng)
         a1, a2, b1 = rng.random(3) * 2.0
         lhs = np.trace(rec @ linalg.tensor(a1 * e1 - a2 * e2, b1 * f1)).real
         rhs = a1 * b1 * frame(e1, f1) - a2 * b1 * frame(e2, f1)
@@ -174,8 +175,8 @@ def test_two_independent_reconstructions_agree(rng):
     rec2 = linalg.dagger(back) @ rec2 @ back
     # rec2 now represents the same functional; compare through the frame.
     for _ in range(20):
-        e = locality._random_effect(2, rng)
-        f = locality._random_effect(2, rng)
+        e = random_effect(2, rng)
+        f = random_effect(2, rng)
         assert np.trace(rec1 @ linalg.tensor(e, f)).real == pytest.approx(
             np.trace(rec2 @ linalg.tensor(e, f)).real, abs=1e-8
         )
@@ -188,7 +189,7 @@ def test_two_independent_reconstructions_agree(rng):
 def test_swap_frame_nonnegative_on_diagonal(rng):
     frame = locality.BilinearFrame.from_swap(2)
     for _ in range(50):
-        e = locality._random_effect(2, rng)
+        e = random_effect(2, rng)
         assert frame(e, e) >= 0.0
 
 

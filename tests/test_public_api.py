@@ -1,0 +1,109 @@
+"""Every public name of the library modules has a caller or a README entry.
+
+A public function or class of the modules below passes when some program
+references it by name (an AST ``Name`` or ``Attribute``), and a public method
+when some program reads it as an attribute (an AST ``Attribute``; a local
+variable of the same name is no call): the package outside the symbol's own
+definition, or a demo or script.  Otherwise it must
+be named in backticks in README.md, as a concept the library keeps although
+nothing calls it.  Tests do not count as callers.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "qbayes"
+MODULES = ("linalg", "effects", "states", "update", "entropy", "locality", "definetti")
+# Names kept for the README alone, each the library's only implementation of
+# its concept.  Adding one is a deliberate choice, so it is pinned here.
+README_ONLY = {
+    "definetti.posterior_update",
+    "states.bayes_condition",
+    "update.instrument_from_dilation",
+    "update.dilation_from_instrument",
+    "effects.FrameFunction.record",
+}
+
+
+def public_symbols(module):
+    """(qualified name, its last component, line span) of each public top-level
+    function and class of ``module`` and each public method of its classes.
+    A method's name has two dots."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    defs = (ast.FunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name, (node.lineno, node.end_lineno)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        span = (item.lineno, item.end_lineno)
+                        yield f"{module}.{node.name}.{item.name}", item.name, span
+
+
+def references():
+    """{(file, name, line, is_attribute)} of every Name and Attribute in the
+    package, demos and scripts."""
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    refs = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs.add((path, node.id, node.lineno, False))
+            elif isinstance(node, ast.Attribute):
+                refs.add((path, node.attr, node.end_lineno, True))
+    return refs
+
+
+def readme_names():
+    """Dotted identifiers inside inline code spans of README.md."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    return {token for span in spans for token in re.findall(r"[A-Za-z_][\w.]*\w", span)}
+
+
+def uncalled_symbols():
+    """Qualified names of the public symbols that no program references."""
+    refs = references()
+    out = set()
+    for module in MODULES:
+        own = PACKAGE / f"{module}.py"
+        for qualname, name, (first, last) in public_symbols(module):
+            method = qualname.count(".") == 2
+            if not any(
+                n == name and (attr or not method) and not (path == own and first <= line <= last)
+                for path, n, line, attr in refs
+            ):
+                out.add(qualname)
+    return out
+
+
+def in_readme(qualname, names):
+    """Whether README names ``module.symbol``, with or without its module."""
+    bare = qualname.partition(".")[2]
+    return any(token == bare or token.endswith("." + bare) for token in names)
+
+
+def test_every_public_symbol_has_a_caller_or_a_readme_entry():
+    names = readme_names()
+    uncalled = uncalled_symbols()
+    missing = sorted(q for q in uncalled if not in_readme(q, names))
+    assert not missing, f"public names with no caller and no README entry: {missing}"
+    assert uncalled == README_ONLY
+
+
+def test_the_scan_finds_symbols_and_their_callers():
+    symbols = {q for m in MODULES for q, _, _ in public_symbols(m)}
+    assert {"linalg.trace_out_factor", "effects.Povm.matrix", "entropy.von_neumann"} <= symbols
+    assert not any(q.rsplit(".", 1)[1].startswith("_") for q in symbols)
+    # Called only from its own module's definitions, demos or the CLI.
+    uncalled = uncalled_symbols()
+    assert "linalg.trace_out_factor" not in uncalled
+    # A method needs an attribute read: FrameFunction.record passes no
+    # local variable named ``record``, and Povm.matrix is read as one.
+    assert "effects.Povm.matrix" not in uncalled
+    assert "effects.FrameFunction.record" in uncalled
+    assert in_readme("effects.FrameFunction.record", {"effects.FrameFunction.record"})
+    assert not in_readme("effects.FrameFunction.record", {"record"})

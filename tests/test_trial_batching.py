@@ -12,7 +12,7 @@ by one with the per-call library functions.
 import numpy as np
 import pytest
 
-from helpers import random_basis_probabilities
+from helpers import random_basis_probabilities, random_effect, random_instrument, shannon
 from qbayes import cli, definetti, effects, entropy, linalg, locality, update
 from qbayes.errors import DimensionMismatch, NotAState, NotNormalized, NotTracePreserving
 
@@ -88,7 +88,7 @@ SAMPLERS = [
     ),
     (
         "instrument",
-        lambda d, g: np.stack([a for (a,) in update.random_instrument(d, d, 1, g).outcomes]),
+        lambda d, g: np.stack([a for (a,) in random_instrument(d, d, 1, g).outcomes]),
         lambda d, g: old_random_kraus(d, d, g),
     ),
 ]
@@ -245,7 +245,7 @@ def per_trial_refinement_gaps(trials, dim, seed):
         out[0, t] = entropy.von_neumann(rho) - probs[live] @ entropy.von_neumann(posts)
         out[1, t] = entropy.subentropy(rho) - probs[live] @ entropy.subentropy(posts)
         joint = tables[t, : h[t], : d[t]]
-        out[2, t] = entropy.classical_refinement_gap(joint / joint.sum())
+        out[2, t] = entropy._classical_gaps((joint / joint.sum())[None])[0]
     return out
 
 
@@ -368,11 +368,9 @@ def test_padded_classical_gaps_match_each_table():
         joints[t, :h, :d] = joint
         pd = joint.sum(axis=0)
         seen = pd > 0
-        conditional = [entropy.shannon(col / p) for col, p in zip(joint[:, seen].T, pd[seen])]
-        expected.append(entropy.shannon(joint.sum(axis=1)) - pd[seen] @ conditional)
+        conditional = [shannon(col / p) for col, p in zip(joint[:, seen].T, pd[seen])]
+        expected.append(shannon(joint.sum(axis=1)) - pd[seen] @ conditional)
     assert np.abs(entropy._classical_gaps(joints) - expected).max() <= 1e-14
-    for t in (0, 1):
-        assert entropy.classical_refinement_gap(joints[t]) == entropy._classical_gaps(joints[t : t + 1])[0]
 
 
 def test_classical_gaps_check_every_table():
@@ -411,7 +409,8 @@ def per_povm_random_tree(dim_a, dim_b, g, direction=None):
 
 
 def old_random_effect(dim, g):
-    m = linalg.random_psd(dim, g)
+    z = g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))
+    m = z @ linalg.dagger(z)
     return m / (np.linalg.eigvalsh(m)[-1] + g.random())
 
 
@@ -421,7 +420,7 @@ def old_teleport(psi, outcome):
     pair = np.zeros(4, dtype=complex)
     pair[0] = pair[3] = 1.0 / np.sqrt(2.0)
     total = np.kron(psi, pair)
-    before = linalg.partial_trace(np.outer(total, total.conj()), (4, 2), side="A")
+    before = linalg.trace_out_factor(np.outer(total, total.conj()), (4, 2), 0)
     subs = np.conj(update.bell_kets()) @ total.reshape(4, 2)
     probs = (subs.conj() * subs).real.sum(axis=1)
     conditional = [s / np.sqrt(p) if p > linalg.PROB_FLOOR else s for s, p in zip(subs, probs)]
@@ -449,7 +448,7 @@ def test_random_tree_is_bitwise_the_per_povm_sampler(dims, direction):
 def test_random_effect_is_bitwise_the_per_call_sampler(d):
     for seed in range(50):
         g_new, g_old = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert locality._random_effect(d, g_new).tobytes() == old_random_effect(d, g_old).tobytes()
+        assert random_effect(d, g_new).tobytes() == old_random_effect(d, g_old).tobytes()
         assert_same_stream(g_new, g_old)
 
 
@@ -472,8 +471,8 @@ def test_swap_counterexample_with_one_tree():
 
 def test_operator_frame_pairs_match_the_table(rng):
     frame = locality.BilinearFrame.from_state(linalg.random_state(6, rng), (2, 3))
-    es = np.stack([locality._random_effect(2, rng) for _ in range(4)])
-    fs = np.stack([locality._random_effect(3, rng) for _ in range(5)])
+    es = np.stack([random_effect(2, rng) for _ in range(4)])
+    fs = np.stack([random_effect(3, rng) for _ in range(5)])
     assert np.abs(frame(es[:, None], fs[None]) - frame.table(es, fs)).max() <= 1e-15
     assert isinstance(frame(es[0], fs[0]), float)
 
