@@ -75,10 +75,10 @@ def bloch_grid(
     return 0.5 * (eye + vx * linalg.sigma_x + vy * linalg.sigma_y + vz * linalg.sigma_z)
 
 
-def center_skewed_weights(grid: Sequence[np.ndarray], strength: float = 4.0) -> np.ndarray:
-    """Prior weights favoring low-purity grid points, strictly positive."""
+def center_skewed_weights(grid: Sequence[np.ndarray]) -> np.ndarray:
+    """Prior weights exp(-4 tr rho^2), favoring low-purity grid points, strictly positive."""
     grid = np.asarray(grid)
-    w = np.exp(-strength * np.trace(grid @ grid, axis1=1, axis2=2).real)
+    w = np.exp(-4.0 * np.trace(grid @ grid, axis1=1, axis2=2).real)
     return w / w.sum()
 
 
@@ -379,7 +379,6 @@ class RealCounterexampleReport:
     complex_fit_residual: float
     witness_value: float
     witness_bound: float
-    real_grid_size: int
 
 
 def _y_axis_states() -> np.ndarray:
@@ -493,5 +492,4 @@ def real_counterexample(n: int, real_grid_size: int = 600) -> RealCounterexample
         complex_fit_residual=complex_res,
         witness_value=float(witness_value),
         witness_bound=float(witness_bound),
-        real_grid_size=real_grid_size,
     )

@@ -86,9 +86,9 @@ def _trees_from_normals(x_first: np.ndarray, x_branch: np.ndarray) -> tuple[np.n
 class BilinearFrame:
     """Probability assignment f(E on A, F on B) for local effect pairs.
 
-    Either a callable ``evaluator``, sampled pair by pair, or a joint
-    ``operator`` L with f(E, F) = tr(L (E x F)), whose :meth:`table` is one
-    contraction; :meth:`from_state` and :meth:`from_swap` build the latter.
+    Either a callable ``evaluator``, sampled pair by pair, or a joint ``operator``
+    L (:meth:`from_state`, :meth:`from_swap`): pairs, tree stacks and tables are then
+    f(E, F) = tr(L (E x F)) = vec(E^T) R vec(F^T), R = L with rows (a, c), columns (b, d).
     """
 
     dim_a: int
@@ -97,34 +97,38 @@ class BilinearFrame:
     operator: np.ndarray | None = None
 
     def __call__(self, e: np.ndarray, f: np.ndarray) -> float | np.ndarray:
-        """f(E, F).  The frame of one joint operator also takes broadcasting
-        stacks (..., dA, dA) and (..., dB, dB), giving one value per pair."""
+        """f(E, F).  The frame of one joint operator also takes broadcasting stacks
+        (..., dA, dA) and (..., dB, dB), one value per pair; R meets the stack with
+        fewer effects first, so a tree's first effect is contracted once."""
         if self.operator is None:
             return float(self.evaluator(e, f))
         if self.operator.ndim != 2:
             raise DimensionMismatch("only the frame of one joint operator is evaluated pair by pair")
-        da, db = self.dim_a, self.dim_b
-        # tr(L (E x F)) = sum L[a, b, c, d] E[c, a] F[d, b]
-        vals = np.einsum("abcd,...ca,...db->...", self.operator.reshape(da, db, da, db), e, f).real
+        m_e, r, m_f = self._operands(e, f)
+        if np.prod(m_e.shape[:-1]) < np.prod(m_f.shape[:-1]):  # f(E, F) = vec(F^T) R^T vec(E^T)
+            m_e, r, m_f = m_f, np.ascontiguousarray(r.T), m_e
+        # Along R's contiguous rows, by einsum: a threaded BLAS product of this size can stall.
+        vals = np.einsum("...i,...i->...", m_e, np.einsum("ij,...j->...i", r, m_f)).real
         return float(vals) if vals.ndim == 0 else vals
 
     def table(self, es: Sequence[np.ndarray], fs: Sequence[np.ndarray]) -> np.ndarray:
         """The (len(es), len(fs)) table f(E_i, F_j) over two effect sequences.
 
-        For an operator frame it is M_a R M_b^T, where row i of M_a is
-        vec(E_i^T) as in :attr:`qbayes.effects.Povm.matrix` (likewise M_b)
-        and R is L reshuffled to rows (a, c), columns (b, d).  A stack of
-        operators gives a (..., len(es), len(fs)) stack of tables.
+        For an operator frame it is M_a R M_b^T over rows vec(E_i^T) and vec(F_j^T);
+        a stack of operators gives a (..., len(es), len(fs)) stack of tables.
         """
         if self.operator is None:
             return np.array([[self(e, f) for f in fs] for e in es])
-        da, db = self.dim_a, self.dim_b
-        m_a = _born_matrix(np.asarray(es, dtype=complex))
-        m_b = _born_matrix(np.asarray(fs, dtype=complex))
-        lead = self.operator.shape[:-2]
-        r = self.operator.reshape(lead + (da, db, da, db)).swapaxes(-3, -2)
-        r = r.reshape(lead + (da * da, db * db))
+        m_a, r, m_b = self._operands(es, fs)
         return (m_a @ r @ m_b.T).real
+
+    def _operands(self, e, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """vec(E^T), R and vec(F^T) for (..., dA, dA) and (..., dB, dB) effect stacks."""
+        e, f = np.asarray(e, dtype=complex), np.asarray(f, dtype=complex)
+        da, db = self.dim_a, self.dim_b
+        if e.shape[-2:] != (da, da) or f.shape[-2:] != (db, db):
+            raise DimensionMismatch(f"effects {e.shape} and {f.shape} do not act on {da} x {db}")
+        return _born_matrix(e), _realign(self.operator, (da, db, da, db)), _born_matrix(f)
 
     @classmethod
     def from_state(cls, rho_ab: np.ndarray, dims: tuple[int, int]) -> "BilinearFrame":
@@ -171,18 +175,22 @@ def reconstruct_joint_operator(frame: BilinearFrame) -> np.ndarray:
     standard SQMs.  Their products form the product SQM, whose dual frame is
     {R_i x S_j} for the SQM duals {R_i} and {S_j}, so the unique solution
     is L = sum_ij y_ij R_i x S_j, one matrix product of the flattened duals
-    reshuffled as in :meth:`BilinearFrame.table`.  The system is square and
-    always solvable: each standard SQM is certified linearly independent
-    when it is built (see :func:`qbayes.effects.gram_renormalize`).  The
-    frame of a stack of operators gives the stack of their reconstructions.
+    realigned back from the R of :class:`BilinearFrame`.  The system is
+    square and always solvable: each standard SQM is certified linearly
+    independent when it is built (see :func:`qbayes.effects.gram_renormalize`).
+    The frame of a stack of operators gives the stack of their reconstructions.
     """
     da, db = frame.dim_a, frame.dim_b
     sqm_a, sqm_b = standard_sqm(da), standard_sqm(db)
     y = frame.table(sqm_a.base.elements, sqm_b.base.elements)
     joint = sqm_a.dual.reshape(da * da, -1).T @ y @ sqm_b.dual.reshape(db * db, -1)
-    lead = joint.shape[:-2]
-    joint = joint.reshape(lead + (da, da, db, db)).swapaxes(-3, -2)
-    return joint.reshape(lead + (da * db, da * db))
+    return _realign(joint, (da, da, db, db))
+
+
+def _realign(x: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
+    """Regroup x[..., (i, j), (k, l)] to (..., (i, k), (j, l)): L to R, and back."""
+    (i, j, k, l), lead = dims, x.shape[:-2]
+    return x.reshape(lead + dims).swapaxes(-3, -2).reshape(lead + (i * k, j * l))
 
 
 @dataclass(frozen=True)
@@ -218,9 +226,8 @@ def swap_counterexample(dim: int, n_trees: int = 100, seed=0) -> SwapCounterexam
     draws = direction, *_draw_trees(dim, dim, n_trees, g)
     totals = np.concatenate(linalg._chunked(lambda *x: _tree_totals(frame, *x), *draws))
     joint = reconstruct_joint_operator(frame)
-    witness = np.zeros(dim * dim, dtype=complex)
-    witness[0 * dim + 1] = 1.0 / np.sqrt(2.0)
-    witness[1 * dim + 0] = -1.0 / np.sqrt(2.0)
+    witness = np.zeros(dim * dim, dtype=complex)  # (|01> - |10>) / sqrt 2
+    witness[[1, dim]] = np.array([1.0, -1.0]) / np.sqrt(2.0)
     return SwapCounterexample(
         dim=dim,
         normalization_constant=float(dim),

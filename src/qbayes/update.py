@@ -512,14 +512,12 @@ BELL_CORRECTIONS = (
 class TeleportTranscript:
     """Everything both parties can say during one teleportation run."""
 
-    input_ket: np.ndarray
     outcome_probs: np.ndarray
     outcome: int
     conditional_ket: np.ndarray
     bob_marginal_before: np.ndarray
     bob_marginal_unconditional: np.ndarray
     correction_name: str
-    correction: np.ndarray
     final_state: np.ndarray
     fidelity: float
     correction_table: tuple[str, ...]
@@ -543,16 +541,13 @@ def teleport(psi: np.ndarray, outcome: int | None = None, seed=None) -> Teleport
         outcome = int(linalg.rng_from(seed).choice(4, p=probs / probs.sum()))
     if not 0 <= outcome < 4:
         raise ValueError("Bell outcome index must be in 0..3")
-    name, correction = BELL_CORRECTIONS[outcome]
     return TeleportTranscript(
-        input_ket=psi,
         outcome_probs=probs,
         outcome=outcome,
         conditional_ket=conditional[outcome],
         bob_marginal_before=before,
         bob_marginal_unconditional=unconditional,
-        correction_name=name,
-        correction=correction,
+        correction_name=BELL_CORRECTIONS[outcome][0],
         final_state=final[outcome],
         fidelity=float(fidelity[outcome]),
         correction_table=tuple(n for n, _ in BELL_CORRECTIONS),

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import random_effect
 from qbayes import effects, linalg, locality
+from qbayes.errors import DimensionMismatch
 
 
 def test_trivial_tree_has_unit_table():
@@ -95,6 +96,65 @@ def test_swap_frame_table_is_trace_of_product(dim, rng):
     table = locality.BilinearFrame.from_swap(dim).table(es, fs)
     expected = np.array([[np.trace(e @ f).real / dim for f in fs] for e in es])
     assert np.abs(table - expected).max() <= 1e-14
+
+
+def effect_stack(dim, shape, rng):
+    """A (*shape, dim, dim) stack of random effects."""
+    return locality._effects_from_draws(rng.normal(size=shape + (2, dim, dim)), rng.random(shape))
+
+
+def kron_oracle(rho, e, f):
+    """tr(rho (E x F)) over the broadcast pairs of two effect stacks, one np.kron each."""
+    lead = np.broadcast_shapes(e.shape[:-2], f.shape[:-2])
+    e, f = np.broadcast_to(e, lead + e.shape[-2:]), np.broadcast_to(f, lead + f.shape[-2:])
+    out = np.empty(lead)
+    for i in np.ndindex(lead):
+        out[i] = np.trace(rho @ np.kron(e[i], f[i])).real
+    return out
+
+
+# The stacks an operator frame meets: one pair, equal-length stacks, and the
+# two tree shapes (first effects (N, 5, 1) against branches (N, 5, 5)).
+PAIR_SHAPES = [((), ()), ((7,), (7,)), ((3, 5, 1), (3, 5, 5)), ((3, 5, 5), (3, 5, 1))]
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_swap_frame_pairs_and_tree_stacks_are_trace_of_product(dim, rng):
+    frame = locality.BilinearFrame.from_swap(dim)
+    for shape_e, shape_f in PAIR_SHAPES:
+        e, f = effect_stack(dim, shape_e, rng), effect_stack(dim, shape_f, rng)
+        expected = np.trace(e @ f, axis1=-2, axis2=-1).real / dim
+        assert np.abs(frame(e, f) - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 4), (4, 2)])
+def test_state_frame_pairs_and_tree_stacks_match_kron(dims, rng):
+    da, db = dims
+    rho = linalg.random_state(da * db, rng)
+    frame = locality.BilinearFrame.from_state(rho, dims)
+    for shape_e, shape_f in PAIR_SHAPES:
+        e, f = effect_stack(da, shape_e, rng), effect_stack(db, shape_f, rng)
+        got = frame(e, f)
+        if shape_e:
+            assert got.shape == np.broadcast_shapes(shape_e, shape_f)
+        else:
+            assert isinstance(got, float)
+        assert np.abs(got - kron_oracle(rho, e, f)).max() <= 1e-14
+    es, fs = effect_stack(da, (6,), rng), effect_stack(db, (4,), rng)
+    assert np.abs(frame(es[:, None], fs[None]) - frame.table(es, fs)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("wrong_a, wrong_b", [(True, True), (True, False), (False, True)])
+def test_operator_frame_rejects_effects_of_the_wrong_shape(wrong_a, wrong_b):
+    frame = locality.BilinearFrame.from_state(np.eye(6) / 6.0, (2, 3))
+    e = np.eye(3 if wrong_a else 2) / 2.0
+    f = np.eye(2 if wrong_b else 3) / 2.0
+    with pytest.raises(DimensionMismatch):
+        frame(e, f)
+    with pytest.raises(DimensionMismatch):
+        frame.table([e], [f])
+    with pytest.raises(DimensionMismatch):
+        frame(e[None, :, :1], f)
 
 
 def test_callable_frame_table_is_per_pair(rng):
@@ -209,6 +269,16 @@ def test_swap_counterexample_d3():
     rep = locality.swap_counterexample(3, n_trees=30, seed=4)
     assert rep.max_tree_deviation <= 1e-9
     assert rep.min_eigenvalue == pytest.approx(-1.0 / 3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_swap_counterexample_closed_form(dim):
+    rep = locality.swap_counterexample(dim, n_trees=5)
+    assert rep.normalization_constant == dim
+    assert rep.min_frame_value >= 0.0
+    assert abs(rep.min_eigenvalue + 1.0 / dim) <= 1e-14
+    assert abs(rep.witness_value + 1.0 / dim) <= 1e-14
+    assert np.abs(rep.joint_operator - locality.swap_operator(dim) / dim).max() <= 1e-14
 
 
 # --------------------------------------------------------------------------
