@@ -15,16 +15,15 @@ np.set_printoptions(precision=4, suppress=True)
 psi = linalg.random_ket(2, seed=11)
 print("input state:", psi.round(4))
 
-for outcome in range(4):
-    t = update.teleport(psi, outcome=outcome)
-    name = t.correction_table[outcome]
+t = update.teleport(psi)  # every Bell outcome at once
+for outcome, (name, _) in enumerate(update.BELL_CORRECTIONS):
     print(f"\nBell outcome {outcome} (probability {t.outcome_probs[outcome]:.3f}), "
           f"correction {name}:")
-    print("  Alice's conditional description of Bob:", t.conditional_ket.round(4))
-    print("  fidelity with input after correction:", f"{t.fidelity:.12f}")
+    print("  Alice's conditional description of Bob:", t.conditional_kets[outcome].round(4))
+    print("  fidelity with input after correction:", f"{t.fidelities[outcome]:.12f}")
 
-t = update.teleport(psi, seed=3)
-print("\nsampled run chose outcome", t.outcome)
+outcome = np.random.default_rng(3).choice(4, p=t.outcome_probs / t.outcome_probs.sum())
+print("\nsampled run chose outcome", outcome)
 print("Bob's marginal before Alice measures:\n", t.bob_marginal_before)
 print("Bob's marginal after she measures (averaged over what she might say):\n",
       t.bob_marginal_unconditional)

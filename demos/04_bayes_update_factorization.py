@@ -19,40 +19,37 @@ inst = update.efficient_from_povm(
     povm, unitaries=[linalg.random_unitary(2, rng) for _ in range(3)]
 )
 
-fac = update.factor_update(rho, inst)
+fac = update.factor_update(rho, inst.outcomes)
+mixture = np.tensordot(fac.probabilities, fac.refinements, axes=1)
 print("prior:\n", rho)
-print("\nprior == sum_d P(d) * refinement_d:",
-      np.linalg.norm(fac.mixture_of_refinements() - rho) < 1e-10)
+print("\nprior == sum_d P(d) * refinement_d:", np.linalg.norm(mixture - rho) < 1e-10)
 
-for d, out in enumerate(fac.outcomes):
-    print(f"\noutcome {d}: P = {out.probability:.4f}")
-    print("  refinement (the Bayes step):\n", out.refinement)
-    print("  posterior  (after readjustment):\n", out.posterior)
+for d, (p, refinement, posterior) in enumerate(zip(fac.probabilities, fac.refinements, fac.posteriors)):
+    print(f"\noutcome {d}: P = {p:.4f}")
+    print("  refinement (the Bayes step):\n", refinement)
+    print("  posterior  (after readjustment):\n", posterior)
     print("  spectra match:",
-          np.allclose(np.linalg.eigvalsh(out.refinement),
-                      np.linalg.eigvalsh(out.posterior)))
+          np.allclose(np.linalg.eigvalsh(refinement), np.linalg.eigvalsh(posterior)))
 
 # Two limiting cases.  A pure state cannot be refined: measurement is
 # pure disturbance.
 psi = linalg.random_ket(2, rng)
 pure = np.outer(psi, psi.conj())
-fac_pure = update.factor_update(pure, inst)
+fac_pure = update.factor_update(pure, inst.outcomes)
 print("\npure prior: refinements all equal the prior?",
-      all(np.linalg.norm(o.refinement - pure) < 1e-10
-          for o in fac_pure.outcomes if o.refinement is not None))
+      all(np.linalg.norm(r - pure) < 1e-10 for r in fac_pure.refinements[fac_pure.live]))
 
 # The maximally mixed state with a projective measurement is the other
 # extreme: the update is pure refinement, no readjustment needed.
 proj = effects.validate_povm([linalg.projector(linalg.ket(i, 2)) for i in range(2)])
-fac_mixed = update.factor_update(np.eye(2) / 2, update.efficient_from_povm(proj))
-for d, out in enumerate(fac_mixed.outcomes):
-    same = np.linalg.norm(out.posterior - out.refinement) < 1e-12
+fac_mixed = update.factor_update(np.eye(2) / 2, update.efficient_from_povm(proj).outcomes)
+for d, (refinement, posterior) in enumerate(zip(fac_mixed.refinements, fac_mixed.posteriors)):
+    same = np.linalg.norm(posterior - refinement) < 1e-12
     print(f"maximally mixed, outcome {d}: posterior == refinement? {same}")
 
 # Agreeing on "which measurement happened" = agreeing on a resolution of
 # the identity extracted from the refinement.
-refinement = [(o.probability, o.refinement) for o in fac.outcomes]
-recovered = update.identify_measurement(rho, refinement)
+recovered = update.identify_measurement(rho, list(zip(fac.probabilities, fac.refinements)))
 print("\nPOVM recovered from the refinement matches the one measured:",
       all(np.linalg.norm(a - b) < 1e-8
           for a, b in zip(recovered.elements, inst.effects())))

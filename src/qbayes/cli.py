@@ -109,12 +109,13 @@ def _certainty_bound(dim, trials, g):
 def _teleport(dim, trials, g):
     from . import update
     psi = linalg.ket_from_normals(g.normal(size=(trials, 2, 2)))
-    probs, _, before, unconditional, _, fidelity = update.teleports(psi)
-    marg_dev = np.abs(np.stack([before, unconditional]) - np.eye(2) / 2).max()
+    t = update.teleport(psi)
+    marginals = np.stack([t.bob_marginal_before, t.bob_marginal_unconditional])
+    marg_dev = np.abs(marginals - np.eye(2) / 2).max()
     return [
-        ("teleport_fidelity_error_max", np.abs(fidelity - 1.0).max(), "<=", 1e-9),
+        ("teleport_fidelity_error_max", np.abs(t.fidelities - 1.0).max(), "<=", 1e-9),
         ("teleport_bob_marginal_dev_max", marg_dev, "<=", 1e-12),
-        ("teleport_outcome_prob_dev_max", np.abs(probs - 0.25).max(), "<=", 1e-12),
+        ("teleport_outcome_prob_dev_max", np.abs(t.outcome_probs - 0.25).max(), "<=", 1e-12),
     ]
 
 
@@ -138,9 +139,10 @@ def _factor_devs(x_state, x_inst, x_ket):
     from . import update
     rho = linalg.state_from_normals(x_state)
     kraus = update.kraus_from_normals(x_inst)
-    probs, live, ref, v, post = update.factor_updates(rho, kraus)
-    mix_dev = np.linalg.norm((probs[..., None, None] * ref).sum(axis=1) - rho, axis=(-2, -1)).max()
-    ref, v, post = ref[live], v[live], post[live]
+    fac = update.factor_update(rho, kraus)
+    mix = (fac.probabilities[..., None, None] * fac.refinements).sum(axis=1)
+    mix_dev = np.linalg.norm(mix - rho, axis=(-2, -1)).max()
+    ref, v, post = fac.refinements[fac.live], fac.readjustments[fac.live], fac.posteriors[fac.live]
     spec_dev = np.abs(np.linalg.eigvalsh(ref) - np.linalg.eigvalsh(post)).max()
     readj_dev = np.linalg.norm(v @ ref @ linalg.dagger(v) - post, axis=(-2, -1)).max()
     psi = linalg.ket_from_normals(x_ket)
@@ -239,7 +241,7 @@ def _merging_runs(prior_a, prior_b, povm, runs, g):
     are grid points drawn from ``g``, run r's outcomes from its r-th spawned child."""
     from . import definetti
     truths = prior_a.states[g.integers(len(prior_a), size=runs)]
-    return definetti.merging_experiments(prior_a, prior_b, truths, povm, 2000, g.spawn(runs))
+    return definetti.merging_experiment(prior_a, prior_b, truths, povm, 2000, g.spawn(runs))
 
 
 def _real_counterexample(dim, trials, g):

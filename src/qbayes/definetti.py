@@ -289,7 +289,7 @@ def merging_experiment(
     povm: Povm,
     n_outcomes: int,
     seed=None,
-) -> MergingTrace:
+) -> MergingTrace | list[MergingTrace]:
     """Feed both agents one stream of i.i.d. data and record convergence.
 
     Outcomes are sampled from the true state through the given POVM.
@@ -297,40 +297,29 @@ def merging_experiment(
     arbitrarily small but not zero), which is the minimal agreement that
     makes merging possible.  Only the three final distances are computed
     here, from the outcome counts; trajectories are built when read.
-    This is :func:`merging_experiments` on a stack of one.
+    A (D, D) ``true_state`` with one ``seed`` gives one trace.  A (R, D, D)
+    stack with R seeds gives a list of R traces, run r drawing its outcomes,
+    bitwise those of one run, from ``seed[r]``: the states are validated once
+    (NotAState names the first bad one), each agent's likelihoods are tabled
+    once, and one posterior per agent gives every run's final distances.
     """
-    true_states = linalg.as_operator(true_state)[None]
-    return merging_experiments(prior_a, prior_b, true_states, povm, n_outcomes, [seed])[0]
-
-
-def merging_experiments(
-    prior_a: PriorOverStates,
-    prior_b: PriorOverStates,
-    true_states: np.ndarray,
-    povm: Povm,
-    n_outcomes: int,
-    seeds: Sequence,
-) -> list[MergingTrace]:
-    """:func:`merging_experiment` on each state of a (R, D, D) stack, run r
-    drawing its outcomes, bitwise those of one run, from ``seeds[r]``.  The
-    states are validated once (NotAState names the first bad one), each agent's
-    likelihoods are tabled once, and one posterior per agent gives every run's
-    final distances."""
-    true_states = assert_density_operator(_effect_stack(true_states))
+    single = np.ndim(true_state) == 2
+    true_states = assert_density_operator(_effect_stack([true_state] if single else true_state))
     if prior_a.weights.min() <= 0.0 or prior_b.weights.min() <= 0.0:
         raise ValueError("both priors must be strictly positive on their grids")
     p_true = born(true_states[:, None], povm)[:, 0]  # one row product per run, as for one state
     outcomes = [
         linalg.rng_from(seed).choice(len(povm), size=n_outcomes, p=p / p.sum())
-        for p, seed in zip(p_true, seeds, strict=True)
+        for p, seed in zip(p_true, [seed] if single else seed, strict=True)
     ]
     agents = tuple((p.weights, born(p.states, povm), p.states) for p in (prior_a, prior_b))
     counts = np.stack([np.bincount(o, minlength=len(povm)) for o in outcomes])
     finals = np.stack(_merging_distances(agents, counts, true_states), axis=1).tolist()
-    return [
+    traces = [
         MergingTrace(o, f[0], (f[1], f[2]), agents, state)
         for o, f, state in zip(outcomes, finals, true_states)
     ]
+    return traces[0] if single else traces
 
 
 # --------------------------------------------------------------------------

@@ -182,11 +182,19 @@ def bayes_condition(joint: np.ndarray, observed: int) -> np.ndarray:
     """Posterior over hypotheses given a column of a joint (h, d) table.
 
     ``joint[h, d]`` is the joint probability of hypothesis h with datum d;
-    conditioning on d picks the column and renormalizes by the marginal.
+    conditioning on d picks the column and renormalizes by the marginal.  A
+    datum that is not an integer index of a column (a negative or too large
+    one, a bool, a float) raises DimensionMismatch.
     """
     joint = assert_distribution(joint)
     if joint.ndim != 2:
         raise ValueError("joint must be a 2-D table over (hypothesis, datum)")
+    # A Python bool is an int; a numpy bool is no np.integer.
+    index = type(observed) is not bool and isinstance(observed, (int, np.integer))
+    if not (index and 0 <= observed < joint.shape[1]):
+        raise DimensionMismatch(
+            f"datum {observed!r} is not an index of the {joint.shape[1]} data columns"
+        )
     marginal = joint[:, observed].sum()
     if marginal <= 0.0:
         raise ZeroProbabilityData(f"datum {observed} has probability {marginal}")

@@ -9,7 +9,7 @@ identification of a measurement from a claimed refinement, and the
 qubit teleportation protocol.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -131,13 +131,18 @@ def efficient_from_povm(
     """One-Kraus-per-outcome instrument A_d = U_d E_d^{1/2} for a POVM.
 
     Omitted unitaries default to the identity, which is the refinement-only
-    (minimally readjusting) realization of the measurement.
+    (minimally readjusting) realization of the measurement.  A unitary of
+    another dimension than the POVM raises DimensionMismatch.
     """
     roots = linalg.mat_sqrt(povm.elements)
     if unitaries is not None:
         if len(unitaries) != len(povm):
             raise DimensionMismatch("need one unitary per POVM element")
-        roots = np.stack([_assert_unitary(u) for u in unitaries]) @ roots
+        unitaries = [_assert_unitary(u) for u in unitaries]
+        for u in unitaries:
+            if len(u) != povm.dim:
+                raise DimensionMismatch(f"unitary of dim {len(u)} for a POVM of dim {povm.dim}")
+        roots = np.stack(unitaries) @ roots
     return make_instrument(roots[:, None])
 
 
@@ -146,34 +151,27 @@ def efficient_from_povm(
 
 
 @dataclass(frozen=True)
-class OutcomeFactorization:
-    """Refinement and readjustment data for a single outcome."""
+class Factorization:
+    """Efficient measurement updates split into Bayes-like pieces.
 
-    probability: float
-    refinement: np.ndarray | None
-    readjustment: np.ndarray | None
-    posterior: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class UpdateFactorization:
-    """Efficient measurement update split into Bayes-like pieces.
-
-    The prior equals the probability-weighted mixture of the refinements,
-    and each posterior is a unitary readjustment of its refinement with an
-    identical spectrum.
+    For one state, arrays over its K outcomes: the (K,) ``probabilities``, the
+    mask ``live`` of those above ``PROB_FLOOR``, and (K, D, D) refinements,
+    readjustments and posteriors, zero outside the mask.  A stack of N states
+    adds a leading N axis.  The prior is the probability-weighted mixture of
+    the refinements, and each posterior is the unitary readjustment of its
+    refinement, with an identical spectrum.
     """
 
-    state: np.ndarray
-    outcomes: tuple[OutcomeFactorization, ...]
-    support_dim: int
+    probabilities: np.ndarray
+    live: np.ndarray
+    refinements: np.ndarray
+    readjustments: np.ndarray
+    posteriors: np.ndarray
 
-    def mixture_of_refinements(self) -> np.ndarray:
-        return sum(
-            o.probability * o.refinement
-            for o in self.outcomes
-            if o.refinement is not None
-        )
+
+def _first(result):
+    """The result of the first input of a stacked result dataclass."""
+    return type(result)(*(getattr(result, f.name)[0] for f in fields(result)))
 
 
 def _matching_unitary(vals: np.ndarray, sigma_vecs: np.ndarray, tau_vecs: np.ndarray) -> np.ndarray:
@@ -206,62 +204,52 @@ def _matching_unitary(vals: np.ndarray, sigma_vecs: np.ndarray, tau_vecs: np.nda
 
 
 def refinements(states: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The refinement half of :func:`factor_updates`: the (N, K) probabilities of
-    N states (N, D, D) under N efficient instruments (N, K, D, D), the mask of
-    those above ``PROB_FLOOR`` and, for the outcomes in the mask, in its row-major
-    order, the refinements rho^{1/2} E_d rho^{1/2} / P(d), from one
-    eigendecomposition for all square roots."""
+    """The refinement half of :func:`factor_update` on a stack: the (N, K)
+    probabilities of N states (N, D, D) under N instruments (N, K, r, D, D),
+    the mask of those above ``PROB_FLOOR`` and, for the outcomes in the mask,
+    in its row-major order, the refinements rho^{1/2} E_d rho^{1/2} / P(d),
+    from one eigendecomposition for all square roots."""
     states, kraus = linalg.as_operators(states), linalg.as_operators(kraus)
     if kraus.shape[-1] != states.shape[-1]:
         raise DimensionMismatch("state and instrument dims differ")
     roots = linalg.mat_sqrt(states)[:, None]
-    effects = linalg.dagger(kraus) @ kraus
+    effects = (linalg.dagger(kraus) @ kraus).sum(axis=-3)
     probs = np.trace(states[:, None] @ effects, axis1=-2, axis2=-1).real
     live = probs > PROB_FLOOR
     return probs, live, (roots @ effects @ roots)[live] / probs[live][:, None, None]
 
 
-def factor_updates(states: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`factor_update` of N states (N, D, D) under N efficient instruments
-    (N, K, D, D): :func:`refinements`, then one eigendecomposition for all
-    refinements and posteriors.  Returns the (N, K) probabilities, the mask of
-    those above ``PROB_FLOOR``, and (N, K, D, D) refinements, readjustments and
-    posteriors, zero outside the mask."""
-    probs, live, refined = refinements(states, kraus)
+def factor_update(states: np.ndarray, kraus: np.ndarray) -> Factorization:
+    """Split efficient instrument updates into refinement + readjustment.
+
+    Takes one state (D, D) with its instrument's Kraus operators (K, 1, D, D),
+    the layout of ``KrausInstrument.outcomes``, or N states (N, D, D) with N
+    instruments (N, K, 1, D, D).  For each outcome d with probability P(d)
+    the refinement is ``rho^{1/2} E_d rho^{1/2} / P(d)`` and the readjustment
+    is a unitary V_d carrying the refinement to the actual posterior, from one
+    eigendecomposition for all refinements and posteriors.  Rank-deficient
+    states need no inverse: ``mat_sqrt`` zeroes the rank noise of rho^{1/2},
+    so refinement and posterior both lie on the support of rho, and every
+    identity above holds there.  More than one Kraus operator per outcome
+    raises ValueError.
+    """
     states, kraus = linalg.as_operators(states), linalg.as_operators(kraus)
+    single = states.ndim == 2
+    if single:
+        states, kraus = states[None], kraus[None]
+    if states.ndim != 3 or kraus.ndim != 5 or len(kraus) != len(states):
+        raise DimensionMismatch(f"need one (K, r, D, D) Kraus stack per state, got {kraus.shape}")
+    if kraus.shape[2] != 1:
+        raise ValueError("factorization is defined for efficient (single-Kraus) instruments")
+    probs, live, refined = refinements(states, kraus)
+    kraus = kraus[:, :, 0]
     posteriors = (kraus @ states[:, None] @ linalg.dagger(kraus))[live] / probs[live][:, None, None]
     eig = linalg.eig_hermitian(np.stack([refined, posteriors]))  # (2, live, D, D)
     v = _matching_unitary(eig.eigenvalues[0], *eig.eigenvectors)
     out = np.zeros((3,) + kraus.shape, dtype=complex)
     out[:, live] = refined, v, posteriors
-    return probs, live, *out
-
-
-def factor_update(state: np.ndarray, inst: KrausInstrument) -> UpdateFactorization:
-    """Split an efficient instrument's update into refinement + readjustment.
-
-    For each outcome d with probability P(d) the refinement is
-    ``rho^{1/2} E_d rho^{1/2} / P(d)`` and the readjustment is a unitary
-    V_d carrying the refinement to the actual posterior.  Rank-deficient
-    states need no inverse: ``mat_sqrt`` zeroes the rank noise of rho^{1/2},
-    so refinement and posterior both lie on the support of rho, and every
-    identity below holds there.  This is :func:`factor_updates` on a stack
-    of one; outcomes with probability at most ``PROB_FLOOR`` get None in
-    place of the three operators.
-    """
-    state = linalg.as_operator(state)
-    if not inst.efficient:
-        raise ValueError(
-            "factorization is defined for efficient (single-Kraus) instruments"
-        )
-    support_dim = linalg.numeric_rank(np.linalg.eigvalsh(state))
-    kraus = inst.outcomes[None, :, 0]  # efficient: one Kraus operator per outcome
-    probs, live, *ops = (a[0] for a in factor_updates(state[None], kraus))
-    outcomes = tuple(
-        OutcomeFactorization(max(p, 0.0), *(o[k] if live[k] else None for o in ops))
-        for k, p in enumerate(probs.tolist())
-    )
-    return UpdateFactorization(state, outcomes, support_dim)
+    fac = Factorization(probs, live, *out)
+    return _first(fac) if single else fac
 
 
 def identify_measurement(
@@ -509,62 +497,42 @@ BELL_CORRECTIONS = (
 
 
 @dataclass(frozen=True)
-class TeleportTranscript:
-    """Everything both parties can say during one teleportation run."""
+class Teleportation:
+    """Everything both parties can say about teleporting one ket, under all
+    four Bell outcomes in ``bell_kets()`` order; a stack of N kets adds a
+    leading N axis.
+
+    ``outcome_probs`` (4,) are Alice's outcome probabilities,
+    ``conditional_kets`` (4, 2) her description of Bob's qubit after each,
+    ``bob_marginal_before`` and ``bob_marginal_unconditional`` (2, 2) Bob's
+    marginal before she measures and averaged over her outcomes, and
+    ``final_states`` (4, 2, 2) Bob's state after the ``BELL_CORRECTIONS``
+    entry of each outcome, with its ``fidelities`` (4,) to the input.
+    """
 
     outcome_probs: np.ndarray
-    outcome: int
-    conditional_ket: np.ndarray
+    conditional_kets: np.ndarray
     bob_marginal_before: np.ndarray
     bob_marginal_unconditional: np.ndarray
-    correction_name: str
-    final_state: np.ndarray
-    fidelity: float
-    correction_table: tuple[str, ...]
+    final_states: np.ndarray
+    fidelities: np.ndarray
 
 
-def teleport(psi: np.ndarray, outcome: int | None = None, seed=None) -> TeleportTranscript:
-    """Teleport a pure qubit state through a shared maximally entangled pair.
+def teleport(psi: np.ndarray) -> Teleportation:
+    """Teleport a pure qubit state (2,), or each of a stack (N, 2), through a
+    shared maximally entangled pair.
 
     Alice holds the input qubit and one half of ``(|00> + |11>)/sqrt(2)``;
-    she measures her two qubits in the Bell basis.  ``outcome`` forces a
-    particular Bell result (otherwise one is sampled with ``seed``).  The
-    transcript records the outcome distribution (uniform regardless of the
-    input), Alice's conditional description of Bob's qubit, Bob's
-    unconditional marginal before and after her measurement (I/2 both
-    times), and the fidelity of Bob's corrected state with the input.
-    This is :func:`teleports` on a stack of one, read at one outcome.
+    she measures her two qubits in the Bell basis.  The outcome distribution
+    is uniform regardless of the input, Bob's unconditional marginal is I/2
+    before and after her measurement, and every corrected state has fidelity
+    1 with the input.  An input of norm other than 1 raises NotNormalized.
     """
-    psi = np.asarray(psi, dtype=complex).ravel()
-    probs, conditional, before, unconditional, final, fidelity = (t[0] for t in teleports(psi[None]))
-    if outcome is None:
-        outcome = int(linalg.rng_from(seed).choice(4, p=probs / probs.sum()))
-    if not 0 <= outcome < 4:
-        raise ValueError("Bell outcome index must be in 0..3")
-    return TeleportTranscript(
-        outcome_probs=probs,
-        outcome=outcome,
-        conditional_ket=conditional[outcome],
-        bob_marginal_before=before,
-        bob_marginal_unconditional=unconditional,
-        correction_name=BELL_CORRECTIONS[outcome][0],
-        final_state=final[outcome],
-        fidelity=float(fidelity[outcome]),
-        correction_table=tuple(n for n, _ in BELL_CORRECTIONS),
-    )
-
-
-def teleports(psis: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`teleport` of N input kets (N, 2) under all four Bell outcomes.
-
-    Returns the (N, 4) outcome probabilities, the (N, 4, 2) conditional kets
-    of Bob's qubit, Bob's (N, 2, 2) marginals before Alice measures and
-    averaged over her outcomes, and the (N, 4, 2, 2) corrected states with
-    their (N, 4) fidelities to the inputs.
-    """
-    psis = np.asarray(psis, dtype=complex)
-    if psis.ndim != 2 or psis.shape[1] != 2:
+    psis = np.asarray(psi, dtype=complex)
+    if psis.ndim not in (1, 2) or psis.shape[-1] != 2:
         raise DimensionMismatch("teleportation inputs are single-qubit kets")
+    single = psis.ndim == 1
+    psis = psis.reshape(-1, 2)
     norms = np.linalg.norm(psis, axis=1)
     bad = np.abs(norms - 1.0) > linalg.NORM_TOL
     if bad.any():
@@ -580,18 +548,20 @@ def teleports(psis: np.ndarray) -> tuple[np.ndarray, ...]:
     final_kets = np.einsum("kij,nkj->nki", np.stack([c for _, c in BELL_CORRECTIONS]), conditional)
     final = final_kets[..., :, None] * final_kets.conj()[..., None, :]
     fidelity = np.einsum("ni,nkij,nj->nk", psis.conj(), final, psis).real
-    return probs, conditional, before, unconditional, final, fidelity
+    out = Teleportation(probs, conditional, before, unconditional, final, fidelity)
+    return _first(out) if single else out
 
 
 def kraus_from_normals(x: np.ndarray) -> np.ndarray:
-    """Efficient instruments ``A_d = V_d E_d^{1/2}`` (..., K, D, D), checked for
-    completeness, from (..., 2, K, 2, D, D) normals: [..., 0, :, ...] for the POVM
-    E, [..., 1, :, ...] for the Haar V_d.  All-zero POVM normals give the zero
-    operator, an outcome of probability 0: a stack can pad fewer outcomes."""
+    """Efficient instruments ``A_d = V_d E_d^{1/2}`` (..., K, 1, D, D), in the
+    layout of ``KrausInstrument.outcomes`` and checked for completeness, from
+    (..., 2, K, 2, D, D) normals: [..., 0, :, ...] for the POVM E, [..., 1, :, ...]
+    for the Haar V_d.  All-zero POVM normals give the zero operator, an outcome
+    of probability 0: a stack can pad fewer outcomes."""
     povm, unitaries = x[..., 0, :, :, :, :], x[..., 1, :, :, :, :]
     roots = linalg.mat_sqrt(linalg.povm_from_normals(povm))
     present = povm.any(axis=(-3, -2, -1))
     kraus = np.zeros_like(roots)
     kraus[present] = linalg.unitary_from_normals(unitaries[present]) @ roots[present]
     _check_complete(kraus)
-    return kraus
+    return kraus[..., None, :, :]

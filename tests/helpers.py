@@ -31,8 +31,7 @@ def random_instrument(dim, n_outcomes, kraus_per_outcome=1, seed=None):
     """
     g = linalg.rng_from(seed)
     if kraus_per_outcome == 1:
-        kraus = update.kraus_from_normals(g.normal(size=(2, n_outcomes, 2, dim, dim)))
-        return update.KrausInstrument(kraus[:, None])
+        return update.KrausInstrument(update.kraus_from_normals(g.normal(size=(2, n_outcomes, 2, dim, dim))))
     outcomes = []
     for root in linalg.mat_sqrt(linalg.povm_from_normals(g.normal(size=(n_outcomes, 2, dim, dim)))):
         w = g.dirichlet(np.ones(kraus_per_outcome))

@@ -90,23 +90,24 @@ def test_criterion_4_update_factorization():
         for _ in range(500):
             rho = linalg.random_state(d, rng)
             inst = random_instrument(d, int(rng.integers(2, 5)), 1, rng)
-            fac = update.factor_update(rho, inst)
-            assert np.linalg.norm(fac.mixture_of_refinements() - rho) <= 1e-9
-            for out in fac.outcomes:
-                if out.refinement is None:
-                    continue
-                spec_r = np.sort(np.linalg.eigvalsh(out.refinement))
-                spec_p = np.sort(np.linalg.eigvalsh(out.posterior))
+            fac = update.factor_update(rho, inst.outcomes)
+            mixture = (fac.probabilities[:, None, None] * fac.refinements).sum(axis=0)
+            assert np.linalg.norm(mixture - rho) <= 1e-9
+            live = fac.live
+            outcomes = zip(fac.refinements[live], fac.readjustments[live], fac.posteriors[live])
+            for refinement, v, posterior in outcomes:
+                spec_r = np.sort(np.linalg.eigvalsh(refinement))
+                spec_p = np.sort(np.linalg.eigvalsh(posterior))
                 assert np.abs(spec_r - spec_p).max() <= 1e-8
-                moved = out.readjustment @ out.refinement @ linalg.dagger(out.readjustment)
-                assert np.linalg.norm(moved - out.posterior) <= 1e-8
+                moved = v @ refinement @ linalg.dagger(v)
+                assert np.linalg.norm(moved - posterior) <= 1e-8
         for _ in range(25):
             psi = linalg.random_ket(d, rng)
             pure = np.outer(psi, psi.conj())
             inst = random_instrument(d, 3, 1, rng)
-            for out in update.factor_update(pure, inst).outcomes:
-                if out.refinement is not None:
-                    assert np.linalg.norm(out.refinement - pure) <= 1e-10
+            fac = update.factor_update(pure, inst.outcomes)
+            for refinement in fac.refinements[fac.live]:
+                assert np.linalg.norm(refinement - pure) <= 1e-10
     _report(4, "refinement/readjustment factorization over 1000 pairs at D=2,3")
 
 
@@ -168,9 +169,9 @@ def test_criterion_7_teleportation():
     rng = np.random.default_rng(7)
     for _ in range(100):
         psi = linalg.random_ket(2, rng)
+        t = update.teleport(psi)
         for outcome in range(4):
-            t = update.teleport(psi, outcome=outcome)
-            assert abs(t.fidelity - 1.0) <= 1e-9
+            assert abs(t.fidelities[outcome] - 1.0) <= 1e-9
             assert np.abs(t.bob_marginal_before - np.eye(2) / 2.0).max() <= 1e-12
             assert np.abs(t.bob_marginal_unconditional - np.eye(2) / 2.0).max() <= 1e-12
             assert np.abs(t.outcome_probs - 0.25).max() <= 1e-12

@@ -113,14 +113,14 @@ def test_chi2_check_fails_on_a_one_percent_bias_in_mean_entropy(monkeypatch, dim
 def test_median_to_truth_check_fails_on_truths_off_the_grid(monkeypatch):
     argv = ["definetti-merge", "--trials", "10"]
     assert check_passes(argv)["definetti_median_to_truth"]
-    merging_experiments = definetti.merging_experiments
+    merging_experiment = definetti.merging_experiment
     off_grid = np.random.default_rng(0)
 
     def random_truths(prior_a, prior_b, truths, *args):
         truths = linalg.state_from_normals(off_grid.normal(size=(len(truths), 2, 2, 2)))
-        return merging_experiments(prior_a, prior_b, truths, *args)
+        return merging_experiment(prior_a, prior_b, truths, *args)
 
-    monkeypatch.setattr(definetti, "merging_experiments", random_truths)
+    monkeypatch.setattr(definetti, "merging_experiment", random_truths)
     assert not check_passes(argv)["definetti_median_to_truth"]
 
 

@@ -6,10 +6,12 @@ when some program reads it as an attribute (an AST ``Attribute``; a local
 variable of the same name is no call): the package outside the symbol's own
 definition, or a demo or script.  Otherwise it must
 be named in backticks in README.md, as a concept the library keeps although
-nothing calls it.  Tests do not count as callers.
+nothing calls it.  Tests do not count as callers.  The same scan checks that
+every library symbol a per-layer benchmark metric names is called.
 """
 
 import ast
+import json
 import pathlib
 import re
 
@@ -43,10 +45,8 @@ def public_symbols(module):
                         yield f"{module}.{node.name}.{item.name}", item.name, span
 
 
-def references():
-    """{(file, name, line, is_attribute)} of every Name and Attribute in the
-    package, demos and scripts."""
-    files = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+def references(files):
+    """{(file, name, line, is_attribute)} of every Name and Attribute in ``files``."""
     refs = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -64,20 +64,40 @@ def readme_names():
     return {token for span in spans for token in re.findall(r"[A-Za-z_][\w.]*\w", span)}
 
 
+def has_caller(qualname, name, span, refs):
+    """Whether ``refs`` read the symbol outside its own definition (a method
+    only through an attribute)."""
+    own = PACKAGE / f"{qualname.partition('.')[0]}.py"
+    method = qualname.count(".") == 2
+    first, last = span
+    return any(
+        n == name and (attr or not method) and not (path == own and first <= line <= last)
+        for path, n, line, attr in refs
+    )
+
+
 def uncalled_symbols():
     """Qualified names of the public symbols that no program references."""
-    refs = references()
-    out = set()
-    for module in MODULES:
-        own = PACKAGE / f"{module}.py"
-        for qualname, name, (first, last) in public_symbols(module):
-            method = qualname.count(".") == 2
-            if not any(
-                n == name and (attr or not method) and not (path == own and first <= line <= last)
-                for path, n, line, attr in refs
-            ):
-                out.add(qualname)
-    return out
+    refs = references([*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+    return {
+        qualname
+        for module in MODULES
+        for qualname, name, span in public_symbols(module)
+        if not has_caller(qualname, name, span, refs)
+    }
+
+
+def per_layer_targets():
+    """The library symbols that BENCHMARK.json's per-layer metrics time or
+    count: each metric name less its last component, skipping the import,
+    trace, machine and CLI-section metrics and the ``.rejects`` result counts."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    skip = ("import.", "trace.", "machine.", "cli.section.")
+    return {
+        m["name"].rpartition(".")[0]
+        for m in metrics
+        if not m["name"].startswith(skip) and not m["name"].endswith(".rejects")
+    }
 
 
 def in_readme(qualname, names):
@@ -107,3 +127,16 @@ def test_the_scan_finds_symbols_and_their_callers():
     assert "effects.FrameFunction.record" in uncalled
     assert in_readme("effects.FrameFunction.record", {"effects.FrameFunction.record"})
     assert not in_readme("effects.FrameFunction.record", {"record"})
+
+
+def test_every_per_layer_metric_names_a_called_library_symbol():
+    """A per-layer metric reads 0 when its symbol is renamed away or only a
+    twin of it runs, so each must name a public symbol that the package, or
+    the benchmark's workloads, calls."""
+    targets = per_layer_targets()
+    symbols = {q: (name, span) for m in MODULES for q, name, span in public_symbols(m)}
+    assert targets <= symbols.keys(), sorted(targets - symbols.keys())
+    assert {"update.factor_update", "effects.FrameFunction.from_state"} <= targets
+    refs = references([*PACKAGE.glob("*.py"), ROOT / "perfbench" / "workloads.py"])
+    uncalled = sorted(q for q in targets if not has_caller(q, *symbols[q], refs))
+    assert not uncalled, f"per-layer metrics whose symbol nothing calls: {uncalled}"

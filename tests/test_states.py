@@ -135,6 +135,16 @@ def test_bayes_zero_probability_rejected():
         states.bayes_condition(joint, 1)
 
 
+@pytest.mark.parametrize("observed", [-1, True, 2, 1.0, np.bool_(True)])
+def test_bayes_rejects_a_datum_that_is_no_column_index(observed):
+    # Plain indexing would answer -1 with the last column, True with a
+    # (2, 1, 2) array, and 2 with a bare IndexError.
+    joint = np.array([[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(DimensionMismatch, match="is not an index of the 2 data columns"):
+        states.bayes_condition(joint, observed)
+    assert np.allclose(states.bayes_condition(joint, np.int64(1)), [1 / 3, 2 / 3])
+
+
 def test_bayes_total_probability_refinement(rng):
     # The prior is exactly the outcome-weighted mixture of the posteriors.
     joint = rng.random((5, 4))

@@ -9,6 +9,8 @@ each trial's own entries (never the zero padding), and evaluate the trials one
 by one with the per-call library functions.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -129,18 +131,25 @@ def test_zero_padded_outcomes_get_zero_operators():
 def test_incomplete_instrument_stack_raises():
     kraus = update.kraus_from_normals(np.random.default_rng(5).normal(size=(3, 2, 2, 2, 2, 2)))
     with pytest.raises(NotTracePreserving):
-        update._check_complete(kraus * np.array([1.0, 1.0, 1.01])[:, None, None, None])
+        update._check_complete(kraus[:, :, 0] * np.array([1.0, 1.0, 1.01])[:, None, None, None])
 
 
 # --------------------------------------------------------------------------
 # Stacked factorization.
 
 
+def assert_row_of_stack(single, stacked, n):
+    """Each field of a one-input result is bitwise row n of the stacked result."""
+    for f in fields(stacked):
+        one, row = getattr(single, f.name), getattr(stacked, f.name)[n]
+        assert one.shape == row.shape and one.tobytes() == row.tobytes(), f.name
+
+
 def per_cluster_polar_factorization(state, kraus):
     """Per-state reference: one polar unitary per eigenvalue cluster."""
     root = linalg.mat_sqrt(state)
     out = []
-    for a in kraus:
+    for (a,) in kraus:
         e = linalg.dagger(a) @ a
         p = float(np.trace(state @ e).real)
         if p <= linalg.PROB_FLOOR:
@@ -173,7 +182,7 @@ def factorization_inputs(d, g):
     rest = np.eye(d) - first - second
     projective = [linalg.random_unitary(d, g) @ p for p in (first, second, rest)]
     states.append(basis)
-    kraus.append(np.stack(projective).astype(complex))
+    kraus.append(np.stack(projective).astype(complex)[:, None])
     return np.stack(states), np.stack(kraus)
 
 
@@ -181,23 +190,19 @@ def factorization_inputs(d, g):
 def test_stacked_factorization_matches_per_state(d):
     for seed in range(10):
         states, kraus = factorization_inputs(d, np.random.default_rng(100 * d + seed))
-        probs, live, refs, vs, posts = update.factor_updates(states, kraus)
+        fac = update.factor_update(states, kraus)
+        probs, live, refs, vs, posts = (getattr(fac, f.name) for f in fields(fac))
         assert not live[-1, 1:].any() and live[:-1].all()
         for n, (state, ops) in enumerate(zip(states, kraus)):
-            single = update.factor_update(state, update.make_instrument([(a,) for a in ops]))
+            single = update.factor_update(state, ops)
+            assert_row_of_stack(single, fac, n)
             reference = per_cluster_polar_factorization(state, ops)
-            for k, (out, ref) in enumerate(zip(single.outcomes, reference)):
-                assert abs(out.probability - max(probs[n, k], 0.0)) <= 1e-12
+            for k, ref in enumerate(reference):
                 if ref is None:
-                    assert out.refinement is None and not live[n, k]
+                    assert not live[n, k]
                     assert not refs[n, k].any() and not vs[n, k].any() and not posts[n, k].any()
                     continue
-                for got, one, expected in zip(
-                    (refs[n, k], vs[n, k], posts[n, k]),
-                    (out.refinement, out.readjustment, out.posterior),
-                    ref[1:],
-                ):
-                    assert np.abs(got - one).max() <= 1e-12
+                for got, expected in zip((refs[n, k], vs[n, k], posts[n, k]), ref[1:]):
                     assert np.abs(got - expected).max() <= 1e-12
 
 
@@ -206,9 +211,9 @@ def test_refinements_are_bitwise_the_factorization_refinements(d):
     for seed in range(5):
         states, kraus = factorization_inputs(d, np.random.default_rng(300 * d + seed))
         probs, live, refs = update.refinements(states, kraus)
-        full_probs, full_live, full_refs, _, _ = update.factor_updates(states, kraus)
-        assert np.array_equal(probs, full_probs) and np.array_equal(live, full_live)
-        assert np.array_equal(refs, full_refs[live])
+        full = update.factor_update(states, kraus)
+        assert np.array_equal(probs, full.probabilities) and np.array_equal(live, full.live)
+        assert np.array_equal(refs, full.refinements[live])
 
 
 def test_matching_unitary_mixes_cluster_sizes_in_one_stack():
@@ -237,7 +242,7 @@ def per_trial_refinement_gaps(trials, dim, seed):
     out = np.empty((3, trials))
     for t in range(trials):
         rho = linalg.state_from_normals(x_state[t])
-        kraus = update.kraus_from_normals(x_inst[t, :, : k[t]])
+        kraus = update.kraus_from_normals(x_inst[t, :, : k[t]])[:, 0]
         raw = kraus @ rho @ linalg.dagger(kraus)
         probs = np.trace(raw, axis1=1, axis2=2).real
         live = probs > linalg.PROB_FLOOR
@@ -340,8 +345,8 @@ def test_update_factor_section_eigendecomposes_whole_stacks(monkeypatch):
 
 def test_update_factor_section_factors_only_the_mixed_states(monkeypatch):
     calls = []
-    factor_updates = update.factor_updates
-    monkeypatch.setattr(update, "factor_updates", lambda *a: calls.append(a) or factor_updates(*a))
+    factor_update = update.factor_update
+    monkeypatch.setattr(update, "factor_update", lambda *a: calls.append(a) or factor_update(*a))
     code, _ = cli.run(["update-factor", "--dim", "3", "--trials", "100"])
     assert code == 0 and len(calls) == 1
 
@@ -490,29 +495,23 @@ def test_stacked_joint_reconstruction_matches_each_state(rng):
 
 def test_stacked_teleport_matches_single_ket_transcripts(rng):
     psis = np.stack([linalg.random_ket(2, rng) for _ in range(20)] + [np.array([1.0, 0.0])])
-    probs, conditional, before, unconditional, final, fidelity = update.teleports(psis)
+    stacked = update.teleport(psis)
+    probs, conditional, before, unconditional, final, fidelity = (getattr(stacked, f.name) for f in fields(stacked))
     for n, psi in enumerate(psis):
+        assert_row_of_stack(update.teleport(psi), stacked, n)
         for outcome in range(4):
-            t = update.teleport(psi, outcome=outcome)
-            assert t.outcome == outcome and t.correction_name == update.BELL_CORRECTIONS[outcome][0]
-            assert np.array_equal(t.outcome_probs, probs[n])
-            assert np.array_equal(t.conditional_ket, conditional[n, outcome])
-            assert np.array_equal(t.bob_marginal_before, before[n])
-            assert np.array_equal(t.bob_marginal_unconditional, unconditional[n])
-            assert np.array_equal(t.final_state, final[n, outcome])
-            assert t.fidelity == fidelity[n, outcome]
             reference = old_teleport(psi, outcome)
             for got, old in zip((probs[n], before[n], unconditional[n]), reference[:3]):
                 assert np.abs(got - old).max() <= 1e-15
-            assert np.abs(t.conditional_ket - reference[3]).max() <= 1e-15
-            assert np.abs(t.final_state - reference[4]).max() <= 1e-15
-            assert abs(t.fidelity - reference[5]) <= 1e-15
+            assert np.abs(conditional[n, outcome] - reference[3]).max() <= 1e-15
+            assert np.abs(final[n, outcome] - reference[4]).max() <= 1e-15
+            assert abs(fidelity[n, outcome] - reference[5]) <= 1e-15
 
 
 def test_stacked_teleport_names_an_unnormalized_ket():
     psis = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]])
     with pytest.raises(NotNormalized, match="1.414213562"):
-        update.teleports(psis)
+        update.teleport(psis)
 
 
 # --------------------------------------------------------------------------
@@ -684,11 +683,11 @@ def merging_config(name):
 
 
 @pytest.mark.parametrize("name", ["sqm", "z"])
-def test_merging_experiments_match_single_runs(name):
+def test_merging_experiment_of_one_state_is_its_run_of_a_stack(name):
     grid, prior_a, prior_b, povm = merging_config(name)
     truths = grid[[3, 77, 150, 199, 3, 120]]
     seeds = [11, 12, 13, 14, 15, np.random.default_rng(16)]
-    traces = definetti.merging_experiments(prior_a, prior_b, truths, povm, 500, seeds)
+    traces = definetti.merging_experiment(prior_a, prior_b, truths, povm, 500, seeds)
     seeds[-1] = np.random.default_rng(16)
     for trace, truth, seed in zip(traces, truths, seeds, strict=True):
         single = definetti.merging_experiment(prior_a, prior_b, truth, povm, 500, seed=seed)
@@ -699,15 +698,15 @@ def test_merging_experiments_match_single_runs(name):
         assert np.array_equal(trace.to_truth_b, single.to_truth_b)
 
 
-def test_merging_experiments_name_the_first_bad_state():
+def test_merging_experiment_names_the_first_bad_state_of_a_stack():
     grid, prior_a, prior_b, povm = merging_config("sqm")
     truths = grid[:5].copy()
     truths[2] *= 1.5  # trace 1.5
     truths[4, 0, 0] = -0.25
     with pytest.raises(NotAState, match=r"^state 2 .*trace 1\.5"):
-        definetti.merging_experiments(prior_a, prior_b, truths, povm, 10, range(5))
+        definetti.merging_experiment(prior_a, prior_b, truths, povm, 10, range(5))
     with pytest.raises(ValueError):
-        definetti.merging_experiments(prior_a, prior_b, grid[:2], povm, 10, [1, 2, 3])
+        definetti.merging_experiment(prior_a, prior_b, grid[:2], povm, 10, [1, 2, 3])
 
 
 def test_definetti_merge_section_takes_one_posterior_per_agent_and_loop(monkeypatch):

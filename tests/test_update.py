@@ -86,6 +86,11 @@ def test_efficient_from_povm_rejects_non_unitary():
         )
 
 
+def test_efficient_from_povm_rejects_unitaries_of_another_dimension():
+    with pytest.raises(DimensionMismatch, match="unitary of dim 3 for a POVM of dim 2"):
+        update.efficient_from_povm(basis_projectors(2), unitaries=[np.eye(3), np.eye(3)])
+
+
 def test_make_instrument_rejects_incomplete_kraus_sets():
     with pytest.raises(NotTracePreserving):
         update.make_instrument([(np.sqrt(0.3) * np.eye(2),), (np.sqrt(0.3) * np.eye(2),)])
@@ -166,27 +171,38 @@ def test_channel_rejects_a_state_of_another_dimension():
 # Refinement / readjustment factorization.
 
 
+def live_outcomes(fac):
+    """(probability, refinement, readjustment, posterior) of each outcome of a
+    single-state factorization above the probability floor."""
+    live = fac.live
+    return zip(fac.probabilities[live], fac.refinements[live], fac.readjustments[live], fac.posteriors[live])
+
+
+def refinement_mixture(fac):
+    """The probability-weighted mixture of a single-state factorization's refinements."""
+    return (fac.probabilities[:, None, None] * fac.refinements).sum(axis=0)
+
+
 def test_pure_state_refines_to_itself(rng):
     psi = linalg.random_ket(3, rng)
     rho = np.outer(psi, psi.conj())
     inst = random_instrument(3, 4, 1, rng)
-    fac = update.factor_update(rho, inst)
-    for out in fac.outcomes:
-        if out.refinement is not None:
-            assert np.linalg.norm(out.refinement - rho) <= 1e-10
+    fac = update.factor_update(rho, inst.outcomes)
+    for refinement in fac.refinements[fac.live]:
+        assert np.linalg.norm(refinement - rho) <= 1e-10
 
 
 def test_maximally_mixed_projective_update_is_pure_refinement():
     inst = update.efficient_from_povm(basis_projectors(2))
-    fac = update.factor_update(np.eye(2) / 2.0, inst)
-    for i, out in enumerate(fac.outcomes):
+    fac = update.factor_update(np.eye(2) / 2.0, inst.outcomes)
+    for i, (p, refinement, v, posterior) in enumerate(live_outcomes(fac)):
         pi = linalg.projector(linalg.ket(i, 2))
-        assert out.probability == pytest.approx(0.5)
-        assert np.linalg.norm(out.refinement - pi) < 1e-12
-        assert np.linalg.norm(out.posterior - pi) < 1e-12
+        assert p == pytest.approx(0.5)
+        assert np.linalg.norm(refinement - pi) < 1e-12
+        assert np.linalg.norm(posterior - pi) < 1e-12
         # Readjustment acts trivially on the refinement.
-        moved = out.readjustment @ out.refinement @ linalg.dagger(out.readjustment)
-        assert np.linalg.norm(moved - out.refinement) < 1e-12
+        moved = v @ refinement @ linalg.dagger(v)
+        assert np.linalg.norm(moved - refinement) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -194,40 +210,42 @@ def test_factorization_invariants_random_pairs(d, rng):
     for _ in range(200):
         rho = linalg.random_state(d, rng)
         inst = random_instrument(d, int(rng.integers(2, 5)), 1, rng)
-        fac = update.factor_update(rho, inst)
-        assert np.linalg.norm(fac.mixture_of_refinements() - rho) <= 1e-9
-        for out in fac.outcomes:
-            if out.refinement is None:
-                continue
-            spec_r = np.sort(np.linalg.eigvalsh(out.refinement))
-            spec_p = np.sort(np.linalg.eigvalsh(out.posterior))
+        fac = update.factor_update(rho, inst.outcomes)
+        assert np.linalg.norm(refinement_mixture(fac) - rho) <= 1e-9
+        for _, refinement, v, posterior in live_outcomes(fac):
+            spec_r = np.sort(np.linalg.eigvalsh(refinement))
+            spec_p = np.sort(np.linalg.eigvalsh(posterior))
             assert np.abs(spec_r - spec_p).max() <= 1e-8
-            v = out.readjustment
             assert np.linalg.norm(linalg.dagger(v) @ v - np.eye(d)) <= 1e-9
-            assert np.linalg.norm(v @ out.refinement @ linalg.dagger(v) - out.posterior) <= 1e-8
+            assert np.linalg.norm(v @ refinement @ linalg.dagger(v) - posterior) <= 1e-8
 
 
 def test_factorization_rank_deficient_state_supported(rng):
     rho = linalg.random_state(3, rng, rank=2)
     inst = random_instrument(3, 3, 1, rng)
-    fac = update.factor_update(rho, inst)
-    assert fac.support_dim == 2
-    assert np.linalg.norm(fac.mixture_of_refinements() - rho) <= 1e-9
+    fac = update.factor_update(rho, inst.outcomes)
+    assert np.linalg.norm(refinement_mixture(fac) - rho) <= 1e-9
 
 
 def test_factorization_requires_efficient_instrument(rng):
     inst = random_instrument(2, 2, 3, rng)
     with pytest.raises(ValueError):
-        update.factor_update(np.eye(2) / 2.0, inst)
+        update.factor_update(np.eye(2) / 2.0, inst.outcomes)
+
+
+def test_factor_update_needs_one_kraus_stack_per_state(rng):
+    inst = random_instrument(2, 3, 1, rng)
+    with pytest.raises(DimensionMismatch):
+        update.factor_update(np.eye(2) / 2.0, inst.outcomes[:, 0])  # no Kraus-set axis
+    with pytest.raises(DimensionMismatch):
+        update.factor_update(np.stack([np.eye(2) / 2.0] * 2), inst.outcomes[None])
 
 
 def test_identify_measurement_round_trip(rng):
     rho = linalg.random_state(3, rng)
     inst = random_instrument(3, 4, 1, rng)
-    fac = update.factor_update(rho, inst)
-    refinement = [
-        (o.probability, o.refinement) for o in fac.outcomes if o.refinement is not None
-    ]
+    fac = update.factor_update(rho, inst.outcomes)
+    refinement = [(p, r) for p, r, _, _ in live_outcomes(fac)]
     recovered = update.identify_measurement(rho, refinement)
     for original, e in zip(inst.effects(), recovered.elements):
         assert np.linalg.norm(original - e) <= 1e-8
@@ -524,20 +542,20 @@ def test_steering_average_is_povm_independent(rng):
 
 
 def test_teleport_basis_state_all_outcomes():
+    t = update.teleport(np.array([1.0, 0.0]))
     for outcome in range(4):
-        t = update.teleport(np.array([1.0, 0.0]), outcome=outcome)
-        assert t.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert t.fidelities[outcome] == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(
-            t.final_state - linalg.projector(linalg.ket(0, 2))
+            t.final_states[outcome] - linalg.projector(linalg.ket(0, 2))
         ) <= 1e-9
 
 
 def test_teleport_random_states_full_oracle(rng):
     for _ in range(50):
         psi = linalg.random_ket(2, rng)
+        t = update.teleport(psi)
         for outcome in range(4):
-            t = update.teleport(psi, outcome=outcome)
-            assert abs(t.fidelity - 1.0) <= 1e-9
+            assert abs(t.fidelities[outcome] - 1.0) <= 1e-9
             assert np.abs(t.outcome_probs - 0.25).max() <= 1e-12
             assert np.abs(t.bob_marginal_before - np.eye(2) / 2.0).max() <= 1e-12
             assert np.abs(
@@ -548,23 +566,18 @@ def test_teleport_random_states_full_oracle(rng):
 def test_teleport_conditional_states_are_pauli_rotations(rng):
     psi = linalg.random_ket(2, rng)
     rotations = [np.eye(2), linalg.sigma_z, linalg.sigma_x, linalg.sigma_z @ linalg.sigma_x]
+    t = update.teleport(psi)
     for outcome, w in enumerate(rotations):
-        t = update.teleport(psi, outcome=outcome)
         expected = w @ psi  # conditional description before correction
-        overlap = abs(np.vdot(expected, t.conditional_ket))
+        overlap = abs(np.vdot(expected, t.conditional_kets[outcome]))
         assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_teleport_sampled_outcome_reproducible():
-    psi = linalg.random_ket(2, 21)
-    t1 = update.teleport(psi, seed=5)
-    t2 = update.teleport(psi, seed=5)
-    assert t1.outcome == t2.outcome
 
 
 def test_teleport_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         update.teleport(np.array([1.0, 1.0]))
+    with pytest.raises(DimensionMismatch):
+        update.teleport(np.eye(3)[0])
 
 
 # --------------------------------------------------------------------------
@@ -603,17 +616,18 @@ def _reference_factorization(state, inst):
 
 
 def _assert_matches_reference(state, inst, tol=1e-12):
-    fac = update.factor_update(state, inst)
+    fac = update.factor_update(state, inst.outcomes)
     reference = _reference_factorization(state, inst)
-    assert len(fac.outcomes) == len(reference)
-    for got, (p, refinement, v, posterior) in zip(fac.outcomes, reference):
-        assert got.probability == p
+    assert len(fac.probabilities) == len(reference)
+    for k, (p, refinement, v, posterior) in enumerate(reference):
+        assert fac.probabilities[k] == p
         if refinement is None:
-            assert got.refinement is None and got.readjustment is None and got.posterior is None
+            assert not fac.live[k]
+            assert not (fac.refinements[k].any() or fac.readjustments[k].any() or fac.posteriors[k].any())
             continue
-        assert np.abs(got.refinement - refinement).max() <= tol
-        assert np.abs(got.posterior - posterior).max() <= tol
-        assert np.abs(got.readjustment - v).max() <= tol
+        assert np.abs(fac.refinements[k] - refinement).max() <= tol
+        assert np.abs(fac.posteriors[k] - posterior).max() <= tol
+        assert np.abs(fac.readjustments[k] - v).max() <= tol
     return fac
 
 
@@ -638,14 +652,13 @@ def test_batched_factorization_edge_cases(d):
         _assert_matches_reference(np.eye(d) / d, inst)
     # Rank-deficient prior.
     inst = random_instrument(d, 3, 1, g)
-    fac = _assert_matches_reference(linalg.random_state(d, g, rank=1), inst)
-    assert fac.support_dim == 1
+    _assert_matches_reference(linalg.random_state(d, g, rank=1), inst)
     _assert_matches_reference(linalg.random_state(d, g, rank=d - 1), inst)
     # An outcome below the probability floor has no refinement.
     projective = update.efficient_from_povm(basis_projectors(d))
     fac = _assert_matches_reference(linalg.projector(linalg.ket(0, d)), projective)
-    assert [o.refinement is None for o in fac.outcomes] == [False] + [True] * (d - 1)
-    assert [o.probability for o in fac.outcomes[1:]] == [0.0] * (d - 1)
+    assert (~fac.live).tolist() == [False] + [True] * (d - 1)
+    assert fac.probabilities[1:].tolist() == [0.0] * (d - 1)
 
 
 def _per_cluster_polar(vals, xs, ws):
