@@ -24,12 +24,17 @@ mixture = np.tensordot(fac.probabilities, fac.refinements, axes=1)
 print("prior:\n", rho)
 print("\nprior == sum_d P(d) * refinement_d:", np.linalg.norm(mixture - rho) < 1e-10)
 
-for d, (p, refinement, posterior) in enumerate(zip(fac.probabilities, fac.refinements, fac.posteriors)):
+# The readjustment V_d is the polar factor of A_d rho^{1/2}:
+# A_d rho^{1/2} / sqrt(P(d)) = V_d refinement_d^{1/2}.
+outcomes = zip(inst.outcomes[:, 0], fac.probabilities, fac.refinements, fac.readjustments, fac.posteriors)
+for d, (a, p, refinement, v, posterior) in enumerate(outcomes):
     print(f"\noutcome {d}: P = {p:.4f}")
     print("  refinement (the Bayes step):\n", refinement)
     print("  posterior  (after readjustment):\n", posterior)
     print("  spectra match:",
           np.allclose(np.linalg.eigvalsh(refinement), np.linalg.eigvalsh(posterior)))
+    residual = np.abs(v @ linalg.mat_sqrt(refinement) - a @ linalg.mat_sqrt(rho) / np.sqrt(p)).max()
+    print(f"  polar identity residual |V ref^1/2 - A rho^1/2 / sqrt(P)|: {residual:.1e}")
 
 # Two limiting cases.  A pure state cannot be refined: measurement is
 # pure disturbance.

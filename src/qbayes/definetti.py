@@ -20,6 +20,7 @@ from .effects import Povm, _effect_stack, born, real_design_matrix
 from .errors import (
     DimensionBudgetExceeded,
     DimensionMismatch,
+    InvalidArgument,
     NnlsNotConverged,
     ZeroLikelihoodEverywhere,
 )
@@ -130,7 +131,7 @@ def _tensor_powers(states: np.ndarray, n: int) -> np.ndarray:
 def definetti_mix(prior: PriorOverStates, n: int) -> ExchangeableState:
     """Mixture of n-fold tensor powers weighted by the prior."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InvalidArgument("need n >= 1")
     powers = _tensor_powers(prior.states, n)
     return ExchangeableState(n, prior.dim, np.tensordot(prior.weights, powers, axes=1))
 
@@ -306,7 +307,7 @@ def merging_experiment(
     single = np.ndim(true_state) == 2
     true_states = assert_density_operator(_effect_stack([true_state] if single else true_state))
     if prior_a.weights.min() <= 0.0 or prior_b.weights.min() <= 0.0:
-        raise ValueError("both priors must be strictly positive on their grids")
+        raise InvalidArgument("both priors must be strictly positive on their grids")
     p_true = born(true_states[:, None], povm)[:, 0]  # one row product per run, as for one state
     outcomes = [
         linalg.rng_from(seed).choice(len(povm), size=n_outcomes, p=p / p.sum())
@@ -460,7 +461,7 @@ def real_counterexample(n: int, real_grid_size: int = 600) -> RealCounterexample
     real mixture vanishes identically.
     """
     if n not in (2, 3):
-        raise ValueError("the counterexample is certified for n in {2, 3}")
+        raise InvalidArgument("the counterexample is certified for n in {2, 3}")
     ex = real_y_mixture(n)
     report_t = check_exchangeable(ex)
     # Witness: sigma_y on the first two factors, identity on the rest.

@@ -20,6 +20,7 @@ from . import linalg
 from .errors import (
     DegenerateSpan,
     DimensionMismatch,
+    InvalidArgument,
     NotAStateWarning,
     NotHermitian,
     NotPsd,
@@ -146,7 +147,7 @@ def build_ic_projectors(dim: int) -> list[np.ndarray]:
     Pairs are enumerated in lexicographic order.
     """
     if dim < 2:
-        raise ValueError("need dim >= 2")
+        raise InvalidArgument("need dim >= 2")
     kets = np.eye(dim, dtype=complex)
     pairs = [(j, k) for j in range(dim) for k in range(j + 1, dim)]
     return [linalg.projector(v) for v in kets] + [
@@ -250,7 +251,7 @@ def certainty_bound(dim: int, check: bool = True) -> float:
     chain it comes from is the authoritative derivation.
     """
     if dim < 2:
-        raise ValueError("need dim >= 2")
+        raise InvalidArgument("need dim >= 2")
     closed = 1.0 / (dim - 0.5 * (1.0 + 1.0 / np.tan(3.0 * np.pi / (4.0 * dim))))
     if not check:
         return closed

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .errors import InvalidArgument
 from .states import assert_distribution, density_spectrum
 from .update import KrausInstrument, unnormalized_posteriors
 
@@ -157,7 +158,7 @@ def mean_entropy_mc(rho: np.ndarray, samples: int, seed=None) -> tuple:
     SE (0 to 1e-19) misses its rounding error of about 1e-16.
     """
     if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+        raise InvalidArgument(f"need at least 2 samples, got {samples}")
     vals, g = _spectra(rho), linalg.rng_from(seed)
     fits = [_control_variate_fit(lam, samples, g) for lam in vals.reshape(-1, vals.shape[-1])]
     mean, se = np.array(fits).T.reshape((2,) + vals.shape[:-1])
@@ -252,7 +253,7 @@ def check_refinement_inequalities(trials: int = 1, dim: int = 2, seed=None) -> R
     streams, but no square root, unitary or Kraus operator is built.
     """
     if trials < 1:
-        raise ValueError(f"need at least 1 trial, got {trials}")
+        raise InvalidArgument(f"need at least 1 trial, got {trials}")
     g = linalg.rng_from(seed)
     k, h, d = g.integers(2, 6, size=(3, trials, 1, 1))
     rho = linalg.state_from_normals(g.normal(size=(trials, 2, dim, dim)))

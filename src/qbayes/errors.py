@@ -5,6 +5,10 @@ class QbayesError(Exception):
     """Base class for all library-specific failures."""
 
 
+class InvalidArgument(QbayesError, ValueError):
+    """An argument outside the domain a function is defined on."""
+
+
 class DimensionMismatch(QbayesError):
     """Operands live on incompatible Hilbert spaces."""
 

@@ -20,7 +20,7 @@ from . import linalg
 from .effects import (
     Povm, _born_matrix, build_ic_projectors, real_design_matrix, standard_sqm, validate_povm
 )
-from .errors import DegenerateSpan, DimensionMismatch
+from .errors import DegenerateSpan, DimensionMismatch, InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class PovmTree:
 
     def __post_init__(self):
         if self.direction not in ("AtoB", "BtoA"):
-            raise ValueError("direction must be 'AtoB' or 'BtoA'")
+            raise InvalidArgument("direction must be 'AtoB' or 'BtoA'")
         if len(self.branches) != len(self.first):
             raise DimensionMismatch("need one branch POVM per first outcome")
         if len({b.dim for b in self.branches}) > 1:
@@ -319,7 +319,7 @@ def real_dimension_count(dim_a: int, dim_b: int) -> tuple[int, int]:
     family.
     """
     if dim_a < 2 or dim_b < 2:
-        raise ValueError("need dims >= 2")
+        raise InvalidArgument("need dims >= 2")
     analysis = real_span_analysis(dim_a, dim_b)
     m = analysis.product_span_dim
     if analysis.numeric_rank != m:

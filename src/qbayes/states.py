@@ -15,6 +15,7 @@ from . import linalg
 from .effects import MinimalIcPovm, born, standard_sqm
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     NotAState,
     ZeroProbabilityData,
 )
@@ -151,7 +152,7 @@ def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership
     """Decide whether a probability vector is achievable by some state."""
     probs = np.asarray(v, dtype=float)
     if _off_simplex(probs):
-        raise ValueError("input must be a probability vector")
+        raise InvalidArgument("input must be a probability vector")
     raw = np.tensordot(probs, _sqm_for(probs, sqm).dual, axes=1)
     vals, vecs = np.linalg.eigh(raw)
     try:
@@ -166,15 +167,15 @@ def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership
 
 
 def assert_distribution(p: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """``p`` with entries in [-PROB_NEG_TOL, 0) set to 0; ValueError unless it is
+    """``p`` with entries in [-PROB_NEG_TOL, 0) set to 0; InvalidArgument unless it is
     a distribution, or with ``stacked`` each ``p[i]`` is one."""
     p = np.asarray(p, dtype=float)
     if p.min() < -linalg.PROB_NEG_TOL:
-        raise ValueError(f"negative probability {p.min():.3e}")
+        raise InvalidArgument(f"negative probability {p.min():.3e}")
     total = p.reshape(len(p), -1).sum(axis=1) if stacked else p.sum()
     miss = np.abs(total - 1.0)
     if miss.max() > linalg.DISTRIBUTION_SUM_TOL:
-        raise ValueError(f"probabilities sum to {np.ravel(total)[miss.argmax()]:.15f}")
+        raise InvalidArgument(f"probabilities sum to {np.ravel(total)[miss.argmax()]:.15f}")
     return np.clip(p, 0.0, None)
 
 
@@ -188,7 +189,7 @@ def bayes_condition(joint: np.ndarray, observed: int) -> np.ndarray:
     """
     joint = assert_distribution(joint)
     if joint.ndim != 2:
-        raise ValueError("joint must be a 2-D table over (hypothesis, datum)")
+        raise InvalidArgument("joint must be a 2-D table over (hypothesis, datum)")
     # A Python bool is an int; a numpy bool is no np.integer.
     index = type(observed) is not bool and isinstance(observed, (int, np.integer))
     if not (index and 0 <= observed < joint.shape[1]):

@@ -19,6 +19,7 @@ from .effects import Povm, _born_matrix, _effect_stack, validate_povm
 from .errors import (
     DimensionMismatch,
     InconsistentRefinement,
+    InvalidArgument,
     NotCp,
     NotHermitian,
     NotNormalized,
@@ -174,33 +175,16 @@ def _first(result):
     return type(result)(*(getattr(result, f.name)[0] for f in fields(result)))
 
 
-def _matching_unitary(vals: np.ndarray, sigma_vecs: np.ndarray, tau_vecs: np.ndarray) -> np.ndarray:
-    """Deterministic unitary V with V sigma V^dag = tau for isospectral inputs.
-
-    Takes the common spectrum, descending, and both eigenvector matrices
-    (or stacks of them).  Eigenvectors are paired by descending eigenvalue;
-    inside clusters of eigenvalues closer than ``linalg.RANK_TOL`` times the
-    largest (at least 1/D, as the inputs have unit trace), the pairing is
-    fixed by the polar unitary of the cross-overlap block, which makes V
-    independent of the arbitrary basis LAPACK picks within each eigenspace.
-    For all 1 x 1 blocks z at once that unitary is the phase of z, as the
-    SVD gives it; larger clusters take one stacked SVD per cluster size.
-    """
-    d = vals.shape[-1]
-    vals, xs, ws = vals.reshape(-1, d), sigma_vecs.reshape(-1, d, d), tau_vecs.reshape(-1, d, d)
-    new = np.ones(vals.shape, dtype=bool)
-    new[:, 1:] = np.abs(np.diff(vals)) > linalg.RANK_TOL * vals[:, :1]
-    single = new & np.c_[new[:, 1:], np.ones(len(vals), dtype=bool)]
-    phases = np.exp(1j * np.angle((ws.conj() * xs).sum(axis=-2))) * single
-    rows, starts = np.nonzero(new)
-    sizes = np.diff(np.r_[rows * d + starts, vals.size])
-    v = (ws * phases[:, None, :]) @ linalg.dagger(xs)
-    for size in np.unique(sizes[sizes > 1]):
-        pick = sizes == size
-        m, cols = rows[pick, None], starts[pick, None] + np.arange(size)
-        x, w = xs[m, :, cols].swapaxes(-1, -2), ws[m, :, cols].swapaxes(-1, -2)
-        np.add.at(v, m[:, 0], w @ linalg.polar_unitary(linalg.dagger(w) @ x) @ linalg.dagger(x))
-    return v.reshape(sigma_vecs.shape)
+def _refine(states: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`refinements` led by the (N, 1, D, D) square roots rho^{1/2}."""
+    states, kraus = linalg.as_operators(states), linalg.as_operators(kraus)
+    if kraus.shape[-1] != states.shape[-1]:
+        raise DimensionMismatch("state and instrument dims differ")
+    roots = linalg.mat_sqrt(states)[:, None]
+    effects = (linalg.dagger(kraus) @ kraus).sum(axis=-3)
+    probs = np.trace(states[:, None] @ effects, axis1=-2, axis2=-1).real
+    live = probs > PROB_FLOOR
+    return roots, probs, live, (roots @ effects @ roots)[live] / probs[live][:, None, None]
 
 
 def refinements(states: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -209,14 +193,7 @@ def refinements(states: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, ...]
     the mask of those above ``PROB_FLOOR`` and, for the outcomes in the mask,
     in its row-major order, the refinements rho^{1/2} E_d rho^{1/2} / P(d),
     from one eigendecomposition for all square roots."""
-    states, kraus = linalg.as_operators(states), linalg.as_operators(kraus)
-    if kraus.shape[-1] != states.shape[-1]:
-        raise DimensionMismatch("state and instrument dims differ")
-    roots = linalg.mat_sqrt(states)[:, None]
-    effects = (linalg.dagger(kraus) @ kraus).sum(axis=-3)
-    probs = np.trace(states[:, None] @ effects, axis1=-2, axis2=-1).real
-    live = probs > PROB_FLOOR
-    return probs, live, (roots @ effects @ roots)[live] / probs[live][:, None, None]
+    return _refine(states, kraus)[1:]
 
 
 def factor_update(states: np.ndarray, kraus: np.ndarray) -> Factorization:
@@ -226,12 +203,13 @@ def factor_update(states: np.ndarray, kraus: np.ndarray) -> Factorization:
     the layout of ``KrausInstrument.outcomes``, or N states (N, D, D) with N
     instruments (N, K, 1, D, D).  For each outcome d with probability P(d)
     the refinement is ``rho^{1/2} E_d rho^{1/2} / P(d)`` and the readjustment
-    is a unitary V_d carrying the refinement to the actual posterior, from one
-    eigendecomposition for all refinements and posteriors.  Rank-deficient
-    states need no inverse: ``mat_sqrt`` zeroes the rank noise of rho^{1/2},
-    so refinement and posterior both lie on the support of rho, and every
-    identity above holds there.  More than one Kraus operator per outcome
-    raises ValueError.
+    is the unitary V_d carrying it to the actual posterior: the polar factor
+    of ``A_d rho^{1/2} = V_d (rho^{1/2} E_d rho^{1/2})^{1/2}``, unique on the
+    support of the refinement and completed by the SVD off it, from one
+    batched SVD for all outcomes.  Rank-deficient states need no inverse:
+    ``mat_sqrt`` zeroes the rank noise of rho^{1/2}, so refinement and
+    posterior both lie on the support of rho, and every identity above holds
+    there.  More than one Kraus operator per outcome raises InvalidArgument.
     """
     states, kraus = linalg.as_operators(states), linalg.as_operators(kraus)
     single = states.ndim == 2
@@ -240,12 +218,12 @@ def factor_update(states: np.ndarray, kraus: np.ndarray) -> Factorization:
     if states.ndim != 3 or kraus.ndim != 5 or len(kraus) != len(states):
         raise DimensionMismatch(f"need one (K, r, D, D) Kraus stack per state, got {kraus.shape}")
     if kraus.shape[2] != 1:
-        raise ValueError("factorization is defined for efficient (single-Kraus) instruments")
-    probs, live, refined = refinements(states, kraus)
+        raise InvalidArgument("factorization is defined for efficient (single-Kraus) instruments")
+    roots, probs, live, refined = _refine(states, kraus)
     kraus = kraus[:, :, 0]
     posteriors = (kraus @ states[:, None] @ linalg.dagger(kraus))[live] / probs[live][:, None, None]
-    eig = linalg.eig_hermitian(np.stack([refined, posteriors]))  # (2, live, D, D)
-    v = _matching_unitary(eig.eigenvalues[0], *eig.eigenvectors)
+    # Dividing A_d rho^{1/2} by sqrt(P(d)) would leave its polar factor as is.
+    v = linalg.polar_unitary((kraus @ roots)[live])
     out = np.zeros((3,) + kraus.shape, dtype=complex)
     out[:, live] = refined, v, posteriors
     fac = Factorization(probs, live, *out)
@@ -333,7 +311,7 @@ def dilation_from_instrument(
     ancilla is measured in its computational basis.
     """
     if not inst.efficient:
-        raise ValueError("canonical dilation implemented for efficient instruments only")
+        raise InvalidArgument("canonical dilation implemented for efficient instruments only")
     d_sys, n_out = inst.dim, len(inst)
     d_tot = d_sys * n_out
     # Isometry columns: |s>|0>  ->  sum_d (A_d |s>) |d>, ancilla index fastest.

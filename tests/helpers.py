@@ -100,3 +100,48 @@ def log1p_subentropy(vals):
     one_minus_prod = -np.expm1(-np.log1p(vals[..., None] / t).sum(axis=-2))
     integrand = vals.sum(axis=-1)[..., None] / (1.0 + t) - one_minus_prod
     return -entropy._S_STEP * (t * integrand).sum(axis=-1) / entropy.LN2
+
+
+def reference_factorization(state, kraus):
+    """Per-outcome definition of ``update.factor_update`` for one state and its
+    (K, 1, D, D) Kraus stack: for each outcome (P, rho^{1/2} E rho^{1/2} / P,
+    the polar unitary of A rho^{1/2}, A rho A^dag / P), the three operators
+    None at or below ``PROB_FLOOR``."""
+    root = linalg.mat_sqrt(state)
+    out = []
+    for (a,) in kraus:
+        e = linalg.dagger(a) @ a
+        p = float(np.trace(state @ e).real)
+        if p <= linalg.PROB_FLOOR:
+            out.append((p, None, None, None))
+        else:
+            out.append((p, root @ e @ root / p, linalg.polar_unitary(a @ root), a @ state @ linalg.dagger(a) / p))
+    return out
+
+
+def assert_matches_reference(fac, state, kraus):
+    """A one-state ``Factorization`` against :func:`reference_factorization`:
+    probabilities bitwise, dead outcomes exactly 0, refinements and posteriors
+    within 1e-12, and the readjustment V within 1e-12 of the reference polar
+    factor where B = A rho^{1/2} / sqrt(P) has full rank.  Where B is
+    rank deficient its polar factor is not unique, so there V is held only to
+    the basis-free identities, within 1e-13: V unitary, V ref V^dag = post and
+    V ref^{1/2} = B."""
+    root = linalg.mat_sqrt(state)
+    reference = reference_factorization(state, kraus)
+    assert len(fac.probabilities) == len(reference)
+    for k, (p, refinement, v, posterior) in enumerate(reference):
+        assert fac.probabilities[k] == p
+        got_ref, got_v, got_post = fac.refinements[k], fac.readjustments[k], fac.posteriors[k]
+        if refinement is None:
+            assert not fac.live[k]
+            assert not (got_ref.any() or got_v.any() or got_post.any())
+            continue
+        assert np.abs(got_ref - refinement).max() <= 1e-12
+        assert np.abs(got_post - posterior).max() <= 1e-12
+        b = kraus[k, 0] @ root / np.sqrt(p)
+        if np.linalg.matrix_rank(b) == len(b):
+            assert np.abs(got_v - v).max() <= 1e-12
+        assert np.abs(got_v @ linalg.dagger(got_v) - np.eye(len(b))).max() <= 1e-13
+        assert np.abs(got_v @ got_ref @ linalg.dagger(got_v) - got_post).max() <= 1e-13
+        assert np.abs(got_v @ linalg.mat_sqrt(got_ref) - b).max() <= 1e-13

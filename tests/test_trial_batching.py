@@ -14,7 +14,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import random_basis_probabilities, random_effect, random_instrument, shannon
+from helpers import (
+    assert_matches_reference,
+    random_basis_probabilities,
+    random_effect,
+    random_instrument,
+    reference_factorization,
+    shannon,
+)
 from qbayes import cli, definetti, effects, entropy, linalg, locality, update
 from qbayes.errors import DimensionMismatch, NotAState, NotNormalized, NotTracePreserving
 
@@ -145,30 +152,6 @@ def assert_row_of_stack(single, stacked, n):
         assert one.shape == row.shape and one.tobytes() == row.tobytes(), f.name
 
 
-def per_cluster_polar_factorization(state, kraus):
-    """Per-state reference: one polar unitary per eigenvalue cluster."""
-    root = linalg.mat_sqrt(state)
-    out = []
-    for (a,) in kraus:
-        e = linalg.dagger(a) @ a
-        p = float(np.trace(state @ e).real)
-        if p <= linalg.PROB_FLOOR:
-            out.append(None)
-            continue
-        ref = root @ e @ root / p
-        post = a @ state @ linalg.dagger(a) / p
-        es, et = linalg.eig_hermitian(ref), linalg.eig_hermitian(post)
-        vals = es.eigenvalues
-        gaps = np.abs(np.diff(vals)) > linalg.RANK_TOL * vals[0]
-        starts = np.flatnonzero(np.r_[True, gaps])
-        v = np.zeros_like(ref)
-        for i, j in zip(starts, np.r_[starts[1:], len(vals)]):
-            x, w = es.eigenvectors[:, i:j], et.eigenvectors[:, i:j]
-            v += w @ linalg.polar_unitary(linalg.dagger(w) @ x) @ linalg.dagger(x)
-        out.append((p, ref, v, post))
-    return out
-
-
 def factorization_inputs(d, g):
     """States and Kraus stacks (3 outcomes each): full rank, rank deficient,
     pure, and a basis state under a projective instrument (a dead outcome)."""
@@ -191,19 +174,11 @@ def test_stacked_factorization_matches_per_state(d):
     for seed in range(10):
         states, kraus = factorization_inputs(d, np.random.default_rng(100 * d + seed))
         fac = update.factor_update(states, kraus)
-        probs, live, refs, vs, posts = (getattr(fac, f.name) for f in fields(fac))
-        assert not live[-1, 1:].any() and live[:-1].all()
+        assert not fac.live[-1, 1:].any() and fac.live[:-1].all()
         for n, (state, ops) in enumerate(zip(states, kraus)):
             single = update.factor_update(state, ops)
             assert_row_of_stack(single, fac, n)
-            reference = per_cluster_polar_factorization(state, ops)
-            for k, ref in enumerate(reference):
-                if ref is None:
-                    assert not live[n, k]
-                    assert not refs[n, k].any() and not vs[n, k].any() and not posts[n, k].any()
-                    continue
-                for got, expected in zip((refs[n, k], vs[n, k], posts[n, k]), ref[1:]):
-                    assert np.abs(got - expected).max() <= 1e-12
+            assert_matches_reference(single, state, ops)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -214,18 +189,6 @@ def test_refinements_are_bitwise_the_factorization_refinements(d):
         full = update.factor_update(states, kraus)
         assert np.array_equal(probs, full.probabilities) and np.array_equal(live, full.live)
         assert np.array_equal(refs, full.refinements[live])
-
-
-def test_matching_unitary_mixes_cluster_sizes_in_one_stack():
-    g = np.random.default_rng(8)
-    spectra = [[0.4, 0.3, 0.2, 0.1], [0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.25] * 4]
-    xs = np.stack([linalg.random_unitary(4, g) for _ in spectra])
-    ws = np.stack([linalg.random_unitary(4, g) for _ in spectra])
-    vals = np.array(spectra)
-    stacked = update._matching_unitary(vals, xs, ws)
-    for v, args in zip(stacked, zip(vals, xs, ws)):
-        assert np.abs(v - update._matching_unitary(*args)).max() <= 1e-15
-        assert np.abs(v @ linalg.dagger(v) - np.eye(4)).max() <= 1e-14
 
 
 # --------------------------------------------------------------------------
@@ -279,8 +242,7 @@ def per_trial_update_factor(dim, trials, seed):
     for t in range(trials):
         rho = linalg.state_from_normals(x_state[t])
         kraus = update.kraus_from_normals(x_inst[t, :, : k[t]])
-        fac = per_cluster_polar_factorization(rho, kraus)
-        live = [f for f in fac if f is not None]
+        live = [f for f in reference_factorization(rho, kraus) if f[1] is not None]
         mix_dev = max(mix_dev, np.linalg.norm(sum(p * r for p, r, _, _ in live) - rho))
         for _, ref, v, post in live:
             spec = np.abs(np.linalg.eigvalsh(ref) - np.linalg.eigvalsh(post)).max()
@@ -288,8 +250,8 @@ def per_trial_update_factor(dim, trials, seed):
             readj_dev = max(readj_dev, np.linalg.norm(v @ ref @ linalg.dagger(v) - post))
         psi = linalg.ket_from_normals(x_ket[t])
         pure = np.outer(psi, psi.conj())
-        for f in per_cluster_polar_factorization(pure, kraus):
-            if f is not None:
+        for f in reference_factorization(pure, kraus):
+            if f[1] is not None:
                 pure_dev = max(pure_dev, np.linalg.norm(f[1] - pure))
     return [mix_dev, spec_dev, readj_dev, pure_dev]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import maximally_entangled_ket, random_instrument
+from helpers import assert_matches_reference, maximally_entangled_ket, random_instrument
 from qbayes import effects, linalg, update
 from qbayes.errors import (
     DimensionMismatch,
@@ -584,116 +584,37 @@ def test_teleport_rejects_unnormalized():
 # Batched factorization against the per-outcome algorithm.
 
 
-def _descending_eigh(m):
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
-def _reference_factorization(state, inst):
-    """The per-outcome factorization: one eigendecomposition per matrix."""
-    root = linalg.mat_sqrt(state)
-    out = []
-    for (a,) in inst.outcomes:
-        e = a.conj().T @ a
-        p = float(np.trace(state @ e).real)
-        if p <= update.PROB_FLOOR:
-            out.append((max(p, 0.0), None, None, None))
-            continue
-        refinement = root @ e @ root / p
-        posterior = a @ state @ a.conj().T / p
-        (vals, xs), (_, ws) = _descending_eigh(refinement), _descending_eigh(posterior)
-        scale = max(abs(vals[0]), 1e-30)
-        v = np.zeros_like(refinement)
-        start = 0
-        for i in range(1, len(vals) + 1):
-            if i == len(vals) or abs(vals[i] - vals[i - 1]) > 1e-10 * scale:
-                x, w = xs[:, start:i], ws[:, start:i]
-                v += w @ linalg.polar_unitary(w.conj().T @ x) @ x.conj().T
-                start = i
-        out.append((p, refinement, v, posterior))
-    return out
-
-
-def _assert_matches_reference(state, inst, tol=1e-12):
-    fac = update.factor_update(state, inst.outcomes)
-    reference = _reference_factorization(state, inst)
-    assert len(fac.probabilities) == len(reference)
-    for k, (p, refinement, v, posterior) in enumerate(reference):
-        assert fac.probabilities[k] == p
-        if refinement is None:
-            assert not fac.live[k]
-            assert not (fac.refinements[k].any() or fac.readjustments[k].any() or fac.posteriors[k].any())
-            continue
-        assert np.abs(fac.refinements[k] - refinement).max() <= tol
-        assert np.abs(fac.posteriors[k] - posterior).max() <= tol
-        assert np.abs(fac.readjustments[k] - v).max() <= tol
-    return fac
-
-
 def test_batched_factorization_matches_per_outcome_reference():
     g = np.random.default_rng(4242)
     for _ in range(200):
         d = int(g.integers(2, 5))
         state = linalg.random_state(d, g)
         inst = random_instrument(d, int(g.integers(2, 6)), 1, g)
-        _assert_matches_reference(state, inst)
+        assert_matches_reference(update.factor_update(state, inst.outcomes), state, inst.outcomes)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", range(2, 9))
 def test_batched_factorization_edge_cases(d):
     g = np.random.default_rng(d)
-    # Maximally mixed prior with a rank-two projector: degenerate clusters
-    # in both the prior and the refinements.
-    split = [np.diag([1.0, 1.0] + [0.0] * (d - 2)), np.diag([0.0, 0.0] + [1.0] * (d - 2))]
+
+    def check(state, inst):
+        fac = update.factor_update(state, inst.outcomes)
+        assert_matches_reference(fac, state, inst.outcomes)
+        return fac
+
+    # Maximally mixed prior under rank-two projectors (the last of rank one at
+    # odd D): degenerate refinements, and a rank-deficient B.
+    pairs = np.arange(d) // 2
+    split = [np.diag((pairs == j).astype(float)) for j in range(pairs[-1] + 1)]
     povm = effects.validate_povm(split if d > 2 else [np.eye(2) / 2.0] * 2)
     unitaries = [linalg.random_unitary(d, g) for _ in povm]
     for inst in (update.efficient_from_povm(povm), update.efficient_from_povm(povm, unitaries)):
-        _assert_matches_reference(np.eye(d) / d, inst)
-    # Rank-deficient prior.
+        check(np.eye(d) / d, inst)
+    # Full-rank, rank D - 1 and rank-one priors.
     inst = random_instrument(d, 3, 1, g)
-    _assert_matches_reference(linalg.random_state(d, g, rank=1), inst)
-    _assert_matches_reference(linalg.random_state(d, g, rank=d - 1), inst)
+    for rank in (d, d - 1, 1):
+        check(linalg.random_state(d, g, rank=rank), inst)
     # An outcome below the probability floor has no refinement.
-    projective = update.efficient_from_povm(basis_projectors(d))
-    fac = _assert_matches_reference(linalg.projector(linalg.ket(0, d)), projective)
+    fac = check(linalg.projector(linalg.ket(0, d)), update.efficient_from_povm(basis_projectors(d)))
     assert (~fac.live).tolist() == [False] + [True] * (d - 1)
     assert fac.probabilities[1:].tolist() == [0.0] * (d - 1)
-
-
-def _per_cluster_polar(vals, xs, ws):
-    """One polar_unitary per eigenvalue cluster, singletons included."""
-    v = np.zeros_like(xs)
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or abs(vals[i] - vals[i - 1]) > linalg.RANK_TOL * vals[0]:
-            x, w = xs[:, start:i], ws[:, start:i]
-            v += w @ linalg.polar_unitary(w.conj().T @ x) @ x.conj().T
-            start = i
-    return v
-
-
-@pytest.mark.parametrize(
-    "vals",
-    [
-        [0.6, 0.4],
-        [0.5, 0.3, 0.2],
-        [0.5, 0.5, 0.0, 0.0],
-        [0.4, 0.2, 0.2, 0.2],
-        [0.25, 0.25, 0.25, 0.25],
-        [0.7, 0.3, 0.0, 0.0, 0.0],
-        [0.3, 0.2, 0.2, 0.15, 0.1, 0.05],
-    ],
-)
-def test_matching_unitary_singleton_phases_match_polar(vals):
-    vals = np.array(vals)
-    d = len(vals)
-    g = np.random.default_rng(d)
-    perm = np.eye(d)[:, ::-1].astype(complex)
-    pairs = [(linalg.random_unitary(d, g), linalg.random_unitary(d, g)) for _ in range(20)]
-    # Exact zero overlaps, with both signs of zero, in every 1 x 1 block.
-    pairs += [(np.eye(d, dtype=complex), perm), (np.eye(d, dtype=complex), -perm)]
-    for xs, ws in pairs:
-        v = update._matching_unitary(vals, xs, ws)
-        assert np.abs(v - _per_cluster_polar(vals, xs, ws)).max() <= 1e-15
-        assert np.abs(v @ v.conj().T - np.eye(d)).max() <= 1e-14
