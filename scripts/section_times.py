@@ -1,9 +1,10 @@
 """Time each `qbayes` CLI section in process and print the medians as JSON.
 
 Every (pass, dimension, seed, section) is one call of the section's function
-with its trial count under ``all`` and its own generator, as ``cli.run``
-makes it, timed with ``time.perf_counter``.  One untimed pass over every
-dimension and section comes first, so the standard measurements are built
+with its trial count under ``all`` and its own generator, both taken from
+``cli._section`` as ``cli.run`` takes them, and timed with
+``time.perf_counter``.  One untimed pass over every dimension and section
+comes first, so the standard measurements are built
 and every module is imported before timing.  The script prints one JSON
 object: per section and dimension the median wall time in milliseconds over
 all seeds and passes, and the sum of those medians.
@@ -17,8 +18,6 @@ import statistics
 import sys
 import time
 
-import numpy as np
-
 from qbayes import cli
 
 
@@ -27,8 +26,8 @@ def time_sections(dims, seeds, passes) -> dict:
     for timed in [False] + [True] * passes:
         for dim in dims:
             for seed in seeds if timed else seeds[:1]:
-                for name, (fn, trials, _, key) in cli._COMMANDS.items():
-                    g = None if key is None else np.random.default_rng([seed, key])
+                for name in cli._COMMANDS:
+                    fn, trials, g = cli._section(name, seed, "all")
                     t0 = time.perf_counter()
                     fn(dim, trials, g)
                     if timed:

@@ -294,6 +294,14 @@ _NOTES = {
 }
 
 
+def _section(name, seed, command):
+    """Section ``name``'s function, its trial count when ``command`` runs it and
+    its generator ``default_rng([seed, key])``, None for a section without key."""
+    fn, in_all, alone, key = _COMMANDS[name]
+    g = None if key is None else np.random.default_rng([seed, key])
+    return fn, (in_all if command == "all" else alone), g
+
+
 # At D = 16 entropy-sweep alone peaks at 90 MiB (66 MiB in `all`; an SQM build
 # alone, 38 MiB), holding its 300-trial refinement sweep's normals and posterior
 # operators; larger D is refused.
@@ -351,10 +359,8 @@ def _run_parsed(parser, args):
     names = list(_COMMANDS) if args.command == "all" else [args.command]
     rows = []
     for name in names:
-        fn, in_all, alone, key = _COMMANDS[name]
-        trials = args.trials or (in_all if args.command == "all" else alone)
-        g = None if key is None else np.random.default_rng([args.seed, key])
-        rows += fn(args.dim, trials, g)
+        fn, trials, g = _section(name, args.seed, args.command)
+        rows += fn(args.dim, args.trials or trials, g)
     unknown = sorted(set(overrides) - {row[0] for row in rows})
     if unknown:
         parser.error(f"--tol names no check of {args.command}: {', '.join(unknown)}")

@@ -114,18 +114,10 @@ def _check_budget(nbytes: int, what: str) -> None:
 
 
 def _tensor_powers(states: np.ndarray, n: int) -> np.ndarray:
-    """Stack (K, d^n, d^n) of the n-fold Kronecker powers of a (K, d, d) stack.
-
-    Entry-for-entry the same products as ``linalg.tensor_all([s] * n)``.
-    """
-    states = np.asarray(states, dtype=complex)
-    k, d = states.shape[0], states.shape[1]
+    """Stack (K, d^n, d^n) of the n-fold tensor powers of a (K, d, d) stack."""
+    k, d = len(states), states.shape[-1]
     _check_budget(k * 16 * d ** (2 * n), f"{k} complex {d}^{n}-dimensional powers")
-    out = states
-    for _ in range(n - 1):
-        m = out.shape[1] * d
-        out = (out[:, :, None, :, None] * states[:, None, :, None, :]).reshape(k, m, m)
-    return out
+    return linalg.tensor(*[states] * n)
 
 
 def definetti_mix(prior: PriorOverStates, n: int) -> ExchangeableState:
@@ -466,7 +458,7 @@ def real_counterexample(n: int, real_grid_size: int = 600) -> RealCounterexample
     report_t = check_exchangeable(ex)
     # Witness: sigma_y on the first two factors, identity on the rest.
     factors = [linalg.sigma_y, linalg.sigma_y] + [np.eye(2, dtype=complex)] * (n - 2)
-    witness = linalg.tensor_all(factors)
+    witness = linalg.tensor(*factors)
     witness_value = linalg.hs_inner(witness, ex.op).real
     witness_bound = abs(witness_value) / float(np.linalg.norm(witness))
     # The real grid, then the two y-axis states that make the fit exact.

@@ -236,7 +236,9 @@ def standard_sqm(dim: int) -> MinimalIcPovm:
 
     Built once per dimension over the computational basis and cached; all
     probability-vector representations of states refer to this measurement
-    unless another one is passed explicitly.
+    unless another one is passed explicitly.  The cache is unbounded
+    (``lru_cache(maxsize=None)``): it keeps every dimension it builds for the
+    life of the process.
     """
     return gram_renormalize(build_ic_projectors(dim))
 

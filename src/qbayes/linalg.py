@@ -5,10 +5,11 @@ as immutable after construction.  Dimensions are expected to stay small
 (products of a few qubits or qutrits), so everything uses dense LAPACK
 routines without apology.
 
-Eigenvalues are reported in descending order throughout the package.
+:func:`eig_hermitian` reports eigenvalues in descending order; every other
+spectrum of the package (``np.linalg.eigvalsh``, ``states.density_spectrum``)
+keeps numpy's ascending order.
 """
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -106,20 +107,10 @@ def is_hermitian(m: np.ndarray) -> bool | np.ndarray:
     return bool(ok) if m.ndim == 2 else ok
 
 
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Hermitian eigendecomposition with eigenvalues sorted descending.
-
-    ``eigenvectors[..., :, k]`` is the unit eigenvector paired with
-    ``eigenvalues[..., k]``; each matrix of eigenvectors is unitary.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(m: np.ndarray) -> EigDecomposition:
-    """Eigendecompose a Hermitian matrix or (..., D, D) stack, descending.
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's (eigenvalues, eigenvectors) of a Hermitian matrix or (..., D, D)
+    stack, in descending order: ``vecs[..., :, k]`` is the unit eigenvector of
+    ``vals[..., k]``.
 
     Raises NotHermitian when any matrix fails :func:`is_hermitian`.
     """
@@ -127,15 +118,14 @@ def eig_hermitian(m: np.ndarray) -> EigDecomposition:
     if not np.all(is_hermitian(m)):
         raise NotHermitian(f"relative deviation from Hermiticity exceeds {HERMITIAN_TOL}")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)
-    return EigDecomposition(vals[..., ::-1], vecs[..., ::-1])
+    return vals[..., ::-1], vecs[..., ::-1]
 
 
-def _psd_eigs(m: np.ndarray) -> EigDecomposition:
-    eig = eig_hermitian(m)
-    low = eig.eigenvalues[..., -1]
-    if np.any(low < -PSD_TOL * np.maximum(abs(eig.eigenvalues[..., 0]), 1.0)):
-        raise NotPsd(f"smallest eigenvalue {np.min(low):.3e} below PSD tolerance")
-    return eig
+def _psd_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    vals, vecs = eig_hermitian(m)
+    if np.any(vals[..., -1] < -PSD_TOL * np.maximum(abs(vals[..., 0]), 1.0)):
+        raise NotPsd(f"smallest eigenvalue {np.min(vals[..., -1]):.3e} below PSD tolerance")
+    return vals, vecs
 
 
 def mat_sqrt(m: np.ndarray) -> np.ndarray:
@@ -145,10 +135,10 @@ def mat_sqrt(m: np.ndarray) -> np.ndarray:
     treated as rank noise and mapped to zero; the square root would
     otherwise amplify them from around 1e-16 to 1e-8.
     """
-    eig = _psd_eigs(m)
-    vals = np.clip(eig.eigenvalues, 0.0, None)
+    vals, vecs = _psd_eigs(m)
+    vals = np.clip(vals, 0.0, None)
     vals[vals <= RANK_TOL * vals[..., :1]] = 0.0
-    return (eig.eigenvectors * np.sqrt(vals)[..., None, :]) @ dagger(eig.eigenvectors)
+    return (vecs * np.sqrt(vals)[..., None, :]) @ dagger(vecs)
 
 
 def mat_invsqrt(m: np.ndarray) -> np.ndarray:
@@ -157,13 +147,12 @@ def mat_invsqrt(m: np.ndarray) -> np.ndarray:
     Raises SingularOperator when an eigenvalue is at most the rank threshold
     (relative to the largest).
     """
-    eig = _psd_eigs(m)
-    if np.any(eig.eigenvalues <= RANK_TOL * np.maximum(eig.eigenvalues[..., :1], 0.0)):
+    vals, vecs = _psd_eigs(m)
+    if np.any(vals <= RANK_TOL * np.maximum(vals[..., :1], 0.0)):
         raise SingularOperator(
-            f"eigenvalue {eig.eigenvalues[..., -1].min():.3e} below the invertibility threshold"
+            f"eigenvalue {vals[..., -1].min():.3e} below the invertibility threshold"
         )
-    inv = 1.0 / np.sqrt(eig.eigenvalues)
-    return (eig.eigenvectors * inv[..., None, :]) @ dagger(eig.eigenvectors)
+    return (vecs * (1.0 / np.sqrt(vals))[..., None, :]) @ dagger(vecs)
 
 
 def numeric_rank(values: np.ndarray) -> int:
@@ -182,15 +171,19 @@ def polar_unitary(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product of two operators."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+def tensor(*factors: np.ndarray) -> np.ndarray:
+    """Tensor (Kronecker) product of operators, the first factor slowest.
 
-
-def tensor_all(factors: Sequence[np.ndarray]) -> np.ndarray:
+    Each factor may be a (..., d, d) stack; the stacks broadcast as in numpy.
+    Every entry is one product of factor entries, taken left to right, so two
+    single operators give ``np.kron``'s values bitwise.
+    """
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        out = np.kron(out, f)
+        f = np.asarray(f, dtype=complex)
+        prod = out[..., :, None, :, None] * f[..., None, :, None, :]
+        n = out.shape[-1] * f.shape[-1]
+        out = prod.reshape(prod.shape[:-4] + (n, n))
     return out
 
 

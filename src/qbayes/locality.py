@@ -297,7 +297,8 @@ def real_span_analysis(dim_a: int, dim_b: int) -> RealSpanAnalysis:
     ea = real_symmetric_effects(dim_a)
     fb = real_symmetric_effects(dim_b)
     basis = _sym_basis(dim_a * dim_b)
-    products = np.stack([linalg.tensor(e, f).real for e in ea for f in fb])
+    n = dim_a * dim_b
+    products = linalg.tensor(np.stack(ea)[:, None], np.stack(fb)).real.reshape(-1, n, n)
     a = np.einsum("pij,bij->pb", products, basis)
     _, svals, vt = np.linalg.svd(a)
     rank = linalg.numeric_rank(svals)
@@ -334,7 +335,8 @@ def complex_product_rank(dim_a: int, dim_b: int) -> int:
     """Rank of {E_i x F_j}, all pairs from the two standard SQMs, over the full
     Hermitian space (complex field)."""
     sa, sb = standard_sqm(dim_a).base.elements, standard_sqm(dim_b).base.elements
-    a = real_design_matrix([linalg.tensor(e, f) for e in sa for f in sb])
+    n = dim_a * dim_b
+    a = real_design_matrix(linalg.tensor(sa[:, None], sb).reshape(-1, n, n))
     return linalg.numeric_rank(np.linalg.svd(a, compute_uv=False))
 
 

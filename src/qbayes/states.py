@@ -7,6 +7,7 @@ probability vectors, and provides classical Bayes conditioning for the
 discrete distributions used alongside.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +108,13 @@ def from_sqm(
 
 def _sqm_for(probs: np.ndarray, sqm: MinimalIcPovm | None) -> MinimalIcPovm:
     """The given measurement, or the standard one of dimension sqrt(len);
-    DimensionMismatch unless it has exactly one outcome per probability."""
+    DimensionMismatch unless it has exactly one outcome per probability
+    (for a length that is no D^2 with D >= 2, before any measurement is built)."""
     if sqm is None:
-        sqm = standard_sqm(int(round(np.sqrt(probs.size))))
+        dim = math.isqrt(probs.size)
+        if dim < 2 or dim * dim != probs.size:
+            raise DimensionMismatch(f"{probs.size} probabilities are no D^2 with D >= 2")
+        sqm = standard_sqm(dim)
     if probs.shape != (len(sqm),):
         raise DimensionMismatch(f"expected {len(sqm)} probabilities")
     return sqm

@@ -44,7 +44,8 @@ def _assert_unitary(u: np.ndarray) -> np.ndarray:
 class KrausInstrument:
     """Outcome-indexed Kraus sets {A_{d,i}} with sum A^dag A = I as one
     (K, r, D, D) stack; ragged sets are padded to r with zero operators,
-    which change no effect or posterior."""
+    which change no effect or posterior.  A channel is the one-outcome
+    instrument (K = 1)."""
 
     outcomes: np.ndarray
 
@@ -64,7 +65,11 @@ class KrausInstrument:
 
     def effects(self) -> np.ndarray:
         """The (K, D, D) stack of effects sum_i A_{d,i}^dag A_{d,i}."""
-        return (linalg.dagger(self.outcomes) @ self.outcomes).sum(axis=1)
+        return _effects(self.outcomes)
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """The instrument's channel, its outcome ignored: sum_{d,i} A_{d,i} rho A_{d,i}^dag."""
+        return unnormalized_posteriors(rho, self).sum(axis=0)
 
     @property
     def efficient(self) -> bool:
@@ -75,39 +80,23 @@ def make_instrument(outcomes: np.ndarray | Sequence[Sequence[np.ndarray]]) -> Kr
     """Validate Kraus completeness and wrap the operator sets."""
     inst = KrausInstrument(outcomes)
     # The only check: each sum_i A^dag A is PSD by form, and at most I once all sum to I.
-    _check_complete(inst.outcomes.reshape((-1,) + inst.outcomes.shape[-2:]))
+    _check_complete(inst.outcomes)
     return inst
 
 
-@dataclass(frozen=True)
-class QuantumChannel:
-    """Trace-preserving completely positive map: its Kraus operators as one stack."""
-
-    kraus: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "kraus", _effect_stack(self.kraus))
-
-    @property
-    def dim(self) -> int:
-        return self.kraus.shape[-1]
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = linalg.as_operator(rho)
-        if rho.shape[0] != self.dim:
-            raise DimensionMismatch(f"state dim {rho.shape[0]} vs channel dim {self.dim}")
-        return (self.kraus @ rho @ linalg.dagger(self.kraus)).sum(axis=0)
+def make_channel(kraus: np.ndarray | Sequence[np.ndarray]) -> KrausInstrument:
+    """A channel is the one-outcome instrument: ``make_instrument([kraus])``."""
+    return make_instrument([kraus])
 
 
-def make_channel(kraus: np.ndarray | Sequence[np.ndarray]) -> QuantumChannel:
-    ch = QuantumChannel(kraus)
-    _check_complete(ch.kraus)
-    return ch
+def _effects(kraus: np.ndarray) -> np.ndarray:
+    """sum_i A_i^dag A_i over the Kraus axis of a (..., r, D, D) stack."""
+    return (linalg.dagger(kraus) @ kraus).sum(axis=-3)
 
 
 def _check_complete(kraus: np.ndarray) -> None:
-    """NotTracePreserving unless sum A^dag A = I for each (..., n, D, D) Kraus set."""
-    gram = (linalg.dagger(kraus) @ kraus).sum(axis=-3)
+    """NotTracePreserving unless sum_{d,i} A^dag A = I for each (..., K, r, D, D) instrument."""
+    gram = _effects(kraus).sum(axis=-3)
     dev = np.linalg.norm(gram - np.eye(kraus.shape[-1]), axis=(-2, -1)).max()
     if dev > linalg.IDENTITY_TOL:
         raise NotTracePreserving(f"sum A^dag A deviates from I by {dev:.3e}")
@@ -181,7 +170,7 @@ def _refine(states: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, ...]:
     if kraus.shape[-1] != states.shape[-1]:
         raise DimensionMismatch("state and instrument dims differ")
     roots = linalg.mat_sqrt(states)[:, None]
-    effects = (linalg.dagger(kraus) @ kraus).sum(axis=-3)
+    effects = _effects(kraus)
     probs = np.trace(states[:, None] @ effects, axis1=-2, axis2=-1).real
     live = probs > PROB_FLOOR
     return roots, probs, live, (roots @ effects @ roots)[live] / probs[live][:, None, None]
@@ -294,7 +283,7 @@ def instrument_from_dilation(
         raise NotPsd(f"ancilla state has eigenvalue {anc_vals[0]:.3e} < 0")
     keep = anc_vals > PROB_FLOOR
     roots = np.sqrt(anc_vals[keep]) * anc_vecs[:, keep]  # column a is sqrt(lambda_a) |a>
-    tens = (np.kron(np.eye(d_sys), projs) @ u).reshape(-1, d_sys, d_anc, d_sys, d_anc)
+    tens = (linalg.tensor(np.eye(d_sys), projs) @ u).reshape(-1, d_sys, d_anc, d_sys, d_anc)
     # <b| (I x Pi_d) u sqrt(lambda_a) |a> over the ancilla factor, for every d, a and b
     kraus = np.einsum("dsbta,ar->drbst", tens, roots)
     return make_instrument(kraus.reshape(len(projs), -1, d_sys, d_sys))
@@ -330,19 +319,21 @@ def dilation_from_instrument(
 # Channels and Choi operators.
 
 
-def channel_choi(ch: QuantumChannel) -> np.ndarray:
-    """Choi operator (I x Phi) applied to the maximally entangled state.
+def channel_choi(inst: KrausInstrument) -> np.ndarray:
+    """Choi operator (I x Phi) applied to the maximally entangled state, of
+    the channel of any instrument (its outcome ignored).
 
     Each Kraus operator A contributes the rank-1 piece |w><w| with
     ``w = (I x A) |psi_ME>``, whose components are A^T flattened over
     sqrt(D).
     """
-    w = _born_matrix(ch.kraus) / np.sqrt(ch.dim)
+    w = _born_matrix(inst.outcomes.reshape(-1, inst.dim, inst.dim)) / np.sqrt(inst.dim)
     return w.T @ w.conj()
 
 
-def choi_channel(choi: np.ndarray) -> QuantumChannel:
-    """Recover a Kraus representation from a Choi operator.
+def choi_channel(choi: np.ndarray) -> KrausInstrument:
+    """Recover a Kraus representation, as a one-outcome instrument, from a
+    Choi operator.
 
     Raises NotHermitian for a non-Hermitian input, NotCp for an eigenvalue
     below ``-linalg.CHOI_PSD_TOL``, and NotTracePreserving when the
@@ -354,11 +345,9 @@ def choi_channel(choi: np.ndarray) -> QuantumChannel:
     d = int(round(np.sqrt(d2)))
     if d * d != d2:
         raise DimensionMismatch("Choi operator dimension is not a perfect square")
-    if not linalg.is_hermitian(choi):
-        raise NotHermitian("Choi operator is not Hermitian")
-    vals, vecs = np.linalg.eigh((choi + linalg.dagger(choi)) / 2.0)
-    if vals[0] < -linalg.CHOI_PSD_TOL:
-        raise NotCp(f"Choi operator has eigenvalue {vals[0]:.3e} < 0")
+    vals, vecs = linalg.eig_hermitian(choi)
+    if vals[-1] < -linalg.CHOI_PSD_TOL:
+        raise NotCp(f"Choi operator has eigenvalue {vals[-1]:.3e} < 0")
     keep = vals > linalg.CHOI_PSD_TOL
     vecs = vecs[:, keep].T.reshape(-1, d, d).swapaxes(-1, -2)
     return make_channel(np.sqrt(d * vals[keep])[:, None, None] * vecs)
@@ -366,7 +355,7 @@ def choi_channel(choi: np.ndarray) -> QuantumChannel:
 
 def controlled_unitary_channel(
     u0: np.ndarray, u1: np.ndarray, alpha: complex, beta: complex
-) -> QuantumChannel:
+) -> KrausInstrument:
     """Target-bit channel of a controlled unitary with a superposed control.
 
     With the control prepared in alpha|0> + beta|1>, the target evolves by
@@ -541,5 +530,6 @@ def kraus_from_normals(x: np.ndarray) -> np.ndarray:
     present = povm.any(axis=(-3, -2, -1))
     kraus = np.zeros_like(roots)
     kraus[present] = linalg.unitary_from_normals(unitaries[present]) @ roots[present]
+    kraus = kraus[..., None, :, :]
     _check_complete(kraus)
-    return kraus[..., None, :, :]
+    return kraus

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -29,7 +30,7 @@ def predictive(prior):
 def test_point_prior_mix_is_tensor_power(rng):
     rho = linalg.random_state(2, rng)
     ex = definetti.definetti_mix(point_prior(rho), 3)
-    assert np.linalg.norm(ex.op - linalg.tensor_all([rho] * 3)) <= 1e-12
+    assert np.linalg.norm(ex.op - linalg.tensor(*[rho] * 3)) <= 1e-12
 
 
 def test_mix_matches_direct_construction_for_y_states():
@@ -88,7 +89,7 @@ def test_stacked_powers_match_kron(rng, n):
     states = np.stack([linalg.random_state(2 + n % 2, rng) for _ in range(5)])
     stacked = definetti._tensor_powers(states, n)
     for s, power in zip(states, stacked):
-        assert np.array_equal(power, linalg.tensor_all([s] * n))
+        assert np.array_equal(power, functools.reduce(np.kron, [s] * n))
 
 
 # --------------------------------------------------------------------------
@@ -178,7 +179,7 @@ def test_posterior_predictive_matches_multicopy_conditional(rng):
     post = definetti.posterior_update(prior, povm, data)
     pred = predictive(post)
     ex3 = definetti.definetti_mix(prior, 3)
-    weight_op = linalg.tensor_all([povm[data[0]], povm[data[1]], np.eye(2)])
+    weight_op = linalg.tensor(povm[data[0]], povm[data[1]], np.eye(2))
     conditioned = linalg.trace_out_factor(
         linalg.trace_out_factor(weight_op @ ex3.op, [2, 2, 2], 0), [2, 2], 0
     )

@@ -13,20 +13,20 @@ SQRT_TOL = 1e-9
 
 def reconstruct(eig):
     """V diag(l) V^dag of an eigendecomposition (or of each one of a stack)."""
-    v = eig.eigenvectors
-    return (v * eig.eigenvalues[..., None, :]) @ linalg.dagger(v)
+    vals, v = eig
+    return (v * vals[..., None, :]) @ linalg.dagger(v)
 
 
 def test_eig_identity():
-    eig = linalg.eig_hermitian(np.eye(2))
-    assert np.allclose(eig.eigenvalues, [1.0, 1.0])
+    vals, _ = linalg.eig_hermitian(np.eye(2))
+    assert np.allclose(vals, [1.0, 1.0])
 
 
 def test_eig_sigma_z_sorted_descending():
-    eig = linalg.eig_hermitian(linalg.sigma_z)
-    assert np.allclose(eig.eigenvalues, [1.0, -1.0])
-    assert abs(abs(eig.eigenvectors[0, 0]) - 1.0) < 1e-12
-    assert abs(abs(eig.eigenvectors[1, 1]) - 1.0) < 1e-12
+    vals, vecs = linalg.eig_hermitian(linalg.sigma_z)
+    assert np.allclose(vals, [1.0, -1.0])
+    assert abs(abs(vecs[0, 0]) - 1.0) < 1e-12
+    assert abs(abs(vecs[1, 1]) - 1.0) < 1e-12
 
 
 def test_eig_rejects_non_hermitian():
@@ -41,7 +41,7 @@ def test_eig_reconstructs_random_hermitian(seed):
     eig = linalg.eig_hermitian(m)
     scale = max(np.linalg.norm(m), 1.0)
     assert np.linalg.norm(reconstruct(eig) - m) <= RECONSTRUCTION_TOL * scale
-    v = eig.eigenvectors
+    v = eig[1]
     assert np.linalg.norm(v.conj().T @ v - np.eye(4)) < 1e-12
 
 
@@ -92,6 +92,21 @@ def test_polar_reconstructs(seed):
 
 def test_tensor_identity():
     assert np.allclose(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
+
+
+def test_tensor_broadcasts_stacks_and_matches_kron_bitwise(rng):
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a, b, c = draw(4, 1, 2, 2), draw(3, 3, 3), draw(2, 2)
+    stacked = linalg.tensor(a, b)
+    assert stacked.shape == (4, 3, 6, 6)
+    for i, j in np.ndindex(4, 3):
+        assert np.array_equal(stacked[i, j], linalg.tensor(a[i, 0], b[j]))
+    pair = linalg.tensor(a[0, 0], b[0])
+    assert np.array_equal(linalg.tensor(a[0, 0], b[0], c), linalg.tensor(pair, c))
+    assert np.array_equal(pair, np.kron(a[0, 0], b[0]))
+    assert np.array_equal(linalg.tensor(b[0], c), np.kron(b[0], c))
 
 
 def test_tensor_flips_basis_state():
@@ -200,10 +215,10 @@ def test_trace_distance_on_stacks_matches_pairwise(rng):
 def test_eig_hermitian_stack_matches_single_calls(rng):
     stack = np.stack([random_hermitian(3, rng) for _ in range(6)])
     eig = linalg.eig_hermitian(stack)
-    for m, vals, vecs in zip(stack, eig.eigenvalues, eig.eigenvectors):
+    for m, vals, vecs in zip(stack, *eig):
         single = linalg.eig_hermitian(m)
-        assert np.array_equal(vals, single.eigenvalues)
-        assert np.array_equal(vecs, single.eigenvectors)
+        assert np.array_equal(vals, single[0])
+        assert np.array_equal(vecs, single[1])
     assert np.linalg.norm(reconstruct(eig) - stack) <= 1e-12
     assert list(linalg.is_hermitian(stack)) == [True] * 6
     stack[4, 0, 1] += 1.0

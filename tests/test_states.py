@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -160,5 +162,9 @@ def test_bayes_total_probability_refinement(rng):
 @pytest.mark.parametrize("explicit", [False, True])
 def test_in_sqm_set_wrong_length_is_dimension_mismatch(explicit):
     sqm = effects.standard_sqm(2) if explicit else None
-    with pytest.raises(DimensionMismatch):
-        states.in_sqm_set(np.full(5, 0.2), sqm)
+    cache = effects.standard_sqm.cache_info()
+    for call, length in itertools.product([states.in_sqm_set, states.from_sqm], [5, 26, 50]):
+        with pytest.raises(DimensionMismatch):
+            call(np.full(length, 1.0 / length), sqm)
+    # No measurement is built, or even looked up, for a length that is no D^2.
+    assert effects.standard_sqm.cache_info() == cache

@@ -50,11 +50,11 @@ def old_random_state(dim, g, rank=None):
 
 
 def old_mat_invsqrt(m):
-    eig = linalg.eig_hermitian(m)
-    inv = np.zeros_like(eig.eigenvalues)
-    keep = eig.eigenvalues > linalg.RANK_TOL * max(eig.eigenvalues[0], 0.0)
-    inv[keep] = 1.0 / np.sqrt(eig.eigenvalues[keep])
-    return (eig.eigenvectors * inv) @ linalg.dagger(eig.eigenvectors)
+    vals, vecs = linalg.eig_hermitian(m)
+    inv = np.zeros_like(vals)
+    keep = vals > linalg.RANK_TOL * max(vals[0], 0.0)
+    inv[keep] = 1.0 / np.sqrt(vals[keep])
+    return (vecs * inv) @ linalg.dagger(vecs)
 
 
 def old_random_povm(dim, n, g):
@@ -138,7 +138,7 @@ def test_zero_padded_outcomes_get_zero_operators():
 def test_incomplete_instrument_stack_raises():
     kraus = update.kraus_from_normals(np.random.default_rng(5).normal(size=(3, 2, 2, 2, 2, 2)))
     with pytest.raises(NotTracePreserving):
-        update._check_complete(kraus[:, :, 0] * np.array([1.0, 1.0, 1.01])[:, None, None, None])
+        update._check_complete(kraus * np.array([1.0, 1.0, 1.01])[:, None, None, None, None])
 
 
 # --------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_instrument_and_channel_hold_one_stack_whatever_the_input(form, rng):
     kraus = random_instrument(3, 1, 3, rng).outcomes[0]
     ch = update.make_channel(form(list(kraus)))
     inst = update.make_instrument(form([form([a]) for a in kraus]))
-    assert ch.kraus.dtype == complex and np.array_equal(ch.kraus, kraus)
+    assert ch.outcomes.dtype == complex and np.array_equal(ch.outcomes[0], kraus)
     assert inst.outcomes.shape == (3, 1, 3, 3) and np.array_equal(inst.outcomes[:, 0], kraus)
 
 
@@ -141,12 +141,13 @@ def test_zero_padding_of_a_ragged_instrument_changes_nothing(rng):
     assert not inst.outcomes[0, 1:].any() and not inst.outcomes[2, 2:].any()
     rho = linalg.random_state(3, rng)
     raw = update.unnormalized_posteriors(rho, inst)
+    assert np.abs(inst.apply(rho) - sum(raw)).max() <= 1e-15
     for d, ops in enumerate(sets):
         effect = sum(linalg.dagger(a) @ a for a in ops)
         posterior = sum(a @ rho @ linalg.dagger(a) for a in ops)
         assert np.abs(inst.effects()[d] - effect).max() <= 1e-14
         assert np.abs(raw[d] - posterior).max() <= 1e-14
-        assert np.abs(update.QuantumChannel(inst.outcomes[d]).apply(rho) - posterior).max() <= 1e-14
+        assert np.abs(update.KrausInstrument([inst.outcomes[d]]).apply(rho) - posterior).max() <= 1e-14
 
 
 @pytest.mark.parametrize("build", [update.make_channel, lambda ops: update.make_instrument([ops])])
@@ -433,6 +434,11 @@ def test_choi_round_trip_on_random_channels(rng):
         back = update.choi_channel(choi)
         rho = linalg.random_state(d, rng)
         assert np.linalg.norm(ch.apply(rho) - back.apply(rho)) <= 1e-9
+    # A channel is an instrument with its outcome ignored: same Kraus set, same Choi.
+    for d in (2, 3):
+        inst = random_instrument(d, 3, 2, rng)
+        flat = update.make_channel(inst.outcomes.reshape(-1, d, d))
+        assert np.array_equal(update.channel_choi(inst), update.channel_choi(flat))
 
 
 def test_choi_channel_rejects_non_psd():
