@@ -18,17 +18,12 @@ import numpy as np
 from . import linalg
 from .effects import Povm, _effect_stack, born, real_design_matrix
 from .errors import (
-    DimensionBudgetExceeded,
     DimensionMismatch,
     InvalidArgument,
     NnlsNotConverged,
     ZeroLikelihoodEverywhere,
 )
 from .states import assert_density_operator, assert_distribution
-
-# Largest array, in bytes, that a multi-copy build may allocate (256 MiB).
-MEMORY_BUDGET_BYTES = 2 ** 28
-
 
 @dataclass(frozen=True)
 class PriorOverStates:
@@ -104,19 +99,10 @@ class ExchangeableState:
     op: np.ndarray
 
 
-def _check_budget(nbytes: int, what: str) -> None:
-    """Raise before allocating ``nbytes`` beyond ``MEMORY_BUDGET_BYTES``."""
-    if nbytes > MEMORY_BUDGET_BYTES:
-        raise DimensionBudgetExceeded(
-            f"{what} needs {nbytes} bytes, over the budget of "
-            f"{MEMORY_BUDGET_BYTES} bytes"
-        )
-
-
 def _tensor_powers(states: np.ndarray, n: int) -> np.ndarray:
     """Stack (K, d^n, d^n) of the n-fold tensor powers of a (K, d, d) stack."""
     k, d = len(states), states.shape[-1]
-    _check_budget(k * 16 * d ** (2 * n), f"{k} complex {d}^{n}-dimensional powers")
+    linalg._check_budget(k * 16 * d ** (2 * n), f"{k} complex {d}^{n}-dimensional powers")
     return linalg.tensor(*[states] * n)
 
 
@@ -327,7 +313,7 @@ def classical_definetti_mix(
     dists = [assert_distribution(p) for p in distributions]
     k = dists[0].size
     # The output and one block, both float64 arrays of k^n entries.
-    _check_budget(2 * 8 * k**n, f"a {k}^{n} joint distribution")
+    linalg._check_budget(2 * 8 * k**n, f"a {k}^{n} joint distribution")
     out = np.zeros((k,) * n)
     for w, p in zip(weights, dists):
         block = np.array(w)

@@ -119,19 +119,27 @@ def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
 
     ``state`` is one D x D operator or a stack of shape (..., D, D); the
     result has shape (..., len(povm)).  Plain effects are stacked once, not
-    validated, into a matrix bitwise equal to ``Povm.matrix``; missing or
-    mixed-shape effects raise DimensionMismatch.  Entries in
-    [-PROB_NEG_TOL, 0) are clamped to exactly zero; lower ones raise NotPsd.
+    validated; missing or mixed-shape effects raise DimensionMismatch.  A
+    Povm and its stack take the same product, so their results are bitwise
+    equal.  Entries in [-PROB_NEG_TOL, 0) are clamped to exactly zero; lower
+    ones raise NotPsd.
     """
-    matrix = povm.matrix if isinstance(povm, Povm) else _born_matrix(_effect_stack(povm))
+    stack = povm.elements if isinstance(povm, Povm) else _effect_stack(povm)
     state = np.asarray(state, dtype=complex)
-    dim = math.isqrt(matrix.shape[1])
+    dim = stack.shape[-1]
     if state.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"state shape {state.shape} vs POVM dim {dim}")
-    p = (state.reshape(state.shape[:-2] + (dim * dim,)) @ matrix.T).real
+    p = _traces(state, stack)
     if p.min() < -linalg.PROB_NEG_TOL:
         raise NotPsd(f"negative outcome probability {p.min():.3e}")
-    return np.clip(p, 0.0, None)
+    return np.maximum(p, 0.0)
+
+
+def _traces(states: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Real parts of tr(rho E_k), (..., K), for (..., D, D) states and a (K, D, D)
+    stack: vec(rho^T) . vec(E_k), one product over the stack's own rows."""
+    n = stack.shape[-1] ** 2
+    return (states.swapaxes(-1, -2).reshape(states.shape[:-2] + (n,)) @ stack.reshape(-1, n).T).real
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +198,8 @@ class MinimalIcPovm:
 
     @functools.cached_property
     def keys(self) -> list[bytes]:
-        """``effect_keys`` of ``base``; a frame with exactly these keys is
+        """``effect_keys`` of ``base``, distinct; FrameFunction.from_state takes
+        them for ``base``'s own stack, and a frame with exactly these keys is
         inverted through ``dual`` by reconstruct_from_frame."""
         return effect_keys(self.base.elements)
 
@@ -230,17 +239,29 @@ def element_gram_min_singular_value(povm: Povm) -> float:
     return float(np.linalg.eigvalsh(np.einsum("ik,jk->ij", rows, rows))[0])
 
 
-@functools.lru_cache(maxsize=None)
+# The standard SQM of each dimension built so far; standard_sqm fills it.
+_SQMS: dict[int, MinimalIcPovm] = {}
+# Peak bytes of one SQM build per 16 D^4 bytes (one complex (D^2, D, D) stack):
+# 5.1, 4.1 and 4.0 measured by tracemalloc at D = 8, 16 and 24.
+_SQM_BUILD_STACKS = 6
+
+
 def standard_sqm(dim: int) -> MinimalIcPovm:
     """The package-wide standard quantum measurement for dimension ``dim``.
 
-    Built once per dimension over the computational basis and cached; all
+    Built once per dimension over the computational basis and kept in the
+    module's ``_SQMS`` dict for the life of the process; all
     probability-vector representations of states refer to this measurement
-    unless another one is passed explicitly.  The cache is unbounded
-    (``lru_cache(maxsize=None)``): it keeps every dimension it builds for the
-    life of the process.
+    unless another one is passed explicitly.  A build whose peak,
+    ``_SQM_BUILD_STACKS * 16 * dim^4`` bytes, would pass
+    ``linalg.MEMORY_BUDGET_BYTES`` raises DimensionBudgetExceeded before
+    allocating (from dim = 41 on).
     """
-    return gram_renormalize(build_ic_projectors(dim))
+    sqm = _SQMS.get(dim)
+    if sqm is None:
+        linalg._check_budget(_SQM_BUILD_STACKS * 16 * dim**4, f"the standard SQM of dimension {dim}")
+        sqm = _SQMS[dim] = gram_renormalize(build_ic_projectors(dim))
+    return sqm
 
 
 def certainty_bound(dim: int, check: bool = True) -> float:
@@ -301,17 +322,23 @@ class FrameFunction:
     @classmethod
     def from_state(cls, state: np.ndarray, effects: Povm | Sequence[np.ndarray]) -> "FrameFunction":
         """Record tr(rho E) per effect, for one state or each state of a (..., D, D)
-        stack, with one key pass and one born call, which reuses a Povm's cached
-        matrix; a stack of effects is kept as it is, not copied.  A repeated effect
-        keeps its first row and its last value.  Mixed shapes raise DimensionMismatch."""
+        stack, with one key pass and one born call; a stack of effects is kept as
+        it is, not copied.  The effects of an already built standard SQM (its Povm
+        or its ``base.elements``) take the SQM's cached, distinct ``keys``; no SQM
+        is built here.  A repeated effect keeps its first row and its last value.
+        Mixed shapes raise DimensionMismatch."""
         f = cls()
         if len(effects):
             stack = effects.elements if isinstance(effects, Povm) else _effect_stack(effects)
-            values = born(state, effects if isinstance(effects, Povm) else stack)
-            rows = dict(zip(effect_keys(stack), range(len(stack))))  # key -> its last row
-            if len(rows) < len(stack):
-                last = list(rows.values())
-                stack, values, rows = stack[last], values[..., last], dict(zip(rows, range(len(rows))))
+            values = born(state, stack)
+            sqm = _SQMS.get(stack.shape[-1])
+            if sqm is not None and stack is sqm.base.elements:
+                rows = dict(zip(sqm.keys, range(len(stack))))
+            else:
+                rows = dict(zip(effect_keys(stack), range(len(stack))))  # key -> its last row
+                if len(rows) < len(stack):
+                    last = list(rows.values())
+                    stack, values, rows = stack[last], values[..., last], dict(zip(rows, range(len(rows))))
             f._effects, f._values, f._index = stack, values, rows
         return f
 
@@ -375,20 +402,20 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
     k, dim = stack.shape[:2]
     if k < dim * dim:
         raise DegenerateSpan(f"{k} effects cannot span the {dim * dim}-dim operator space")
-    if k == dim * dim > 1 and list(frame._index) == standard_sqm(dim).keys:
-        rho = y @ standard_sqm(dim).dual.reshape(k, k)
+    if k == dim * dim > 1 and list(frame._index) == (sqm := standard_sqm(dim)).keys:
+        rho = y @ sqm.dual.reshape(k, k)
     else:
         x, _, rank, _ = np.linalg.lstsq(real_design_matrix(stack), y.reshape(-1, k).T, rcond=None)
         if rank < dim * dim:
             raise DegenerateSpan(f"sampled effects span only {rank} of {dim * dim} dims")
         rho = (x[: dim * dim] + 1j * x[dim * dim :]).T.reshape(y.shape[:-1] + (-1,))
+    rho = rho.reshape(y.shape[:-1] + (dim, dim))
     where = "" if y.ndim == 1 else "frame {}: "  # a stack names its first failing frame
-    residual = np.linalg.norm((rho @ _born_matrix(stack).T).real - y, axis=-1).reshape(-1)
+    residual = np.linalg.norm(_traces(rho, stack) - y, axis=-1).reshape(-1)
     bad = residual > linalg.RECONSTRUCTION_RESIDUAL_TOL
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateSpan(f"{where.format(i)}least-squares residual {residual[i]:.3e} too large")
-    rho = rho.reshape(y.shape[:-1] + (dim, dim))
     low = np.linalg.eigvalsh(rho)[..., 0].reshape(-1)
     trace = np.trace(rho, axis1=-2, axis2=-1).real.reshape(-1)
     bad = (low < linalg.STATE_EIG_FLOOR) | (abs(trace - 1.0) > linalg.FRAME_TRACE_TOL)

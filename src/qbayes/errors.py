@@ -86,7 +86,7 @@ class RankDeficientState(QbayesError):
 
 
 class DimensionBudgetExceeded(QbayesError):
-    """Requested tensor power exceeds the configured memory budget."""
+    """A requested build (a tensor power, a joint table, an SQM) exceeds the memory budget."""
 
 
 class NnlsNotConverged(QbayesError):

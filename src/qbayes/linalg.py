@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPsd, SingularOperator
+from .errors import DimensionBudgetExceeded, DimensionMismatch, NotHermitian, NotPsd, SingularOperator
 
 # Tolerances: every numerical decision of the library, one name per invariant
 # and value.  Three invariants carry two values each (positivity, trace, sum
@@ -58,6 +58,9 @@ CHOI_PSD_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-9
 # Decimal digits an effect is rounded to before it keys a frame function.
 KEY_DECIMALS = 12
+
+# Largest array, in bytes, that a build may allocate (256 MiB).
+MEMORY_BUDGET_BYTES = 2**28
 
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -222,6 +225,14 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     vals = np.linalg.eigvalsh((diff + dagger(diff)) / 2.0)
     dist = 0.5 * np.abs(vals).sum(axis=-1)
     return float(dist) if diff.ndim == 2 else dist
+
+
+def _check_budget(nbytes: int, what: str) -> None:
+    """Raise before allocating ``nbytes`` beyond ``MEMORY_BUDGET_BYTES``."""
+    if nbytes > MEMORY_BUDGET_BYTES:
+        raise DimensionBudgetExceeded(
+            f"{what} needs {nbytes} bytes, over the budget of {MEMORY_BUDGET_BYTES} bytes"
+        )
 
 
 # update-factor, gleason-roundtrip and the swap-counterexample trees evaluate

@@ -102,8 +102,14 @@ def from_sqm(
     else:
         probs = np.asarray(v, dtype=float)
         sqm = _sqm_for(probs, sqm)
-    raw = np.tensordot(probs, sqm.dual, axes=1)
-    return _clamp_to_state(raw, *np.linalg.eigh(raw))
+    state, low, trace = _invert(probs, sqm)
+    if state is None:
+        raise NotAState(
+            f"reconstruction has eigenvalue {low:.3e}; the vector lies outside the achievable region"
+            if low < linalg.STATE_EIG_FLOOR
+            else f"reconstruction has trace {trace:.9f}"
+        )
+    return state
 
 
 def _sqm_for(probs: np.ndarray, sqm: MinimalIcPovm | None) -> MinimalIcPovm:
@@ -125,18 +131,18 @@ def _off_simplex(p: np.ndarray) -> bool:
     return p.min() < -linalg.PROB_NEG_TOL or abs(p.sum() - 1.0) > linalg.PROB_SUM_TOL
 
 
-def _clamp_to_state(rho: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Clamp the noise eigenvalues of an inversion, eigh(rho) = (vals, vecs); renormalize."""
-    if vals[0] < linalg.STATE_EIG_FLOOR:
-        raise NotAState(
-            f"reconstruction has eigenvalue {vals[0]:.3e}; the vector lies "
-            "outside the achievable region"
-        )
-    if abs(np.trace(rho).real - 1.0) > linalg.TRACE_TOL:
-        raise NotAState(f"reconstruction has trace {np.trace(rho).real:.9f}")
-    clipped = np.clip(vals, 0.0, None)
-    rho = (vecs * clipped) @ linalg.dagger(vecs)
-    return rho / np.trace(rho).real
+def _invert(probs: np.ndarray, sqm: MinimalIcPovm) -> tuple[np.ndarray | None, float, float]:
+    """(state, smallest eigenvalue, trace) of the inversion sum_d p(d) R_d, one
+    product with the dual frame.  The state is the inversion with its noise
+    eigenvalues clamped and renormalized, or None when an eigenvalue lies below
+    STATE_EIG_FLOOR or the trace misses 1 by more than TRACE_TOL."""
+    raw = (probs @ sqm.dual.reshape(len(sqm), -1)).reshape(sqm.dim, sqm.dim)
+    vals, vecs = np.linalg.eigh(raw)
+    low, trace = float(vals[0]), float(np.trace(raw).real)
+    if low < linalg.STATE_EIG_FLOOR or abs(trace - 1.0) > linalg.TRACE_TOL:
+        return None, low, trace
+    rho = (vecs * np.maximum(vals, 0.0)) @ linalg.dagger(vecs)
+    return rho / np.trace(rho).real, low, trace
 
 
 @dataclass(frozen=True)
@@ -158,13 +164,8 @@ def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership
     probs = np.asarray(v, dtype=float)
     if _off_simplex(probs):
         raise InvalidArgument("input must be a probability vector")
-    raw = np.tensordot(probs, _sqm_for(probs, sqm).dual, axes=1)
-    vals, vecs = np.linalg.eigh(raw)
-    try:
-        state = _clamp_to_state(raw, vals, vecs)
-    except NotAState:
-        return SqmMembership(False, None, float(vals[0]))
-    return SqmMembership(True, state, float(vals[0]))
+    state, low, _ = _invert(probs, _sqm_for(probs, sqm))
+    return SqmMembership(state is not None, state, low)
 
 
 # --------------------------------------------------------------------------

@@ -263,9 +263,10 @@ def instrument_from_dilation(
     ``PROB_FLOOR`` and the bra/ket contractions taken over the ancilla factor
     alone.  The system POVM the dilation induces is ``.effects()`` of the
     result.  Projectors of another dimension than the ancilla state, or a
-    unitary whose dimension is no multiple of it, raise DimensionMismatch; a
-    non-Hermitian ancilla state NotHermitian, one with a negative eigenvalue
-    NotPsd.
+    unitary whose dimension is no multiple of it, raise DimensionMismatch.  The
+    ancilla state is decomposed by ``linalg``'s PSD eigensolver: a
+    non-Hermitian one raises NotHermitian, one with a negative eigenvalue
+    NotPsd, each naming the ancilla state.
     """
     rho_ancilla = linalg.as_operator(rho_ancilla)
     u = linalg.as_operator(u)
@@ -276,11 +277,10 @@ def instrument_from_dilation(
     if u.shape[0] % d_anc != 0:
         raise DimensionMismatch("unitary dim is not a multiple of the ancilla dim")
     d_sys = u.shape[0] // d_anc
-    if not linalg.is_hermitian(rho_ancilla):
-        raise NotHermitian("ancilla state is not Hermitian")
-    anc_vals, anc_vecs = np.linalg.eigh(rho_ancilla)
-    if anc_vals[0] < -linalg.PSD_TOL:
-        raise NotPsd(f"ancilla state has eigenvalue {anc_vals[0]:.3e} < 0")
+    try:
+        anc_vals, anc_vecs = linalg._psd_eigs(rho_ancilla)
+    except (NotHermitian, NotPsd) as exc:
+        raise type(exc)(f"ancilla state: {exc}") from exc
     keep = anc_vals > PROB_FLOOR
     roots = np.sqrt(anc_vals[keep]) * anc_vecs[:, keep]  # column a is sqrt(lambda_a) |a>
     tens = (linalg.tensor(np.eye(d_sys), projs) @ u).reshape(-1, d_sys, d_anc, d_sys, d_anc)

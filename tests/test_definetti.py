@@ -67,10 +67,10 @@ def test_budget_guard():
 
 def test_budget_counts_bytes_at_the_boundary():
     # Each case is refused before anything large is allocated.
-    limit = definetti.MEMORY_BUDGET_BYTES
-    definetti._check_budget(limit, "exactly the budget")
+    limit = linalg.MEMORY_BUDGET_BYTES
+    linalg._check_budget(limit, "exactly the budget")
     with pytest.raises(DimensionBudgetExceeded):
-        definetti._check_budget(limit + 1, "one byte over")
+        linalg._check_budget(limit + 1, "one byte over")
     # One 2^14-dimensional operator is 4 GiB of complex entries.
     with pytest.raises(DimensionBudgetExceeded):
         definetti.definetti_mix(point_prior(np.eye(2) / 2.0), 14)

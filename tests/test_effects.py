@@ -1,12 +1,16 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import frame_value
-from qbayes import effects, linalg, update
+from qbayes import cli, effects, linalg, update
 from qbayes.errors import (
     DegenerateSpan,
+    DimensionBudgetExceeded,
     DimensionMismatch,
     NotAStateWarning,
     NotHermitian,
@@ -244,6 +248,29 @@ def test_frame_from_state_on_a_povm_is_bitwise_its_stack_frame(d, rng):
     assert on_povm._effects is sqm.base.elements
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_frame_on_a_built_sqm_takes_its_cached_keys(d, rng):
+    sqm = effects.standard_sqm(d)
+    rho = linalg.random_state(d, rng)
+    for effs in (sqm.base, sqm.base.elements):
+        f = effects.FrameFunction.from_state(rho, effs)
+        assert list(f._index) == sqm.keys
+        assert all(a is b for a, b in zip(f._index, sqm.keys))
+        assert list(f._index.values()) == list(range(d * d))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_frame_from_state_builds_no_sqm(d, rng, monkeypatch):
+    monkeypatch.delitem(effects._SQMS, d, raising=False)
+    rho = linalg.random_state(d, rng)
+    unbuilt = effects.gram_renormalize(effects.build_ic_projectors(d))
+    for effs in (unbuilt.base, unbuilt.base.elements, effects.build_ic_projectors(d)):
+        f = effects.FrameFunction.from_state(rho, effs)
+        assert list(f._index) == effects.effect_keys(np.asarray(f._effects))
+        assert d not in effects._SQMS
+    assert list(effects.FrameFunction.from_state(rho, unbuilt.base)._index) == unbuilt.keys
+
+
 def test_reconstruct_round_trip_basis_state():
     sqm = effects.standard_sqm(2)
     rho = linalg.projector(linalg.ket(0, 2))
@@ -303,6 +330,22 @@ def test_reconstruct_degenerate_span():
     frame.record(np.eye(2) / 4.0, 0.25)
     with pytest.raises(DegenerateSpan):
         effects.reconstruct_from_frame(frame)
+
+
+def test_standard_sqm_past_the_budget_raises_before_allocating():
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(DimensionBudgetExceeded, match="standard SQM of dimension 64"):
+            effects.standard_sqm(64)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.01 and peak < 2**20
+    assert 64 not in effects._SQMS
+    # The largest dimension the CLI accepts still builds.
+    assert effects.standard_sqm(cli.MAX_DIM).dim == cli.MAX_DIM
 
 
 def test_certainty_bound_d2_value():
@@ -514,8 +557,10 @@ def test_born_on_plain_effects_equals_born_on_povm(d, rng):
     random_povm = effects.validate_povm(linalg.random_povm(d, 6, rng))
     for povm in (effects.standard_sqm(d).base, random_povm):
         for plain in (povm.elements, list(povm), np.stack(povm.elements)):
-            assert np.array_equal(effects.born(states, plain), effects.born(states, povm))
-            assert np.array_equal(effects.born(states[0], plain), effects.born(states[0], povm))
+            for state in (states, states[0]):
+                assert effects.born(state, plain).tobytes() == effects.born(state, povm).tobytes()
+    # The Born rule reads the effects' own rows, not the transposed Povm.matrix.
+    assert "matrix" not in vars(random_povm)
 
 
 def test_born_rejects_effects_of_mixed_dimension():

@@ -160,11 +160,56 @@ def test_bayes_total_probability_refinement(rng):
 
 
 @pytest.mark.parametrize("explicit", [False, True])
-def test_in_sqm_set_wrong_length_is_dimension_mismatch(explicit):
+def test_in_sqm_set_wrong_length_is_dimension_mismatch(explicit, monkeypatch):
     sqm = effects.standard_sqm(2) if explicit else None
-    cache = effects.standard_sqm.cache_info()
+    built = dict(effects._SQMS)
+
+    def no_lookup(dim):
+        raise AssertionError(f"standard_sqm({dim}) looked up")
+
+    monkeypatch.setattr(states, "standard_sqm", no_lookup)
     for call, length in itertools.product([states.in_sqm_set, states.from_sqm], [5, 26, 50]):
         with pytest.raises(DimensionMismatch):
             call(np.full(length, 1.0 / length), sqm)
     # No measurement is built, or even looked up, for a length that is no D^2.
-    assert effects.standard_sqm.cache_info() == cache
+    assert effects._SQMS == built
+
+
+def _clamped(raw):
+    vals, vecs = np.linalg.eigh(raw)
+    rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_from_sqm_and_in_sqm_set_are_one_dual_product(d, rng):
+    sqm = effects.standard_sqm(d)
+    for _ in range(20):
+        v = states.to_sqm(linalg.random_state(d, rng), sqm)
+        expected = _clamped((v.probs @ sqm.dual.reshape(d * d, -1)).reshape(d, d)).tobytes()
+        assert states.from_sqm(v).tobytes() == expected
+        assert states.from_sqm(v.probs).tobytes() == expected
+        assert states.in_sqm_set(v.probs).state.tobytes() == expected
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_rejecting_in_sqm_set_reports_the_raw_min_eigenvalue(d, rng):
+    sqm = effects.standard_sqm(d)
+    for _ in range(20):
+        probe = 0.1 * states.to_sqm(linalg.random_state(d, rng), sqm).probs
+        probe[rng.integers(d * d)] += 0.9  # past the certainty bound
+        raw = (probe @ sqm.dual.reshape(d * d, -1)).reshape(d, d)
+        result = states.in_sqm_set(probe)
+        assert not result.member and result.state is None
+        # eigvalsh and eigh round the same eigenvalue differently.
+        assert result.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(raw)[0], abs=1e-14)
+        assert result.min_eigenvalue < linalg.STATE_EIG_FLOOR
+        with pytest.raises(NotAState, match="eigenvalue"):
+            states.from_sqm(probe)
+
+
+def test_from_sqm_rejects_an_off_trace_vector_by_its_trace(sqm, dim):
+    # Twice the maximally mixed vector inverts to 2 I / D: no negative eigenvalue.
+    doubled = 2.0 * states.to_sqm(np.eye(dim) / dim, sqm).probs
+    with pytest.raises(NotAState, match=r"trace 2\.0000"):
+        states.from_sqm(doubled, sqm)
