@@ -55,7 +55,7 @@ def _check(name, value, op, threshold, overrides):
 
 def _sqm_build(dim, trials, g):
     sqm = effects.standard_sqm(dim)
-    sum_dev = float(np.linalg.norm(sqm.base.elements.sum(axis=0) - np.eye(dim)))
+    sum_dev = linalg.identity_dev(sqm.base.elements.sum(axis=0))
     second = np.linalg.eigvalsh(sqm.base.elements)[:, -2].max()
     gram_min = effects.element_gram_min_singular_value(sqm.base)
     return [
@@ -89,11 +89,8 @@ def _held_out_error(x_held, rec, rho):
 
 
 def _certainty_bound(dim, trials, g):
-    gap_max = 0.0
-    for d in range(2, 11):
-        closed = effects.certainty_bound(d, check=False)
-        numeric = 1.0 / float(np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0])
-        gap_max = max(gap_max, abs(closed - numeric))
+    gram_min = [np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0] for d in range(2, 11)]
+    gap_max = max(abs(effects.certainty_bound(d) - 1.0 / lam) for d, lam in enumerate(gram_min, 2))
     bound = effects.certainty_bound(dim)
     rho = linalg.state_from_normals(g.normal(size=(trials, 2, dim, dim)))
     exceed = effects.born(rho, effects.standard_sqm(dim).base).max() - bound
@@ -194,9 +191,7 @@ def _locality_reconstruct(dim, trials, g):
         / (np.linalg.norm(n) * np.linalg.norm(yy))
         for n in analysis.null_directions
     )
-    domino_dev = float(
-        np.linalg.norm(locality.domino_fixture().elements.sum(axis=0) - np.eye(9))
-    )
+    domino_dev = linalg.identity_dev(locality.domino_fixture().elements.sum(axis=0))
     return [
         ("locality_roundtrip_2x2_max", worst[(2, 2)], "<=", 1e-8),
         ("locality_roundtrip_2x3_max", worst[(2, 3)], "<=", 1e-8),

@@ -93,8 +93,8 @@ def validate_povm(candidate: np.ndarray | Sequence[np.ndarray]) -> Povm:
     """Check a (K, D, D) stack or a sequence of matrices forms a POVM and wrap it.
 
     Raises NotHermitian or NotPsd (naming the first offending index) when an
-    element is not an effect, NotResolution (with the deficit norm) when the
-    elements do not sum to the identity within ``linalg.IDENTITY_TOL``.
+    element is not an effect, NotResolution (with ``linalg.identity_dev``)
+    when the elements do not sum to the identity within ``linalg.IDENTITY_TOL``.
     """
     if not len(candidate):
         raise NotResolution("a POVM needs at least one element", deficit=float("nan"))
@@ -103,11 +103,10 @@ def validate_povm(candidate: np.ndarray | Sequence[np.ndarray]) -> Povm:
     if not hermitian.all():
         raise NotHermitian(f"element {int(np.argmin(hermitian))} is not Hermitian")
     lowest = np.linalg.eigvalsh((stack + linalg.dagger(stack)) / 2.0)[:, 0]
-    i = int(np.argmax(lowest < -linalg.PSD_TOL))
-    if lowest[i] < -linalg.PSD_TOL:
+    i = int(np.argmax(bad := linalg.psd_fails(lowest)))
+    if bad[i]:
         raise NotPsd(f"element {i} has eigenvalue {lowest[i]:.3e} < 0", index=i)
-    deficit = float(np.linalg.norm(stack.sum(axis=0) - np.eye(stack.shape[-1])))
-    if deficit > linalg.IDENTITY_TOL:
+    if (deficit := linalg.identity_dev(stack.sum(axis=0))) > linalg.IDENTITY_TOL:
         raise NotResolution(
             f"elements sum to the identity only within {deficit:.3e}", deficit=deficit
         )
@@ -264,30 +263,16 @@ def standard_sqm(dim: int) -> MinimalIcPovm:
     return sqm
 
 
-def certainty_bound(dim: int, check: bool = True) -> float:
+def certainty_bound(dim: int) -> float:
     """Largest outcome probability any state can assign to the standard SQM.
 
-    Closed form ``1 / (dim - (1 + cot(3 pi / 4 dim)) / 2)``.  With
-    ``check=True`` the value is compared against the numerically computed
-    largest eigenvalue of G^{-1}; beyond ``linalg.CLOSED_FORM_TOL`` of it the
-    numeric value is returned and a warning attached, since the eigenvalue
-    chain it comes from is the authoritative derivation.
+    The closed form ``1 / (dim - (1 + cot(3 pi / 4 dim)) / 2)`` of the largest
+    eigenvalue of G^{-1}, G the sum of the seed projectors; the
+    ``certainty-bound`` CLI section checks it against that eigenvalue.
     """
     if dim < 2:
         raise InvalidArgument("need dim >= 2")
-    closed = 1.0 / (dim - 0.5 * (1.0 + 1.0 / np.tan(3.0 * np.pi / (4.0 * dim))))
-    if not check:
-        return closed
-    gram_eigs = np.linalg.eigvalsh(standard_sqm(dim).gram)
-    numeric = 1.0 / float(gram_eigs[0])
-    if abs(closed - numeric) > linalg.CLOSED_FORM_TOL:
-        warnings.warn(
-            f"closed-form certainty bound {closed!r} disagrees with the "
-            f"eigenvalue computation {numeric!r} at dim={dim}; using the latter",
-            stacklevel=2,
-        )
-        return numeric
-    return closed
+    return 1.0 / (dim - 0.5 * (1.0 + 1.0 / np.tan(3.0 * np.pi / (4.0 * dim))))
 
 
 def max_probability(povm: Povm) -> np.ndarray:
@@ -418,7 +403,7 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
         raise DegenerateSpan(f"{where.format(i)}least-squares residual {residual[i]:.3e} too large")
     low = np.linalg.eigvalsh(rho)[..., 0].reshape(-1)
     trace = np.trace(rho, axis1=-2, axis2=-1).real.reshape(-1)
-    bad = (low < linalg.STATE_EIG_FLOOR) | (abs(trace - 1.0) > linalg.FRAME_TRACE_TOL)
+    bad = (low < linalg.STATE_EIG_FLOOR) | (abs(trace - 1.0) > linalg.TRACE_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         warnings.warn(

@@ -16,30 +16,26 @@ import numpy as np
 
 from .errors import DimensionBudgetExceeded, DimensionMismatch, NotHermitian, NotPsd, SingularOperator
 
-# Tolerances: every numerical decision of the library, one name per invariant
-# and value.  Three invariants carry two values each (positivity, trace, sum
-# of a probability vector); unifying them would change behaviour.
+# Tolerances: every numerical decision of the library, one value per invariant;
+# positivity, the rank cut, the identity deviation and the probability-vector
+# rule are each decided by one predicate below, whatever error its caller raises.
 # Relative Frobenius deviation ||M - M^dag|| / ||M|| allowed for a Hermitian M.
 HERMITIAN_TOL = 1e-10
-# Eigenvalues may undershoot 0 by this much (times max(|largest|, 1) for roots).
+# Eigenvalues may undershoot 0 by this much (times the norm, if above 1).
 PSD_TOL = 1e-10
 # Relative rank cut: values at most RANK_TOL times the largest count as zero,
 # and eigenvalue gaps that small as degeneracies.
 RANK_TOL = 1e-10
 # Frobenius deviation from I of sum E_d (POVM), sum A^dag A (Kraus set), U^dag U.
 IDENTITY_TOL = 1e-9
-# |tr rho - 1| allowed for a checked state or an inverted SQM vector.
+# |tr rho - 1| allowed for a checked state, and before a frame reconstruction warns.
 TRACE_TOL = 1e-9
-# |tr rho - 1| before a frame reconstruction warns; TRACE_TOL's looser twin.
-FRAME_TRACE_TOL = 1e-8
 # Inverted-state eigenvalues in [STATE_EIG_FLOOR, 0) are noise, clamped to 0.
 STATE_EIG_FLOOR = -1e-8
 # Outcome probabilities may undershoot zero by this much (then read as 0).
 PROB_NEG_TOL = 1e-12
-# |sum p - 1| allowed for a probability vector over SQM outcomes.
-PROB_SUM_TOL = 1e-9
-# |sum p - 1| allowed for a classical distribution; PROB_SUM_TOL's tighter twin.
-DISTRIBUTION_SUM_TOL = 1e-12
+# |sum p - 1| allowed for a probability vector (an inverted SQM vector's trace).
+PROB_SUM_TOL = 1e-12
 # An SQM probability may exceed its element's largest eigenvalue by this much.
 PROB_CAP_TOL = 1e-9
 # Outcomes with probability at most PROB_FLOOR get no posterior (0/0 update).
@@ -52,10 +48,6 @@ INDEPENDENCE_TOL = 1e-8
 RECONSTRUCTION_RESIDUAL_TOL = 1e-6
 # Frobenius miss of sum_d P(d) rho_d from rho allowed for a claimed refinement.
 REFINEMENT_TOL = 1e-8
-# Choi eigenvalue cut: below -CHOI_PSD_TOL not CP, up to +CHOI_PSD_TOL no Kraus.
-CHOI_PSD_TOL = 1e-9
-# Agreement of the closed-form certainty bound with its eigenvalue derivation.
-CLOSED_FORM_TOL = 1e-9
 # Decimal digits an effect is rounded to before it keys a frame function.
 KEY_DECIMALS = 12
 
@@ -110,6 +102,37 @@ def is_hermitian(m: np.ndarray) -> bool | np.ndarray:
     return bool(ok) if m.ndim == 2 else ok
 
 
+def psd_fails(lowest, scale=1.0):
+    """The positivity rule: where a smallest eigenvalue is below -PSD_TOL * scale,
+    scale being max(|largest|, 1), or 1 for states and effects (norm at most 1)."""
+    return lowest < -PSD_TOL * scale
+
+
+def rank_noise(values, largest):
+    """The rank cut: where ``values`` are at most RANK_TOL * max(largest, 0)."""
+    return values <= RANK_TOL * np.maximum(largest, 0.0)
+
+
+def identity_dev(m: np.ndarray) -> float:
+    """||m - I||, the flat Frobenius norm, or its largest over a (..., D, D) stack."""
+    dev = m - np.eye(m.shape[-1])
+    return float(np.linalg.norm(dev) if m.ndim == 2 else np.linalg.norm(dev, axis=(-2, -1)).max())
+
+
+def distribution_fault(p: np.ndarray, stacked: bool = False) -> str | None:
+    """The probability-vector rule: None for a nonempty float array ``p`` (each
+    ``p[i]`` with ``stacked``) with no entry below -PROB_NEG_TOL and a sum within
+    PROB_SUM_TOL of 1, else the fault.  A NaN fails every comparison."""
+    if not p.size:
+        return "no probabilities"
+    if not (low := p.min()) >= -PROB_NEG_TOL:
+        return f"negative probability {low:.3e}" if low < 0 else "a probability is NaN"
+    total = p.reshape(len(p), -1).sum(axis=1) if stacked else p.sum()
+    if stacked:
+        total = total[np.abs(total - 1.0).argmax()]
+    return None if abs(total - 1.0) <= PROB_SUM_TOL else f"probabilities sum to {total:.15f}"
+
+
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """numpy's (eigenvalues, eigenvectors) of a Hermitian matrix or (..., D, D)
     stack, in descending order: ``vecs[..., :, k]`` is the unit eigenvector of
@@ -126,7 +149,7 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _psd_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = eig_hermitian(m)
-    if np.any(vals[..., -1] < -PSD_TOL * np.maximum(abs(vals[..., 0]), 1.0)):
+    if np.any(psd_fails(vals[..., -1], np.maximum(abs(vals[..., 0]), 1.0))):
         raise NotPsd(f"smallest eigenvalue {np.min(vals[..., -1]):.3e} below PSD tolerance")
     return vals, vecs
 
@@ -140,7 +163,7 @@ def mat_sqrt(m: np.ndarray) -> np.ndarray:
     """
     vals, vecs = _psd_eigs(m)
     vals = np.clip(vals, 0.0, None)
-    vals[vals <= RANK_TOL * vals[..., :1]] = 0.0
+    vals[rank_noise(vals, vals[..., :1])] = 0.0
     return (vecs * np.sqrt(vals)[..., None, :]) @ dagger(vecs)
 
 
@@ -151,7 +174,7 @@ def mat_invsqrt(m: np.ndarray) -> np.ndarray:
     (relative to the largest).
     """
     vals, vecs = _psd_eigs(m)
-    if np.any(vals <= RANK_TOL * np.maximum(vals[..., :1], 0.0)):
+    if np.any(rank_noise(vals, vals[..., :1])):
         raise SingularOperator(
             f"eigenvalue {vals[..., -1].min():.3e} below the invertibility threshold"
         )
@@ -159,8 +182,8 @@ def mat_invsqrt(m: np.ndarray) -> np.ndarray:
 
 
 def numeric_rank(values: np.ndarray) -> int:
-    """Number of values above RANK_TOL times the largest (taken as at least 0)."""
-    return int((values > RANK_TOL * max(values.max(), 0.0)).sum())
+    """Number of values above the rank cut, :func:`rank_noise` of the largest."""
+    return int((~rank_noise(values, values.max())).sum())
 
 
 def polar_unitary(a: np.ndarray) -> np.ndarray:

@@ -25,8 +25,8 @@ from .errors import (
 def density_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate one density operator or a (..., D, D) stack of them.
 
-    Checks Hermiticity, positivity (to ``linalg.PSD_TOL``) and unit trace
-    (to ``linalg.TRACE_TOL``) with one Hermiticity test and one batched eigvalsh.
+    Checks Hermiticity, positivity (``linalg.psd_fails``) and unit trace (to
+    ``linalg.TRACE_TOL``) with one Hermiticity test and one batched eigvalsh.
     Returns the operators as a complex array and their ascending spectra
     (..., D).
     NotAState names the first failing operator of a stack by its flat index.
@@ -37,7 +37,7 @@ def density_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals = np.linalg.eigvalsh((flat + linalg.dagger(flat)) / 2.0)
     trace = np.trace(flat, axis1=1, axis2=2).real
     bad = np.flatnonzero(
-        ~hermitian | (vals[:, 0] < -linalg.PSD_TOL) | (abs(trace - 1.0) > linalg.TRACE_TOL)
+        ~hermitian | linalg.psd_fails(vals[:, 0]) | (abs(trace - 1.0) > linalg.TRACE_TOL)
     )
     if bad.size:
         i = int(bad[0])
@@ -56,7 +56,8 @@ def assert_density_operator(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SqmVector:
-    """Probability vector over the outcomes of a fixed SQM."""
+    """Probability vector over the outcomes of a fixed SQM: NotAState unless it
+    passes ``linalg.distribution_fault`` and no entry exceeds its effect's cap."""
 
     probs: np.ndarray
     sqm: MinimalIcPovm
@@ -67,8 +68,8 @@ class SqmVector:
             raise DimensionMismatch(
                 f"expected {len(self.sqm)} probabilities, got {p.shape}"
             )
-        if _off_simplex(p):
-            raise NotAState("probabilities must be nonnegative and sum to 1")
+        if (fault := linalg.distribution_fault(p)) is not None:
+            raise NotAState(f"not a probability vector: {fault}")
         if (p > self.sqm.max_probability + linalg.PROB_CAP_TOL).any():
             raise NotAState(
                 "an entry exceeds the largest achievable probability of its effect"
@@ -90,10 +91,11 @@ def from_sqm(
 ) -> np.ndarray:
     """Unique density operator with the given SQM outcome distribution.
 
-    Accepts an SqmVector or a raw probability vector plus the measurement.
-    The linear inversion rho = sum_d p(d) R_d over the dual frame of the
-    measurement always has a unique Hermitian solution; it is a state only
-    when the vector lies in the achievable region.  Eigenvalues in
+    Accepts an SqmVector or a raw vector plus the measurement; a raw vector
+    failing ``linalg.distribution_fault`` raises NotAState with its sum, the
+    trace of its inversion.  The linear inversion rho = sum_d p(d) R_d over the
+    dual frame always has a unique Hermitian solution; it is a state only when
+    the vector lies in the achievable region.  Eigenvalues in
     [linalg.STATE_EIG_FLOOR, 0) are treated as numerical noise (clamped,
     renormalized); anything lower raises NotAState.
     """
@@ -102,6 +104,9 @@ def from_sqm(
     else:
         probs = np.asarray(v, dtype=float)
         sqm = _sqm_for(probs, sqm)
+        if (fault := linalg.distribution_fault(probs)) is not None:
+            with np.errstate(invalid="ignore"):  # +inf and -inf entries sum to NaN
+                raise NotAState(f"not a probability vector ({fault}); trace {probs.sum():.9f}")
     state, low, trace = _invert(probs, sqm)
     if state is None:
         raise NotAState(
@@ -126,20 +131,15 @@ def _sqm_for(probs: np.ndarray, sqm: MinimalIcPovm | None) -> MinimalIcPovm:
     return sqm
 
 
-def _off_simplex(p: np.ndarray) -> bool:
-    """Entry below -PROB_NEG_TOL or sum off 1 by more than PROB_SUM_TOL."""
-    return p.min() < -linalg.PROB_NEG_TOL or abs(p.sum() - 1.0) > linalg.PROB_SUM_TOL
-
-
 def _invert(probs: np.ndarray, sqm: MinimalIcPovm) -> tuple[np.ndarray | None, float, float]:
     """(state, smallest eigenvalue, trace) of the inversion sum_d p(d) R_d, one
     product with the dual frame.  The state is the inversion with its noise
-    eigenvalues clamped and renormalized, or None when an eigenvalue lies below
-    STATE_EIG_FLOOR or the trace misses 1 by more than TRACE_TOL."""
+    eigenvalues clamped and renormalized, or None unless the eigenvalues are at
+    least STATE_EIG_FLOOR and the trace (the sum) within PROB_SUM_TOL of 1."""
     raw = (probs @ sqm.dual.reshape(len(sqm), -1)).reshape(sqm.dim, sqm.dim)
     vals, vecs = np.linalg.eigh(raw)
     low, trace = float(vals[0]), float(np.trace(raw).real)
-    if low < linalg.STATE_EIG_FLOOR or abs(trace - 1.0) > linalg.TRACE_TOL:
+    if not (low >= linalg.STATE_EIG_FLOOR and abs(trace - 1.0) <= linalg.PROB_SUM_TOL):
         return None, low, trace
     rho = (vecs * np.maximum(vals, 0.0)) @ linalg.dagger(vecs)
     return rho / np.trace(rho).real, low, trace
@@ -160,10 +160,10 @@ class SqmMembership:
 
 
 def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership:
-    """Decide whether a probability vector is achievable by some state."""
+    """Decide whether a probability vector (``linalg.distribution_fault``) is achievable."""
     probs = np.asarray(v, dtype=float)
-    if _off_simplex(probs):
-        raise InvalidArgument("input must be a probability vector")
+    if (fault := linalg.distribution_fault(probs)) is not None:
+        raise InvalidArgument(f"input must be a probability vector: {fault}")
     state, low, _ = _invert(probs, _sqm_for(probs, sqm))
     return SqmMembership(state is not None, state, low)
 
@@ -173,15 +173,11 @@ def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership
 
 
 def assert_distribution(p: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """``p`` with entries in [-PROB_NEG_TOL, 0) set to 0; InvalidArgument unless it is
-    a distribution, or with ``stacked`` each ``p[i]`` is one."""
+    """``p`` with entries in [-PROB_NEG_TOL, 0) set to 0; InvalidArgument unless it
+    passes ``linalg.distribution_fault`` (with ``stacked``, each ``p[i]`` must)."""
     p = np.asarray(p, dtype=float)
-    if p.min() < -linalg.PROB_NEG_TOL:
-        raise InvalidArgument(f"negative probability {p.min():.3e}")
-    total = p.reshape(len(p), -1).sum(axis=1) if stacked else p.sum()
-    miss = np.abs(total - 1.0)
-    if miss.max() > linalg.DISTRIBUTION_SUM_TOL:
-        raise InvalidArgument(f"probabilities sum to {np.ravel(total)[miss.argmax()]:.15f}")
+    if (fault := linalg.distribution_fault(p, stacked)) is not None:
+        raise InvalidArgument(fault)
     return np.clip(p, 0.0, None)
 
 

@@ -34,8 +34,7 @@ from .linalg import PROB_FLOOR
 
 def _assert_unitary(u: np.ndarray) -> np.ndarray:
     u = linalg.as_operator(u)
-    dev = np.linalg.norm(linalg.dagger(u) @ u - np.eye(u.shape[0]))
-    if dev > linalg.IDENTITY_TOL:
+    if (dev := linalg.identity_dev(linalg.dagger(u) @ u)) > linalg.IDENTITY_TOL:
         raise NotUnitary(f"U^dag U deviates from I by {dev:.3e}")
     return u
 
@@ -96,9 +95,7 @@ def _effects(kraus: np.ndarray) -> np.ndarray:
 
 def _check_complete(kraus: np.ndarray) -> None:
     """NotTracePreserving unless sum_{d,i} A^dag A = I for each (..., K, r, D, D) instrument."""
-    gram = _effects(kraus).sum(axis=-3)
-    dev = np.linalg.norm(gram - np.eye(kraus.shape[-1]), axis=(-2, -1)).max()
-    if dev > linalg.IDENTITY_TOL:
+    if (dev := linalg.identity_dev(_effects(kraus).sum(axis=-3))) > linalg.IDENTITY_TOL:
         raise NotTracePreserving(f"sum A^dag A deviates from I by {dev:.3e}")
 
 
@@ -335,20 +332,21 @@ def choi_channel(choi: np.ndarray) -> KrausInstrument:
     """Recover a Kraus representation, as a one-outcome instrument, from a
     Choi operator.
 
-    Raises NotHermitian for a non-Hermitian input, NotCp for an eigenvalue
-    below ``-linalg.CHOI_PSD_TOL``, and NotTracePreserving when the
-    recovered Kraus set is not complete (equivalently, the partial trace
-    over the output factor is not I/D).
+    Raises NotHermitian for a non-Hermitian input, NotCp for one failing
+    ``linalg.psd_fails``, and NotTracePreserving when the Kraus set, one per
+    eigenvalue above ``linalg.rank_noise``, is not complete (equivalently, the
+    partial trace over the output factor is not I/D).
     """
     choi = linalg.as_operator(choi)
     d2 = choi.shape[0]
     d = int(round(np.sqrt(d2)))
     if d * d != d2:
         raise DimensionMismatch("Choi operator dimension is not a perfect square")
-    vals, vecs = linalg.eig_hermitian(choi)
-    if vals[-1] < -linalg.CHOI_PSD_TOL:
-        raise NotCp(f"Choi operator has eigenvalue {vals[-1]:.3e} < 0")
-    keep = vals > linalg.CHOI_PSD_TOL
+    try:
+        vals, vecs = linalg._psd_eigs(choi)
+    except NotPsd as exc:
+        raise NotCp(f"Choi operator: {exc}") from exc
+    keep = ~linalg.rank_noise(vals, vals[0])
     vecs = vecs[:, keep].T.reshape(-1, d, d).swapaxes(-1, -2)
     return make_channel(np.sqrt(d * vals[keep])[:, None, None] * vecs)
 

@@ -61,7 +61,7 @@ def test_criterion_2_gleason_round_trip():
 
 def test_criterion_3_certainty_bound():
     for d in range(2, 11):
-        closed = effects.certainty_bound(d, check=False)
+        closed = effects.certainty_bound(d)
         numeric = 1.0 / np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0]
         assert abs(closed - numeric) <= 1e-9
         assert closed < 1.0

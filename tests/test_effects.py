@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -353,9 +354,9 @@ def test_certainty_bound_d2_value():
     assert effects.certainty_bound(2) == pytest.approx(0.7734590, abs=1e-7)
 
 
-@pytest.mark.parametrize("d", range(2, 11))
+@pytest.mark.parametrize("d", range(2, cli.MAX_DIM + 1))
 def test_certainty_bound_below_one_and_matches_gram(d):
-    bound = effects.certainty_bound(d, check=False)
+    bound = effects.certainty_bound(d)
     assert bound < 1.0
     numeric = 1.0 / np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0]
     assert abs(bound - numeric) <= 1e-9
@@ -516,6 +517,16 @@ def test_stacked_frame_warning_names_the_failing_frame(rng):
         rec = effects.reconstruct_from_frame(frame)
     assert abs(np.trace(rec[2]).real - 1.5) <= 1e-12
     assert np.abs(np.delete(rec, 2, axis=0) - np.delete(rho, 2, axis=0)).max() <= 1e-12
+
+
+def test_frame_reconstruction_warns_beyond_the_trace_tolerance(rng):
+    sqm = effects.standard_sqm(3)
+    rho = linalg.random_state(3, rng)
+    with pytest.warns(NotAStateWarning, match=r"trace 1\.000000"):
+        effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho * (1 + 5e-9), sqm.base))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NotAStateWarning)
+        effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho * (1 + 5e-10), sqm.base))
 
 
 def test_stacked_frame_residual_names_the_failing_frame(rng):

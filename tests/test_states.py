@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qbayes import effects, linalg, states
-from qbayes.errors import DimensionMismatch, NotAState, ZeroProbabilityData
+from qbayes import definetti, effects, linalg, states
+from qbayes.errors import DimensionMismatch, InvalidArgument, NotAState, ZeroProbabilityData
 
 ROUND_TRIP_TOL = 1e-9
 
@@ -213,3 +213,70 @@ def test_from_sqm_rejects_an_off_trace_vector_by_its_trace(sqm, dim):
     doubled = 2.0 * states.to_sqm(np.eye(dim) / dim, sqm).probs
     with pytest.raises(NotAState, match=r"trace 2\.0000"):
         states.from_sqm(doubled, sqm)
+
+
+# --------------------------------------------------------------------------
+# One probability-vector rule: assert_distribution, SqmVector, in_sqm_set and a
+# raw from_sqm all decide it by linalg.distribution_fault.
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.full(4, np.nan), [np.inf, -np.inf, 0.5, 0.5], [np.inf, 0.0, 0.0, 0.0], [0.5, np.nan, 0.25, 0.25]],
+)
+def test_a_non_finite_vector_fails_every_probability_check(bad):
+    sqm = effects.standard_sqm(2)
+    bad = np.array(bad)
+    with pytest.raises(InvalidArgument, match="probability vector"):
+        states.in_sqm_set(bad, sqm)
+    with pytest.raises(NotAState, match="not a probability vector"):
+        states.from_sqm(bad, sqm)
+    with pytest.raises(NotAState, match="not a probability vector"):
+        states.SqmVector(bad, sqm)
+    with pytest.raises(InvalidArgument):
+        states.assert_distribution(bad)
+    # The inversion itself never takes a NaN eigenvalue for a state.
+    state, low, _ = states._invert(np.full(4, np.nan), sqm)
+    assert state is None and np.isnan(low)
+
+
+def test_an_empty_vector_raises_a_typed_error():
+    for call in (
+        lambda: states.in_sqm_set([]),
+        lambda: states.assert_distribution([]),
+        lambda: states.bayes_condition(np.zeros((0, 2)), 0),
+        lambda: definetti.classical_definetti_mix([], [], 2),
+    ):
+        with pytest.raises(InvalidArgument, match="no probabilities"):
+            call()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_negative_entry_fails_every_probability_check(d):
+    # rho orthogonal to the (rank-1) support of E_0 gives p(0) = 0; moving 1e-10
+    # from entry 0 to entry 1 keeps the sum and inverts to a state up to noise
+    # that from_sqm would clamp away.
+    sqm = effects.standard_sqm(d)
+    _, vecs = linalg.eig_hermitian(sqm.base[0])
+    probs = states.to_sqm(linalg.projector(vecs[:, -1]), sqm).probs.copy()
+    assert abs(probs[0]) <= 1e-15
+    probs[0] -= 1e-10
+    probs[1] += 1e-10
+    assert linalg.STATE_EIG_FLOOR < np.linalg.eigvalsh(
+        (probs @ sqm.dual.reshape(d * d, -1)).reshape(d, d)
+    )[0]
+    with pytest.raises(NotAState, match="negative probability -1.000e-10"):
+        states.from_sqm(probs, sqm)
+    with pytest.raises(NotAState, match="negative probability"):
+        states.SqmVector(probs, sqm)
+    with pytest.raises(InvalidArgument, match="negative probability"):
+        states.in_sqm_set(probs, sqm)
+
+
+def test_a_sum_off_one_by_1e10_is_no_sqm_vector(sqm, dim, rng):
+    probs = states.to_sqm(linalg.random_state(dim, rng), sqm).probs.copy()
+    probs[np.argmin(probs)] += 1e-10
+    with pytest.raises(NotAState, match="sum to 1.0000000001"):
+        states.SqmVector(probs, sqm)
+    with pytest.raises(InvalidArgument, match="sum to 1.0000000001"):
+        states.in_sqm_set(probs, sqm)

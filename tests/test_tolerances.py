@@ -2,11 +2,12 @@
 tolerances.
 
 The table is the run of module-level numeric constants in ``linalg.py``,
-each under a comment line giving its reason.  Everywhere else in the
-package a float literal with 0 < |x| < 1e-5, or a module-level ``*_TOL`` /
-``*_FLOOR`` assignment, is a tolerance that escaped the table.  ``cli.py``
-is exempt from the literal rule: its check thresholds are each named by
-the check that uses them.
+each under a comment line giving its reason, and each read somewhere in the
+package, so that folding two values into one leaves no dead constant behind.
+Everywhere else in the package a float literal with 0 < |x| < 1e-5, or a
+module-level ``*_TOL`` / ``*_FLOOR`` assignment, is a tolerance that escaped
+the table.  ``cli.py`` is exempt from the literal rule: its check thresholds
+are each named by the check that uses them.
 """
 
 import ast
@@ -80,9 +81,27 @@ def test_table_entries_are_unique_and_documented():
     assert not undocumented, f"table entries without a reason comment: {undocumented}"
 
 
+def test_every_table_entry_is_read():
+    reads = set()
+    for path in SRC.glob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads.add(n.attr)
+    tree, _ = _parse("linalg.py")
+    unread = [t for n in _table(tree) for t in _assigned_names(n) if t not in reads]
+    assert not unread, f"table entries nothing reads: {unread}"
+
+
 def test_lint_flags_an_escaped_tolerance(tmp_path, monkeypatch):
-    # The rule must see both kinds of escape, or the tests above prove nothing.
+    # The rules must see each kind of escape, or the tests above prove nothing.
     (tmp_path / "stray.py").write_text("LOOSE_TOL = 0.1\n\ndef f(x):\n    return x < 1e-9\n")
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     with pytest.raises(AssertionError, match=r"literal 1e-09.*constant LOOSE_TOL"):
         test_no_tolerance_outside_the_table("stray.py")
+    # A table entry that a fold left behind: nothing reads DEAD_TOL.
+    table = "# Read below.\nUSED_TOL = 1e-9\n# Read nowhere.\nDEAD_TOL = 1e-8\n"
+    (tmp_path / "linalg.py").write_text(table + "\n\ndef g(x):\n    return x < USED_TOL\n")
+    with pytest.raises(AssertionError, match=r"nothing reads: \['DEAD_TOL'\]"):
+        test_every_table_entry_is_read()

@@ -500,7 +500,7 @@ def per_trial_gleason_roundtrip(dim, trials, seed):
 def per_trial_certainty_bound(dim, trials, seed):
     g = section_rng("certainty-bound", seed)
     gaps = [
-        effects.certainty_bound(d, check=False) - 1.0 / np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0]
+        effects.certainty_bound(d) - 1.0 / np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0]
         for d in range(2, 11)
     ]
     bound = effects.certainty_bound(dim)

@@ -447,6 +447,19 @@ def test_choi_channel_rejects_non_psd():
         update.choi_channel(bad)
 
 
+def test_choi_channel_rejects_an_eigenvalue_just_below_the_psd_tolerance():
+    # The identity channel's Choi operator with -5e-10 on |01><01|: beyond
+    # PSD_TOL, the one positivity tolerance, so not completely positive.
+    phi = np.zeros(4, dtype=complex)
+    phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
+    choi = np.outer(phi, phi.conj())
+    choi[1, 1] = -5e-10
+    with pytest.raises(NotCp, match="-5.000e-10"):
+        update.choi_channel(choi)
+    choi[1, 1] = -5e-11
+    assert len(update.choi_channel(choi).outcomes[0]) == 1
+
+
 def test_choi_channel_rejects_non_hermitian():
     # The Hermitian part is the identity channel's Choi operator, so a check
     # on it alone accepts the input and recovers a channel 0.05 away.
