@@ -89,8 +89,11 @@ def _held_out_error(x_held, rec, rho):
 
 
 def _certainty_bound(dim, trials, g):
-    gram_min = [np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0] for d in range(2, 11)]
-    gap_max = max(abs(effects.certainty_bound(d) - 1.0 / lam) for d, lam in enumerate(gram_min, 2))
+    gap_max = 0.0
+    for d in range(2, 11):
+        closed = effects.certainty_bound(d)
+        numeric = 1.0 / float(np.linalg.eigvalsh(effects.standard_sqm(d).gram)[0])
+        gap_max = max(gap_max, abs(closed - numeric))
     bound = effects.certainty_bound(dim)
     rho = linalg.state_from_normals(g.normal(size=(trials, 2, dim, dim)))
     exceed = effects.born(rho, effects.standard_sqm(dim).base).max() - bound

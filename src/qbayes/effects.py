@@ -102,11 +102,13 @@ def validate_povm(candidate: np.ndarray | Sequence[np.ndarray]) -> Povm:
     hermitian = linalg.is_hermitian(stack)
     if not hermitian.all():
         raise NotHermitian(f"element {int(np.argmin(hermitian))} is not Hermitian")
-    lowest = np.linalg.eigvalsh((stack + linalg.dagger(stack)) / 2.0)[:, 0]
-    i = int(np.argmax(bad := linalg.psd_fails(lowest)))
+    vals = np.linalg.eigvalsh((stack + linalg.dagger(stack)) / 2.0)
+    bad = linalg.psd_fails(vals[:, 0], vals[:, -1])
+    i = int(np.argmax(bad))
     if bad[i]:
-        raise NotPsd(f"element {i} has eigenvalue {lowest[i]:.3e} < 0", index=i)
-    if (deficit := linalg.identity_dev(stack.sum(axis=0))) > linalg.IDENTITY_TOL:
+        raise NotPsd(f"element {i} has eigenvalue {vals[i, 0]:.3e} < 0", index=i)
+    deficit = linalg.identity_dev(stack.sum(axis=0))
+    if deficit > linalg.IDENTITY_TOL:
         raise NotResolution(
             f"elements sum to the identity only within {deficit:.3e}", deficit=deficit
         )
@@ -403,7 +405,7 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
         raise DegenerateSpan(f"{where.format(i)}least-squares residual {residual[i]:.3e} too large")
     low = np.linalg.eigvalsh(rho)[..., 0].reshape(-1)
     trace = np.trace(rho, axis1=-2, axis2=-1).real.reshape(-1)
-    bad = (low < linalg.STATE_EIG_FLOOR) | (abs(trace - 1.0) > linalg.TRACE_TOL)
+    bad = (low < linalg.STATE_EIG_FLOOR) | (abs(trace - 1.0) > linalg.PROB_SUM_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         warnings.warn(

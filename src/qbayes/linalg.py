@@ -21,20 +21,19 @@ from .errors import DimensionBudgetExceeded, DimensionMismatch, NotHermitian, No
 # rule are each decided by one predicate below, whatever error its caller raises.
 # Relative Frobenius deviation ||M - M^dag|| / ||M|| allowed for a Hermitian M.
 HERMITIAN_TOL = 1e-10
-# Eigenvalues may undershoot 0 by this much (times the norm, if above 1).
+# Eigenvalues may undershoot 0 by this much times max(|largest eigenvalue|, 1).
 PSD_TOL = 1e-10
 # Relative rank cut: values at most RANK_TOL times the largest count as zero,
 # and eigenvalue gaps that small as degeneracies.
 RANK_TOL = 1e-10
 # Frobenius deviation from I of sum E_d (POVM), sum A^dag A (Kraus set), U^dag U.
 IDENTITY_TOL = 1e-9
-# |tr rho - 1| allowed for a checked state, and before a frame reconstruction warns.
-TRACE_TOL = 1e-9
 # Inverted-state eigenvalues in [STATE_EIG_FLOOR, 0) are noise, clamped to 0.
 STATE_EIG_FLOOR = -1e-8
 # Outcome probabilities may undershoot zero by this much (then read as 0).
 PROB_NEG_TOL = 1e-12
-# |sum p - 1| allowed for a probability vector (an inverted SQM vector's trace).
+# |sum p - 1| allowed for a probability vector, and so |tr rho - 1| for a state
+# (the sum of its SQM vector), an SQM inversion, or before a frame reconstruction warns.
 PROB_SUM_TOL = 1e-12
 # An SQM probability may exceed its element's largest eigenvalue by this much.
 PROB_CAP_TOL = 1e-9
@@ -102,15 +101,18 @@ def is_hermitian(m: np.ndarray) -> bool | np.ndarray:
     return bool(ok) if m.ndim == 2 else ok
 
 
-def psd_fails(lowest, scale=1.0):
-    """The positivity rule: where a smallest eigenvalue is below -PSD_TOL * scale,
-    scale being max(|largest|, 1), or 1 for states and effects (norm at most 1)."""
-    return lowest < -PSD_TOL * scale
+def psd_fails(lowest, largest):
+    """The positivity rule: where a spectrum's smallest eigenvalue ``lowest`` is
+    below -PSD_TOL * max(|largest|, 1), ``largest`` the top of the same spectrum.
+    The code leaves out the abs: a ``largest`` below -1 fails under either scale."""
+    return lowest < -PSD_TOL * np.maximum(largest, 1.0)
 
 
-def rank_noise(values, largest):
-    """The rank cut: where ``values`` are at most RANK_TOL * max(largest, 0)."""
-    return values <= RANK_TOL * np.maximum(largest, 0.0)
+def rank_noise(values):
+    """The rank cut: where ``values``, sorted descending along the last axis (as
+    :func:`eig_hermitian` and singular values are), are at most RANK_TOL times
+    the first; all are, when the first is at most 0."""
+    return values <= RANK_TOL * values[..., :1]
 
 
 def identity_dev(m: np.ndarray) -> float:
@@ -149,7 +151,7 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _psd_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = eig_hermitian(m)
-    if np.any(psd_fails(vals[..., -1], np.maximum(abs(vals[..., 0]), 1.0))):
+    if np.any(psd_fails(vals[..., -1], vals[..., 0])):
         raise NotPsd(f"smallest eigenvalue {np.min(vals[..., -1]):.3e} below PSD tolerance")
     return vals, vecs
 
@@ -163,7 +165,7 @@ def mat_sqrt(m: np.ndarray) -> np.ndarray:
     """
     vals, vecs = _psd_eigs(m)
     vals = np.clip(vals, 0.0, None)
-    vals[rank_noise(vals, vals[..., :1])] = 0.0
+    vals[rank_noise(vals)] = 0.0
     return (vecs * np.sqrt(vals)[..., None, :]) @ dagger(vecs)
 
 
@@ -174,7 +176,7 @@ def mat_invsqrt(m: np.ndarray) -> np.ndarray:
     (relative to the largest).
     """
     vals, vecs = _psd_eigs(m)
-    if np.any(rank_noise(vals, vals[..., :1])):
+    if np.any(rank_noise(vals)):
         raise SingularOperator(
             f"eigenvalue {vals[..., -1].min():.3e} below the invertibility threshold"
         )
@@ -182,8 +184,8 @@ def mat_invsqrt(m: np.ndarray) -> np.ndarray:
 
 
 def numeric_rank(values: np.ndarray) -> int:
-    """Number of values above the rank cut, :func:`rank_noise` of the largest."""
-    return int((~rank_noise(values, values.max())).sum())
+    """Number of descending values, such as singular values, above the rank cut."""
+    return int((~rank_noise(values)).sum())
 
 
 def polar_unitary(a: np.ndarray) -> np.ndarray:

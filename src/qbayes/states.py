@@ -26,7 +26,7 @@ def density_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate one density operator or a (..., D, D) stack of them.
 
     Checks Hermiticity, positivity (``linalg.psd_fails``) and unit trace (to
-    ``linalg.TRACE_TOL``) with one Hermiticity test and one batched eigvalsh.
+    ``linalg.PROB_SUM_TOL``) with one Hermiticity test and one batched eigvalsh.
     Returns the operators as a complex array and their ascending spectra
     (..., D).
     NotAState names the first failing operator of a stack by its flat index.
@@ -37,7 +37,7 @@ def density_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals = np.linalg.eigvalsh((flat + linalg.dagger(flat)) / 2.0)
     trace = np.trace(flat, axis1=1, axis2=2).real
     bad = np.flatnonzero(
-        ~hermitian | linalg.psd_fails(vals[:, 0]) | (abs(trace - 1.0) > linalg.TRACE_TOL)
+        ~hermitian | linalg.psd_fails(vals[:, 0], vals[:, -1]) | (abs(trace - 1.0) > linalg.PROB_SUM_TOL)
     )
     if bad.size:
         i = int(bad[0])
@@ -77,7 +77,8 @@ class SqmVector:
 
 
 def to_sqm(state: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmVector:
-    """Outcome distribution of ``state`` for the standard measurement."""
+    """Outcome distribution of ``state`` for the standard measurement; its sum is
+    the state's trace, which :func:`density_spectrum` holds to PROB_SUM_TOL too."""
     state = assert_density_operator(linalg.as_operator(state))
     if sqm is None:
         sqm = standard_sqm(state.shape[0])

@@ -34,7 +34,8 @@ from .linalg import PROB_FLOOR
 
 def _assert_unitary(u: np.ndarray) -> np.ndarray:
     u = linalg.as_operator(u)
-    if (dev := linalg.identity_dev(linalg.dagger(u) @ u)) > linalg.IDENTITY_TOL:
+    dev = linalg.identity_dev(linalg.dagger(u) @ u)
+    if dev > linalg.IDENTITY_TOL:
         raise NotUnitary(f"U^dag U deviates from I by {dev:.3e}")
     return u
 
@@ -95,7 +96,8 @@ def _effects(kraus: np.ndarray) -> np.ndarray:
 
 def _check_complete(kraus: np.ndarray) -> None:
     """NotTracePreserving unless sum_{d,i} A^dag A = I for each (..., K, r, D, D) instrument."""
-    if (dev := linalg.identity_dev(_effects(kraus).sum(axis=-3))) > linalg.IDENTITY_TOL:
+    dev = linalg.identity_dev(_effects(kraus).sum(axis=-3))
+    if dev > linalg.IDENTITY_TOL:
         raise NotTracePreserving(f"sum A^dag A deviates from I by {dev:.3e}")
 
 
@@ -333,9 +335,10 @@ def choi_channel(choi: np.ndarray) -> KrausInstrument:
     Choi operator.
 
     Raises NotHermitian for a non-Hermitian input, NotCp for one failing
-    ``linalg.psd_fails``, and NotTracePreserving when the Kraus set, one per
-    eigenvalue above ``linalg.rank_noise``, is not complete (equivalently, the
-    partial trace over the output factor is not I/D).
+    ``linalg.psd_fails``, and NotTracePreserving when the Kraus set is not
+    complete (equivalently, the partial trace over the output factor is not
+    I/D).  Each eigenvalue above the rank cut ``linalg.rank_noise``, relative
+    to the largest eigenvalue, gives one Kraus operator.
     """
     choi = linalg.as_operator(choi)
     d2 = choi.shape[0]
@@ -346,7 +349,7 @@ def choi_channel(choi: np.ndarray) -> KrausInstrument:
         vals, vecs = linalg._psd_eigs(choi)
     except NotPsd as exc:
         raise NotCp(f"Choi operator: {exc}") from exc
-    keep = ~linalg.rank_noise(vals, vals[0])
+    keep = ~linalg.rank_noise(vals)
     vecs = vecs[:, keep].T.reshape(-1, d, d).swapaxes(-1, -2)
     return make_channel(np.sqrt(d * vals[keep])[:, None, None] * vecs)
 

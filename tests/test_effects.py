@@ -526,7 +526,7 @@ def test_frame_reconstruction_warns_beyond_the_trace_tolerance(rng):
         effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho * (1 + 5e-9), sqm.base))
     with warnings.catch_warnings():
         warnings.simplefilter("error", NotAStateWarning)
-        effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho * (1 + 5e-10), sqm.base))
+        effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho * (1 + 5e-13), sqm.base))
 
 
 def test_stacked_frame_residual_names_the_failing_frame(rng):

@@ -280,3 +280,21 @@ def test_a_sum_off_one_by_1e10_is_no_sqm_vector(sqm, dim, rng):
         states.SqmVector(probs, sqm)
     with pytest.raises(InvalidArgument, match="sum to 1.0000000001"):
         states.in_sqm_set(probs, sqm)
+
+
+@pytest.mark.parametrize("miss", [0.9e-12, -0.9e-12, 5e-10, -5e-10])
+def test_to_sqm_takes_exactly_the_states_density_spectrum_takes(sqm, dim, rng, miss):
+    # A state's trace is its SQM vector's sum, so both are held to PROB_SUM_TOL:
+    # a state passing the state check converts and round-trips, one failing it
+    # is refused by to_sqm with the state check's own error.
+    rho = linalg.random_state(dim, rng) * (1 + miss)
+    if abs(miss) <= linalg.PROB_SUM_TOL:
+        states.density_spectrum(rho)
+        v = states.to_sqm(rho, sqm)
+        assert abs(v.probs.sum() - 1) <= linalg.PROB_SUM_TOL
+        assert np.abs(states.from_sqm(v) - rho).max() <= 1e-12
+    else:
+        with pytest.raises(NotAState, match="is not a density operator"):
+            states.density_spectrum(rho)
+        with pytest.raises(NotAState, match="is not a density operator"):
+            states.to_sqm(rho, sqm)

@@ -447,17 +447,21 @@ def test_choi_channel_rejects_non_psd():
         update.choi_channel(bad)
 
 
-def test_choi_channel_rejects_an_eigenvalue_just_below_the_psd_tolerance():
-    # The identity channel's Choi operator with -5e-10 on |01><01|: beyond
-    # PSD_TOL, the one positivity tolerance, so not completely positive.
+def test_choi_channel_at_the_psd_tolerance_and_the_rank_cut():
+    # The identity channel's Choi operator (largest eigenvalue 1) with a small
+    # entry on |01><01|: -5e-10 is beyond PSD_TOL, the one positivity
+    # tolerance, so not completely positive; +2e-10 is above the rank cut,
+    # RANK_TOL times the largest eigenvalue, and gives a second Kraus operator;
+    # +-5e-11 is noise on either side.
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
     choi = np.outer(phi, phi.conj())
     choi[1, 1] = -5e-10
     with pytest.raises(NotCp, match="-5.000e-10"):
         update.choi_channel(choi)
-    choi[1, 1] = -5e-11
-    assert len(update.choi_channel(choi).outcomes[0]) == 1
+    for entry, kraus_rank in ((-5e-11, 1), (5e-11, 1), (2e-10, 2)):
+        choi[1, 1] = entry
+        assert len(update.choi_channel(choi).outcomes[0]) == kraus_rank
 
 
 def test_choi_channel_rejects_non_hermitian():
