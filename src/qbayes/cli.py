@@ -300,9 +300,10 @@ def _section(name, seed, command):
     return fn, (in_all if command == "all" else alone), g
 
 
-# At D = 16 entropy-sweep alone peaks at 90 MiB (66 MiB in `all`; an SQM build
-# alone, 38 MiB), holding its 300-trial refinement sweep's normals and posterior
-# operators; larger D is refused.
+# At D = 16 entropy-sweep alone peaks at 89.6-89.8 MiB (64.9-65.0 MiB in `all`;
+# sqm-build alone, 36.4 MiB; ru_maxrss of one fresh process each), holding its
+# 300-trial refinement sweep's normals and posterior operators; larger D is
+# refused.
 MAX_DIM = 16
 
 

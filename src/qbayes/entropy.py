@@ -144,7 +144,9 @@ def mean_entropy_mc(rho: np.ndarray, samples: int, seed=None) -> tuple:
     """Monte-Carlo estimate (mean, standard error) of :func:`mean_entropy` from
     ``samples`` >= 2 Haar-random kets, for one state (floats) or a (..., D, D)
     stack (arrays); each state draws its own (D, n) block in turn, so a stack
-    gives what one call per state gives, in O(nD) memory.
+    gives what one call per state gives.  One call allocates one workspace of
+    max(D, k + 1) + 3 rows of n doubles, k = min(3, n - 2), and every state of
+    the stack reuses it.
 
     A basis measurement's entropy sums eta(p) = -p log2 p over D columns, each
     a Haar ket with p = sum_i l_i w_i, w uniform on the simplex (Bengtsson and
@@ -160,19 +162,27 @@ def mean_entropy_mc(rho: np.ndarray, samples: int, seed=None) -> tuple:
     if samples < 2:
         raise InvalidArgument(f"need at least 2 samples, got {samples}")
     vals, g = _spectra(rho), linalg.rng_from(seed)
-    fits = [_control_variate_fit(lam, samples, g) for lam in vals.reshape(-1, vals.shape[-1])]
+    d, k = vals.shape[-1], min(3, samples - 2)
+    # One workspace for the whole stack: n-long arrays exceed glibc malloc's
+    # 128 KiB mmap threshold at n = 20,000, and fresh ones are faulted in anew.
+    block, rows = np.empty((max(d, k + 1), samples)), np.empty((3, samples))
+    fits = [_control_variate_fit(lam, k, g, block, rows) for lam in vals.reshape(-1, d)]
     mean, se = np.array(fits).T.reshape((2,) + vals.shape[:-1])
     return _float_if_single(mean), _float_if_single(se)
 
 
-def _control_variate_fit(lam: np.ndarray, n: int, g: "np.random.Generator") -> tuple[float, float]:
-    """(intercept, SE) of the fit for the spectrum lam, on min(3, n - 2) controls."""
-    d, k = lam.size, min(3, n - 2)
+def _control_variate_fit(
+    lam: np.ndarray, k: int, g: "np.random.Generator", block: np.ndarray, rows: np.ndarray
+) -> tuple[float, float]:
+    """(intercept, SE) of the fit for the spectrum lam on k controls, written into
+    the workspace: block holds the (D, n) exponentials, then the (k + 1, n)
+    controls x; rows holds q, y and one scratch row."""
+    d, n = lam.size, block.shape[1]
+    e, x, (q, y, tmp) = block[:d], block[: k + 1], rows
     # n-long products use einsum: threaded BLAS can take milliseconds to wake.
-    e = g.standard_exponential((d, n))
-    q = np.einsum("i,in->n", d * lam, e)
-    q /= e.sum(axis=0)
-    x = np.empty((k + 1, n))
+    g.standard_exponential(out=e)
+    np.einsum("i,in->n", d * lam, e, out=q)
+    q /= e.sum(axis=0, out=tmp)
     x[0] = 1.0
     for j in range(1, k + 1):
         np.multiply(x[j - 1], q, out=x[j])
@@ -183,10 +193,14 @@ def _control_variate_fit(lam: np.ndarray, n: int, g: "np.random.Generator") -> t
         h.append(sum(s[i] * h[j - i] for i in range(1, j + 1)) / j)
         c *= d * j / (d + j - 1)
         x[j] -= c * h[j]
-    y = q * np.log2(d / np.where(q > 0.0, q, d))  # D eta(q/D), 0 at q = 0
+    # y = D eta(q/D) = q log2(D / q), 0 at q = 0.
+    tmp.fill(d)
+    np.copyto(tmp, q, where=q > 0.0)
+    np.divide(d, tmp, out=tmp)
+    np.multiply(q, np.log2(tmp, out=tmp), out=y)
     inv = np.linalg.pinv(np.einsum("in,jn->ij", x, x), rtol=linalg.RANK_TOL, hermitian=True)
     beta = inv @ np.einsum("in,n->i", x, y)
-    y -= np.einsum("i,in->n", beta, x)
+    y -= np.einsum("i,in->n", beta, x, out=tmp)
     return beta[0], np.sqrt(np.einsum("n,n->", y, y) / (n - k - 1) * inv[0, 0])
 
 

@@ -57,13 +57,16 @@ def assert_density_operator(rho: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SqmVector:
     """Probability vector over the outcomes of a fixed SQM: NotAState unless it
-    passes ``linalg.distribution_fault`` and no entry exceeds its effect's cap."""
+    passes ``linalg.distribution_fault`` and no entry exceeds its effect's cap.
+    ``probs`` is a read-only float copy, so the checked vector cannot change."""
 
     probs: np.ndarray
     sqm: MinimalIcPovm
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = np.array(self.probs, dtype=float)
+        p.setflags(write=False)
+        object.__setattr__(self, "probs", p)
         if p.shape != (len(self.sqm),):
             raise DimensionMismatch(
                 f"expected {len(self.sqm)} probabilities, got {p.shape}"
@@ -101,7 +104,7 @@ def from_sqm(
     renormalized); anything lower raises NotAState.
     """
     if isinstance(v, SqmVector):
-        probs, sqm = np.asarray(v.probs, dtype=float), v.sqm
+        probs, sqm = v.probs, v.sqm
     else:
         probs = np.asarray(v, dtype=float)
         sqm = _sqm_for(probs, sqm)

@@ -92,6 +92,37 @@ def basis_entropy_mc(rho, n, g):
     return h.mean(), h.std(ddof=1) / np.sqrt(n)
 
 
+def old_control_variate_fit(lam, n, g):
+    """The control-variate fit of ``entropy.mean_entropy_mc`` for one spectrum
+    on fresh arrays per state: the reference that the one-workspace kernel
+    must match bitwise, in its values and in the generator state it leaves."""
+    d, k = lam.size, min(3, n - 2)
+    e = g.standard_exponential((d, n))
+    q = np.einsum("i,in->n", d * lam, e)
+    q /= e.sum(axis=0)
+    x = np.empty((k + 1, n))
+    x[0] = 1.0
+    for j in range(1, k + 1):
+        np.multiply(x[j - 1], q, out=x[j])
+    s, h, c = [(lam**i).sum() for i in range(k + 1)], [1.0], 1.0
+    for j in range(1, k + 1):
+        h.append(sum(s[i] * h[j - i] for i in range(1, j + 1)) / j)
+        c *= d * j / (d + j - 1)
+        x[j] -= c * h[j]
+    y = q * np.log2(d / np.where(q > 0.0, q, d))
+    inv = np.linalg.pinv(np.einsum("in,jn->ij", x, x), rtol=linalg.RANK_TOL, hermitian=True)
+    beta = inv @ np.einsum("in,n->i", x, y)
+    y -= np.einsum("i,in->n", beta, x)
+    return beta[0], np.sqrt(np.einsum("n,n->", y, y) / (n - k - 1) * inv[0, 0])
+
+
+def old_mean_entropy_mc(rho, samples, g):
+    """(mean, SE) arrays of ``entropy.mean_entropy_mc`` by :func:`old_control_variate_fit`."""
+    vals = entropy._spectra(rho)
+    fits = [old_control_variate_fit(lam, samples, g) for lam in vals.reshape(-1, vals.shape[-1])]
+    return np.array(fits).T.reshape((2,) + vals.shape[:-1])
+
+
 def log1p_subentropy(vals):
     """Subentropy of each spectrum along the last axis by the trapezoid rule of
     ``entropy`` with 1 - prod_i t/(l_i + t) written as -expm1(-sum log1p(l_i/t)),

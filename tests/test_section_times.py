@@ -27,8 +27,25 @@ def test_section_times_reports_a_median_per_section_and_dim(capsys):
     assert min(medians) > 0.0 and summary["sum_of_medians_ms"] == pytest.approx(sum(medians))
 
 
+def test_section_times_times_only_the_named_sections(capsys):
+    names = ["update-factor", "entropy-sweep"]
+    code = load_script().main(["--dims", "2", "--seeds", "1", "1", "--passes", "1", "--sections", *names])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert list(summary["median_ms"]) == names
+    assert summary["sum_of_medians_ms"] == pytest.approx(sum(summary["median_ms"][n]["2"] for n in names))
+
+
 @pytest.mark.parametrize(
-    "argv", [["--passes", "0"], ["--seeds", "3", "2"], ["--dims", str(cli.MAX_DIM + 1)]]
+    "argv",
+    [
+        ["--passes", "0"],
+        ["--seeds", "3", "2"],
+        ["--dims", str(cli.MAX_DIM + 1)],
+        ["--sections", "all"],
+        ["--sections", "entropy-sweep", "no-such-section"],
+        ["--sections"],
+    ],
 )
 def test_section_times_rejects_bad_ranges(argv):
     with pytest.raises(SystemExit) as exc:

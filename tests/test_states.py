@@ -54,6 +54,18 @@ def test_sqm_vector_rejects_entries_above_element_cap():
         states.SqmVector(probs, sqm)
 
 
+def test_sqm_vector_keeps_a_read_only_copy_of_its_probabilities():
+    sqm = effects.standard_sqm(2)
+    source = states.to_sqm(np.eye(2) / 2, sqm).probs.copy()
+    v = states.SqmVector(source, sqm)
+    checked = source.copy()
+    source[0] = 5.0
+    assert v.probs.tobytes() == checked.tobytes()
+    assert not v.probs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        v.probs[0] = 5.0
+
+
 def test_uniform_vector_membership_decided_by_reconstruction():
     # The flat distribution over the 4 outcomes happens to be achievable at
     # dim 2; the reconstruction oracle decides and reports the witness.
