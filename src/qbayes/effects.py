@@ -205,6 +205,12 @@ class MinimalIcPovm:
         return effect_keys(self.base.elements)
 
     @functools.cached_property
+    def key_rows(self) -> dict[bytes, int]:
+        """Each of ``keys`` to its row of ``base``: the index of a frame recorded on
+        ``base``, which FrameFunction.from_state copies (``record`` writes to it)."""
+        return dict(zip(self.keys, range(len(self))))
+
+    @functools.cached_property
     def max_probability(self) -> np.ndarray:
         """Largest eigenvalue of each element; see :func:`max_probability`."""
         return max_probability(self.base)
@@ -320,7 +326,7 @@ class FrameFunction:
             values = born(state, stack)
             sqm = _SQMS.get(stack.shape[-1])
             if sqm is not None and stack is sqm.base.elements:
-                rows = dict(zip(sqm.keys, range(len(stack))))
+                rows = dict(sqm.key_rows)
             else:
                 rows = dict(zip(effect_keys(stack), range(len(stack))))  # key -> its last row
                 if len(rows) < len(stack):
@@ -398,19 +404,22 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
         rho = (x[: dim * dim] + 1j * x[dim * dim :]).T.reshape(y.shape[:-1] + (-1,))
     rho = rho.reshape(y.shape[:-1] + (dim, dim))
     where = "" if y.ndim == 1 else "frame {}: "  # a stack names its first failing frame
-    residual = np.linalg.norm(_traces(rho, stack) - y, axis=-1).reshape(-1)
-    bad = residual > linalg.RECONSTRUCTION_RESIDUAL_TOL
+    miss = _traces(rho, stack) - y
+    squared = np.vecdot(miss, miss)  # the residual norm squared, per frame
+    bad = squared > linalg.RECONSTRUCTION_RESIDUAL_TOL**2
     if bad.any():
         i = int(np.argmax(bad))
-        raise DegenerateSpan(f"{where.format(i)}least-squares residual {residual[i]:.3e} too large")
-    low = np.linalg.eigvalsh(rho)[..., 0].reshape(-1)
-    trace = np.trace(rho, axis1=-2, axis2=-1).real.reshape(-1)
+        raise DegenerateSpan(
+            f"{where.format(i)}least-squares residual {np.sqrt(np.ravel(squared)[i]):.3e} too large"
+        )
+    low = np.linalg.eigvalsh(rho)[..., 0]
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
     bad = (low < linalg.STATE_EIG_FLOOR) | (abs(trace - 1.0) > linalg.PROB_SUM_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         warnings.warn(
             f"{where.format(i)}reconstructed operator is not a state (min eigenvalue "
-            f"{low[i]:.3e}, trace {trace[i]:.6f})",
+            f"{np.ravel(low)[i]:.3e}, trace {np.ravel(trace)[i]:.6f})",
             NotAStateWarning,
             stacklevel=2,
         )

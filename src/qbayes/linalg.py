@@ -94,10 +94,13 @@ def projector(vec: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray) -> bool | np.ndarray:
-    """||m - m^dag|| <= HERMITIAN_TOL ||m||; a (..., D, D) stack gives one bool each."""
+    """||m - m^dag|| <= HERMITIAN_TOL ||m||; a (..., D, D) stack gives one bool each.
+    Both sides are squared Frobenius norms, one vecdot each, so an operator and
+    its 1-stack take the same arithmetic."""
     m = as_operators(m)
-    axes = None if m.ndim == 2 else (-2, -1)  # the flat norm is the faster one
-    ok = np.linalg.norm(m - dagger(m), axis=axes) <= HERMITIAN_TOL * np.linalg.norm(m, axis=axes)
+    flat = m.reshape(m.shape[:-2] + (m.shape[-1] ** 2,))
+    skew = (m - dagger(m)).reshape(flat.shape)
+    ok = np.vecdot(skew, skew).real <= HERMITIAN_TOL**2 * np.vecdot(flat, flat).real
     return bool(ok) if m.ndim == 2 else ok
 
 

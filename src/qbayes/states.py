@@ -26,27 +26,29 @@ def density_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate one density operator or a (..., D, D) stack of them.
 
     Checks Hermiticity, positivity (``linalg.psd_fails``) and unit trace (to
-    ``linalg.PROB_SUM_TOL``) with one Hermiticity test and one batched eigvalsh.
-    Returns the operators as a complex array and their ascending spectra
-    (..., D).
+    ``linalg.PROB_SUM_TOL``) with one Hermiticity test and one eigvalsh of the
+    symmetrized operators, the same calls for one operator and for a stack, so
+    an operator's spectrum is bitwise that of its 1-stack.  Returns the
+    operators as a complex array and their ascending spectra (..., D).
     NotAState names the first failing operator of a stack by its flat index.
     """
     rho = linalg.as_operators(rho)
-    flat = rho.reshape((-1,) + rho.shape[-2:])
-    hermitian = np.atleast_1d(linalg.is_hermitian(rho if rho.ndim == 2 else flat))
-    vals = np.linalg.eigvalsh((flat + linalg.dagger(flat)) / 2.0)
-    trace = np.trace(flat, axis1=1, axis2=2).real
-    bad = np.flatnonzero(
-        ~hermitian | linalg.psd_fails(vals[:, 0], vals[:, -1]) | (abs(trace - 1.0) > linalg.PROB_SUM_TOL)
+    hermitian = linalg.is_hermitian(rho)
+    vals = np.linalg.eigvalsh((rho + linalg.dagger(rho)) / 2.0)
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    bad = (
+        np.logical_not(hermitian)  # one operator's verdict is a Python bool, whose ~ is an int
+        | linalg.psd_fails(vals[..., 0], vals[..., -1])
+        | (abs(trace - 1.0) > linalg.PROB_SUM_TOL)
     )
-    if bad.size:
-        i = int(bad[0])
+    if bad.any():
+        i = int(np.argmax(bad))  # the flat index of the first failing operator
         raise NotAState(
             f"{'operator' if rho.ndim == 2 else f'state {i}'} is not a density "
-            f"operator: Hermitian {bool(hermitian[i])}, smallest eigenvalue "
-            f"{vals[i, 0]:.3e}, trace {trace[i]:.9f}"
+            f"operator: Hermitian {bool(np.ravel(hermitian)[i])}, smallest eigenvalue "
+            f"{vals.reshape(-1, rho.shape[-1])[i, 0]:.3e}, trace {np.ravel(trace)[i]:.9f}"
         )
-    return rho, vals.reshape(rho.shape[:-1])
+    return rho, vals
 
 
 def assert_density_operator(rho: np.ndarray) -> np.ndarray:
@@ -54,11 +56,13 @@ def assert_density_operator(rho: np.ndarray) -> np.ndarray:
     return density_spectrum(rho)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SqmVector:
     """Probability vector over the outcomes of a fixed SQM: NotAState unless it
     passes ``linalg.distribution_fault`` and no entry exceeds its effect's cap.
-    ``probs`` is a read-only float copy, so the checked vector cannot change."""
+    ``probs`` is a read-only float copy, so the checked vector cannot change.
+    It compares and hashes by identity, as the array it holds has no truth
+    value; compare ``probs`` to compare two vectors."""
 
     probs: np.ndarray
     sqm: MinimalIcPovm
@@ -81,7 +85,9 @@ class SqmVector:
 
 def to_sqm(state: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmVector:
     """Outcome distribution of ``state`` for the standard measurement; its sum is
-    the state's trace, which :func:`density_spectrum` holds to PROB_SUM_TOL too."""
+    the state's trace, which :func:`density_spectrum` holds to PROB_SUM_TOL too.
+    SqmVector still checks it: a caller's ``sqm`` need resolve the identity only
+    to IDENTITY_TOL, which is looser."""
     state = assert_density_operator(linalg.as_operator(state))
     if sqm is None:
         sqm = standard_sqm(state.shape[0])
@@ -99,9 +105,11 @@ def from_sqm(
     failing ``linalg.distribution_fault`` raises NotAState with its sum, the
     trace of its inversion.  The linear inversion rho = sum_d p(d) R_d over the
     dual frame always has a unique Hermitian solution; it is a state only when
-    the vector lies in the achievable region.  Eigenvalues in
-    [linalg.STATE_EIG_FLOOR, 0) are treated as numerical noise (clamped,
-    renormalized); anything lower raises NotAState.
+    the vector lies in the achievable region.  One eigvalsh decides it:
+    eigenvalues in [linalg.STATE_EIG_FLOOR, 0) are treated as numerical noise
+    (clamped by an eigendecomposition, the only one, and renormalized);
+    anything lower raises NotAState.  With no negative eigenvalue the state is
+    the inversion over its trace.
     """
     if isinstance(v, SqmVector):
         probs, sqm = v.probs, v.sqm
@@ -137,14 +145,19 @@ def _sqm_for(probs: np.ndarray, sqm: MinimalIcPovm | None) -> MinimalIcPovm:
 
 def _invert(probs: np.ndarray, sqm: MinimalIcPovm) -> tuple[np.ndarray | None, float, float]:
     """(state, smallest eigenvalue, trace) of the inversion sum_d p(d) R_d, one
-    product with the dual frame.  The state is the inversion with its noise
-    eigenvalues clamped and renormalized, or None unless the eigenvalues are at
-    least STATE_EIG_FLOOR and the trace (the sum) within PROB_SUM_TOL of 1."""
+    product with the dual frame, decided by one eigvalsh.  The state is None
+    unless the eigenvalues are at least STATE_EIG_FLOOR and the trace (the sum)
+    within PROB_SUM_TOL of 1.  With no negative eigenvalue it is the inversion
+    over its trace (Hermitian up to rounding, as a frame reconstruction is);
+    only an eigenvalue in [STATE_EIG_FLOOR, 0) runs eigh, to clamp that noise
+    to 0 and renormalize."""
     raw = (probs @ sqm.dual.reshape(len(sqm), -1)).reshape(sqm.dim, sqm.dim)
-    vals, vecs = np.linalg.eigh(raw)
-    low, trace = float(vals[0]), float(np.trace(raw).real)
+    low, trace = float(np.linalg.eigvalsh(raw)[0]), float(np.trace(raw).real)
     if not (low >= linalg.STATE_EIG_FLOOR and abs(trace - 1.0) <= linalg.PROB_SUM_TOL):
         return None, low, trace
+    if low >= 0.0:
+        return raw / trace, low, trace
+    vals, vecs = np.linalg.eigh(raw)
     rho = (vecs * np.maximum(vals, 0.0)) @ linalg.dagger(vecs)
     return rho / np.trace(rho).real, low, trace
 
@@ -164,7 +177,11 @@ class SqmMembership:
 
 
 def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership:
-    """Decide whether a probability vector (``linalg.distribution_fault``) is achievable."""
+    """Decide whether a probability vector (``linalg.distribution_fault``) is achievable.
+
+    The decision, ``min_eigenvalue`` and the member's state are those of
+    :func:`from_sqm`: one eigvalsh of the inversion, and an eigendecomposition
+    only to clamp eigenvalues in [linalg.STATE_EIG_FLOOR, 0)."""
     probs = np.asarray(v, dtype=float)
     if (fault := linalg.distribution_fault(probs)) is not None:
         raise InvalidArgument(f"input must be a probability vector: {fault}")

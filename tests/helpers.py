@@ -11,6 +11,17 @@ def random_hermitian(dim, seed=None, scale=1.0):
     return scale * (z + linalg.dagger(z)) / 2.0
 
 
+def sqm_probs_with_lowest(sqm, low, seed):
+    """SQM probabilities tr(X E_d) of a trace-one Hermitian X with smallest
+    eigenvalue ``low``: a seeded random state with its lowest eigenvalue set to
+    ``low`` and the rest rescaled, so the raw inversion of the vector is X up
+    to rounding."""
+    vals, vecs = np.linalg.eigh(linalg.random_state(sqm.dim, seed))
+    vals[0] = low
+    vals[1:] *= (1.0 - low) / vals[1:].sum()
+    return effects.born((vecs * vals) @ linalg.dagger(vecs), sqm.base)
+
+
 def shannon(p):
     """Shannon entropy of a distribution: the von Neumann entropy of its diagonal state."""
     return entropy.von_neumann(np.diag(p))

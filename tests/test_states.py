@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import sqm_probs_with_lowest
 from qbayes import definetti, effects, linalg, states
 from qbayes.errors import DimensionMismatch, InvalidArgument, NotAState, ZeroProbabilityData
 
@@ -64,6 +65,14 @@ def test_sqm_vector_keeps_a_read_only_copy_of_its_probabilities():
     assert not v.probs.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         v.probs[0] = 5.0
+
+
+def test_sqm_vector_compares_and_hashes_by_identity():
+    sqm = effects.standard_sqm(2)
+    v, w = states.to_sqm(np.eye(2) / 2, sqm), states.to_sqm(np.eye(2) / 2, sqm)
+    assert v == v and v != w
+    assert len({v, w, v}) == 2
+    assert np.array_equal(v.probs, w.probs)
 
 
 def test_uniform_vector_membership_decided_by_reconstruction():
@@ -195,13 +204,23 @@ def _clamped(raw):
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_from_sqm_and_in_sqm_set_are_one_dual_product(d, rng):
+    # One eigvalsh of the inversion decides: with no negative eigenvalue the state
+    # is the inversion over its trace, and a noise eigenvalue in
+    # [STATE_EIG_FLOOR, 0) takes the clamped rebuild.  Both are within 1e-14 of
+    # clamping every spectrum.
     sqm = effects.standard_sqm(d)
-    for _ in range(20):
-        v = states.to_sqm(linalg.random_state(d, rng), sqm)
-        expected = _clamped((v.probs @ sqm.dual.reshape(d * d, -1)).reshape(d, d)).tobytes()
-        assert states.from_sqm(v).tobytes() == expected
-        assert states.from_sqm(v.probs).tobytes() == expected
-        assert states.in_sqm_set(v.probs).state.tobytes() == expected
+    vectors = [states.to_sqm(linalg.random_state(d, rng), sqm) for _ in range(20)]
+    vectors.append(states.SqmVector(sqm_probs_with_lowest(sqm, -1e-9, d), sqm))
+    lows = []
+    for v in vectors:
+        raw = (v.probs @ sqm.dual.reshape(d * d, -1)).reshape(d, d)
+        lows.append(np.linalg.eigvalsh(raw)[0])
+        expected = raw / np.trace(raw).real if lows[-1] >= 0.0 else _clamped(raw)
+        assert states.from_sqm(v).tobytes() == expected.tobytes()
+        assert states.from_sqm(v.probs).tobytes() == expected.tobytes()
+        assert states.in_sqm_set(v.probs).state.tobytes() == expected.tobytes()
+        assert linalg.trace_distance(states.from_sqm(v), _clamped(raw)) <= 1e-14
+    assert min(lows[:-1]) > 0.0 and linalg.STATE_EIG_FLOOR <= lows[-1] < 0.0  # both branches ran
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -310,3 +329,20 @@ def test_to_sqm_takes_exactly_the_states_density_spectrum_takes(sqm, dim, rng, m
             states.density_spectrum(rho)
         with pytest.raises(NotAState, match="is not a density operator"):
             states.to_sqm(rho, sqm)
+
+
+def test_density_spectrum_is_one_path_for_an_operator_and_a_stack(rng):
+    # An operator's spectrum is bitwise its 1-stack's, and a stack names its
+    # first failing operator by its flat index.
+    rhos = np.stack([linalg.random_state(3, rng) for _ in range(4)]).reshape(2, 2, 3, 3)
+    vals = states.density_spectrum(rhos)[1]
+    assert vals.shape == (2, 2, 3)
+    for rho, spectrum in zip(rhos.reshape(4, 3, 3), vals.reshape(4, 3)):
+        assert states.density_spectrum(rho)[1].tobytes() == spectrum.tobytes()
+        assert states.density_spectrum(rho[None])[1][0].tobytes() == spectrum.tobytes()
+    rhos[1, 0] = np.diag([1.5, -0.5, 0.0])
+    detail = r"is not a density operator: Hermitian True, smallest eigenvalue -5\.000e-01, trace 1\.000000000"
+    with pytest.raises(NotAState, match="^state 2 " + detail):
+        states.density_spectrum(rhos)
+    with pytest.raises(NotAState, match="^operator " + detail):
+        states.density_spectrum(rhos[1, 0])

@@ -8,12 +8,20 @@ Everywhere else in the package a float literal with 0 < |x| < 1e-5, or a
 module-level ``*_TOL`` / ``*_FLOOR`` assignment, is a tolerance that escaped
 the table.  ``cli.py`` is exempt from the literal rule: its check thresholds
 are each named by the check that uses them.
+
+The tests at the end hold rules at their margins: a verdict flips between
+just inside and just outside its tolerance.
 """
 
 import ast
 import pathlib
 
+import numpy as np
 import pytest
+
+from helpers import sqm_probs_with_lowest
+from qbayes import effects, linalg, states
+from qbayes.errors import NotAState
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qbayes"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
@@ -105,3 +113,55 @@ def test_lint_flags_an_escaped_tolerance(tmp_path, monkeypatch):
     (tmp_path / "linalg.py").write_text(table + "\n\ndef g(x):\n    return x < USED_TOL\n")
     with pytest.raises(AssertionError, match=r"nothing reads: \['DEAD_TOL'\]"):
         test_every_table_entry_is_read()
+
+
+# --------------------------------------------------------------------------
+# Rules at their margins, a relative 1e-6 inside and outside the tolerance.
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+@pytest.mark.parametrize("inside", [True, False])
+def test_hermiticity_flips_at_its_tolerance_for_an_operator_and_its_stack(d, inside):
+    g = np.random.default_rng(d)
+    x = g.normal(size=(2, 2, d, d))
+    a, b = x[:, 0] + 1j * x[:, 1]
+    h, skew = (a + linalg.dagger(a)) / 2.0, (b - linalg.dagger(b)) / 2.0
+    # ||m - m^dag|| / ||m|| is the target up to a relative target^2 / 8.
+    target = linalg.HERMITIAN_TOL * (1.0 - 1e-6 if inside else 1.0 + 1e-6)
+    m = h + skew * (target * np.linalg.norm(h) / np.linalg.norm(2.0 * skew))
+    assert linalg.is_hermitian(m) is inside
+    assert linalg.is_hermitian(m[None]).tolist() == [inside]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("member", [True, False])
+def test_sqm_inversion_flips_at_the_state_eigenvalue_floor(d, member):
+    sqm = effects.standard_sqm(d)
+    low = linalg.STATE_EIG_FLOOR * (1.0 - 1e-6 if member else 1.0 + 1e-6)
+    probs = sqm_probs_with_lowest(sqm, low, d)
+    result = states.in_sqm_set(probs, sqm)
+    assert result.member is member
+    assert result.min_eigenvalue == pytest.approx(low, abs=1e-14)
+    if member:  # the noise eigenvalue is clamped to 0
+        assert np.array_equal(states.from_sqm(probs, sqm), result.state)
+        assert np.linalg.eigvalsh(result.state)[0] >= -1e-15
+    else:
+        assert result.state is None
+        with pytest.raises(NotAState, match="eigenvalue"):
+            states.from_sqm(probs, sqm)
+
+
+@pytest.mark.parametrize("low", [0.0, -(2.0**-40)])
+def test_sqm_inversion_keeps_a_lowest_eigenvalue_of_exactly_zero(low):
+    # A twin of the qubit SQM whose dual element 0 is diag(1 - low, low): the
+    # vector e_0 inverts to exactly that operator, so its lowest eigenvalue is
+    # exactly low.  At 0 the inversion is the state as it is; just below 0 it is
+    # clamped.
+    sqm = effects.standard_sqm(2)
+    twin = effects.MinimalIcPovm(sqm.base, sqm.gram, sqm.projectors)
+    twin.__dict__["dual"] = np.concatenate([np.diag([1.0 - low, low])[None], sqm.dual[1:]])
+    probs = np.array([1.0, 0.0, 0.0, 0.0])
+    result = states.in_sqm_set(probs, twin)
+    assert result.member and result.min_eigenvalue == low
+    assert np.array_equal(states.from_sqm(probs, twin), result.state)
+    assert np.array_equal(result.state, np.diag([1.0, 0.0]))
