@@ -16,8 +16,9 @@ divided by ``--number``, in microseconds.  The layers, at every dimension of
 plus ``reconstruct_joint_operator`` of a 3 x 3 joint state, reported under
 the key "3x3".  Every standard SQM is built, and every call made once, before
 timing.  The script prints one JSON object: per layer and dimension the
-median microseconds per call, and the sum of those medians.  Run it with one
-BLAS thread to keep threading noise out of the per-call times:
+median microseconds per call.  Every input is drawn from one generator seeded
+with ``SEED``.  Run it with one BLAS thread to keep threading noise out of the
+per-call times:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_times.py --dims 2 4 8
 """
@@ -33,11 +34,12 @@ import numpy as np
 from qbayes import cli, effects, linalg, locality, states
 
 JOINT_DIMS = (3, 3)
+SEED = 1
 
 
-def layer_calls(dim: int, seed: int) -> dict:
+def layer_calls(dim: int) -> dict:
     """Name -> zero-argument call of each layer at ``dim`` on seeded inputs."""
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(SEED)
     sqm = effects.standard_sqm(dim)
     rho = linalg.random_state(dim, g)
     v = states.to_sqm(rho, sqm)
@@ -55,44 +57,36 @@ def layer_calls(dim: int, seed: int) -> dict:
     }
 
 
-def joint_call(seed: int):
-    rho_joint = linalg.random_state(JOINT_DIMS[0] * JOINT_DIMS[1], np.random.default_rng(seed))
-    return lambda: locality.reconstruct_joint_operator(locality.BilinearFrame.from_state(rho_joint, JOINT_DIMS))
+def joint_call():
+    rho_joint = linalg.random_state(JOINT_DIMS[0] * JOINT_DIMS[1], np.random.default_rng(SEED))
+    return lambda: locality.reconstruct_joint_operator(
+        locality.BilinearFrame.from_state(rho_joint, JOINT_DIMS)
+    )
 
 
-def time_layers(dims, seed: int, number: int, repeat: int) -> dict:
-    calls = [(str(dim), layer_calls(dim, seed)) for dim in dims]
-    calls.append(("x".join(map(str, JOINT_DIMS)), {"reconstruct_joint_operator": joint_call(seed)}))
+def time_layers(dims, number: int, repeat: int) -> dict:
+    calls = [(str(dim), layer_calls(dim)) for dim in dims]
+    calls.append(("x".join(map(str, JOINT_DIMS)), {"reconstruct_joint_operator": joint_call()}))
     medians = {}
     for key, by_name in calls:
         for name, call in by_name.items():
             call()  # builds, imports and caches outside the timed rounds
             rounds = timeit.Timer(call).repeat(repeat=repeat, number=number)
             medians.setdefault(name, {})[key] = 1e6 * statistics.median(rounds) / number
-    return {
-        "dims": list(dims),
-        "seed": seed,
-        "number": number,
-        "repeat": repeat,
-        "median_us": medians,
-        "sum_of_medians_us": sum(sum(by_key.values()) for by_key in medians.values()),
-    }
+    return {"dims": list(dims), "number": number, "repeat": repeat, "median_us": medians}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dims", type=int, nargs="+", default=(2, 4, 8))
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--number", type=int, default=500)
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args(argv)
     if args.number < 1 or args.repeat < 1:
         parser.error("--number and --repeat must be at least 1")
-    if args.seed < 0:
-        parser.error("--seed must be nonnegative")
     if not all(2 <= d <= cli.MAX_DIM for d in args.dims):
         parser.error(f"--dims must lie between 2 and {cli.MAX_DIM}")
-    print(json.dumps(time_layers(args.dims, args.seed, args.number, args.repeat), indent=2))
+    print(json.dumps(time_layers(args.dims, args.number, args.repeat), indent=2))
     return 0
 
 

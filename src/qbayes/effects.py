@@ -205,12 +205,6 @@ class MinimalIcPovm:
         return effect_keys(self.base.elements)
 
     @functools.cached_property
-    def key_rows(self) -> dict[bytes, int]:
-        """Each of ``keys`` to its row of ``base``: the index of a frame recorded on
-        ``base``, which FrameFunction.from_state copies (``record`` writes to it)."""
-        return dict(zip(self.keys, range(len(self))))
-
-    @functools.cached_property
     def max_probability(self) -> np.ndarray:
         """Largest eigenvalue of each element; see :func:`max_probability`."""
         return max_probability(self.base)
@@ -326,7 +320,7 @@ class FrameFunction:
             values = born(state, stack)
             sqm = _SQMS.get(stack.shape[-1])
             if sqm is not None and stack is sqm.base.elements:
-                rows = dict(sqm.key_rows)
+                rows = dict(zip(sqm.keys, range(len(stack))))
             else:
                 rows = dict(zip(effect_keys(stack), range(len(stack))))  # key -> its last row
                 if len(rows) < len(stack):

@@ -109,7 +109,7 @@ def from_sqm(
     eigenvalues in [linalg.STATE_EIG_FLOOR, 0) are treated as numerical noise
     (clamped by an eigendecomposition, the only one, and renormalized);
     anything lower raises NotAState.  With no negative eigenvalue the state is
-    the inversion over its trace.
+    the Hermitian part of the inversion over its trace.
     """
     if isinstance(v, SqmVector):
         probs, sqm = v.probs, v.sqm
@@ -147,16 +147,16 @@ def _invert(probs: np.ndarray, sqm: MinimalIcPovm) -> tuple[np.ndarray | None, f
     """(state, smallest eigenvalue, trace) of the inversion sum_d p(d) R_d, one
     product with the dual frame, decided by one eigvalsh.  The state is None
     unless the eigenvalues are at least STATE_EIG_FLOOR and the trace (the sum)
-    within PROB_SUM_TOL of 1.  With no negative eigenvalue it is the inversion
-    over its trace (Hermitian up to rounding, as a frame reconstruction is);
-    only an eigenvalue in [STATE_EIG_FLOOR, 0) runs eigh, to clamp that noise
-    to 0 and renormalize."""
+    within PROB_SUM_TOL of 1.  With no negative eigenvalue it is the Hermitian
+    part of the inversion over its trace (the dual frame is Hermitian only to
+    rounding); only an eigenvalue in [STATE_EIG_FLOOR, 0) runs eigh, to clamp
+    that noise to 0 and renormalize."""
     raw = (probs @ sqm.dual.reshape(len(sqm), -1)).reshape(sqm.dim, sqm.dim)
     low, trace = float(np.linalg.eigvalsh(raw)[0]), float(np.trace(raw).real)
     if not (low >= linalg.STATE_EIG_FLOOR and abs(trace - 1.0) <= linalg.PROB_SUM_TOL):
         return None, low, trace
     if low >= 0.0:
-        return raw / trace, low, trace
+        return (raw + linalg.dagger(raw)) / (2.0 * trace), low, trace
     vals, vecs = np.linalg.eigh(raw)
     rho = (vecs * np.maximum(vals, 0.0)) @ linalg.dagger(vecs)
     return rho / np.trace(rho).real, low, trace

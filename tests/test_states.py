@@ -205,7 +205,7 @@ def _clamped(raw):
 @pytest.mark.parametrize("d", range(2, 9))
 def test_from_sqm_and_in_sqm_set_are_one_dual_product(d, rng):
     # One eigvalsh of the inversion decides: with no negative eigenvalue the state
-    # is the inversion over its trace, and a noise eigenvalue in
+    # is the inversion's Hermitian part over its trace, and a noise eigenvalue in
     # [STATE_EIG_FLOOR, 0) takes the clamped rebuild.  Both are within 1e-14 of
     # clamping every spectrum.
     sqm = effects.standard_sqm(d)
@@ -215,7 +215,7 @@ def test_from_sqm_and_in_sqm_set_are_one_dual_product(d, rng):
     for v in vectors:
         raw = (v.probs @ sqm.dual.reshape(d * d, -1)).reshape(d, d)
         lows.append(np.linalg.eigvalsh(raw)[0])
-        expected = raw / np.trace(raw).real if lows[-1] >= 0.0 else _clamped(raw)
+        expected = (raw + raw.conj().T) / (2.0 * np.trace(raw).real) if lows[-1] >= 0.0 else _clamped(raw)
         assert states.from_sqm(v).tobytes() == expected.tobytes()
         assert states.from_sqm(v.probs).tobytes() == expected.tobytes()
         assert states.in_sqm_set(v.probs).state.tobytes() == expected.tobytes()
