@@ -11,15 +11,13 @@ from qbayes import effects, linalg, states
 
 np.set_printoptions(precision=4, suppress=True)
 
-# The construction starts from D^2 rank-1 projectors: the basis states,
-# the pairwise (+) superpositions, and the pairwise (+i) superpositions.
-projectors = effects.build_ic_projectors(2)
-print("seed projectors for a qubit:")
-for p in projectors:
-    print(p, "\n")
+# The construction starts from D^2 unit kets: the basis states, the
+# pairwise (+) superpositions, and the pairwise (+i) superpositions.
+kets = effects.build_ic_kets(2)
+print("seed kets for a qubit (one per row):\n", kets)
 
-# Their sum G is positive definite; conjugating by G^(-1/2) turns the
-# family into a POVM without losing rank or linear independence.
+# The sum G of their projectors is positive definite; the kets G^(-1/2) v
+# give rank-1 elements that sum to the identity and stay linearly independent.
 sqm = effects.standard_sqm(2)
 print("G =\n", sqm.gram)
 print("eigenvalues of G:", np.linalg.eigvalsh(sqm.gram))

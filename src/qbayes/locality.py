@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .effects import (
-    Povm, _born_matrix, build_ic_projectors, real_design_matrix, standard_sqm, validate_povm
+    Povm, _born_matrix, build_ic_kets, real_design_matrix, standard_sqm, validate_povm
 )
 from .errors import DegenerateSpan, DimensionMismatch, InvalidArgument
 
@@ -269,7 +269,7 @@ def real_symmetric_effects(dim: int) -> list[np.ndarray]:
     The basis projectors together with the pairwise (+) superposition
     projectors; dim (dim + 1) / 2 operators in total.
     """
-    return [op.real.astype(complex) for op in build_ic_projectors(dim)[: dim * (dim + 1) // 2]]
+    return [linalg.projector(v.real) for v in build_ic_kets(dim)[: dim * (dim + 1) // 2]]
 
 
 def _sym_basis(dim: int) -> np.ndarray:

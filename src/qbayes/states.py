@@ -109,7 +109,7 @@ def from_sqm(
     eigenvalues in [linalg.STATE_EIG_FLOOR, 0) are treated as numerical noise
     (clamped by an eigendecomposition, the only one, and renormalized);
     anything lower raises NotAState.  With no negative eigenvalue the state is
-    the Hermitian part of the inversion over its trace.
+    the inversion over its trace.
     """
     if isinstance(v, SqmVector):
         probs, sqm = v.probs, v.sqm
@@ -147,16 +147,15 @@ def _invert(probs: np.ndarray, sqm: MinimalIcPovm) -> tuple[np.ndarray | None, f
     """(state, smallest eigenvalue, trace) of the inversion sum_d p(d) R_d, one
     product with the dual frame, decided by one eigvalsh.  The state is None
     unless the eigenvalues are at least STATE_EIG_FLOOR and the trace (the sum)
-    within PROB_SUM_TOL of 1.  With no negative eigenvalue it is the Hermitian
-    part of the inversion over its trace (the dual frame is Hermitian only to
-    rounding); only an eigenvalue in [STATE_EIG_FLOOR, 0) runs eigh, to clamp
-    that noise to 0 and renormalize."""
+    within PROB_SUM_TOL of 1.  With no negative eigenvalue it is the inversion
+    over its trace, Hermitian exactly as the dual frame is; only an eigenvalue
+    in [STATE_EIG_FLOOR, 0) runs eigh, to clamp that noise to 0 and renormalize."""
     raw = (probs @ sqm.dual.reshape(len(sqm), -1)).reshape(sqm.dim, sqm.dim)
     low, trace = float(np.linalg.eigvalsh(raw)[0]), float(np.trace(raw).real)
     if not (low >= linalg.STATE_EIG_FLOOR and abs(trace - 1.0) <= linalg.PROB_SUM_TOL):
         return None, low, trace
     if low >= 0.0:
-        return (raw + linalg.dagger(raw)) / (2.0 * trace), low, trace
+        return raw / trace, low, trace
     vals, vecs = np.linalg.eigh(raw)
     rho = (vecs * np.maximum(vals, 0.0)) @ linalg.dagger(vecs)
     return rho / np.trace(rho).real, low, trace
@@ -176,16 +175,21 @@ class SqmMembership:
     min_eigenvalue: float
 
 
-def in_sqm_set(v: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership:
+def in_sqm_set(v: SqmVector | np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmMembership:
     """Decide whether a probability vector (``linalg.distribution_fault``) is achievable.
 
-    The decision, ``min_eigenvalue`` and the member's state are those of
-    :func:`from_sqm`: one eigvalsh of the inversion, and an eigendecomposition
-    only to clamp eigenvalues in [linalg.STATE_EIG_FLOOR, 0)."""
-    probs = np.asarray(v, dtype=float)
-    if (fault := linalg.distribution_fault(probs)) is not None:
-        raise InvalidArgument(f"input must be a probability vector: {fault}")
-    state, low, _ = _invert(probs, _sqm_for(probs, sqm))
+    Takes an SqmVector's checked probabilities and SQM as they are, or a raw vector
+    and the measurement.  The decision, ``min_eigenvalue`` and the member's state
+    are those of :func:`from_sqm`: one eigvalsh of the inversion, and an
+    eigendecomposition only to clamp eigenvalues in [linalg.STATE_EIG_FLOOR, 0)."""
+    if isinstance(v, SqmVector):
+        probs, sqm = v.probs, v.sqm
+    else:
+        probs = np.asarray(v, dtype=float)
+        if (fault := linalg.distribution_fault(probs)) is not None:
+            raise InvalidArgument(f"input must be a probability vector: {fault}")
+        sqm = _sqm_for(probs, sqm)
+    state, low, _ = _invert(probs, sqm)
     return SqmMembership(state is not None, state, low)
 
 

@@ -58,25 +58,24 @@ def test_validate_povm_rejects_negative_element():
     assert err.value.index == 1
 
 
-def test_ic_projectors_d2_explicit():
-    p = effects.build_ic_projectors(2)
-    assert len(p) == 4
-    assert np.allclose(p[0], [[1, 0], [0, 0]])
-    assert np.allclose(p[1], [[0, 0], [0, 1]])
-    assert np.allclose(p[2], np.array([[1, 1], [1, 1]]) / 2.0)
-    assert np.allclose(p[3], np.array([[1, -1j], [1j, 1]]) / 2.0)
+def test_ic_kets_d2_explicit():
+    kets = effects.build_ic_kets(2)
+    assert kets.shape == (4, 2)
+    assert np.allclose(kets, np.array([[1, 0], [0, 1], [1, 1], [1, 1j]]) / [[1], [1], [np.sqrt(2)], [np.sqrt(2)]])
+    assert np.allclose(linalg.projector(kets[2]), np.array([[1, 1], [1, 1]]) / 2.0)
+    assert np.allclose(linalg.projector(kets[3]), np.array([[1, -1j], [1j, 1]]) / 2.0)
 
 
-def test_ic_projectors_d3_unit_trace():
-    p = effects.build_ic_projectors(3)
-    assert len(p) == 9
-    for proj in p:
-        assert np.trace(proj).real == pytest.approx(1.0)
+def test_ic_kets_d3_unit_norm():
+    kets = effects.build_ic_kets(3)
+    assert kets.shape == (9, 3)
+    assert np.allclose(np.linalg.norm(kets, axis=1), 1.0)
 
 
-def test_ic_projectors_d4_gram_nonsingular():
-    p = effects.build_ic_projectors(4)
-    gram = np.array([[linalg.hs_inner(a, b) for b in p] for a in p])
+def test_ic_kets_d4_seed_gram_nonsingular():
+    # tr(P_a P_b) = |<v_a|v_b>|^2 for the seed projectors P_d = |v_d><v_d|.
+    kets = effects.build_ic_kets(4)
+    gram = np.abs(kets.conj() @ kets.T) ** 2
     assert abs(np.linalg.det(gram)) > 1e-12
 
 
@@ -86,6 +85,15 @@ def test_gram_renormalize_d2_matches_explicit_gram():
     vals = np.linalg.eigvalsh(sqm.gram)
     assert vals[-1] == pytest.approx(2.0 + 1.0 / np.sqrt(2.0))
     assert vals[0] == pytest.approx(2.0 - 1.0 / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_sqm_elements_and_dual_are_hermitian_by_construction(d):
+    sqm = effects.standard_sqm(d)
+    for stack in (sqm.base.elements, sqm.dual):
+        assert np.array_equal(stack, linalg.dagger(stack))
+    if d <= 8:
+        assert all(np.linalg.matrix_rank(e) == 1 for e in sqm.base.elements)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -264,8 +272,9 @@ def test_frame_on_a_built_sqm_takes_its_cached_keys(d, rng):
 def test_frame_from_state_builds_no_sqm(d, rng, monkeypatch):
     monkeypatch.delitem(effects._SQMS, d, raising=False)
     rho = linalg.random_state(d, rng)
-    unbuilt = effects.gram_renormalize(effects.build_ic_projectors(d))
-    for effs in (unbuilt.base, unbuilt.base.elements, effects.build_ic_projectors(d)):
+    unbuilt = effects.gram_renormalize(effects.build_ic_kets(d))
+    seeds = [linalg.projector(v) for v in effects.build_ic_kets(d)]
+    for effs in (unbuilt.base, unbuilt.base.elements, seeds):
         f = effects.FrameFunction.from_state(rho, effs)
         assert list(f._index) == effects.effect_keys(np.asarray(f._effects))
         assert d not in effects._SQMS
@@ -454,7 +463,7 @@ def test_sqm_frame_reconstructs_without_lstsq(d, rng, monkeypatch):
 def test_other_spanning_frames_take_the_general_path(d, rng, monkeypatch):
     sqm = effects.standard_sqm(d)
     kets = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
-    other = effects.gram_renormalize([linalg.projector(k) for k in kets])
+    other = effects.gram_renormalize(kets)
     frames = {
         "permuted": [sqm.base[i] for i in np.roll(np.arange(d * d), 1)],
         "overcomplete": [*sqm.base, np.eye(d) / 2.0],
@@ -662,6 +671,11 @@ def test_validate_povm_rejects_non_hermitian_elements():
 
 
 def test_gram_renormalize_rejects_singular_sum():
-    p0 = linalg.projector(linalg.ket(0, 2))
     with pytest.raises(SingularGram):
-        effects.gram_renormalize([p0, p0, p0, p0])
+        effects.gram_renormalize([linalg.ket(0, 2)] * 4)
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 2, 2)])
+def test_gram_renormalize_takes_one_ket_per_row(shape):
+    with pytest.raises(DimensionMismatch, match="array of kets"):
+        effects.gram_renormalize(np.ones(shape))

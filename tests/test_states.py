@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def _clamped(raw):
 @pytest.mark.parametrize("d", range(2, 9))
 def test_from_sqm_and_in_sqm_set_are_one_dual_product(d, rng):
     # One eigvalsh of the inversion decides: with no negative eigenvalue the state
-    # is the inversion's Hermitian part over its trace, and a noise eigenvalue in
+    # is the inversion over its trace, and a noise eigenvalue in
     # [STATE_EIG_FLOOR, 0) takes the clamped rebuild.  Both are within 1e-14 of
     # clamping every spectrum.
     sqm = effects.standard_sqm(d)
@@ -215,12 +216,40 @@ def test_from_sqm_and_in_sqm_set_are_one_dual_product(d, rng):
     for v in vectors:
         raw = (v.probs @ sqm.dual.reshape(d * d, -1)).reshape(d, d)
         lows.append(np.linalg.eigvalsh(raw)[0])
-        expected = (raw + raw.conj().T) / (2.0 * np.trace(raw).real) if lows[-1] >= 0.0 else _clamped(raw)
+        expected = raw / np.trace(raw).real if lows[-1] >= 0.0 else _clamped(raw)
         assert states.from_sqm(v).tobytes() == expected.tobytes()
         assert states.from_sqm(v.probs).tobytes() == expected.tobytes()
         assert states.in_sqm_set(v.probs).state.tobytes() == expected.tobytes()
+        assert states.in_sqm_set(v).state.tobytes() == expected.tobytes()
         assert linalg.trace_distance(states.from_sqm(v), _clamped(raw)) <= 1e-14
     assert min(lows[:-1]) > 0.0 and linalg.STATE_EIG_FLOOR <= lows[-1] < 0.0  # both branches ran
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_inversions_are_hermitian_with_no_hermitian_part_taken(d, rng):
+    # The dual frame is Hermitian exactly, so the entries (i, j) and (j, i) of
+    # p . R are sums of exact conjugates: the inversion is Hermitian bitwise,
+    # and so is the state from_sqm returns without symmetrizing it.
+    sqm = effects.standard_sqm(d)
+    for _ in range(50):
+        v = states.to_sqm(linalg.random_state(d, rng), sqm)
+        raw = (v.probs @ sqm.dual.reshape(d * d, -1)).reshape(d, d)
+        state = states.from_sqm(v)
+        assert np.array_equal(raw, raw.conj().T)
+        assert np.array_equal(state, state.conj().T)
+
+
+def test_in_sqm_set_takes_an_sqm_vector_without_rechecking_it(sqm, dim, rng, monkeypatch):
+    v = states.to_sqm(linalg.random_state(dim, rng), sqm)
+    half = states.to_sqm(np.eye(2) / 2.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SqmVector's probabilities checked again")
+
+    monkeypatch.setattr(linalg, "distribution_fault", refuse)
+    result = states.in_sqm_set(v)
+    assert result.member and np.array_equal(result.state, states.from_sqm(v))
+    assert states.in_sqm_set(half).member
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -307,9 +336,11 @@ def test_a_negative_entry_fails_every_probability_check(d):
 def test_a_sum_off_one_by_1e10_is_no_sqm_vector(sqm, dim, rng):
     probs = states.to_sqm(linalg.random_state(dim, rng), sqm).probs.copy()
     probs[np.argmin(probs)] += 1e-10
-    with pytest.raises(NotAState, match="sum to 1.0000000001"):
+    assert probs.sum() == pytest.approx(1.0 + 1e-10, abs=1e-14)
+    message = re.escape(f"sum to {probs.sum():.15f}")
+    with pytest.raises(NotAState, match=message):
         states.SqmVector(probs, sqm)
-    with pytest.raises(InvalidArgument, match="sum to 1.0000000001"):
+    with pytest.raises(InvalidArgument, match=message):
         states.in_sqm_set(probs, sqm)
 
 

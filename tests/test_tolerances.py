@@ -158,7 +158,7 @@ def test_sqm_inversion_keeps_a_lowest_eigenvalue_of_exactly_zero(low):
     # exactly low.  At 0 the inversion is the state as it is; just below 0 it is
     # clamped.
     sqm = effects.standard_sqm(2)
-    twin = effects.MinimalIcPovm(sqm.base, sqm.gram, sqm.projectors)
+    twin = effects.MinimalIcPovm(sqm.base, sqm.gram)
     twin.__dict__["dual"] = np.concatenate([np.diag([1.0 - low, low])[None], sqm.dual[1:]])
     probs = np.array([1.0, 0.0, 0.0, 0.0])
     result = states.in_sqm_set(probs, twin)
