@@ -17,7 +17,8 @@ kets = effects.build_ic_kets(2)
 print("seed kets for a qubit (one per row):\n", kets)
 
 # The sum G of their projectors is positive definite; the kets G^(-1/2) v
-# give rank-1 elements that sum to the identity and stay linearly independent.
+# give rank-1 elements that sum to the identity.  The dimension alone fixes
+# them, and their dual frame follows in closed form from the seed kets.
 sqm = effects.standard_sqm(2)
 print("G =\n", sqm.gram)
 print("eigenvalues of G:", np.linalg.eigvalsh(sqm.gram))
@@ -38,7 +39,9 @@ for d in (2, 3, 4, 10):
     bound = effects.certainty_bound(d)
     print(f"\nD={d}: max achievable outcome probability = {bound:.7f}")
 
-print("\nper-element ceilings at D=2:", effects.max_probability(sqm.base))
+# Each element's own ceiling is its trace, the one nonzero eigenvalue of
+# the rank-1 element.
+print("\nper-element ceilings at D=2:", sqm.max_probability)
 print("one-hot vector achievable?",
       states.in_sqm_set(np.array([1.0, 0, 0, 0]), sqm).member)
 print("flat vector achievable?",

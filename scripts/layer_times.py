@@ -12,8 +12,8 @@ divided by ``--number``, in microseconds.  The layers, at every dimension of
     frame.from_state    effects.FrameFunction.from_state(rho, sqm.base.elements)
     frame.reconstruct   effects.reconstruct_from_frame(frame) on that frame
     born                effects.born(rho, sqm.base)
-    sqm.build           effects.gram_renormalize(effects.build_ic_kets(dim)).dual:
-                        one build and its dual, past standard_sqm's cache
+    sqm.build           effects.gram_renormalize(dim).dual: one build and its
+                        closed-form dual, past standard_sqm's cache
 
 plus ``reconstruct_joint_operator`` of a 3 x 3 joint state, reported under
 the key "3x3".  Every standard SQM is built, and every call made once, before
@@ -56,7 +56,7 @@ def layer_calls(dim: int) -> dict:
         "frame.from_state": lambda: effects.FrameFunction.from_state(rho, sqm.base.elements),
         "frame.reconstruct": lambda: effects.reconstruct_from_frame(frame),
         "born": lambda: effects.born(rho, sqm.base),
-        "sqm.build": lambda: effects.gram_renormalize(effects.build_ic_kets(dim)).dual,
+        "sqm.build": lambda: effects.gram_renormalize(dim).dual,
     }
 
 

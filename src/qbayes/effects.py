@@ -3,9 +3,10 @@
 A POVM is a finite set of effects (PSD operators between 0 and I) that
 resolves the identity.  This module validates candidate POVMs, constructs
 the minimal informationally complete POVM used as the package-wide
-standard quantum measurement (SQM) from its D^2 seed kets, evaluates the
-generalized Born rule, and inverts it: reconstructing a density operator
-from the values a frame function takes on a spanning set of effects.
+standard quantum measurement (SQM) from D alone, in closed form from its
+D^2 seed kets, evaluates the generalized Born rule, and inverts it:
+reconstructing a density operator from the values a frame function takes
+on a spanning set of effects.
 """
 
 import functools
@@ -25,8 +26,6 @@ from .errors import (
     NotHermitian,
     NotPsd,
     NotResolution,
-    SingularGram,
-    SingularOperator,
 )
 
 
@@ -158,16 +157,30 @@ def build_ic_kets(dim: int) -> np.ndarray:
     return np.concatenate([eye] + [(eye[j] + phase * eye[k]) / math.sqrt(2.0) for phase in (1, 1j)])
 
 
+def _seed_dual(dim: int) -> np.ndarray:
+    """The seeds' own dual frame, the (dim^2, dim, dim) stack Q_d with tr(|v_c><v_c| Q_d)
+    = delta_cd: Q_+ = |j><k| + |k><j| and Q_i = -i|j><k| + i|k><j| per pair j < k,
+    and Q_j = |j><j| - (Q_+ + Q_i)/2 summed over the pairs that hold j."""
+    j, k = np.triu_indices(dim, 1)
+    basis, plus, imag = np.split(np.arange(dim * dim), [dim, dim + len(j)])
+    q = np.zeros((dim * dim, dim, dim), dtype=complex)
+    q[basis, basis, basis] = 1.0
+    q[plus, j, k] = q[plus, k, j] = 1.0
+    q[imag, j, k], q[imag, k, j] = -1j, 1j
+    for d in (j, k):  # Q_+ + Q_i of the pair is (1 - i)|j><k| + (1 + i)|k><j|
+        q[d, j, k], q[d, k, j] = -(1 - 1j) / 2, -(1 + 1j) / 2
+    return q
+
+
 @dataclass(frozen=True)
 class MinimalIcPovm:
-    """Minimal informationally complete POVM with its construction data.
+    """The standard SQM of one dimension with its construction data.
 
     ``base`` holds the dim^2 rank-one effects u_d u_d^dag, Hermitian by
     construction, and ``gram`` the positive definite G = sum_d |v_d><v_d| of
-    the seed kets, u_d = G^{-1/2} v_d.  The square element matrix
-    ``base.matrix`` is invertible; the ``dual`` frame read off its inverse,
-    the effect ``keys`` and the per-element ``max_probability`` are computed
-    once, on first use.
+    the seed kets of :func:`build_ic_kets`, u_d = G^{-1/2} v_d.  The ``dual``
+    frame, the effect ``keys`` and the per-element ``max_probability`` are
+    read off that construction once, on first use.
     """
 
     base: Povm
@@ -184,11 +197,13 @@ class MinimalIcPovm:
     def dual(self) -> np.ndarray:
         """Dual frame as a (dim^2, dim, dim) stack: ``dual[d]`` is R_d.
 
-        R_d is the Hermitian part of column d of the inverse of ``base.matrix``, so
-        tr(E_c R_d) = delta_cd, every state is rho = sum_d p(d) R_d, and each such sum is exactly Hermitian.
+        R_d is the Hermitian part of G^{1/2} Q_d G^{1/2}, Q_d the seeds' own dual, so
+        tr(E_c R_d) = tr(|v_c><v_c| Q_d) = delta_cd: the elements are linearly independent,
+        every state is rho = sum_d p(d) R_d, and each such sum is exactly Hermitian.
         """
-        inverse = np.linalg.inv(self.base.matrix).T.reshape(len(self), self.dim, self.dim)
-        return (inverse + linalg.dagger(inverse)) / 2.0
+        root = linalg.mat_sqrt(self.gram)
+        r = root @ _seed_dual(self.dim) @ root
+        return (r + linalg.dagger(r)) / 2.0
 
     @functools.cached_property
     def keys(self) -> list[bytes]:
@@ -199,32 +214,25 @@ class MinimalIcPovm:
 
     @functools.cached_property
     def max_probability(self) -> np.ndarray:
-        """Largest eigenvalue of each element; see :func:`max_probability`."""
-        return max_probability(self.base)
+        """Largest probability any state gives each outcome: the trace ||u_d||^2 of
+        u_d u_d^dag, its one nonzero eigenvalue; born(rho, base) never exceeds it."""
+        return np.trace(self.base.elements, axis1=-2, axis2=-1).real
 
 
-def gram_renormalize(kets: np.ndarray) -> MinimalIcPovm:
-    """Turn the seed kets v_d, the rows of a (K, D) array, into a rank-one POVM.
+def gram_renormalize(dim: int) -> MinimalIcPovm:
+    """Build the standard SQM of dimension ``dim`` from its seed kets v_d.
 
     With G = sum_d |v_d><v_d| and u_d = G^{-1/2} v_d, the elements u_d u_d^dag
-    resolve the identity and keep the seeds' linear independence.  Raises
-    SingularGram when G is singular, and DegenerateSpan when the elements
-    are not linearly independent.
+    resolve the identity.  G is positive definite for every dim >= 2 (its
+    smallest eigenvalue is 1 / certainty_bound(dim)), and the elements are
+    linearly independent, since ``MinimalIcPovm.dual`` is biorthogonal to
+    them.  Uncached: :func:`standard_sqm` keeps one build per dimension.
     """
-    kets = np.asarray(kets, dtype=complex)
-    if kets.ndim != 2:
-        raise DimensionMismatch(f"expected a (K, D) array of kets, got shape {kets.shape}")
+    kets = build_ic_kets(dim)
     gram = kets.T @ kets.conj()
-    try:
-        w = linalg.mat_invsqrt(gram)
-    except SingularOperator as exc:
-        raise SingularGram(f"sum of projectors is singular: {exc}") from exc
-    u = kets @ w.T
+    u = kets @ linalg.mat_invsqrt(gram).T
     # einsum: numpy's SIMD complex * can break E_ij == conj(E_ji) by a rounding.
-    sqm = MinimalIcPovm(validate_povm(np.einsum("di,dj->dij", u, u.conj())), gram)
-    if element_gram_min_singular_value(sqm.base) < linalg.INDEPENDENCE_TOL:
-        raise DegenerateSpan("renormalized elements lost linear independence")
-    return sqm
+    return MinimalIcPovm(validate_povm(np.einsum("di,dj->dij", u, u.conj())), gram)
 
 
 def element_gram_min_singular_value(povm: Povm) -> float:
@@ -238,26 +246,27 @@ def element_gram_min_singular_value(povm: Povm) -> float:
 
 # The standard SQM of each dimension built so far; standard_sqm fills it.
 _SQMS: dict[int, MinimalIcPovm] = {}
-# Peak bytes of one SQM build per 16 D^4 bytes (one complex (D^2, D, D) stack):
-# 4.3, 3.3 and 3.1 measured by tracemalloc at D = 8, 16 and 24.
+# Peak bytes of one SQM build per 16 D^4 bytes (one complex (D^2, D, D) stack),
+# by tracemalloc at D = 8, 16 and 24: 4.3, 3.3 and 3.1 for the build, and
+# 5.1, 4.1 and 4.0 while its closed-form dual is built on first use.
 _SQM_BUILD_STACKS = 6
 
 
 def standard_sqm(dim: int) -> MinimalIcPovm:
     """The package-wide standard quantum measurement for dimension ``dim``.
 
-    Built once per dimension over the computational basis and kept in the
-    module's ``_SQMS`` dict for the life of the process; all
-    probability-vector representations of states refer to this measurement
-    unless another one is passed explicitly.  A build whose peak,
-    ``_SQM_BUILD_STACKS * 16 * dim^4`` bytes, would pass
+    Fixed by ``dim`` alone: :func:`gram_renormalize` over the computational
+    basis, built once per dimension and kept in the module's ``_SQMS`` dict for
+    the life of the process; all probability-vector representations of states
+    refer to this measurement unless another one is passed explicitly.  A build
+    whose peak, ``_SQM_BUILD_STACKS * 16 * dim^4`` bytes, would pass
     ``linalg.MEMORY_BUDGET_BYTES`` raises DimensionBudgetExceeded before
     allocating (from dim = 41 on).
     """
     sqm = _SQMS.get(dim)
     if sqm is None:
         linalg._check_budget(_SQM_BUILD_STACKS * 16 * dim**4, f"the standard SQM of dimension {dim}")
-        sqm = _SQMS[dim] = gram_renormalize(build_ic_kets(dim))
+        sqm = _SQMS[dim] = gram_renormalize(dim)
     return sqm
 
 
@@ -271,15 +280,6 @@ def certainty_bound(dim: int) -> float:
     if dim < 2:
         raise InvalidArgument("need dim >= 2")
     return 1.0 / (dim - 0.5 * (1.0 + 1.0 / np.tan(3.0 * np.pi / (4.0 * dim))))
-
-
-def max_probability(povm: Povm) -> np.ndarray:
-    """Per-element least upper bound on outcome probabilities.
-
-    Returns the largest eigenvalue of each effect; born(rho, povm) is
-    dominated entrywise by this vector for every state rho.
-    """
-    return np.linalg.eigvalsh(povm.elements)[:, -1]
 
 
 # --------------------------------------------------------------------------

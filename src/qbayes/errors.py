@@ -33,10 +33,6 @@ class SingularOperator(QbayesError):
     """Inverse power requested of an operator with a (near-)zero eigenvalue."""
 
 
-class SingularGram(QbayesError):
-    """Sum of candidate projectors is not positive definite."""
-
-
 class NotResolution(QbayesError):
     """Candidate POVM elements do not sum to the identity."""
 

@@ -41,8 +41,6 @@ PROB_CAP_TOL = 1e-9
 PROB_FLOOR = 1e-12
 # Miss from 1 allowed for a ket's norm or for |alpha|^2 + |beta|^2.
 NORM_TOL = 1e-9
-# Smallest singular value of the element Gram certifying an IC-POVM.
-INDEPENDENCE_TOL = 1e-8
 # Least-squares residual above which a frame reconstruction is rejected.
 RECONSTRUCTION_RESIDUAL_TOL = 1e-6
 # Frobenius miss of sum_d P(d) rho_d from rho allowed for a claimed refinement.

@@ -176,8 +176,8 @@ def reconstruct_joint_operator(frame: BilinearFrame) -> np.ndarray:
     {R_i x S_j} for the SQM duals {R_i} and {S_j}, so the unique solution
     is L = sum_ij y_ij R_i x S_j, one matrix product of the flattened duals
     realigned back from the R of :class:`BilinearFrame`.  The system is
-    square and always solvable: each standard SQM is certified linearly
-    independent when it is built (see :func:`qbayes.effects.gram_renormalize`).
+    square and always solvable: each standard SQM's closed-form dual frame is
+    biorthogonal to its elements (see :attr:`qbayes.effects.MinimalIcPovm.dual`).
     The frame of a stack of operators gives the stack of their reconstructions.
     """
     da, db = frame.dim_a, frame.dim_b

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import frame_value
+from oracles import max_error, sqm_oracle
 from qbayes import cli, effects, linalg, update
 from qbayes.errors import (
     DegenerateSpan,
@@ -17,7 +18,6 @@ from qbayes.errors import (
     NotHermitian,
     NotPsd,
     NotResolution,
-    SingularGram,
 )
 
 # Frozen from the explicit 2x2 construction: G = [[2, .5-.5i], [.5+.5i, 2]].
@@ -272,7 +272,7 @@ def test_frame_on_a_built_sqm_takes_its_cached_keys(d, rng):
 def test_frame_from_state_builds_no_sqm(d, rng, monkeypatch):
     monkeypatch.delitem(effects._SQMS, d, raising=False)
     rho = linalg.random_state(d, rng)
-    unbuilt = effects.gram_renormalize(effects.build_ic_kets(d))
+    unbuilt = effects.gram_renormalize(d)
     seeds = [linalg.projector(v) for v in effects.build_ic_kets(d)]
     for effs in (unbuilt.base, unbuilt.base.elements, seeds):
         f = effects.FrameFunction.from_state(rho, effs)
@@ -376,25 +376,13 @@ def test_certainty_bound_asymptote():
     assert abs(10.0 * bound * 0.79 - 1.0) < 0.10
 
 
-def test_max_probability_projective():
-    povm = effects.validate_povm(
-        [linalg.projector(linalg.ket(i, 2)) for i in range(2)]
-    )
-    assert np.allclose(effects.max_probability(povm), [1.0, 1.0])
-
-
-def test_max_probability_trivial_split():
-    povm = effects.validate_povm([np.eye(2) / 2.0, np.eye(2) / 2.0])
-    assert np.allclose(effects.max_probability(povm), [0.5, 0.5])
-
-
 def test_max_probability_d2_sqm_below_bound():
-    caps = effects.max_probability(effects.standard_sqm(2).base)
+    caps = effects.standard_sqm(2).max_probability
     assert (caps <= BOUND_2 + 1e-9).all()
 
 
 def test_max_probability_dominates_born(rng, dim, sqm):
-    caps = effects.max_probability(sqm.base)
+    caps = sqm.max_probability
     for _ in range(200):
         probs = effects.born(linalg.random_state(dim, rng), sqm.base)
         assert (probs <= caps + 1e-9).all()
@@ -411,15 +399,25 @@ def test_born_on_a_stack_matches_row_by_row(rng):
         assert np.abs(probs[idx] - effects.born(stack[idx], povm)).max() <= 1e-15
 
 
-@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("d", range(2, 17))
 def test_sqm_dual_frame_is_biorthogonal(d):
     sqm = effects.standard_sqm(d)
-    overlaps = np.array([[np.trace(e @ r) for r in sqm.dual] for e in sqm.base])
-    assert np.abs(overlaps - np.eye(d * d)).max() <= 1e-12
-    for r in sqm.dual:
-        assert np.abs(r - linalg.dagger(r)).max() <= 1e-12 * np.abs(r).max()
-    caps = [np.linalg.eigvalsh(e)[-1] for e in sqm.base]
-    assert np.array_equal(sqm.max_probability, caps)
+    overlaps = np.einsum("cij,dji->cd", sqm.base.elements, sqm.dual)
+    assert np.abs(overlaps - np.eye(d * d)).max() <= 1e-13
+    # The cap of a rank-one element is its trace, its one nonzero eigenvalue.
+    traces = [np.trace(e).real for e in sqm.base]
+    assert np.array_equal(sqm.max_probability, traces)
+    top = np.linalg.eigvalsh(sqm.base.elements)[:, -1]
+    assert np.abs(sqm.max_probability - top).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_sqm_matches_its_50_digit_oracle(d):
+    elements, dual, caps = sqm_oracle(d)
+    sqm = effects.standard_sqm(d)
+    assert max_error(sqm.base.elements, elements) <= 1e-15
+    assert max_error(sqm.max_probability, caps) <= 1e-15
+    assert max_error(sqm.dual, dual) <= 1e-13
 
 
 # --------------------------------------------------------------------------
@@ -462,12 +460,10 @@ def test_sqm_frame_reconstructs_without_lstsq(d, rng, monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_other_spanning_frames_take_the_general_path(d, rng, monkeypatch):
     sqm = effects.standard_sqm(d)
-    kets = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
-    other = effects.gram_renormalize(kets)
     frames = {
         "permuted": [sqm.base[i] for i in np.roll(np.arange(d * d), 1)],
         "overcomplete": [*sqm.base, np.eye(d) / 2.0],
-        "other seeds": other.base.elements,
+        "other seeds": linalg.povm_from_normals(rng.normal(size=(d * d, 2, d, d))),
     }
     calls = []
     lstsq = np.linalg.lstsq
@@ -668,14 +664,3 @@ def test_validate_povm_rejects_non_hermitian_elements():
         effects.validate_povm(skew)
     with pytest.raises(NotHermitian, match="element 1 "):
         effects.validate_povm([np.eye(2) / 2.0, skew[0], skew[1]])
-
-
-def test_gram_renormalize_rejects_singular_sum():
-    with pytest.raises(SingularGram):
-        effects.gram_renormalize([linalg.ket(0, 2)] * 4)
-
-
-@pytest.mark.parametrize("shape", [(4,), (4, 2, 2)])
-def test_gram_renormalize_takes_one_ket_per_row(shape):
-    with pytest.raises(DimensionMismatch, match="array of kets"):
-        effects.gram_renormalize(np.ones(shape))

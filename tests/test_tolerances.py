@@ -165,3 +165,23 @@ def test_sqm_inversion_keeps_a_lowest_eigenvalue_of_exactly_zero(low):
     assert result.member and result.min_eigenvalue == low
     assert np.array_equal(states.from_sqm(probs, twin), result.state)
     assert np.array_equal(result.state, np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("member", [True, False])
+def test_sqm_vector_flips_at_the_cap_tolerance(d, member):
+    # The pure state along u_0 reaches element 0's cap; move eps onto entry 0
+    # from the largest other entry, so the vector stays on the simplex.
+    sqm = effects.standard_sqm(d)
+    u = np.linalg.eigh(sqm.base.elements[0])[1][:, -1]
+    probs = effects.born(linalg.projector(u), sqm.base)
+    assert probs[0] == pytest.approx(sqm.max_probability[0], abs=1e-15)
+    eps = linalg.PROB_CAP_TOL / 2.0 if member else 2.0 * linalg.PROB_CAP_TOL
+    donor = 1 + int(np.argmax(probs[1:]))
+    probs[0] += eps
+    probs[donor] -= eps
+    if member:
+        assert np.array_equal(states.SqmVector(probs, sqm).probs, probs)
+    else:
+        with pytest.raises(NotAState, match="largest achievable"):
+            states.SqmVector(probs, sqm)
