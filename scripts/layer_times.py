@@ -12,6 +12,7 @@ divided by ``--number``, in microseconds.  The layers, at every dimension of
     frame.from_state    effects.FrameFunction.from_state(rho, sqm.base.elements)
     frame.reconstruct   effects.reconstruct_from_frame(frame) on that frame
     born                effects.born(rho, sqm.base)
+    born.stack          effects.born(states, sqm.base) on a stack of STACK_STATES states
     sqm.build           effects.gram_renormalize(dim).dual: one build and its
                         closed-form dual, past standard_sqm's cache
 
@@ -37,6 +38,7 @@ from qbayes import cli, effects, linalg, locality, states
 
 JOINT_DIMS = (3, 3)
 SEED = 1
+STACK_STATES = 1000
 
 
 def layer_calls(dim: int) -> dict:
@@ -47,6 +49,7 @@ def layer_calls(dim: int) -> dict:
     v = states.to_sqm(rho, sqm)
     probe = 0.1 * v.probs
     probe[g.integers(dim * dim)] += 0.9  # past the certainty bound, which is below 0.9
+    many = linalg.state_from_normals(g.normal(size=(STACK_STATES, 2, dim, dim)))  # drawn last
     frame = effects.FrameFunction.from_state(rho, sqm.base.elements)
     return {
         "to_sqm": lambda: states.to_sqm(rho),
@@ -56,6 +59,7 @@ def layer_calls(dim: int) -> dict:
         "frame.from_state": lambda: effects.FrameFunction.from_state(rho, sqm.base.elements),
         "frame.reconstruct": lambda: effects.reconstruct_from_frame(frame),
         "born": lambda: effects.born(rho, sqm.base),
+        "born.stack": lambda: effects.born(many, sqm.base),
         "sqm.build": lambda: effects.gram_renormalize(dim).dual,
     }
 

@@ -82,9 +82,9 @@ def _gleason_roundtrip(dim, trials, g):
 
 def _held_out_error(x_held, rec, rho):
     """Largest held-out probability difference of rec against rho over one chunk
-    of trials; row k of a trial's Born matrix is vec(E_k^T) of its own effects."""
-    held = effects._born_matrix(linalg.povm_from_normals(x_held)).reshape(len(rho), 25, -1)
-    probs = (held @ np.stack([rec, rho]).reshape(2, len(rho), -1, 1)).real
+    of trials: tr(rho E_k) of each trial's own effects, as real coordinates."""
+    held = effects._real_coords(linalg.povm_from_normals(x_held)).reshape(len(rho), 25, -1)
+    probs = held @ effects._real_coords(np.stack([rec, rho]))[..., None]
     return np.abs(probs[0] - probs[1]).max()
 
 

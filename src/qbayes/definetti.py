@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Povm, _effect_stack, born, real_design_matrix
+from .effects import Povm, _effect_stack, _real_coords, born
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -425,9 +425,7 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _nnls_residual(target: np.ndarray, powers: np.ndarray) -> float:
     """min_w>=0 || target - sum_k w_k powers_k ||_F over a (K, N, N) stack."""
-    a = real_design_matrix(powers).T
-    b = real_design_matrix(target[None])[0]
-    return _nnls(a, b)[1]
+    return _nnls(_real_coords(powers).T, _real_coords(target))[1]
 
 
 def real_counterexample(n: int, real_grid_size: int = 600) -> RealCounterexampleReport:

@@ -52,8 +52,17 @@ def _effect_stack(ops) -> np.ndarray:
 
 
 def _born_matrix(stack: np.ndarray) -> np.ndarray:
-    """``Povm.matrix`` of a (..., K, D, D) stack of effects: rows vec(E_k^T)."""
+    """Rows vec(E_k^T) of a (..., K, D, D) stack, so ``M @ vec(X)`` is tr(X E_k) for any X."""
     return stack.swapaxes(-1, -2).reshape(stack.shape[:-2] + (-1,))
+
+
+def _real_coords(ops) -> np.ndarray:
+    """Real coordinates (..., 2 D^2) of (..., D, D) operators: the float view of
+    their flattened entries, not a copy for a contiguous complex stack.  The dot
+    product of two rows is Re tr(A B^dag), which is Re tr(AB) when A or B is
+    Hermitian and tr(AB) when both are."""
+    a = np.ascontiguousarray(ops, dtype=complex)
+    return a.reshape(a.shape[:-2] + (-1,)).view(float)
 
 
 @dataclass(frozen=True)
@@ -77,15 +86,6 @@ class Povm:
 
     def __getitem__(self, idx) -> np.ndarray:
         return self.elements[idx]
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """Stacked (K, D^2) matrix M whose row k is vec(E_k^T).
-
-        ``vec`` flattens row by row, so ``M @ vec(rho)`` is the vector of
-        traces tr(rho E_k): the Born rule as one linear map.
-        """
-        return _born_matrix(self.elements)
 
 
 def validate_povm(candidate: np.ndarray | Sequence[np.ndarray]) -> Povm:
@@ -118,7 +118,8 @@ def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
     """Outcome probabilities tr(rho E_d) for each effect of ``povm``.
 
     ``state`` is one D x D operator or a stack of shape (..., D, D); the
-    result has shape (..., len(povm)).  Plain effects are stacked once, not
+    result has shape (..., len(povm)): one real product of the states' and
+    the effects' ``_real_coords``.  Plain effects are stacked once, not
     validated; missing or mixed-shape effects raise DimensionMismatch.  A
     Povm and its stack take the same product, so their results are bitwise
     equal.  Entries in [-PROB_NEG_TOL, 0) are clamped to exactly zero; lower
@@ -129,17 +130,10 @@ def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
     dim = stack.shape[-1]
     if state.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"state shape {state.shape} vs POVM dim {dim}")
-    p = _traces(state, stack)
+    p = _real_coords(state) @ _real_coords(stack).T
     if p.min() < -linalg.PROB_NEG_TOL:
         raise NotPsd(f"negative outcome probability {p.min():.3e}")
-    return np.maximum(p, 0.0)
-
-
-def _traces(states: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Real parts of tr(rho E_k), (..., K), for (..., D, D) states and a (K, D, D)
-    stack: vec(rho^T) . vec(E_k), one product over the stack's own rows."""
-    n = stack.shape[-1] ** 2
-    return (states.swapaxes(-1, -2).reshape(states.shape[:-2] + (n,)) @ stack.reshape(-1, n).T).real
+    return np.maximum(p, 0.0, out=p)
 
 
 # --------------------------------------------------------------------------
@@ -237,10 +231,10 @@ def gram_renormalize(dim: int) -> MinimalIcPovm:
 
 def element_gram_min_singular_value(povm: Povm) -> float:
     """Smallest singular value of the Hilbert-Schmidt Gram of the elements."""
-    # tr(E_i E_j) is real for Hermitian effects: the dot product of the rows'
-    # float views.  The Gram is PSD, so its singular values are its eigenvalues.
+    # tr(E_i E_j) of Hermitian effects is the dot product of their real coordinates.
+    # The Gram is PSD, so its singular values are its eigenvalues.
     # It is formed by einsum: a threaded BLAS product of this size can stall.
-    rows = np.ascontiguousarray(povm.matrix).view(float)
+    rows = _real_coords(povm.elements)
     return float(np.linalg.eigvalsh(np.einsum("ik,jk->ij", rows, rows))[0])
 
 
@@ -347,27 +341,14 @@ class FrameFunction:
         return list(zip(self._effects, np.moveaxis(self._values, -1, 0).tolist()))
 
 
-def real_design_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Real (K, 2 D^2) matrix with row k equal to [Re vec E_k | Im vec E_k].
-
-    ``ops`` is a sequence of K operators or a (K, D, D) stack.
-
-    For Hermitian E_k and rho, row k dotted with [Re vec rho | Im vec rho]
-    is tr(rho E_k), so tr(rho E_k) = y_k is a real linear system in rho.
-    Every row is the coordinate vector of a Hermitian operator, hence so is
-    the minimum-norm least-squares solution.
-    """
-    flat = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
-    return np.hstack([flat.real, flat.imag])
-
-
 def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
     """Solve tr(rho E_i) = f(E_i) over the recorded effects.
 
     A frame on exactly the effects of ``standard_sqm(dim)`` in SQM order
     (its keys equal ``MinimalIcPovm.keys``) is inverted through the cached
     dual frame, rho = sum_d f(E_d) R_d.  Any other frame is solved by least
-    squares over the real vector space of Hermitian operators; fewer than
+    squares in the ``_real_coords`` of rho; the rows are coordinates of
+    Hermitian effects, so the minimum-norm solution is Hermitian.  Fewer than
     dim^2 linearly independent effects, or a residual above
     ``linalg.RECONSTRUCTION_RESIDUAL_TOL`` on either path, raise
     DegenerateSpan, and effects of mixed shapes DimensionMismatch.  A frame
@@ -385,16 +366,17 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
     k, dim = stack.shape[:2]
     if k < dim * dim:
         raise DegenerateSpan(f"{k} effects cannot span the {dim * dim}-dim operator space")
+    coords = _real_coords(stack)
     if k == dim * dim > 1 and list(frame._index) == (sqm := standard_sqm(dim)).keys:
         rho = y @ sqm.dual.reshape(k, k)
     else:
-        x, _, rank, _ = np.linalg.lstsq(real_design_matrix(stack), y.reshape(-1, k).T, rcond=None)
+        x, _, rank, _ = np.linalg.lstsq(coords, y.reshape(-1, k).T, rcond=None)
         if rank < dim * dim:
             raise DegenerateSpan(f"sampled effects span only {rank} of {dim * dim} dims")
-        rho = (x[: dim * dim] + 1j * x[dim * dim :]).T.reshape(y.shape[:-1] + (-1,))
+        rho = np.ascontiguousarray(x.T).view(complex)
     rho = rho.reshape(y.shape[:-1] + (dim, dim))
     where = "" if y.ndim == 1 else "frame {}: "  # a stack names its first failing frame
-    miss = _traces(rho, stack) - y
+    miss = _real_coords(rho) @ coords.T - y
     squared = np.vecdot(miss, miss)  # the residual norm squared, per frame
     bad = squared > linalg.RECONSTRUCTION_RESIDUAL_TOL**2
     if bad.any():

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .effects import (
-    Povm, _born_matrix, build_ic_kets, real_design_matrix, standard_sqm, validate_povm
+    Povm, _born_matrix, _real_coords, build_ic_kets, standard_sqm, validate_povm
 )
 from .errors import DegenerateSpan, DimensionMismatch, InvalidArgument
 
@@ -336,7 +336,7 @@ def complex_product_rank(dim_a: int, dim_b: int) -> int:
     Hermitian space (complex field)."""
     sa, sb = standard_sqm(dim_a).base.elements, standard_sqm(dim_b).base.elements
     n = dim_a * dim_b
-    a = real_design_matrix(linalg.tensor(sa[:, None], sb).reshape(-1, n, n))
+    a = _real_coords(linalg.tensor(sa[:, None], sb).reshape(-1, n, n))
     return linalg.numeric_rank(np.linalg.svd(a, compute_uv=False))
 
 

@@ -205,17 +205,19 @@ def test_frame_from_state_repeated_effect_keeps_first_row_and_last_value(rng):
     sqm = effects.standard_sqm(2)
     rho = linalg.random_state(2, rng)
     twin = sqm.base[1] + 1e-14  # the same key as element 1, another value
-    f = effects.FrameFunction.from_state(rho, [*sqm.base, twin])
+    plain = [*sqm.base, twin]
+    probs = effects.born(rho, plain)  # one row per effect, the frame's own call
+    f = effects.FrameFunction.from_state(rho, plain)
     assert len(f) == 4 and len(f.items()) == 4
     effs, values = zip(*f.items())
-    assert np.array_equal(effs[1], twin) and values[1] == effects.born(rho, twin[None])[0]
+    assert np.array_equal(effs[1], twin) and values[1] == probs[4]
     assert frame_value(f, sqm.base[1]) == values[1]
     with pytest.raises(KeyError):
         frame_value(f, np.eye(2) / 3.0)
     assert np.array_equal(np.stack(effs)[[0, 2, 3]], sqm.base.elements[[0, 2, 3]])
     recorded = effects.FrameFunction()
-    for e in [*sqm.base, twin]:
-        recorded.record(e, effects.born(rho, e[None])[0])
+    for e, p in zip(plain, probs):
+        recorded.record(e, p)
     assert [v for _, v in recorded.items()] == list(values)
 
 
@@ -397,6 +399,53 @@ def test_born_on_a_stack_matches_row_by_row(rng):
         rows = [np.trace(stack[idx] @ e).real for e in povm]
         assert np.abs(probs[idx] - rows).max() <= 1e-14
         assert np.abs(probs[idx] - effects.born(stack[idx], povm)).max() <= 1e-15
+    many = linalg.state_from_normals(rng.normal(size=(1000, 2, 3, 3)))
+    for basis in (povm, effects.standard_sqm(3).base):
+        singles = np.stack([effects.born(s, basis) for s in many])
+        assert np.abs(effects.born(many, basis) - singles).max() <= 1e-15
+
+
+def test_born_on_a_state_stack_allocates_only_its_result(rng):
+    sqm = effects.standard_sqm(3)
+    many = linalg.state_from_normals(rng.normal(size=(1000, 2, 3, 3)))
+    effects.born(many, sqm.base)
+    tracemalloc.start()
+    try:
+        probs = effects.born(many, sqm.base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * probs.nbytes + 4096
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_real_coords_dot_is_the_trace_of_the_product(d, rng):
+    # Re tr(A B^dag) of the float views: Re tr(AB) when one factor is Hermitian.
+    x = rng.normal(size=(2, d, d))
+    a = x[0] + 1j * x[1]  # not Hermitian
+    b = linalg.random_state(d, rng) - np.eye(d) / d
+    scale = 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
+    for left, right in ((a, b), (b, a)):
+        dot = effects._real_coords(left) @ effects._real_coords(right)
+        assert abs(dot - np.trace(left @ right).real) <= scale
+    h = (a + linalg.dagger(a)) / 2.0
+    dot = effects._real_coords(h) @ effects._real_coords(b)
+    assert abs(dot - np.trace(h @ b)) <= 1e-15 * np.linalg.norm(h) * np.linalg.norm(b)
+    stack = np.stack([a, b])
+    assert np.shares_memory(effects._real_coords(stack), stack)  # a view, not a copy
+    assert effects._real_coords(stack).shape == (2, 2 * d * d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_born_on_strided_fortran_and_real_states_equals_their_contiguous_copies(d, rng):
+    povm = effects.validate_povm(linalg.random_povm(d, 6, rng))
+    stack = linalg.state_from_normals(rng.normal(size=(8, 2, d, d)))
+    strided, fortran, real = stack[::2], np.asfortranarray(stack), stack.real
+    assert not strided.flags.c_contiguous and not fortran.flags.c_contiguous
+    for states in (strided, fortran, real, fortran[0], real[0]):
+        copy = np.ascontiguousarray(states, dtype=complex)
+        for basis in (povm, effects.standard_sqm(d).base):
+            assert effects.born(states, basis).tobytes() == effects.born(copy, basis).tobytes()
 
 
 @pytest.mark.parametrize("d", range(2, 17))
@@ -427,7 +476,8 @@ def test_sqm_matches_its_50_digit_oracle(d):
 def _lstsq_reference(frame):
     effs, values = zip(*frame.items())
     d = effs[0].shape[0]
-    x = np.linalg.lstsq(effects.real_design_matrix(effs), values, rcond=None)[0]
+    flat = np.reshape(effs, (len(effs), -1))
+    x = np.linalg.lstsq(np.hstack([flat.real, flat.imag]), values, rcond=None)[0]
     return (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
 
 
@@ -575,8 +625,6 @@ def test_born_on_plain_effects_equals_born_on_povm(d, rng):
         for plain in (povm.elements, list(povm), np.stack(povm.elements)):
             for state in (states, states[0]):
                 assert effects.born(state, plain).tobytes() == effects.born(state, povm).tobytes()
-    # The Born rule reads the effects' own rows, not the transposed Povm.matrix.
-    assert "matrix" not in vars(random_povm)
 
 
 def test_born_rejects_effects_of_mixed_dimension():

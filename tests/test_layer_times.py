@@ -13,6 +13,7 @@ LAYERS = [
     "frame.from_state",
     "frame.reconstruct",
     "born",
+    "born.stack",
     "sqm.build",
 ]
 

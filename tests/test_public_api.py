@@ -116,14 +116,14 @@ def test_every_public_symbol_has_a_caller_or_a_readme_entry():
 
 def test_the_scan_finds_symbols_and_their_callers():
     symbols = {q for m in MODULES for q, _, _ in public_symbols(m)}
-    assert {"linalg.trace_out_factor", "effects.Povm.matrix", "entropy.von_neumann"} <= symbols
+    assert {"linalg.trace_out_factor", "effects.MinimalIcPovm.dual", "entropy.von_neumann"} <= symbols
     assert not any(q.rsplit(".", 1)[1].startswith("_") for q in symbols)
     # Called only from its own module's definitions, demos or the CLI.
     uncalled = uncalled_symbols()
     assert "linalg.trace_out_factor" not in uncalled
     # A method needs an attribute read: FrameFunction.record passes no
-    # local variable named ``record``, and Povm.matrix is read as one.
-    assert "effects.Povm.matrix" not in uncalled
+    # local variable named ``record``, and MinimalIcPovm.dual is read as one.
+    assert "effects.MinimalIcPovm.dual" not in uncalled
     assert "effects.FrameFunction.record" in uncalled
     assert in_readme("effects.FrameFunction.record", {"effects.FrameFunction.record"})
     assert not in_readme("effects.FrameFunction.record", {"record"})

@@ -15,13 +15,14 @@ just inside and just outside its tolerance.
 
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import sqm_probs_with_lowest
 from qbayes import effects, linalg, states
-from qbayes.errors import NotAState
+from qbayes.errors import DegenerateSpan, NotAState, NotAStateWarning, NotPsd
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qbayes"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
@@ -185,3 +186,43 @@ def test_sqm_vector_flips_at_the_cap_tolerance(d, member):
     else:
         with pytest.raises(NotAState, match="largest achievable"):
             states.SqmVector(probs, sqm)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("inside", [True, False])
+def test_born_flips_at_the_negative_probability_tolerance(d, inside):
+    # X = |v><v| - s |u><u|, u the top eigenvector of the rank-one element
+    # E_0 = lam |u><u| and v a unit vector orthogonal to u: tr(X E_0) = -s lam.
+    sqm = effects.standard_sqm(d)
+    lam, vecs = np.linalg.eigh(sqm.base.elements[0])
+    u, v = vecs[:, -1], vecs[:, 0]
+    target = linalg.PROB_NEG_TOL / 2.0 if inside else 2.0 * linalg.PROB_NEG_TOL
+    x = linalg.projector(v) - (target / lam[-1]) * linalg.projector(u)
+    if inside:
+        probs = effects.born(x, sqm.base)
+        assert probs[0] == 0.0 and (probs[1:] > 0.0).all()
+    else:
+        with pytest.raises(NotPsd, match="negative outcome probability"):
+            effects.born(x, sqm.base)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("inside", [True, False])
+def test_lstsq_reconstruction_flips_at_the_residual_tolerance(d, inside):
+    # The SQM plus I/2 has one linear relation, sum_d E_d / 2 - I/2 = 0, so the
+    # residuals live on c = (1/2, ..., 1/2, -1): moving the I/2 value by delta
+    # leaves a least-squares residual of delta / ||c||.
+    sqm = effects.standard_sqm(d)
+    rho = linalg.random_state(d, d)
+    frame = effects.FrameFunction.from_state(rho, [*sqm.base, np.eye(d) / 2.0])
+    norm_c = np.sqrt(d * d / 4.0 + 1.0)
+    delta = linalg.RECONSTRUCTION_RESIDUAL_TOL * norm_c * (1.0 - 1e-6 if inside else 1.0 + 1e-6)
+    frame.record(np.eye(d) / 2.0, 0.5 + delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotAStateWarning)  # the trace moves by about delta
+        if inside:
+            rec = effects.reconstruct_from_frame(frame)
+            assert linalg.trace_distance(rec, rho) <= delta
+        else:
+            with pytest.raises(DegenerateSpan, match="least-squares residual"):
+                effects.reconstruct_from_frame(frame)
