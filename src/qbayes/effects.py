@@ -119,7 +119,9 @@ def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
 
     ``state`` is one D x D operator or a stack of shape (..., D, D); the
     result has shape (..., len(povm)): one real product of the states' and
-    the effects' ``_real_coords``.  Plain effects are stacked once, not
+    the effects' ``_real_coords``, i.e. Re tr(rho E_d^dag).  The rule assumes
+    Hermitian operators: that is Re tr(rho E_d) when the state or the effect
+    is Hermitian and tr(rho E_d) when both are; neither is checked here.  Plain effects are stacked once, not
     validated; missing or mixed-shape effects raise DimensionMismatch.  A
     Povm and its stack take the same product, so their results are bitwise
     equal.  Entries in [-PROB_NEG_TOL, 0) are clamped to exactly zero; lower
