@@ -10,6 +10,8 @@ divided by ``--number``, in microseconds.  The layers, at every dimension of
     in_sqm_set.member   states.in_sqm_set(v.probs)
     in_sqm_set.reject   states.in_sqm_set(probe), one entry past the certainty bound
     frame.from_state    effects.FrameFunction.from_state(rho, sqm.base.elements)
+    frame.plain         effects.FrameFunction.from_state(rho, plain), plain a
+                        random POVM stack of 2 dim^2 effects
     frame.reconstruct   effects.reconstruct_from_frame(frame) on that frame
     born                effects.born(rho, sqm.base)
     born.stack          effects.born(states, sqm.base) on a stack of STACK_STATES states
@@ -49,7 +51,8 @@ def layer_calls(dim: int) -> dict:
     v = states.to_sqm(rho, sqm)
     probe = 0.1 * v.probs
     probe[g.integers(dim * dim)] += 0.9  # past the certainty bound, which is below 0.9
-    many = linalg.state_from_normals(g.normal(size=(STACK_STATES, 2, dim, dim)))  # drawn last
+    many = linalg.state_from_normals(g.normal(size=(STACK_STATES, 2, dim, dim)))
+    plain = linalg.povm_from_normals(g.normal(size=(2 * dim * dim, 2, dim, dim)))  # drawn last
     frame = effects.FrameFunction.from_state(rho, sqm.base.elements)
     return {
         "to_sqm": lambda: states.to_sqm(rho),
@@ -57,6 +60,7 @@ def layer_calls(dim: int) -> dict:
         "in_sqm_set.member": lambda: states.in_sqm_set(v.probs),
         "in_sqm_set.reject": lambda: states.in_sqm_set(probe),
         "frame.from_state": lambda: effects.FrameFunction.from_state(rho, sqm.base.elements),
+        "frame.plain": lambda: effects.FrameFunction.from_state(rho, plain),
         "frame.reconstruct": lambda: effects.reconstruct_from_frame(frame),
         "born": lambda: effects.born(rho, sqm.base),
         "born.stack": lambda: effects.born(many, sqm.base),

@@ -6,7 +6,8 @@ the minimal informationally complete POVM used as the package-wide
 standard quantum measurement (SQM) from D alone, in closed form from its
 D^2 seed kets, evaluates the generalized Born rule, and inverts it:
 reconstructing a density operator from the values a frame function takes
-on a spanning set of effects.
+on a spanning set of effects.  A frame function is an effect stack and its
+value table; only ``FrameFunction.record`` matches an effect by value.
 """
 
 import functools
@@ -27,16 +28,6 @@ from .errors import (
     NotPsd,
     NotResolution,
 )
-
-
-def effect_keys(stack: np.ndarray) -> list[bytes]:
-    """Canonical by-value key of each effect of a (K, D, D) stack (entrywise, rounded)."""
-    # Rounding the float view rounds each real and imaginary part, as np.round
-    # does on the complex stack; + 0.0 maps -0.0 to 0.0, whose bytes differ.
-    parts = np.ascontiguousarray(linalg.as_operators(stack)).view(float)
-    rounded = np.round(parts, linalg.KEY_DECIMALS) + 0.0
-    buf, size = rounded.tobytes(), rounded.itemsize * math.prod(rounded.shape[1:])
-    return [buf[i : i + size] for i in range(0, len(buf), size)]
 
 
 def _effect_stack(ops) -> np.ndarray:
@@ -175,8 +166,8 @@ class MinimalIcPovm:
     ``base`` holds the dim^2 rank-one effects u_d u_d^dag, Hermitian by
     construction, and ``gram`` the positive definite G = sum_d |v_d><v_d| of
     the seed kets of :func:`build_ic_kets`, u_d = G^{-1/2} v_d.  The ``dual``
-    frame, the effect ``keys`` and the per-element ``max_probability`` are
-    read off that construction once, on first use.
+    frame and the per-element ``max_probability`` are read off that
+    construction once, on first use.
     """
 
     base: Povm
@@ -202,17 +193,16 @@ class MinimalIcPovm:
         return (r + linalg.dagger(r)) / 2.0
 
     @functools.cached_property
-    def keys(self) -> list[bytes]:
-        """``effect_keys`` of ``base``, distinct; FrameFunction.from_state takes
-        them for ``base``'s own stack, and a frame with exactly these keys is
-        inverted through ``dual`` by reconstruct_from_frame."""
-        return effect_keys(self.base.elements)
-
-    @functools.cached_property
     def max_probability(self) -> np.ndarray:
         """Largest probability any state gives each outcome: the trace ||u_d||^2 of
         u_d u_d^dag, its one nonzero eigenvalue; born(rho, base) never exceeds it."""
         return np.trace(self.base.elements, axis1=-2, axis2=-1).real
+
+
+# Peak bytes of one SQM build per 16 D^4 bytes (one complex (D^2, D, D) stack),
+# by tracemalloc at D = 8, 16 and 24: 4.3, 3.3 and 3.1 for the build, and
+# 5.1, 4.1 and 4.0 while its closed-form dual is built on first use.
+_SQM_BUILD_STACKS = 6
 
 
 def gram_renormalize(dim: int) -> MinimalIcPovm:
@@ -222,8 +212,12 @@ def gram_renormalize(dim: int) -> MinimalIcPovm:
     resolve the identity.  G is positive definite for every dim >= 2 (its
     smallest eigenvalue is 1 / certainty_bound(dim)), and the elements are
     linearly independent, since ``MinimalIcPovm.dual`` is biorthogonal to
-    them.  Uncached: :func:`standard_sqm` keeps one build per dimension.
+    them.  Uncached: :func:`standard_sqm` keeps one build per dimension.  A
+    build whose peak, ``_SQM_BUILD_STACKS * 16 * dim^4`` bytes, would pass
+    ``linalg.MEMORY_BUDGET_BYTES`` raises DimensionBudgetExceeded before
+    allocating (from dim = 41 on).
     """
+    linalg._check_budget(_SQM_BUILD_STACKS * 16 * dim**4, f"the standard SQM of dimension {dim}")
     kets = build_ic_kets(dim)
     gram = kets.T @ kets.conj()
     u = kets @ linalg.mat_invsqrt(gram).T
@@ -242,10 +236,6 @@ def element_gram_min_singular_value(povm: Povm) -> float:
 
 # The standard SQM of each dimension built so far; standard_sqm fills it.
 _SQMS: dict[int, MinimalIcPovm] = {}
-# Peak bytes of one SQM build per 16 D^4 bytes (one complex (D^2, D, D) stack),
-# by tracemalloc at D = 8, 16 and 24: 4.3, 3.3 and 3.1 for the build, and
-# 5.1, 4.1 and 4.0 while its closed-form dual is built on first use.
-_SQM_BUILD_STACKS = 6
 
 
 def standard_sqm(dim: int) -> MinimalIcPovm:
@@ -254,14 +244,12 @@ def standard_sqm(dim: int) -> MinimalIcPovm:
     Fixed by ``dim`` alone: :func:`gram_renormalize` over the computational
     basis, built once per dimension and kept in the module's ``_SQMS`` dict for
     the life of the process; all probability-vector representations of states
-    refer to this measurement unless another one is passed explicitly.  A build
-    whose peak, ``_SQM_BUILD_STACKS * 16 * dim^4`` bytes, would pass
-    ``linalg.MEMORY_BUDGET_BYTES`` raises DimensionBudgetExceeded before
-    allocating (from dim = 41 on).
+    refer to this measurement unless another one is passed explicitly.  A
+    dimension past the build's memory budget raises DimensionBudgetExceeded
+    from :func:`gram_renormalize`, before allocating.
     """
     sqm = _SQMS.get(dim)
     if sqm is None:
-        linalg._check_budget(_SQM_BUILD_STACKS * 16 * dim**4, f"the standard SQM of dimension {dim}")
         sqm = _SQMS[dim] = gram_renormalize(dim)
     return sqm
 
@@ -283,58 +271,53 @@ def certainty_bound(dim: int) -> float:
 
 
 class FrameFunction:
-    """Probability assignment to effects, keyed by entrywise value.
+    """Probability assignment to effects: one (K, D, D) effect stack and its
+    (..., K) value table, in first-recorded order.
 
-    Effects are canonicalized by rounding to ``linalg.KEY_DECIMALS``
-    decimal digits before keying, so two numerically equal effects share
-    one assignment no matter which POVM they appear in.  Effects are held
-    as one stack, in first-recorded order, with a value array and a key index.
-    A frame of a (..., D, D) stack of states holds a (..., K) value table, one
-    row of K values per state; its reconstruction is the stack of states.
+    An effect takes one value whatever POVM it appears in: :meth:`record`
+    matches it by value, within ``linalg.EFFECT_TOL`` per real coordinate,
+    against every stored effect.  A frame of a (..., D, D) stack of states
+    holds one row of K values per state; its reconstruction is the stack of
+    states.
     """
 
     def __init__(self):
         self._effects = np.empty((0, 0, 0), dtype=complex)
         self._values = np.empty(0)
-        self._index: dict[bytes, int] = {}
 
     @classmethod
     def from_state(cls, state: np.ndarray, effects: Povm | Sequence[np.ndarray]) -> "FrameFunction":
         """Record tr(rho E) per effect, for one state or each state of a (..., D, D)
-        stack, with one key pass and one born call; a stack of effects is kept as
-        it is, not copied.  The effects of an already built standard SQM (its Povm
-        or its ``base.elements``) take the SQM's cached, distinct ``keys``; no SQM
-        is built here.  A repeated effect keeps its first row and its last value.
-        Mixed shapes raise DimensionMismatch."""
+        stack, with one born call; a stack of effects (a Povm's elements or a
+        plain stack) is kept as it is, not copied.  No effects are matched and no
+        SQM is built, so a repeated effect keeps one row per occurrence.  Mixed
+        shapes raise DimensionMismatch."""
         f = cls()
         if len(effects):
-            stack = effects.elements if isinstance(effects, Povm) else _effect_stack(effects)
-            values = born(state, stack)
-            sqm = _SQMS.get(stack.shape[-1])
-            if sqm is not None and stack is sqm.base.elements:
-                rows = dict(zip(sqm.keys, range(len(stack))))
-            else:
-                rows = dict(zip(effect_keys(stack), range(len(stack))))  # key -> its last row
-                if len(rows) < len(stack):
-                    last = list(rows.values())
-                    stack, values, rows = stack[last], values[..., last], dict(zip(rows, range(len(rows))))
-            f._effects, f._values, f._index = stack, values, rows
+            f._effects = effects.elements if isinstance(effects, Povm) else _effect_stack(effects)
+            f._values = born(state, f._effects)
         return f
 
     def record(self, effect: np.ndarray, value) -> None:
-        """Assign ``value`` to ``effect`` (a known one keeps its row); on a frame of
-        a state stack it broadcasts over the stack.  The effect stack, perhaps a
-        POVM's own, is rebuilt, never written."""
+        """Assign ``value`` to ``effect``; on a frame of a state stack it broadcasts
+        over the stack.  Every stored effect whose ``_real_coords`` lie within
+        ``linalg.EFFECT_TOL`` of the effect's, entry by entry, takes the value and
+        keeps its stored entries; with no such effect, the effect and its value
+        are appended.  The effect stack, perhaps a POVM's own, is never written.
+        An effect of another shape than the stored ones raises DimensionMismatch."""
         effect = linalg.as_operator(effect)
-        (key,) = effect_keys(effect[None])
-        i = self._index.setdefault(key, len(self))
-        rows = [*self._effects[:i], effect, *self._effects[i + 1 :]]
         column = np.broadcast_to(np.asarray(value, dtype=float), self._values.shape[:-1])[..., None]
-        self._values = np.concatenate([self._values[..., :i], column, self._values[..., i + 1 :]], axis=-1)
-        try:
-            self._effects = _effect_stack(rows)
-        except DimensionMismatch:  # effects of mixed shapes: rejected on reconstruction
-            self._effects = rows
+        if not len(self):  # the first effect sets the frame's shape
+            self._effects, self._values = effect[None].copy(), column.copy()
+            return
+        if self._effects.shape[1:] != effect.shape:
+            raise DimensionMismatch(f"effect shape {effect.shape} vs the frame's {self._effects.shape[1:]}")
+        same = (abs(_real_coords(self._effects) - _real_coords(effect)) <= linalg.EFFECT_TOL).all(axis=-1)
+        if same.any():
+            self._values[..., same] = column
+        else:
+            self._effects = np.concatenate([self._effects, effect[None]])
+            self._values = np.concatenate([self._values, column], axis=-1)
 
     def __len__(self) -> int:
         return self._values.shape[-1]
@@ -346,30 +329,31 @@ class FrameFunction:
 def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
     """Solve tr(rho E_i) = f(E_i) over the recorded effects.
 
-    A frame on exactly the effects of ``standard_sqm(dim)`` in SQM order
-    (its keys equal ``MinimalIcPovm.keys``) is inverted through the cached
-    dual frame, rho = sum_d f(E_d) R_d.  Any other frame is solved by least
-    squares in the ``_real_coords`` of rho; the rows are coordinates of
+    A frame whose effect stack is the stack of ``standard_sqm(dim)``, or equals
+    it entry for entry, is inverted through the cached dual frame,
+    rho = sum_d f(E_d) R_d.  Any other frame, SQM effects that differ from the
+    SQM's by a rounding included, is solved by least squares in the
+    ``_real_coords`` of rho, to the same values; the rows are coordinates of
     Hermitian effects, so the minimum-norm solution is Hermitian.  Fewer than
     dim^2 linearly independent effects, or a residual above
     ``linalg.RECONSTRUCTION_RESIDUAL_TOL`` on either path, raise
-    DegenerateSpan, and effects of mixed shapes DimensionMismatch.  A frame
-    of a state stack, with a (..., K) value table, gives the (..., D, D)
-    stack through one product with the dual frame or one least-squares
-    solve with a right-hand side per state.  The solution is returned
-    as-is.  If it fails the density-operator checks (the frame values did
-    not come from a state) a NotAStateWarning is emitted rather than an
+    DegenerateSpan.  A frame of a state stack, with a (..., K) value table,
+    gives the (..., D, D) stack through one product with the dual frame or one
+    least-squares solve with a right-hand side per state.  The solution is
+    returned as-is.  If it fails the density-operator checks (the frame values
+    did not come from a state) a NotAStateWarning is emitted rather than an
     exception, so callers can inspect the operator; on a stack the residual
     error and the warning name the first failing frame by its flat index.
     """
     if not len(frame):
         raise DegenerateSpan("empty frame function")
-    stack, y = _effect_stack(frame._effects), frame._values
+    stack, y = frame._effects, frame._values
     k, dim = stack.shape[:2]
     if k < dim * dim:
         raise DegenerateSpan(f"{k} effects cannot span the {dim * dim}-dim operator space")
     coords = _real_coords(stack)
-    if k == dim * dim > 1 and list(frame._index) == (sqm := standard_sqm(dim)).keys:
+    sqm = standard_sqm(dim) if k == dim * dim > 1 else None
+    if sqm is not None and (stack is sqm.base.elements or np.array_equal(stack, sqm.base.elements)):
         rho = y @ sqm.dual.reshape(k, k)
     else:
         x, _, rank, _ = np.linalg.lstsq(coords, y.reshape(-1, k).T, rcond=None)

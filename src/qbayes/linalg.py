@@ -45,8 +45,9 @@ NORM_TOL = 1e-9
 RECONSTRUCTION_RESIDUAL_TOL = 1e-6
 # Frobenius miss of sum_d P(d) rho_d from rho allowed for a claimed refinement.
 REFINEMENT_TOL = 1e-8
-# Decimal digits an effect is rounded to before it keys a frame function.
-KEY_DECIMALS = 12
+# Largest difference per real coordinate at which a frame function takes two
+# effects for one (half a unit in the twelfth decimal).
+EFFECT_TOL = 5e-13
 
 # Largest array, in bytes, that a build may allocate (256 MiB).
 MEMORY_BUDGET_BYTES = 2**28

@@ -51,11 +51,16 @@ def random_instrument(dim, n_outcomes, kraus_per_outcome=1, seed=None):
 
 
 def frame_value(frame, effect):
-    """The value a frame holds for ``effect``, found by its key: a float, or one
-    per state of a stack.  An effect with no value raises KeyError."""
-    (key,) = effects.effect_keys(linalg.as_operator(effect)[None])
-    value = frame._values[..., frame._index[key]]
-    return float(value) if value.ndim == 0 else value
+    """The value a frame holds for ``effect`` at its first row within
+    ``linalg.EFFECT_TOL`` per real coordinate: a float, or one per state of a
+    stack.  An effect with no value raises KeyError."""
+    effect = linalg.as_operator(effect)
+    for i, stored in enumerate(frame._effects):
+        diff = stored - effect
+        if max(abs(diff.real).max(), abs(diff.imag).max()) <= linalg.EFFECT_TOL:
+            value = frame._values[..., i]
+            return float(value) if value.ndim == 0 else value
+    raise KeyError("no value recorded for this effect")
 
 
 def maximally_entangled_ket(dim):

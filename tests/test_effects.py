@@ -164,61 +164,32 @@ def test_frame_function_keys_by_value():
     assert len(f) == 1
 
 
-def test_effect_keys_of_a_stack_are_its_rows_keys(rng):
-    stack = np.stack(linalg.random_povm(3, 6, rng))
-    keys = effects.effect_keys(stack)
-    assert keys == [effects.effect_keys(e[None])[0] for e in stack]
-    assert len(set(keys)) == 6
-    signed_zero = np.array([[0.5, -0.0], [0.0, 0.5]], dtype=complex)
-    assert effects.effect_keys(signed_zero[None]) == effects.effect_keys(np.eye(2)[None] / 2.0)
-
-
-def old_effect_keys(stack):
-    """effect_keys as first written: the complex stack rounded, one tobytes per row."""
-    return [k.tobytes() for k in np.round(linalg.as_operators(stack), linalg.KEY_DECIMALS) + 0.0]
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 8])
-def test_effect_keys_match_rounding_the_complex_stack(d):
-    g = np.random.default_rng(40 + d)
-    scale = 10.0**linalg.KEY_DECIMALS
-    # Entries whose scaled value is exactly halfway between integers, signed
-    # zeros, and negatives that round to -0.0.
-    halves = (np.arange(-40, 40) + 0.5) / scale
-    ties = [x for x in halves if x * scale == np.floor(x * scale) + 0.5]
-    specials = np.array([0.0, -0.0, -1e-14, 1e-14, -4e-13, *ties])
-    assert len(ties) > 10
-    for _ in range(20):
-        stack = g.normal(size=(5, d, d)) + 1j * g.normal(size=(5, d, d))
-        stack *= g.choice([1e-12, 1e-6, 1.0], size=(5, 1, 1))
-        parts = stack.view(float)
-        pick = g.random(parts.shape) < 0.4
-        parts[pick] = g.choice(specials, size=int(pick.sum()))
-        for arg in (stack, stack.transpose(0, 2, 1), stack.real):
-            assert effects.effect_keys(arg) == old_effect_keys(arg)
-    sqm = effects.standard_sqm(d + 1).base.elements
-    assert effects.effect_keys(sqm) == old_effect_keys(sqm)
-    assert effects.effect_keys(np.empty((0, d, d))) == []
-
-
 def test_frame_from_state_repeated_effect_keeps_first_row_and_last_value(rng):
+    """from_state keeps one row per occurrence of a repeated effect, each with its
+    own Born value; record then sets every row that holds the effect, and each
+    row keeps its stored effect."""
     sqm = effects.standard_sqm(2)
     rho = linalg.random_state(2, rng)
-    twin = sqm.base[1] + 1e-14  # the same key as element 1, another value
+    twin = sqm.base[1] + 1e-14  # element 1 within EFFECT_TOL, another value
     plain = [*sqm.base, twin]
     probs = effects.born(rho, plain)  # one row per effect, the frame's own call
     f = effects.FrameFunction.from_state(rho, plain)
-    assert len(f) == 4 and len(f.items()) == 4
+    assert len(f) == 5 and len(f.items()) == 5
     effs, values = zip(*f.items())
-    assert np.array_equal(effs[1], twin) and values[1] == probs[4]
-    assert frame_value(f, sqm.base[1]) == values[1]
+    assert np.array_equal(np.stack(effs), np.stack(plain)) and list(values) == probs.tolist()
+    assert frame_value(f, twin) == values[1] != values[4]  # the first matching row
     with pytest.raises(KeyError):
         frame_value(f, np.eye(2) / 3.0)
-    assert np.array_equal(np.stack(effs)[[0, 2, 3]], sqm.base.elements[[0, 2, 3]])
+    f.record(sqm.base[1], 0.25)
+    effs, values = zip(*f.items())
+    assert len(f) == 5 and values[1] == values[4] == 0.25
+    assert np.array_equal(effs[1], sqm.base[1]) and np.array_equal(effs[4], twin)
     recorded = effects.FrameFunction()
     for e, p in zip(plain, probs):
         recorded.record(e, p)
-    assert [v for _, v in recorded.items()] == list(values)
+    effs, values = zip(*recorded.items())
+    assert np.array_equal(np.stack(effs), sqm.base.elements)  # twin set element 1's value
+    assert list(values) == probs[[0, 4, 2, 3]].tolist()
 
 
 def test_recording_on_a_povm_frame_leaves_the_povm_alone(rng):
@@ -243,7 +214,6 @@ def test_frame_from_state_keys_are_effect_keys(d, rng):
     sqm = effects.standard_sqm(d)
     rho = linalg.random_state(d, rng)
     f = effects.FrameFunction.from_state(rho, sqm.base.elements)
-    assert list(f._index) == [effects.effect_keys(e[None])[0] for e in sqm.base.elements]
     probs = effects.born(rho, sqm.base)
     assert [frame_value(f, e) for e in sqm.base.elements] == probs.tolist()
 
@@ -254,20 +224,29 @@ def test_frame_from_state_on_a_povm_is_bitwise_its_stack_frame(d, rng):
     rho = linalg.random_state(d, rng)
     on_povm = effects.FrameFunction.from_state(rho, sqm.base)
     on_stack = effects.FrameFunction.from_state(rho, sqm.base.elements)
-    assert list(on_povm._index.items()) == list(on_stack._index.items())
+    assert on_povm._effects is on_stack._effects is sqm.base.elements
     assert on_povm._values.tobytes() == on_stack._values.tobytes()
-    assert on_povm._effects is sqm.base.elements
 
 
 @pytest.mark.parametrize("d", range(2, 9))
-def test_frame_on_a_built_sqm_takes_its_cached_keys(d, rng):
+def test_frame_on_a_built_sqm_takes_its_cached_keys(d, rng, monkeypatch):
+    """from_state on the built SQM, an unbuilt one or a plain list of effects
+    matches no effects and builds no SQM."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("from_state matched effects or built an SQM")
+
     sqm = effects.standard_sqm(d)
+    unbuilt = effects.gram_renormalize(d)
     rho = linalg.random_state(d, rng)
-    for effs in (sqm.base, sqm.base.elements):
-        f = effects.FrameFunction.from_state(rho, effs)
-        assert list(f._index) == sqm.keys
-        assert all(a is b for a, b in zip(f._index, sqm.keys))
-        assert list(f._index.values()) == list(range(d * d))
+    built = dict(effects._SQMS)
+    monkeypatch.setattr(effects.FrameFunction, "record", refuse)
+    monkeypatch.setattr(np, "array_equal", refuse)
+    monkeypatch.setattr(effects, "gram_renormalize", refuse)
+    for effs in (sqm.base, sqm.base.elements, unbuilt.base, unbuilt.base.elements, list(sqm.base)):
+        assert len(effects.FrameFunction.from_state(rho, effs)) == d * d
+    assert effects._SQMS.keys() == built.keys()
+    assert all(effects._SQMS[dim] is kept for dim, kept in built.items())
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -277,10 +256,8 @@ def test_frame_from_state_builds_no_sqm(d, rng, monkeypatch):
     unbuilt = effects.gram_renormalize(d)
     seeds = [linalg.projector(v) for v in effects.build_ic_kets(d)]
     for effs in (unbuilt.base, unbuilt.base.elements, seeds):
-        f = effects.FrameFunction.from_state(rho, effs)
-        assert list(f._index) == effects.effect_keys(np.asarray(f._effects))
+        effects.FrameFunction.from_state(rho, effs)
         assert d not in effects._SQMS
-    assert list(effects.FrameFunction.from_state(rho, unbuilt.base)._index) == unbuilt.keys
 
 
 def test_reconstruct_round_trip_basis_state():
@@ -358,6 +335,19 @@ def test_standard_sqm_past_the_budget_raises_before_allocating():
     assert 64 not in effects._SQMS
     # The largest dimension the CLI accepts still builds.
     assert effects.standard_sqm(cli.MAX_DIM).dim == cli.MAX_DIM
+
+
+def test_gram_renormalize_past_the_budget_raises_before_allocating():
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(DimensionBudgetExceeded, match="standard SQM of dimension 64"):
+            effects.gram_renormalize(64)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.01 and peak < 2**20
 
 
 def test_certainty_bound_d2_value():
@@ -507,6 +497,26 @@ def test_sqm_frame_reconstructs_without_lstsq(d, rng, monkeypatch):
         assert linalg.trace_distance(effects.reconstruct_from_frame(frame), rho) <= 1e-12
 
 
+def test_sqm_frame_dual_path_needs_an_exact_match_at_d11(monkeypatch):
+    # At D = 11 some SQM entries lie within 5e-17 of a 12-decimal rounding
+    # boundary: a copy of the stack is inverted through the dual frame, one
+    # moved by one ulp there by least squares, to the same values.
+    sqm = effects.standard_sqm(11)
+    rho = linalg.random_state(11, 11)
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+    dual = effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho, sqm.base.elements))
+    copy = sqm.base.elements.copy()
+    assert effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho, copy)).tobytes() == dual.tobytes()
+    assert not calls
+    parts = copy.view(float)
+    at = tuple(np.argwhere(abs(abs(parts) - 0.0018857444825) < 1e-16)[0])
+    parts[at] = np.nextafter(parts[at], 1.0)
+    rec = effects.reconstruct_from_frame(effects.FrameFunction.from_state(rho, copy))
+    assert len(calls) == 1 and np.abs(rec - dual).max() <= 1e-13
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_other_spanning_frames_take_the_general_path(d, rng, monkeypatch):
     sqm = effects.standard_sqm(d)
@@ -644,9 +654,8 @@ def test_frame_from_state_rejects_effects_of_mixed_dimension():
 
 def test_reconstruct_rejects_frame_of_mixed_dimension():
     frame = effects.FrameFunction.from_state(np.eye(2) / 2.0, effects.standard_sqm(2).base)
-    frame.record(np.eye(3) / 3.0, 1.0 / 3.0)
     with pytest.raises(DimensionMismatch):
-        effects.reconstruct_from_frame(frame)
+        frame.record(np.eye(3) / 3.0, 1.0 / 3.0)
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ LAYERS = [
     "in_sqm_set.member",
     "in_sqm_set.reject",
     "frame.from_state",
+    "frame.plain",
     "frame.reconstruct",
     "born",
     "born.stack",

@@ -226,3 +226,47 @@ def test_lstsq_reconstruction_flips_at_the_residual_tolerance(d, inside):
         else:
             with pytest.raises(DegenerateSpan, match="least-squares residual"):
                 effects.reconstruct_from_frame(frame)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("inside", [True, False])
+def test_record_matches_an_effect_at_the_effect_tolerance(d, part, inside):
+    # Move one real coordinate of a recorded effect by 0.999 or 1.001 EFFECT_TOL:
+    # a diagonal entry's real part, or the imaginary parts of an off-diagonal
+    # pair, so the moved effect stays Hermitian.
+    effect = effects.standard_sqm(d).base[d + 1]
+    frame = effects.FrameFunction()
+    frame.record(effect, 0.25)
+    delta = linalg.EFFECT_TOL * (0.999 if inside else 1.001)
+    moved = effect.copy()
+    if part == "real":
+        moved[0, 0] += delta
+    else:
+        moved[0, 1] += 1j * delta
+        moved[1, 0] -= 1j * delta
+    frame.record(moved, 0.75)
+    effs, values = zip(*frame.items())
+    if inside:
+        assert len(frame) == 1 and values == (0.75,) and np.array_equal(effs[0], effect)
+    else:
+        assert len(frame) == 2 and values == (0.25, 0.75) and np.array_equal(effs[1], moved)
+
+
+def test_record_matches_across_a_decimal_rounding_boundary():
+    # At D = 11 some SQM entries lie within 5e-17 of 0.0018857444825, where
+    # rounding to 12 decimals flips: a move of a few ulps changes the rounded
+    # entry but leaves the effect within EFFECT_TOL.
+    effect = effects.standard_sqm(11).base.elements[14]
+    at = tuple(np.argwhere(abs(abs(effect.view(float)) - 0.0018857444825) < 1e-16)[0])
+    x = y = effect.view(float)[at]
+    toward = 0.0 if abs(x) > 0.0018857444825 else 2.0 * x  # across the boundary
+    while np.round(y, 12) == np.round(x, 12):
+        y = np.nextafter(y, toward)
+    assert abs(y - x) < 1e-16
+    moved = effect.copy()
+    moved.view(float)[at] = y
+    frame = effects.FrameFunction()
+    frame.record(effect, 0.25)
+    frame.record(moved, 0.75)
+    assert len(frame) == 1 and frame.items()[0][1] == 0.75
