@@ -3,10 +3,11 @@
 A permutation-invariant, consistently extendable multi-copy state is a
 mixture of i.i.d. tensor powers (over the complex field), so an agent's
 beliefs about "unknown states" reduce to a prior over density operators.
-This module discretizes such priors on grids, updates them with
-measurement data, runs the two-agent merging experiment, provides the
-classical counterpart, and certifies the real-Hilbert-space state that
-breaks the mixture representation.
+This module discretizes such priors on grids, runs the two-agent merging
+experiment, in which both agents update their priors by one Bayes rule on
+the counts of a shared stream of outcomes, provides the classical
+counterpart, and certifies the real-Hilbert-space state that breaks the
+mixture representation.
 """
 
 from dataclasses import dataclass, field
@@ -155,7 +156,7 @@ def check_exchangeable(
 
 
 # --------------------------------------------------------------------------
-# Posterior updating and merging.
+# Bayes updates from outcome counts, and merging.
 
 
 def _count_posterior(weights: np.ndarray, likelihood: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -178,44 +179,6 @@ def _count_posterior(weights: np.ndarray, likelihood: np.ndarray, counts: np.nda
     normal = log_post >= np.log(np.finfo(float).tiny)
     post = np.exp(log_post, out=np.zeros_like(log_post), where=normal)
     return post / post.sum(axis=-1, keepdims=True)
-
-
-def _outcome_counts(outcomes: Sequence[int], n_outcomes: int) -> np.ndarray:
-    """How often each of ``n_outcomes`` indices occurs in the flat sequence
-    ``outcomes``.  Input that is not flat (a scalar, a 2-D array, a list of
-    lists) raises DimensionMismatch, and so does an entry that is not an integer index (a
-    bool, a float, a string, a sequence), naming the first such entry."""
-    items = np.asarray(outcomes, dtype=object)
-    if items.ndim != 1:
-        raise DimensionMismatch(f"outcomes must be a flat sequence, got shape {items.shape}")
-    # Entry by entry: an array of the entries would turn [1, True] into ints.
-    index = (int, np.integer)  # a Python bool is an int; a numpy bool is no np.integer
-    ok = [type(d) is not bool and isinstance(d, index) and 0 <= d < n_outcomes for d in items.tolist()]
-    bad = np.flatnonzero(~np.array(ok, dtype=bool))
-    if bad.size:
-        raise DimensionMismatch(
-            f"outcome {items[bad[0]]} at position {bad[0]} is not an index of the "
-            f"{n_outcomes}-outcome POVM"
-        )
-    return np.bincount(items.astype(int), minlength=n_outcomes)
-
-
-def posterior_update(
-    prior: PriorOverStates, povm: Povm, outcomes: Sequence[int]
-) -> PriorOverStates:
-    """Bayes update of a state prior from i.i.d. measurement outcomes.
-
-    i.i.d. data reach the posterior only through the outcome counts n_d:
-    each weight is multiplied by prod_d p(d | state)^n_d and the result
-    renormalized, computed in logs by ``_count_posterior``.  Any order of
-    the outcomes, and any split into sequential updates, gives the same
-    posterior.  An outcome that is not an integer index of the POVM raises
-    DimensionMismatch naming the first such outcome.
-    """
-    if prior.dim != povm.dim:
-        raise DimensionMismatch("prior and POVM dims differ")
-    counts, like = _outcome_counts(outcomes, len(povm)), born(prior.states, povm)
-    return PriorOverStates(prior.states, _count_posterior(prior.weights, like, counts))
 
 
 def _merging_distances(agents: tuple, counts: np.ndarray, true_state: np.ndarray) -> tuple:

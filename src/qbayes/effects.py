@@ -116,7 +116,7 @@ def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
     validated; missing or mixed-shape effects raise DimensionMismatch.  A
     Povm and its stack take the same product, so their results are bitwise
     equal.  Entries in [-PROB_NEG_TOL, 0) are clamped to exactly zero; lower
-    ones raise NotPsd.
+    ones raise NotPsd, and a NaN or infinite one InvalidArgument.
     """
     stack = povm.elements if isinstance(povm, Povm) else _effect_stack(povm)
     state = np.asarray(state, dtype=complex)
@@ -124,8 +124,11 @@ def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
     if state.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"state shape {state.shape} vs POVM dim {dim}")
     p = _real_coords(state) @ _real_coords(stack).T
-    if p.min() < -linalg.PROB_NEG_TOL:
-        raise NotPsd(f"negative outcome probability {p.min():.3e}")
+    low, high = p.min(), p.max()
+    if not (low >= -linalg.PROB_NEG_TOL and high < np.inf):  # a NaN fails both
+        if not (low > -np.inf and high < np.inf):
+            raise InvalidArgument(f"outcome probabilities from {low} to {high} are not all finite")
+        raise NotPsd(f"negative outcome probability {low:.3e}")
     return np.maximum(p, 0.0, out=p)
 
 
@@ -246,8 +249,12 @@ def standard_sqm(dim: int) -> MinimalIcPovm:
     the life of the process; all probability-vector representations of states
     refer to this measurement unless another one is passed explicitly.  A
     dimension past the build's memory budget raises DimensionBudgetExceeded
-    from :func:`gram_renormalize`, before allocating.
+    from :func:`gram_renormalize`, before allocating.  A ``dim`` that is no
+    integer (a bool, a float such as 2.0) raises InvalidArgument, before the
+    lookup, so the answer does not depend on what was built before.
     """
+    if type(dim) is bool or not isinstance(dim, (int, np.integer)):
+        raise InvalidArgument(f"dimension {dim!r} is not an integer")
     sqm = _SQMS.get(dim)
     if sqm is None:
         sqm = _SQMS[dim] = gram_renormalize(dim)
@@ -337,10 +344,11 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
     Hermitian effects, so the minimum-norm solution is Hermitian.  Fewer than
     dim^2 linearly independent effects, or a residual above
     ``linalg.RECONSTRUCTION_RESIDUAL_TOL`` on either path, raise
-    DegenerateSpan.  A frame of a state stack, with a (..., K) value table,
+    DegenerateSpan; so does a NaN or infinite frame value, whose residual is
+    no number.  A frame of a state stack, with a (..., K) value table,
     gives the (..., D, D) stack through one product with the dual frame or one
     least-squares solve with a right-hand side per state.  The solution is
-    returned as-is.  If it fails the density-operator checks (the frame values
+    returned as-is.  If it fails ``linalg.state_fails`` (the frame values
     did not come from a state) a NotAStateWarning is emitted rather than an
     exception, so callers can inspect the operator; on a stack the residual
     error and the warning name the first failing frame by its flat index.
@@ -364,7 +372,7 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
     where = "" if y.ndim == 1 else "frame {}: "  # a stack names its first failing frame
     miss = _real_coords(rho) @ coords.T - y
     squared = np.vecdot(miss, miss)  # the residual norm squared, per frame
-    bad = squared > linalg.RECONSTRUCTION_RESIDUAL_TOL**2
+    bad = ~(squared <= linalg.RECONSTRUCTION_RESIDUAL_TOL**2)  # a NaN residual fails
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateSpan(
@@ -372,7 +380,7 @@ def reconstruct_from_frame(frame: FrameFunction) -> np.ndarray:
         )
     low = np.linalg.eigvalsh(rho)[..., 0]
     trace = np.trace(rho, axis1=-2, axis2=-1).real
-    bad = (low < linalg.STATE_EIG_FLOOR) | (abs(trace - 1.0) > linalg.PROB_SUM_TOL)
+    bad = linalg.state_fails(low, trace)
     if bad.any():
         i = int(np.argmax(bad))
         warnings.warn(

@@ -53,10 +53,6 @@ class NotAStateWarning(UserWarning):
     """Non-fatal report that a reconstruction is not a valid state."""
 
 
-class ZeroProbabilityData(QbayesError):
-    """Conditioning on an outcome of probability zero."""
-
-
 class ZeroLikelihoodEverywhere(QbayesError):
     """Observed data has zero likelihood under every prior support point."""
 

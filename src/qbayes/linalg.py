@@ -17,8 +17,9 @@ import numpy as np
 from .errors import DimensionBudgetExceeded, DimensionMismatch, NotHermitian, NotPsd, SingularOperator
 
 # Tolerances: every numerical decision of the library, one value per invariant;
-# positivity, the rank cut, the identity deviation and the probability-vector
-# rule are each decided by one predicate below, whatever error its caller raises.
+# positivity, the rank cut, the identity deviation, the probability-vector rule
+# and the inverted-state rule are each decided by one predicate below, whatever
+# error its caller raises.
 # Relative Frobenius deviation ||M - M^dag|| / ||M|| allowed for a Hermitian M.
 HERMITIAN_TOL = 1e-10
 # Eigenvalues may undershoot 0 by this much times max(|largest eigenvalue|, 1).
@@ -137,6 +138,13 @@ def distribution_fault(p: np.ndarray, stacked: bool = False) -> str | None:
     return None if abs(total - 1.0) <= PROB_SUM_TOL else f"probabilities sum to {total:.15f}"
 
 
+def state_fails(low, trace):
+    """The inverted-state rule: where an inversion with smallest eigenvalue ``low``
+    and trace ``trace`` is no state, its eigenvalue below STATE_EIG_FLOOR or its
+    trace more than PROB_SUM_TOL from 1.  A NaN fails it."""
+    return np.logical_not((low >= STATE_EIG_FLOOR) & (abs(trace - 1.0) <= PROB_SUM_TOL))
+
+
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """numpy's (eigenvalues, eigenvectors) of a Hermitian matrix or (..., D, D)
     stack, in descending order: ``vecs[..., :, k]`` is the unit eigenvector of
@@ -246,9 +254,14 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
     Either operand may be a stack of shape (..., D, D); the stacks broadcast
     as in numpy and the result is an array of distances over the stack.
-    Two single operators give a float.
+    Two single operators give a float; operands that do not broadcast raise
+    DimensionMismatch.
     """
-    diff = as_operators(a) - as_operators(b)
+    a, b = as_operators(a), as_operators(b)
+    try:
+        diff = a - b
+    except ValueError as exc:  # numpy's error for stacks that do not broadcast
+        raise DimensionMismatch(f"operators do not broadcast: {exc}") from exc
     vals = np.linalg.eigvalsh((diff + dagger(diff)) / 2.0)
     dist = 0.5 * np.abs(vals).sum(axis=-1)
     return float(dist) if diff.ndim == 2 else dist

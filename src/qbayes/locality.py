@@ -244,8 +244,10 @@ def _tree_totals(frame: BilinearFrame, direction, x_first, x_branch) -> np.ndarr
     tree n walked in ``direction[n]``."""
     first, branches = _trees_from_normals(x_first, x_branch)
     first, totals = first[:, :, None], np.empty(len(direction))
-    for way in np.unique(direction):
+    for way in ("AtoB", "BtoA"):  # np.unique would load numpy.ma
         pick = direction == way
+        if not pick.any():
+            continue
         e, f = (first[pick], branches[pick]) if way == "AtoB" else (branches[pick], first[pick])
         totals[pick] = frame(e, f).sum(axis=(-2, -1))
     return totals

@@ -3,8 +3,8 @@
 A density operator and its outcome distribution for the standard quantum
 measurement carry identical information; this module converts between the
 two pictures, decides membership in the convex body of achievable
-probability vectors, and provides classical Bayes conditioning for the
-discrete distributions used alongside.
+probability vectors, and validates the classical distributions used
+alongside.
 """
 
 import math
@@ -14,12 +14,7 @@ import numpy as np
 
 from . import linalg
 from .effects import MinimalIcPovm, born, standard_sqm
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-    NotAState,
-    ZeroProbabilityData,
-)
+from .errors import DimensionMismatch, InvalidArgument, NotAState
 
 
 def density_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,13 +141,13 @@ def _sqm_for(probs: np.ndarray, sqm: MinimalIcPovm | None) -> MinimalIcPovm:
 def _invert(probs: np.ndarray, sqm: MinimalIcPovm) -> tuple[np.ndarray | None, float, float]:
     """(state, smallest eigenvalue, trace) of the inversion sum_d p(d) R_d, one
     product with the dual frame, decided by one eigvalsh.  The state is None
-    unless the eigenvalues are at least STATE_EIG_FLOOR and the trace (the sum)
-    within PROB_SUM_TOL of 1.  With no negative eigenvalue it is the inversion
-    over its trace, Hermitian exactly as the dual frame is; only an eigenvalue
-    in [STATE_EIG_FLOOR, 0) runs eigh, to clamp that noise to 0 and renormalize."""
+    where ``linalg.state_fails`` (the trace is the sum).  With no negative
+    eigenvalue it is the inversion over its trace, Hermitian exactly as the
+    dual frame is; only an eigenvalue in [STATE_EIG_FLOOR, 0) runs eigh, to
+    clamp that noise to 0 and renormalize."""
     raw = (probs @ sqm.dual.reshape(len(sqm), -1)).reshape(sqm.dim, sqm.dim)
     low, trace = float(np.linalg.eigvalsh(raw)[0]), float(np.trace(raw).real)
-    if not (low >= linalg.STATE_EIG_FLOOR and abs(trace - 1.0) <= linalg.PROB_SUM_TOL):
+    if linalg.state_fails(low, trace):
         return None, low, trace
     if low >= 0.0:
         return raw / trace, low, trace
@@ -194,7 +189,7 @@ def in_sqm_set(v: SqmVector | np.ndarray, sqm: MinimalIcPovm | None = None) -> S
 
 
 # --------------------------------------------------------------------------
-# Classical distributions and Bayes conditioning.
+# Classical distributions.
 
 
 def assert_distribution(p: np.ndarray, stacked: bool = False) -> np.ndarray:
@@ -204,26 +199,3 @@ def assert_distribution(p: np.ndarray, stacked: bool = False) -> np.ndarray:
     if (fault := linalg.distribution_fault(p, stacked)) is not None:
         raise InvalidArgument(fault)
     return np.clip(p, 0.0, None)
-
-
-def bayes_condition(joint: np.ndarray, observed: int) -> np.ndarray:
-    """Posterior over hypotheses given a column of a joint (h, d) table.
-
-    ``joint[h, d]`` is the joint probability of hypothesis h with datum d;
-    conditioning on d picks the column and renormalizes by the marginal.  A
-    datum that is not an integer index of a column (a negative or too large
-    one, a bool, a float) raises DimensionMismatch.
-    """
-    joint = assert_distribution(joint)
-    if joint.ndim != 2:
-        raise InvalidArgument("joint must be a 2-D table over (hypothesis, datum)")
-    # A Python bool is an int; a numpy bool is no np.integer.
-    index = type(observed) is not bool and isinstance(observed, (int, np.integer))
-    if not (index and 0 <= observed < joint.shape[1]):
-        raise DimensionMismatch(
-            f"datum {observed!r} is not an index of the {joint.shape[1]} data columns"
-        )
-    marginal = joint[:, observed].sum()
-    if marginal <= 0.0:
-        raise ZeroProbabilityData(f"datum {observed} has probability {marginal}")
-    return joint[:, observed] / marginal

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qbayes import effects, entropy, linalg, locality, update
+from qbayes import definetti, effects, entropy, linalg, locality, update
 
 
 def random_hermitian(dim, seed=None, scale=1.0):
@@ -61,6 +61,14 @@ def frame_value(frame, effect):
             value = frame._values[..., i]
             return float(value) if value.ndim == 0 else value
     raise KeyError("no value recorded for this effect")
+
+
+def posterior_weights(prior, povm, outcomes):
+    """Weights of ``prior`` after the i.i.d. ``outcomes`` of ``povm``: the library's
+    one Bayes rule, ``definetti._count_posterior``, on their ``np.bincount``
+    counts under the prior's Born likelihoods."""
+    counts = np.bincount(np.asarray(outcomes, dtype=int), minlength=len(povm))
+    return definetti._count_posterior(prior.weights, effects.born(prior.states, povm), counts)
 
 
 def maximally_entangled_ket(dim):

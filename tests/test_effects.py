@@ -14,6 +14,7 @@ from qbayes.errors import (
     DegenerateSpan,
     DimensionBudgetExceeded,
     DimensionMismatch,
+    InvalidArgument,
     NotAStateWarning,
     NotHermitian,
     NotPsd,
@@ -645,6 +646,39 @@ def test_born_rejects_effects_of_mixed_dimension():
 def test_born_rejects_no_effects():
     with pytest.raises(DimensionMismatch):
         effects.born(np.eye(2) / 2.0, [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_born_refuses_a_non_finite_state(bad):
+    state = np.eye(2, dtype=complex) / 2.0
+    state[0, 0] = bad
+    with pytest.raises(InvalidArgument, match="not all finite"):
+        effects.born(state, effects.standard_sqm(2).base)
+
+
+@pytest.mark.parametrize("built", [False, True])
+@pytest.mark.parametrize("dim", [2.0, np.float64(2.0), 2.5, True])
+def test_standard_sqm_refuses_a_dimension_that_is_no_integer(dim, built, monkeypatch):
+    # 2.0 == 2 and hashes alike, so a cache lookup alone would answer it.
+    monkeypatch.setattr(effects, "_SQMS", {2: effects.standard_sqm(2)} if built else {})
+    with pytest.raises(InvalidArgument, match="is not an integer"):
+        effects.standard_sqm(dim)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("path", ["dual", "lstsq"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_frame_value_raises_degenerate_span(d, path, bad):
+    # A NaN residual fails the residual rule, so no NaN operator is returned
+    # and no eigenvalue solve sees one.
+    sqm = effects.standard_sqm(d).base
+    povm = sqm if path == "dual" else effects.validate_povm(linalg.random_povm(d, 2 * d * d, d))
+    frame = effects.FrameFunction.from_state(linalg.random_state(d, d), povm)
+    frame.record(povm[1], bad)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):  # inf * 0 in the product
+        warnings.simplefilter("error", NotAStateWarning)
+        with pytest.raises(DegenerateSpan, match="residual nan"):
+            effects.reconstruct_from_frame(frame)
 
 
 def test_frame_from_state_rejects_effects_of_mixed_dimension():

@@ -212,6 +212,11 @@ def test_trace_distance_on_stacks_matches_pairwise(rng):
     assert np.abs(linalg.trace_distance(a, b[0]) - against_one).max() <= 1e-15
 
 
+def test_trace_distance_of_two_dimensions_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="do not broadcast"):
+        linalg.trace_distance(np.eye(2) / 2.0, np.eye(3) / 3.0)
+
+
 def test_eig_hermitian_stack_matches_single_calls(rng):
     stack = np.stack([random_hermitian(3, rng) for _ in range(6)])
     eig = linalg.eig_hermitian(stack)

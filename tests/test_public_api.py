@@ -21,8 +21,6 @@ MODULES = ("linalg", "effects", "states", "update", "entropy", "locality", "defi
 # Names kept for the README alone, each the library's only implementation of
 # its concept.  Adding one is a deliberate choice, so it is pinned here.
 README_ONLY = {
-    "definetti.posterior_update",
-    "states.bayes_condition",
     "update.instrument_from_dilation",
     "update.dilation_from_instrument",
     "effects.FrameFunction.record",

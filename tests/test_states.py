@@ -6,7 +6,7 @@ import pytest
 
 from helpers import sqm_probs_with_lowest
 from qbayes import definetti, effects, linalg, states
-from qbayes.errors import DimensionMismatch, InvalidArgument, NotAState, ZeroProbabilityData
+from qbayes.errors import DimensionMismatch, InvalidArgument, NotAState
 
 ROUND_TRIP_TOL = 1e-9
 
@@ -125,60 +125,6 @@ def test_sqm_probabilities_respect_certainty_bound(rng):
     for _ in range(200):
         v = states.to_sqm(linalg.random_state(2, rng), sqm)
         assert v.probs.max() <= bound + 1e-9
-
-
-# --------------------------------------------------------------------------
-# Classical conditioning.
-
-
-def test_bayes_independent_joint_keeps_prior():
-    prior = np.array([0.2, 0.3, 0.5])
-    likelihood = np.array([0.6, 0.4])
-    joint = np.outer(prior, likelihood)
-    post = states.bayes_condition(joint, 1)
-    assert np.allclose(post, prior)
-
-
-def test_bayes_deterministic_channel_gives_point_mass():
-    joint = np.diag([0.25, 0.25, 0.5])
-    post = states.bayes_condition(joint, 2)
-    assert np.allclose(post, [0.0, 0.0, 1.0])
-
-
-def test_bayes_matches_hand_normalization(rng):
-    joint = rng.random((4, 3))
-    joint /= joint.sum()
-    for d in range(3):
-        post = states.bayes_condition(joint, d)
-        assert np.allclose(post, joint[:, d] / joint[:, d].sum())
-
-
-def test_bayes_zero_probability_rejected():
-    joint = np.array([[0.5, 0.0], [0.5, 0.0]])
-    with pytest.raises(ZeroProbabilityData):
-        states.bayes_condition(joint, 1)
-
-
-@pytest.mark.parametrize("observed", [-1, True, 2, 1.0, np.bool_(True)])
-def test_bayes_rejects_a_datum_that_is_no_column_index(observed):
-    # Plain indexing would answer -1 with the last column, True with a
-    # (2, 1, 2) array, and 2 with a bare IndexError.
-    joint = np.array([[0.1, 0.2], [0.3, 0.4]])
-    with pytest.raises(DimensionMismatch, match="is not an index of the 2 data columns"):
-        states.bayes_condition(joint, observed)
-    assert np.allclose(states.bayes_condition(joint, np.int64(1)), [1 / 3, 2 / 3])
-
-
-def test_bayes_total_probability_refinement(rng):
-    # The prior is exactly the outcome-weighted mixture of the posteriors.
-    joint = rng.random((5, 4))
-    joint /= joint.sum()
-    prior = joint.sum(axis=1)
-    mixture = np.zeros(5)
-    for d in range(4):
-        pd = joint[:, d].sum()
-        mixture += pd * states.bayes_condition(joint, d)
-    assert np.abs(mixture - prior).max() <= 1e-12
 
 
 @pytest.mark.parametrize("explicit", [False, True])
@@ -304,7 +250,6 @@ def test_an_empty_vector_raises_a_typed_error():
     for call in (
         lambda: states.in_sqm_set([]),
         lambda: states.assert_distribution([]),
-        lambda: states.bayes_condition(np.zeros((0, 2)), 0),
         lambda: definetti.classical_definetti_mix([], [], 2),
     ):
         with pytest.raises(InvalidArgument, match="no probabilities"):

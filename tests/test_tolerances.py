@@ -21,8 +21,15 @@ import numpy as np
 import pytest
 
 from helpers import sqm_probs_with_lowest
-from qbayes import effects, linalg, states
-from qbayes.errors import DegenerateSpan, NotAState, NotAStateWarning, NotPsd
+from qbayes import effects, entropy, linalg, states, update
+from qbayes.errors import (
+    DegenerateSpan,
+    NotAState,
+    NotAStateWarning,
+    NotNormalized,
+    NotPsd,
+    NotTracePreserving,
+)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qbayes"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
@@ -270,3 +277,70 @@ def test_record_matches_across_a_decimal_rounding_boundary():
     frame.record(effect, 0.25)
     frame.record(moved, 0.75)
     assert len(frame) == 1 and frame.items()[0][1] == 0.75
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_factor_update_drops_an_outcome_at_the_probability_floor(inside):
+    # Under I/2 the effect 2p |0><0| has probability p: at most PROB_FLOOR is
+    # no live outcome, with zero refinement, readjustment and posterior.
+    p = linalg.PROB_FLOOR * (0.999 if inside else 1.001)
+    kraus = np.array([[np.diag([np.sqrt(2.0 * p), 0.0])], [np.diag([np.sqrt(1.0 - 2.0 * p), 1.0])]], dtype=complex)
+    fac = update.factor_update(np.eye(2) / 2.0, kraus)
+    assert fac.probabilities[0] == pytest.approx(p, rel=1e-12)
+    assert fac.live.tolist() == [not inside, True]
+    assert fac.posteriors[0].any() == (not inside)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_refinement_gaps_drop_an_outcome_at_the_probability_floor(inside):
+    # Prior I/2 (1 bit); outcome 0 leaves p I/2 (1 bit), outcome 1 a pure state.
+    # A live outcome 0 takes p bits off the von Neumann gap, a dropped one none.
+    p = linalg.PROB_FLOOR * (0.999 if inside else 1.001)
+    raw = np.array([[p * np.eye(2) / 2.0, np.diag([1.0 - p, 0.0])]], dtype=complex)
+    gap = entropy._refinement_gaps(np.eye(2, dtype=complex)[None] / 2.0, raw)[0, 0]
+    assert gap == pytest.approx(1.0 if inside else 1.0 - p, abs=1e-15)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_dilation_drops_an_ancilla_eigenvalue_at_the_probability_floor(inside):
+    # Ancilla diag(1 - p, p), no interaction, read in its eigenbasis: outcome 1
+    # has effect p I while the eigenvalue p is kept, and none once it is dropped.
+    p = linalg.PROB_FLOOR * (0.999 if inside else 1.001)
+    basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    inst = update.instrument_from_dilation(np.diag([1.0 - p, p]), np.eye(4), basis)
+    assert inst.outcomes.shape == (2, 2 if inside else 4, 2, 2)
+    assert np.abs(inst.effects()[1] - (0.0 if inside else p) * np.eye(2)).max() <= 1e-27
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_steering_drops_a_far_outcome_at_the_probability_floor(inside):
+    # Control (|00> + |11>)/sqrt(2); the far effect diag(2p, 0) has probability p.
+    p = linalg.PROB_FLOOR * (0.999 if inside else 1.001)
+    far = effects.validate_povm([np.diag([2.0 * p, 0.0]), np.diag([1.0 - 2.0 * p, 1.0])])
+    report = update.remote_steering_experiment(far, seed=1, alpha=np.sqrt(0.5), beta=np.sqrt(0.5))
+    assert report.far_probs[0] == pytest.approx(p, rel=1e-12)
+    assert report.conditional_weights[0].tolist() == ([0.0, 0.0] if inside else [1.0, 0.0])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("inside", [True, False])
+def test_teleport_flips_at_the_norm_tolerance(sign, inside):
+    ket = np.array([1.0 + sign * linalg.NORM_TOL * (0.999 if inside else 1.001), 0.0])
+    if inside:
+        assert update.teleport(ket).fidelities == pytest.approx(np.ones(4))
+    else:
+        with pytest.raises(NotNormalized, match="input ket has norm"):
+            update.teleport(ket)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("inside", [True, False])
+def test_control_amplitudes_flip_at_the_norm_tolerance(sign, inside):
+    # |alpha|^2 = 1 + delta.  Inside, the amplitudes pass, and the channel's
+    # sum A^dag A = (1 + delta) I then misses I by sqrt(2) |delta|, beyond
+    # IDENTITY_TOL: the completeness rule, not NORM_TOL, refuses it.
+    alpha = np.sqrt(1.0 + sign * linalg.NORM_TOL * (0.999 if inside else 1.001))
+    u = np.eye(2, dtype=complex)
+    error, match = (NotTracePreserving, "deviates from I") if inside else (NotNormalized, "amplitudes")
+    with pytest.raises(error, match=match):
+        update.controlled_unitary_channel(u, u, alpha, 0.0)
