@@ -1,4 +1,4 @@
-"""Time the state <-> SQM-vector layers per call and print the medians as JSON.
+"""Time the library's layers per call and print the medians as JSON.
 
 Each layer is one library call on a seeded input, timed with ``timeit``:
 ``--repeat`` rounds of ``--number`` calls each, reported as the median round
@@ -17,6 +17,15 @@ divided by ``--number``, in microseconds.  The layers, at every dimension of
     born.stack          effects.born(states, sqm.base) on a stack of STACK_STATES states
     sqm.build           effects.gram_renormalize(dim).dual: one build and its
                         closed-form dual, past standard_sqm's cache
+    factor_update       update.factor_update(rho, kraus), kraus a random efficient
+                        instrument of FACTOR_OUTCOMES outcomes
+    factor_update.stack update.factor_update on FACTOR_STATES states, each with
+                        its own FACTOR_OUTCOMES-outcome instrument
+    subentropy          entropy.subentropy(rho)
+    subentropy.stack    entropy.subentropy(states), the born.stack states
+    merging_experiment  definetti.merging_experiment: one MERGE_OUTCOMES-outcome
+                        run from rho through the SQM, with a uniform and a
+                        purity-skewed prior over MERGE_PRIOR random states
 
 plus ``reconstruct_joint_operator`` of a 3 x 3 joint state, reported under
 the key "3x3".  Every standard SQM is built, and every call made once, before
@@ -36,11 +45,15 @@ import timeit
 
 import numpy as np
 
-from qbayes import cli, effects, linalg, locality, states
+from qbayes import cli, definetti, effects, entropy, linalg, locality, states, update
 
 JOINT_DIMS = (3, 3)
 SEED = 1
 STACK_STATES = 1000
+FACTOR_OUTCOMES = 4
+FACTOR_STATES = 100
+MERGE_OUTCOMES = 2000
+MERGE_PRIOR = 200
 
 
 def layer_calls(dim: int) -> dict:
@@ -52,7 +65,14 @@ def layer_calls(dim: int) -> dict:
     probe = 0.1 * v.probs
     probe[g.integers(dim * dim)] += 0.9  # past the certainty bound, which is below 0.9
     many = linalg.state_from_normals(g.normal(size=(STACK_STATES, 2, dim, dim)))
-    plain = linalg.povm_from_normals(g.normal(size=(2 * dim * dim, 2, dim, dim)))  # drawn last
+    plain = linalg.povm_from_normals(g.normal(size=(2 * dim * dim, 2, dim, dim)))
+    # Drawn after the inputs above, which stay those of the layers listed before them.
+    kraus = update.kraus_from_normals(g.normal(size=(2, FACTOR_OUTCOMES, 2, dim, dim)))
+    kraus_many = update.kraus_from_normals(g.normal(size=(FACTOR_STATES, 2, FACTOR_OUTCOMES, 2, dim, dim)))
+    factor_states = linalg.state_from_normals(g.normal(size=(FACTOR_STATES, 2, dim, dim)))
+    support = linalg.state_from_normals(g.normal(size=(MERGE_PRIOR, 2, dim, dim)))
+    uniform = definetti.make_prior(support)
+    skewed = definetti.make_prior(support, definetti.center_skewed_weights(support))
     frame = effects.FrameFunction.from_state(rho, sqm.base.elements)
     return {
         "to_sqm": lambda: states.to_sqm(rho),
@@ -65,6 +85,13 @@ def layer_calls(dim: int) -> dict:
         "born": lambda: effects.born(rho, sqm.base),
         "born.stack": lambda: effects.born(many, sqm.base),
         "sqm.build": lambda: effects.gram_renormalize(dim).dual,
+        "factor_update": lambda: update.factor_update(rho, kraus),
+        "factor_update.stack": lambda: update.factor_update(factor_states, kraus_many),
+        "subentropy": lambda: entropy.subentropy(rho),
+        "subentropy.stack": lambda: entropy.subentropy(many),
+        "merging_experiment": lambda: definetti.merging_experiment(
+            uniform, skewed, rho, sqm.base, MERGE_OUTCOMES, SEED
+        ),
     }
 
 
@@ -90,7 +117,7 @@ def time_layers(dims, number: int, repeat: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dims", type=int, nargs="+", default=(2, 4, 8))
-    parser.add_argument("--number", type=int, default=500)
+    parser.add_argument("--number", type=int, default=100)
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args(argv)
     if args.number < 1 or args.repeat < 1:

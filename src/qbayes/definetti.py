@@ -61,6 +61,7 @@ def bloch_grid(
 ) -> np.ndarray:
     """Deterministic qubit-state grid, Fibonacci sphere times radial shells,
     as a (len(radii) * n_directions, 2, 2) stack, shell by shell."""
+    linalg._check_dim(n_directions, 1, "n_directions")
     golden = (1.0 + np.sqrt(5.0)) / 2.0
     i = np.arange(n_directions)
     z = 1.0 - (2.0 * i + 1.0) / n_directions
@@ -74,7 +75,7 @@ def bloch_grid(
 
 def center_skewed_weights(grid: Sequence[np.ndarray]) -> np.ndarray:
     """Prior weights exp(-4 tr rho^2), favoring low-purity grid points, strictly positive."""
-    grid = np.asarray(grid)
+    grid = linalg.as_operators(grid)
     w = np.exp(-4.0 * np.trace(grid @ grid, axis1=1, axis2=2).real)
     return w / w.sum()
 
@@ -83,7 +84,7 @@ def axis_skewed_weights(
     grid: Sequence[np.ndarray], axis: np.ndarray, strength: float = 2.0
 ) -> np.ndarray:
     """Prior weights favoring grid points polarized along an operator axis."""
-    w = np.exp(strength * np.trace(np.asarray(grid) @ axis, axis1=1, axis2=2).real)
+    w = np.exp(strength * np.trace(linalg.as_operators(grid) @ axis, axis1=1, axis2=2).real)
     return w / w.sum()
 
 

@@ -32,11 +32,9 @@ from .errors import (
 
 def _effect_stack(ops) -> np.ndarray:
     """Coerce a nonempty sequence of D x D operators to one complex (K, D, D)
-    stack, the storage of every operator set; a stack is taken as it is."""
-    try:
-        stack = linalg.as_operators(ops)
-    except ValueError as exc:  # numpy's error for operators of different shapes
-        raise DimensionMismatch(f"operators do not stack to one shape: {exc}") from exc
+    stack by ``linalg.as_operators``, the storage of every operator set; a
+    Povm's stack, or a complex stack, is taken as it is."""
+    stack = ops.elements if isinstance(ops, Povm) else linalg.as_operators(ops)
     if stack.ndim != 3 or not len(stack):
         raise DimensionMismatch(f"expected a nonempty (K, D, D) operator stack, got {stack.shape}")
     return stack
@@ -112,14 +110,15 @@ def born(state: np.ndarray, povm: Povm | Sequence[np.ndarray]) -> np.ndarray:
     result has shape (..., len(povm)): one real product of the states' and
     the effects' ``_real_coords``, i.e. Re tr(rho E_d^dag).  The rule assumes
     Hermitian operators: that is Re tr(rho E_d) when the state or the effect
-    is Hermitian and tr(rho E_d) when both are; neither is checked here.  Plain effects are stacked once, not
-    validated; missing or mixed-shape effects raise DimensionMismatch.  A
+    is Hermitian and tr(rho E_d) when both are; neither is checked here.  The
+    state and plain effects go through ``linalg.as_operators``, not validated:
+    input it refuses, or a state of another dim, raises DimensionMismatch.  A
     Povm and its stack take the same product, so their results are bitwise
     equal.  Entries in [-PROB_NEG_TOL, 0) are clamped to exactly zero; lower
     ones raise NotPsd, and a NaN or infinite one InvalidArgument.
     """
-    stack = povm.elements if isinstance(povm, Povm) else _effect_stack(povm)
-    state = np.asarray(state, dtype=complex)
+    stack = _effect_stack(povm)
+    state = linalg.as_operators(state)
     dim = stack.shape[-1]
     if state.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"state shape {state.shape} vs POVM dim {dim}")
@@ -140,8 +139,7 @@ def build_ic_kets(dim: int) -> np.ndarray:
     """The dim^2 unit kets seeding the SQM, as the rows of a (dim^2, dim) array:
     the basis kets ``|e_j>``, then ``(|e_j> + |e_k>)/sqrt(2)`` for each pair
     j < k in lexicographic order, then ``(|e_j> + i |e_k>)/sqrt(2)``."""
-    if dim < 2:
-        raise InvalidArgument("need dim >= 2")
+    linalg._check_dim(dim, 2)
     eye = np.eye(dim, dtype=complex)
     j, k = np.triu_indices(dim, 1)
     return np.concatenate([eye] + [(eye[j] + phase * eye[k]) / math.sqrt(2.0) for phase in (1, 1j)])
@@ -253,8 +251,7 @@ def standard_sqm(dim: int) -> MinimalIcPovm:
     integer (a bool, a float such as 2.0) raises InvalidArgument, before the
     lookup, so the answer does not depend on what was built before.
     """
-    if type(dim) is bool or not isinstance(dim, (int, np.integer)):
-        raise InvalidArgument(f"dimension {dim!r} is not an integer")
+    linalg._check_dim(dim, 2)
     sqm = _SQMS.get(dim)
     if sqm is None:
         sqm = _SQMS[dim] = gram_renormalize(dim)
@@ -268,8 +265,7 @@ def certainty_bound(dim: int) -> float:
     eigenvalue of G^{-1}, G = sum_d |v_d><v_d| over the seed kets; the
     ``certainty-bound`` CLI section checks it against that eigenvalue.
     """
-    if dim < 2:
-        raise InvalidArgument("need dim >= 2")
+    linalg._check_dim(dim, 2)
     return 1.0 / (dim - 0.5 * (1.0 + 1.0 / np.tan(3.0 * np.pi / (4.0 * dim))))
 
 
@@ -301,7 +297,7 @@ class FrameFunction:
         shapes raise DimensionMismatch."""
         f = cls()
         if len(effects):
-            f._effects = effects.elements if isinstance(effects, Povm) else _effect_stack(effects)
+            f._effects = _effect_stack(effects)
             f._values = born(state, f._effects)
         return f
 

@@ -109,6 +109,7 @@ def von_neumann(rho: np.ndarray) -> float | np.ndarray:
 
 def harmonic_tail(dim: int) -> float:
     """(1/ln 2)(1/2 + 1/3 + ... + 1/dim), the pure-state mean entropy."""
+    linalg._check_dim(dim)
     return float(sum(1.0 / k for k in range(2, dim + 1)) / LN2)
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionBudgetExceeded, DimensionMismatch, NotHermitian, NotPsd, SingularOperator
+from .errors import DimensionBudgetExceeded, DimensionMismatch, InvalidArgument, NotHermitian, NotPsd, SingularOperator
 
 # Tolerances: every numerical decision of the library, one value per invariant;
 # positivity, the rank cut, the identity deviation, the probability-vector rule
@@ -27,7 +27,7 @@ PSD_TOL = 1e-10
 # Relative rank cut: values at most RANK_TOL times the largest count as zero,
 # and eigenvalue gaps that small as degeneracies.
 RANK_TOL = 1e-10
-# Frobenius deviation from I of sum E_d (POVM), sum A^dag A (Kraus set), U^dag U.
+# Frobenius deviation from I of sum E_d (POVM), sum A^dag A (Kraus set), U^dag U, psi^dag psi.
 IDENTITY_TOL = 1e-9
 # Inverted-state eigenvalues in [STATE_EIG_FLOOR, 0) are noise, clamped to 0.
 STATE_EIG_FLOOR = -1e-8
@@ -40,8 +40,6 @@ PROB_SUM_TOL = 1e-12
 PROB_CAP_TOL = 1e-9
 # Outcomes with probability at most PROB_FLOOR get no posterior (0/0 update).
 PROB_FLOOR = 1e-12
-# Miss from 1 allowed for a ket's norm or for |alpha|^2 + |beta|^2.
-NORM_TOL = 1e-9
 # Least-squares residual above which a frame reconstruction is rejected.
 RECONSTRUCTION_RESIDUAL_TOL = 1e-6
 # Frobenius miss of sum_d P(d) rho_d from rho allowed for a claimed refinement.
@@ -60,16 +58,20 @@ paulis = (np.eye(2, dtype=complex), sigma_x, sigma_y, sigma_z)
 
 
 def as_operator(m) -> np.ndarray:
-    """Coerce ``m`` to a square complex matrix."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """Coerce ``m`` to a square complex matrix: :func:`as_operators`, two axes."""
+    if (a := as_operators(m)).ndim != 2:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
 def as_operators(m) -> np.ndarray:
-    """Coerce ``m`` to a complex (..., D, D) stack of square matrices."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce ``m`` to a complex (..., D, D) stack of square matrices, the one conversion
+    of operator input: DimensionMismatch for any other shape, or for input numpy cannot
+    read as one complex array (ragged nesting, an entry that is no number)."""
+    try:
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"input is no complex operator array: {exc}") from exc
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     return a
@@ -216,9 +218,9 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     Every entry is one product of factor entries, taken left to right, so two
     single operators give ``np.kron``'s values bitwise.
     """
-    out = np.asarray(factors[0], dtype=complex)
+    out = as_operators(factors[0])
     for f in factors[1:]:
-        f = np.asarray(f, dtype=complex)
+        f = as_operators(f)
         prod = out[..., :, None, :, None] * f[..., None, :, None, :]
         n = out.shape[-1] * f.shape[-1]
         out = prod.reshape(prod.shape[:-4] + (n, n))
@@ -267,6 +269,15 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return float(dist) if diff.ndim == 2 else dist
 
 
+def _check_dim(dim, least: int = 1, name: str = "dimension") -> None:
+    """InvalidArgument unless ``dim`` is an integer (a bool or a float such as 2.0
+    is not) of at least ``least``."""
+    if type(dim) is bool or not isinstance(dim, (int, np.integer)):
+        raise InvalidArgument(f"{name} {dim!r} is not an integer")
+    if dim < least:
+        raise InvalidArgument(f"need {name} >= {least}, got {dim}")
+
+
 def _check_budget(nbytes: int, what: str) -> None:
     """Raise before allocating ``nbytes`` beyond ``MEMORY_BUDGET_BYTES``."""
     if nbytes > MEMORY_BUDGET_BYTES:
@@ -313,6 +324,7 @@ def _padded_normals(g, counts: np.ndarray, shape: tuple) -> np.ndarray:
 
 def random_ket(dim: int, seed=None) -> np.ndarray:
     """Normalized Haar-random state vector from one (2, dim) draw."""
+    _check_dim(dim)
     return ket_from_normals(rng_from(seed).normal(size=(2, dim)))
 
 
@@ -324,6 +336,7 @@ def ket_from_normals(x: np.ndarray) -> np.ndarray:
 
 def random_unitary(dim: int, seed=None) -> np.ndarray:
     """Haar-distributed unitary from one (2, dim, dim) draw."""
+    _check_dim(dim)
     return unitary_from_normals(rng_from(seed).normal(size=(2, dim, dim)))
 
 
@@ -336,6 +349,7 @@ def unitary_from_normals(x: np.ndarray) -> np.ndarray:
 
 def random_state(dim: int, seed=None, rank: int | None = None) -> np.ndarray:
     """Random density operator from one (2, dim, rank) draw (rank D by default)."""
+    _check_dim(dim)
     r = dim if rank is None else rank
     return state_from_normals(rng_from(seed).normal(size=(2, dim, r)))
 
@@ -349,6 +363,7 @@ def state_from_normals(x: np.ndarray) -> np.ndarray:
 
 def random_povm(dim: int, n_elements: int, seed=None) -> list[np.ndarray]:
     """Random ``n_elements``-outcome POVM from one (n, 2, D, D) draw."""
+    _check_dim(dim)
     return list(povm_from_normals(rng_from(seed).normal(size=(n_elements, 2, dim, dim))))
 
 

@@ -124,7 +124,7 @@ class BilinearFrame:
 
     def _operands(self, e, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """vec(E^T), R and vec(F^T) for (..., dA, dA) and (..., dB, dB) effect stacks."""
-        e, f = np.asarray(e, dtype=complex), np.asarray(f, dtype=complex)
+        e, f = linalg.as_operators(e), linalg.as_operators(f)
         da, db = self.dim_a, self.dim_b
         if e.shape[-2:] != (da, da) or f.shape[-2:] != (db, db):
             raise DimensionMismatch(f"effects {e.shape} and {f.shape} do not act on {da} x {db}")

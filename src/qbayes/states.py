@@ -84,11 +84,8 @@ def to_sqm(state: np.ndarray, sqm: MinimalIcPovm | None = None) -> SqmVector:
     SqmVector still checks it: a caller's ``sqm`` need resolve the identity only
     to IDENTITY_TOL, which is looser."""
     state = assert_density_operator(linalg.as_operator(state))
-    if sqm is None:
-        sqm = standard_sqm(state.shape[0])
-    if sqm.dim != state.shape[0]:
-        raise DimensionMismatch(f"state dim {state.shape[0]} vs SQM dim {sqm.dim}")
-    return SqmVector(born(state, sqm.base), sqm)
+    sqm = standard_sqm(state.shape[0]) if sqm is None else sqm
+    return SqmVector(born(state, sqm.base), sqm)  # born refuses a state of another dim
 
 
 def from_sqm(

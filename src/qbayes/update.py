@@ -360,12 +360,13 @@ def controlled_unitary_channel(
     """Target-bit channel of a controlled unitary with a superposed control.
 
     With the control prepared in alpha|0> + beta|1>, the target evolves by
-    ``|alpha|^2 U_0 rho U_0^dag + |beta|^2 U_1 rho U_1^dag``.
+    ``|alpha|^2 U_0 rho U_0^dag + |beta|^2 U_1 rho U_1^dag``, whose sum A^dag A,
+    (|alpha|^2 + |beta|^2) I, must pass the completeness rule (NotNormalized).
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > linalg.NORM_TOL:
-        raise NotNormalized("control amplitudes must satisfy |a|^2 + |b|^2 = 1")
-    u0 = _assert_unitary(u0)
-    u1 = _assert_unitary(u1)
+    u0, u1 = _assert_unitary(u0), _assert_unitary(u1)
+    dev = linalg.identity_dev((abs(alpha) ** 2 + abs(beta) ** 2) * np.eye(len(u0)))
+    if dev > linalg.IDENTITY_TOL:
+        raise NotNormalized(f"control amplitudes: (|a|^2 + |b|^2) I deviates from I by {dev:.3e}")
     return make_channel([c * u for c, u in ((alpha, u0), (beta, u1)) if abs(c) > 0.0])
 
 
@@ -494,24 +495,24 @@ def teleport(psi: np.ndarray) -> Teleportation:
     she measures her two qubits in the Bell basis.  The outcome distribution
     is uniform regardless of the input, Bob's unconditional marginal is I/2
     before and after her measurement, and every corrected state has fidelity
-    1 with the input.  An input of norm other than 1 raises NotNormalized.
+    1 with the input.  NotNormalized if |psi^dag psi - 1| > ``linalg.IDENTITY_TOL``.
     """
     psis = np.asarray(psi, dtype=complex)
     if psis.ndim not in (1, 2) or psis.shape[-1] != 2:
         raise DimensionMismatch("teleportation inputs are single-qubit kets")
     single = psis.ndim == 1
     psis = psis.reshape(-1, 2)
-    norms = np.linalg.norm(psis, axis=1)
-    bad = np.abs(norms - 1.0) > linalg.NORM_TOL
+    squares = np.vecdot(psis, psis).real
+    bad = np.abs(squares - 1.0) > linalg.IDENTITY_TOL
     if bad.any():
-        raise NotNormalized(f"input ket has norm {norms[bad][0]:.9f}")
+        raise NotNormalized(f"input ket has norm {np.sqrt(squares[bad][0]):.9f}")
     pair = bell_kets()[0]  # (|00> + |11>)/sqrt(2)
     total = (psis[:, :, None] * pair).reshape(-1, 4, 2)  # (input, Alice's half), Bob
     before = np.einsum("nai,naj->nij", total, total.conj())
     # Project Alice's two qubits onto each Bell state.
     subs = np.conj(bell_kets()) @ total
     probs = (subs.conj() * subs).real.sum(axis=-1)
-    conditional = subs / np.sqrt(np.where(probs > PROB_FLOOR, probs, 1.0))[..., None]
+    conditional = subs / np.sqrt(probs)[..., None]  # each probability is 1/4
     unconditional = np.einsum("nk,nki,nkj->nij", probs, conditional, conditional.conj())
     final_kets = np.einsum("kij,nkj->nki", np.stack([c for _, c in BELL_CORRECTIONS]), conditional)
     final = final_kets[..., :, None] * final_kets.conj()[..., None, :]

@@ -1,9 +1,12 @@
-"""The lazy import contract: a command loads only the modules it calls.
+"""The lazy import contract: a command loads only the modules it calls, and
+no module imports scipy, which is no runtime dependency.
 
 Each probe runs in a fresh interpreter, since the test process has already
 imported every module.
 """
 
+import ast
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -25,6 +28,30 @@ def loaded(after):
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'qbayes'))\n"
         "print('numpy.random' in sys.modules)"
     )
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qbayes"
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Lines of the ``import scipy...`` and ``from scipy... import`` statements."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if (isinstance(n, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in n.names))
+        or (isinstance(n, ast.ImportFrom) and n.level == 0 and (n.module or "").split(".")[0] == "scipy")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # numpy is the only runtime dependency; scipy is in the bench extra.
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_scipy_lint_sees_both_import_forms():
+    source = "import numpy\nimport scipy.linalg as sl\nfrom scipy import optimize\nfrom .scipy import x\n"
+    assert scipy_imports(source) == [2, 3]
 
 
 def test_import_qbayes_loads_no_submodule():

@@ -16,6 +16,11 @@ LAYERS = [
     "born",
     "born.stack",
     "sqm.build",
+    "factor_update",
+    "factor_update.stack",
+    "subentropy",
+    "subentropy.stack",
+    "merging_experiment",
 ]
 
 

@@ -10,7 +10,8 @@ the table.  ``cli.py`` is exempt from the literal rule: its check thresholds
 are each named by the check that uses them.
 
 The tests at the end hold rules at their margins: a verdict flips between
-just inside and just outside its tolerance.
+just inside and just outside its tolerance.  Every table entry needs at least
+one such test, named by an ``inside`` or ``member`` parameter.
 """
 
 import ast
@@ -24,11 +25,16 @@ from helpers import sqm_probs_with_lowest
 from qbayes import effects, entropy, linalg, states, update
 from qbayes.errors import (
     DegenerateSpan,
+    InconsistentRefinement,
     NotAState,
     NotAStateWarning,
+    NotCp,
     NotNormalized,
     NotPsd,
+    NotResolution,
     NotTracePreserving,
+    NotUnitary,
+    SingularOperator,
 )
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qbayes"
@@ -110,6 +116,30 @@ def test_every_table_entry_is_read():
     assert not unread, f"table entries nothing reads: {unread}"
 
 
+def _margin_reads(tree: ast.Module) -> set[str]:
+    """The ``linalg`` names read by the margin tests: the test functions with an
+    ``inside`` or ``member`` parameter, run on each side of a bound."""
+    return {
+        n.attr
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef) and {"inside", "member"} & {a.arg for a in f.args.args}
+        for n in ast.walk(f)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "linalg"
+    }
+
+
+def test_every_table_entry_has_a_margin_test():
+    tree, _ = _parse("linalg.py")
+    margins = _margin_reads(ast.parse(pathlib.Path(__file__).read_text()))
+    missing = [t for n in _table(tree) for t in _assigned_names(n) if t not in margins]
+    assert not missing, f"table entries no margin test names: {missing}"
+
+
+def test_margin_lint_counts_only_tests_on_both_sides_of_a_bound():
+    source = "def test_a(d, inside):\n    linalg.A_TOL\n\n\ndef test_b(d):\n    linalg.B_TOL\n"
+    assert _margin_reads(ast.parse(source)) == {"A_TOL"}
+
+
 def test_lint_flags_an_escaped_tolerance(tmp_path, monkeypatch):
     # The rules must see each kind of escape, or the tests above prove nothing.
     (tmp_path / "stray.py").write_text("LOOSE_TOL = 0.1\n\ndef f(x):\n    return x < 1e-9\n")
@@ -124,7 +154,7 @@ def test_lint_flags_an_escaped_tolerance(tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# Rules at their margins, a relative 1e-6 inside and outside the tolerance.
+# Rules at their margins, just inside and just outside the tolerance.
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
@@ -325,7 +355,8 @@ def test_steering_drops_a_far_outcome_at_the_probability_floor(inside):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("inside", [True, False])
 def test_teleport_flips_at_the_norm_tolerance(sign, inside):
-    ket = np.array([1.0 + sign * linalg.NORM_TOL * (0.999 if inside else 1.001), 0.0])
+    # A unit ket is a one-column isometry: psi^dag psi = 1 + delta is held to IDENTITY_TOL.
+    ket = np.array([np.sqrt(1.0 + sign * linalg.IDENTITY_TOL * (0.999 if inside else 1.001)), 0.0])
     if inside:
         assert update.teleport(ket).fidelities == pytest.approx(np.ones(4))
     else:
@@ -336,11 +367,180 @@ def test_teleport_flips_at_the_norm_tolerance(sign, inside):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("inside", [True, False])
 def test_control_amplitudes_flip_at_the_norm_tolerance(sign, inside):
-    # |alpha|^2 = 1 + delta.  Inside, the amplitudes pass, and the channel's
-    # sum A^dag A = (1 + delta) I then misses I by sqrt(2) |delta|, beyond
-    # IDENTITY_TOL: the completeness rule, not NORM_TOL, refuses it.
-    alpha = np.sqrt(1.0 + sign * linalg.NORM_TOL * (0.999 if inside else 1.001))
+    # |alpha|^2 = 1 + delta: the channel's sum A^dag A = (1 + delta) I misses I
+    # by sqrt(2) |delta|, which the completeness rule holds to IDENTITY_TOL.
+    alpha = np.sqrt(1.0 + sign * linalg.IDENTITY_TOL / np.sqrt(2.0) * (0.999 if inside else 1.001))
     u = np.eye(2, dtype=complex)
-    error, match = (NotTracePreserving, "deviates from I") if inside else (NotNormalized, "amplitudes")
+    if inside:
+        assert update.controlled_unitary_channel(u, u, alpha, 0.0).outcomes.shape == (1, 1, 2, 2)
+    else:
+        with pytest.raises(NotNormalized, match="amplitudes"):
+            update.controlled_unitary_channel(u, u, alpha, 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("inside", [True, False])
+def test_control_amplitudes_are_held_to_the_completeness_rule(d, sign, inside):
+    # |alpha|^2 + |beta|^2 = 1 + delta gives sum A^dag A = (1 + delta) I, which
+    # misses I by sqrt(D) |delta|: the amplitude check is the channel's own
+    # completeness rule, so no amplitude reaches make_channel's NotTracePreserving.
+    delta = sign * linalg.IDENTITY_TOL / np.sqrt(d) * (0.999 if inside else 1.001)
+    u0, u1 = linalg.random_unitary(d, 1), linalg.random_unitary(d, 2)
+    alpha, beta = np.sqrt(0.3 * (1.0 + delta)), 1j * np.sqrt(0.7 * (1.0 + delta))
+    if inside:
+        channel = update.controlled_unitary_channel(u0, u1, alpha, beta)
+        assert linalg.identity_dev(channel.effects()[0]) <= linalg.IDENTITY_TOL
+    else:
+        with pytest.raises(NotNormalized, match="amplitudes"):
+            update.controlled_unitary_channel(u0, u1, alpha, beta)
+
+
+def _scaled(bound: float, inside: bool) -> float:
+    return bound * (0.999 if inside else 1.001)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("inside", [True, False])
+def test_validate_povm_flips_at_the_psd_tolerance(d, inside):
+    # E_0 = U diag(1 + s, -s, 1/2, ...) U^dag and E_1 = I - E_0 both have the
+    # spectrum's ends -s and 1 + s, so each is held to s <= PSD_TOL (1 + s).
+    s = _scaled(linalg.PSD_TOL, inside)
+    u = linalg.random_unitary(d, d)
+    e0 = u @ np.diag([1.0 + s, -s] + [0.5] * (d - 2)) @ linalg.dagger(u)
+    candidate = [e0, np.eye(d) - e0]
+    if inside:
+        assert len(effects.validate_povm(candidate)) == 2
+    else:
+        with pytest.raises(NotPsd, match="element 0"):
+            effects.validate_povm(candidate)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_density_spectrum_flips_at_the_psd_tolerance(inside):
+    s = _scaled(linalg.PSD_TOL, inside)
+    rho = np.diag([1.0 + s, -s])
+    if inside:
+        assert states.density_spectrum(rho)[1][0] == -s
+    else:
+        with pytest.raises(NotAState, match="smallest eigenvalue"):
+            states.density_spectrum(rho)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_choi_channel_flips_at_the_psd_tolerance(inside):
+    # The identity channel's Choi operator (top eigenvalue 1) minus s |01><01|:
+    # inside, the eigenvalue -s is rank noise and the identity channel remains.
+    s = _scaled(linalg.PSD_TOL, inside)
+    choi = update.channel_choi(update.make_channel([np.eye(2)])) - s * np.diag([0.0, 1.0, 0.0, 0.0])
+    if inside:
+        assert update.choi_channel(choi).outcomes.shape == (1, 1, 2, 2)
+    else:
+        with pytest.raises(NotCp, match="Choi operator"):
+            update.choi_channel(choi)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_mat_invsqrt_flips_at_the_rank_tolerance(inside):
+    m = np.diag([1.0, _scaled(linalg.RANK_TOL, inside)])
+    if inside:
+        with pytest.raises(SingularOperator, match="invertibility threshold"):
+            linalg.mat_invsqrt(m)
+    else:
+        assert linalg.mat_invsqrt(m)[1, 1] == pytest.approx(1.0 / np.sqrt(m[1, 1]), rel=1e-12)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_numeric_rank_flips_at_the_rank_tolerance(inside):
+    values = np.array([4.0, 4.0 * _scaled(linalg.RANK_TOL, inside)])
+    assert linalg.numeric_rank(values) == (1 if inside else 2)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_choi_kraus_count_flips_at_the_rank_tolerance(inside):
+    # Kraus {sqrt(1 - p) I, sqrt(p) Z}: Choi eigenvalues 1 - p and p, with
+    # p / (1 - p) at the rank cut.  Both Kraus sets are complete within IDENTITY_TOL.
+    r = _scaled(linalg.RANK_TOL, inside)
+    p = r / (1.0 + r)
+    choi = update.channel_choi(update.make_channel([np.sqrt(1.0 - p) * np.eye(2), np.sqrt(p) * linalg.sigma_z]))
+    assert update.choi_channel(choi).outcomes.shape[1] == (1 if inside else 2)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_validate_povm_flips_at_the_identity_tolerance(inside):
+    delta = _scaled(linalg.IDENTITY_TOL, inside)
+    candidate = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + delta])]
+    if inside:
+        assert len(effects.validate_povm(candidate)) == 2
+    else:
+        with pytest.raises(NotResolution, match="within"):
+            effects.validate_povm(candidate)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_make_instrument_flips_at_the_identity_tolerance(inside):
+    delta = _scaled(linalg.IDENTITY_TOL, inside)
+    outcomes = [[np.diag([np.sqrt(1.0 + delta), 0.0])], [np.diag([0.0, 1.0])]]
+    if inside:
+        assert len(update.make_instrument(outcomes)) == 2
+    else:
+        with pytest.raises(NotTracePreserving, match="deviates from I"):
+            update.make_instrument(outcomes)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_efficient_from_povm_unitaries_flip_at_the_identity_tolerance(inside):
+    # U^dag U = diag(1, 1 + delta), applied to the outcome |1><1|, so the
+    # instrument's completeness sum misses I by delta too.
+    delta = _scaled(linalg.IDENTITY_TOL, inside)
+    povm = effects.validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    unitaries = [np.eye(2), np.diag([1.0, np.sqrt(1.0 + delta)])]
+    if inside:
+        assert update.efficient_from_povm(povm, unitaries).efficient
+    else:
+        with pytest.raises(NotUnitary, match="deviates from I"):
+            update.efficient_from_povm(povm, unitaries)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_density_spectrum_flips_at_the_trace_tolerance(inside):
+    rho = np.diag([0.5 + _scaled(linalg.PROB_SUM_TOL, inside), 0.5])
+    if inside:
+        assert np.array_equal(states.density_spectrum(rho)[0], rho)
+    else:
+        with pytest.raises(NotAState, match="trace"):
+            states.density_spectrum(rho)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_sqm_vector_flips_at_the_sum_tolerance(inside):
+    probs = np.array([0.25 + _scaled(linalg.PROB_SUM_TOL, inside), 0.25, 0.25, 0.25])
+    sqm = effects.standard_sqm(2)
+    if inside:
+        assert np.array_equal(states.SqmVector(probs, sqm).probs, probs)
+    else:
+        with pytest.raises(NotAState, match="sum to"):
+            states.SqmVector(probs, sqm)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_reconstruction_warns_at_the_trace_tolerance(inside):
+    # The SQM frame of (1 + delta) I/2, no state, reconstructs that operator.
+    rho = (1.0 + _scaled(linalg.PROB_SUM_TOL, inside)) * np.eye(2) / 2.0
+    frame = effects.FrameFunction.from_state(rho, effects.standard_sqm(2).base)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NotAStateWarning)
+        effects.reconstruct_from_frame(frame)
+    assert [w.category for w in caught] == ([] if inside else [NotAStateWarning])
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_identify_measurement_flips_at_the_refinement_tolerance(inside):
+    # The refinement of I/2 into |0><0| and (1 + 2 delta)|1><1| misses it by delta.
+    # Inside, the refinement is accepted and the POVM it gives, which misses I
+    # by 2 delta, is refused by the completeness rule.
+    delta = _scaled(linalg.REFINEMENT_TOL, inside)
+    refinement = [(0.5, np.diag([1.0, 0.0])), (0.5, np.diag([0.0, 1.0 + 2.0 * delta]))]
+    error, match = (NotResolution, "identity") if inside else (InconsistentRefinement, "misses")
     with pytest.raises(error, match=match):
-        update.controlled_unitary_channel(u, u, alpha, 0.0)
+        update.identify_measurement(np.eye(2) / 2.0, refinement)
